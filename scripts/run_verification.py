@@ -18,12 +18,8 @@ import sys
 import time
 from fractions import Fraction
 
-from dirac_su11.params import make_params, make_channel
-from dirac_su11.verify import (
-    oracle_binding_residual,
-    shooting_oracle,
-    verification_report,
-)
+from dirac_su11.params import make_params
+from dirac_su11.verify import ORACLE_REL_TOL, oracle_sweep, verification_report
 
 
 def main() -> int:
@@ -45,23 +41,9 @@ def main() -> int:
         params = make_params(Z=z)
         rep = verification_report(params, args.j_max, args.n_max, args.precision)
         if args.with_oracle:
-            rows = []
-            worst = 0.0
-            j = Fraction(1, 2)
-            while j <= args.j_max:
-                for eps in (-1, 1):
-                    ch = make_channel(params, j, eps)
-                    for n in range(min(args.n_max, 5) + 1):
-                        if n == 0 and eps == 1:
-                            continue
-                        rel = oracle_binding_residual(ch, n, shooting_oracle(ch, n))
-                        worst = max(worst, rel)
-                        rows.append({"j": str(j), "eps": eps, "n": n,
-                                     "rel_binding_error": f"{rel:.3e}"})
-                j += 1
-            rep["oracle"] = rows
+            rep["oracle"], worst = oracle_sweep(params, args.j_max, args.n_max)
             rep["oracle_worst_rel_error"] = f"{worst:.3e}"
-            if worst > 1e-10:
+            if worst > ORACLE_REL_TOL:
                 rep["all_exact"] = False
         dest = out_dir / f"verification_Z{z}.json"
         dest.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")

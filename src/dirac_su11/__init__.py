@@ -56,9 +56,11 @@ from .verify import (
     OracleResult,
     ResidualReport,
     first_order_residual,
+    oracle_sweep,
     orthonormality_matrix,
     second_order_residual,
     shooting_oracle,
+    shooting_oracle_batch,
     verification_report,
 )
 from .jloperator import (
@@ -86,8 +88,9 @@ __all__ = [
     "laguerre_cross_check", "laguerre_poly", "normalize", "sample",
     "write_csv",
     "BracketingError", "OracleResult", "ResidualReport",
-    "first_order_residual", "orthonormality_matrix",
-    "second_order_residual", "shooting_oracle", "verification_report",
+    "first_order_residual", "oracle_sweep", "orthonormality_matrix",
+    "second_order_residual", "shooting_oracle", "shooting_oracle_batch",
+    "verification_report",
     "DiagonalityRecord", "JLMatrix", "diagonality_scan", "jl_fg_matrix",
     "jl_psi_action", "spectroscopic_label",
     "__version__",

@@ -8,7 +8,7 @@ Subcommands:
     limit      nonrelativistic limit study of one level
 
 Exit codes: 0 on success, 2 on usage or domain errors, 3 when a
-verification run reports a failure.
+verification run reports a failure or an internal check fails.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ from .wavefunctions import (
     write_csv,
 )
 from .verify import (
+    ORACLE_REL_TOL,
+    BracketingError,
     first_order_residual,
-    oracle_binding_residual,
-    shooting_oracle,
+    oracle_sweep,
     verification_report,
 )
 from .jloperator import diagonality_scan, scan_to_dict
@@ -81,6 +82,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="dirac-su11",
@@ -92,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="speed of light in atomic units, decimal string")
         if with_z:
             p.add_argument("--Z", type=int, default=1, help="nuclear charge")
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+        p.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION,
                        help="working precision in bits")
         p.add_argument("--out", help="write the payload to this file")
 
@@ -316,32 +327,30 @@ def run_verify(cfg: RunConfig) -> int:
         rep = verification_report(params, cfg.j_max, cfg.n_max, cfg.precision,
                                   inject_off_shell=cfg.inject_off_shell)
         line = f"Z={z}: residuals {'all exact' if rep['all_exact'] else 'FAILED'}"
+        unbracketed = []
         if cfg.with_oracle:
-            oracle_rows = []
-            worst = 0.0
-            j = Fraction(1, 2)
-            while j <= cfg.j_max:
-                for eps in (-1, 1):
-                    ch = make_channel(params, j, eps)
-                    for n in range(min(cfg.n_max, 5) + 1):
-                        if n == 0 and eps == 1:
-                            continue
-                        res = shooting_oracle(ch, n)
-                        rel = oracle_binding_residual(ch, n, res)
-                        worst = max(worst, rel)
-                        oracle_rows.append({"j": str(j), "eps": eps, "n": n,
-                                            "rel_binding_error": f"{rel:.3e}"})
-                        if rel > 1e-10:
-                            ok = False
-                j += 1
-            rep["oracle"] = oracle_rows
-            rep["oracle_worst_rel_error"] = f"{worst:.3e}"
-            line += (f", oracle worst rel err {worst:.1e}"
-                     + ("" if worst <= 1e-10 else " FAILED"))
+            try:
+                rep["oracle"], worst = oracle_sweep(params, cfg.j_max, cfg.n_max)
+            except BracketingError as exc:
+                # every swept slot is bound in closed form: a failed check
+                unbracketed = [{"j": str(ch.j), "eps": ch.eps, "n": n}
+                               for ch, n in exc.slots]
+                rep["oracle_unbracketed"] = unbracketed
+                line += ", oracle FAILED to bracket"
+                ok = False
+            else:
+                rep["oracle_worst_rel_error"] = f"{worst:.3e}"
+                line += f", oracle worst rel err {worst:.1e}"
+                if worst > ORACLE_REL_TOL:
+                    line += " FAILED"
+                    ok = False
         if not rep["all_exact"]:
             ok = False
         runs.append(rep)
         print(line)
+        for slot in unbracketed:
+            print(f"  j={slot['j']} eps={slot['eps']:+d} n={slot['n']}: "
+                  "oracle mismatch has no sign change over the bracket")
         for block in rep["channels"]:
             for row in block["rows"]:
                 failed = row.get("failed", [])
@@ -420,6 +429,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -226,8 +226,11 @@ def nonrelativistic_limit_table(
     """Binding energies against the Bohr value -Z^2/(2 N^2) along a c schedule.
 
     The difference is O(c^-2); the returned exponent is the least-squares
-    slope of log |difference| against log c.
+    slope of log |difference| against log c, which needs at least two
+    distinct values of c.
     """
+    if len({_frac(c) for c in c_schedule}) < 2:
+        raise DomainError("c schedule needs at least two distinct values")
     rows = []
     xs, ys = [], []
     with mp.workprec(precision + _GUARD):

@@ -10,8 +10,12 @@ replace every energy-dependent coefficient by an element of Q(s)[w]; a
 detuned w (off shell) must and does leave a nonzero residual.
 
 The shooting oracle knows nothing of ladders or Laguerre polynomials: it
-integrates the first-order radial system in float64 from both ends,
-scanning the scaled momentum nu for a matching logarithmic derivative.
+integrates the first-order radial system in float64 from both ends and
+finds the scaled momentum nu at which the two halves match. It runs any
+number of levels in lock-step: every level's outward and inward half is
+one block of a single stacked DOP853 system (Hairer, Norsett & Wanner,
+Solving ODEs I), and vectorised Illinois false position (Dowell &
+Jarratt, BIT 11, 1971) refines all brackets at once, one solve per round.
 Its eigenvalues confirm the closed-form spectrum to near machine accuracy
 (the binding energy is compared, since the total energy is dominated by
 the rest term c^2).
@@ -26,8 +30,8 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
+import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .params import (
     DEFAULT_PRECISION,
@@ -53,10 +57,22 @@ from .algebra import (
 from .wavefunctions import RadialPair, assemble, exact_w, tower_lift, tower_w2
 
 ORACLE_N_CAP = 10
+ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
+
+_RHO0 = 1e-6             # where the outward series seed starts
+_XTOL, _RTOL = 1e-300, 8.9e-16   # converged bracket width, as brentq's
+_ILLINOIS_CAP = 100      # root-finding rounds; typical levels need about 10
 
 
 class BracketingError(DomainError):
-    """No sign change in the shooting mismatch over the scanned bracket."""
+    """No sign change in the shooting mismatch over the scanned bracket.
+
+    ``slots`` holds every (channel, n) level whose bracket was empty.
+    """
+
+    def __init__(self, message: str, slots=()):
+        super().__init__(message)
+        self.slots = tuple(slots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,81 +223,141 @@ class OracleResult:
     mismatch: float
 
 
-def _nu_of_index(s: float, zeta: float, x: float) -> float:
-    w = math.hypot(s + x, zeta)
-    return zeta / (s + x + w)
+def _nu_of_index(s, zeta, x):
+    return zeta / (s + x + np.hypot(s + x, zeta))
+
+
+def _shoot(s, zeta, tau, n, nu):
+    """Wronskian mismatch of m (level, nu) pairs from one DOP853 solve.
+
+    Every argument is a float array of length m. Each pair integrates
+    (F, G/nu) in x = ln rho outward from rho0 and inward from rho_inf to
+    rho_match = n + s + 1. Each half's x-interval is mapped onto t in
+    [0, 1] with dx/dt = L, its signed length, so all halves end at t = 1.
+    The state is [f_out, f_in, g_out, g_in], m components each; the
+    inward halves get atol 1e-300, that is pure relative error control.
+    Returns the mismatches and the solve's RHS count.
+    """
+    m = len(nu)
+    x_start = np.concatenate((np.full(m, math.log(_RHO0)), np.log(40.0 + 10.0 * n)))
+    L = np.tile(np.log(n + s + 1.0), 2) - x_start
+    start, L = np.tile(x_start, 2), np.tile(L, 2)    # per state component
+    zn, zi = zeta * nu, zeta / nu
+    diag = L * np.concatenate((-tau, -tau, tau, tau))
+    coupling = L * np.concatenate((zn, zn, -zi, -zi))
+    swap = np.roll(np.arange(4 * m), 2 * m)          # f <-> g
+
+    def rhs(t, y):
+        # dF/dx = -tau F + (rho + zeta nu) G,  dG/dx = tau G + (rho - zeta/nu) F
+        return diag * y + (L * np.exp(start + L * t) + coupling) * y[swap]
+
+    # two-term series seed (f0 = 1) keeps the outward solution on the
+    # regular branch
+    g0 = (s + tau) / zn
+    f1 = ((s + 1 - tau) * g0 + zn) / (2 * s + 1)
+    g1 = ((s + 1 + tau) - zi * g0) / (2 * s + 1)
+    ones = np.ones(m)
+    y0 = np.concatenate((1.0 + f1 * _RHO0, ones, g0 + g1 * _RHO0, -ones))
+    atol = np.tile(np.concatenate((np.full(m, 1e-14), np.full(m, 1e-300))), 2)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=atol)
+    if not sol.success:
+        raise AssertionError(f"oracle integration failed: {sol.message}")
+    fo, fi, go, gi = sol.y[:, -1].reshape(4, m)
+    return (fo * gi - fi * go) / (np.hypot(fo, go) * np.hypot(fi, gi)), sol.nfev
+
+
+def shooting_oracle_batch(levels) -> list:
+    """Two-sided float64 shooting for a list of (channel, n) levels at once.
+
+    Every level is integrated in one stacked DOP853 system (see _shoot), so
+    the levels share one step controller. The root of each level's
+    normalized Wronskian mismatch in nu is bracketed by the closed-form
+    values at the half-integer indices n -+ 1/2: both ends of every
+    bracket go into one solve, and a level with no sign change there (no
+    bound state at the slot) raises BracketingError naming every empty
+    slot before any root finding. Vectorised Illinois false position then
+    refines the levels whose bracket is still wider than brentq's
+    tolerance, one solve per round; converged levels drop out. A level's
+    ``steps`` counts the RHS evaluations of the solves it took part in,
+    and ``mismatch`` is that of its last iterate.
+    """
+    for _, index in levels:
+        if not isinstance(index, int) or index < 0:
+            raise DomainError("oracle index must be a nonnegative integer")
+        if index > ORACLE_N_CAP:
+            raise DomainError(f"oracle validated for n <= {ORACLE_N_CAP}")
+    if not levels:
+        return []
+    s = np.array([float(ch.s.embed(64)) for ch, _ in levels])
+    zeta = np.array([float(ch.zeta) for ch, _ in levels])
+    tau = np.array([float(ch.tau) for ch, _ in levels])
+    n = np.array([index for _, index in levels], dtype=float)
+    k = len(levels)
+
+    nu_lo = _nu_of_index(s, zeta, n + 0.5)
+    nu_hi = _nu_of_index(s, zeta, n - 0.5)
+    ends, nfev = _shoot(*(np.tile(v, 2) for v in (s, zeta, tau, n)),
+                        np.concatenate((nu_lo, nu_hi)))
+    m_lo, m_hi = ends[:k], ends[k:]
+    empty = np.flatnonzero(m_lo * m_hi > 0)
+    if empty.size:
+        raise BracketingError("; ".join(
+            f"no eigenvalue between nu={nu_lo[i]:.6g} and nu={nu_hi[i]:.6g} "
+            f"for {levels[i][0]} at slot n={levels[i][1]}" for i in empty),
+            slots=[levels[i] for i in empty])
+
+    # Illinois: b is always the latest iterate, [a, b] brackets the root
+    a, fa, b, fb = nu_lo.copy(), m_lo.copy(), nu_hi.copy(), m_hi.copy()
+    steps = np.full(k, nfev)
+    live = np.arange(k)
+    rounds = 0
+    while True:
+        A, FA, B, FB = a[live], fa[live], b[live], fb[live]
+        done = (FB == 0) | (np.abs(B - A) <= _XTOL + _RTOL * np.abs(B))
+        live, A, FA, B, FB = (v[~done] for v in (live, A, FA, B, FB))
+        if not live.size:
+            break
+        if rounds == _ILLINOIS_CAP:
+            raise AssertionError(
+                f"oracle root finding did not converge in {rounds} rounds for "
+                + ", ".join(f"{levels[i][0]} n={levels[i][1]}" for i in live))
+        rounds += 1
+        # as in Brent's method, keep each iterate half a tolerance inside
+        # the bracket, so one next to the root crosses it and closes the
+        # bracket (the bracket is wider than a whole tolerance here)
+        tol = 0.5 * (_XTOL + _RTOL * np.abs(B))
+        c = np.clip(B - FB * (B - A) / (FB - FA),
+                    np.minimum(A, B) + tol, np.maximum(A, B) - tol)
+        fc, nfev = _shoot(s[live], zeta[live], tau[live], n[live], c)
+        steps[live] += nfev
+        flip = fc * FB < 0
+        a[live] = np.where(flip, B, A)
+        fa[live] = np.where(flip, FB, 0.5 * FA)
+        b[live], fb[live] = c, fc
+
+    out = []
+    for (ch, _), nu, lo, hi, st, mis in zip(levels, b.tolist(), nu_lo.tolist(),
+                                           nu_hi.tolist(), steps.tolist(),
+                                           np.abs(fb).tolist()):
+        c2 = float(ch.params.c * ch.params.c)
+        out.append(OracleResult(
+            E_oracle=c2 * (1 - nu ** 2) / (1 + nu ** 2),
+            binding_oracle=-2 * c2 * nu ** 2 / (1 + nu ** 2),
+            nu_oracle=nu,
+            bracket=(lo, hi),
+            steps=st,
+            mismatch=mis,
+        ))
+    return out
 
 
 def shooting_oracle(channel: Channel, n_target: int,
                     precision: int = DEFAULT_PRECISION,
                     tolerance: float = 1e-12) -> OracleResult:
-    """Two-sided float64 shooting for the n-th eigenvalue of the channel.
-
-    Integrates (F, G/nu) in x = ln rho outward from a two-term series seed
-    and inward from the decaying asymptotic direction, matching at
-    rho = n + s + 1. The root of the normalized Wronskian mismatch in nu
-    is bracketed by the closed-form values at half-integer indices, so a
-    channel with no bound state at the requested slot raises
-    BracketingError instead of converging to a phantom.
-    """
-    if not isinstance(n_target, int) or n_target < 0:
-        raise DomainError("oracle index must be a nonnegative integer")
-    if n_target > ORACLE_N_CAP:
-        raise DomainError(f"oracle validated for n <= {ORACLE_N_CAP}")
-    ch = channel
-    s = float(ch.s.embed(64))
-    zeta = float(ch.zeta)
-    tau = float(ch.tau)
-    c2 = float(ch.params.c * ch.params.c)
-    n = n_target
-
-    rho0 = 1e-6
-    rho_inf = 40.0 + 10.0 * n
-    rho_match = n + s + 1.0
-    x0, x_inf, x_m = math.log(rho0), math.log(rho_inf), math.log(rho_match)
-
-    evals = [0]
-
-    def rhs(x, y, nu):
-        rho = math.exp(x)
-        f, gt = y
-        return [-tau * f + (rho + zeta * nu) * gt,
-                tau * gt + (rho - zeta / nu) * f]
-
-    def mismatch(nu):
-        # two-term series seed keeps the outward solution on the regular branch
-        f0 = 1.0
-        g0 = (s + tau) * f0 / (zeta * nu)
-        f1 = ((s + 1 - tau) * g0 + zeta * nu * f0) / (2 * s + 1)
-        g1 = ((s + 1 + tau) * f0 - (zeta / nu) * g0) / (2 * s + 1)
-        out = solve_ivp(rhs, (x0, x_m), [f0 + f1 * rho0, g0 + g1 * rho0],
-                        args=(nu,), method="DOP853", rtol=1e-13, atol=1e-14)
-        inw = solve_ivp(rhs, (x_inf, x_m), [1.0, -1.0],
-                        args=(nu,), method="DOP853", rtol=1e-13, atol=1e-300)
-        evals[0] += out.nfev + inw.nfev
-        fo, go = out.y[0][-1], out.y[1][-1]
-        fi, gi = inw.y[0][-1], inw.y[1][-1]
-        return (fo * gi - fi * go) / (math.hypot(fo, go) * math.hypot(fi, gi))
-
-    nu_hi = _nu_of_index(s, zeta, n - 0.5)
-    nu_lo = _nu_of_index(s, zeta, n + 0.5)
-    m_lo, m_hi = mismatch(nu_lo), mismatch(nu_hi)
-    if m_lo * m_hi > 0:
-        raise BracketingError(
-            f"no eigenvalue between nu={nu_lo:.6g} and nu={nu_hi:.6g} "
-            f"for {ch} at slot n={n}")
-    nu_star, info = brentq(mismatch, nu_lo, nu_hi, xtol=1e-300, rtol=8.9e-16,
-                           full_output=True)
-    e_oracle = c2 * (1 - nu_star ** 2) / (1 + nu_star ** 2)
-    binding = -2 * c2 * nu_star ** 2 / (1 + nu_star ** 2)
-    return OracleResult(
-        E_oracle=e_oracle,
-        binding_oracle=binding,
-        nu_oracle=nu_star,
-        bracket=(nu_lo, nu_hi),
-        steps=evals[0],
-        mismatch=abs(mismatch(nu_star)),
-    )
+    """The n-th eigenvalue of one channel: shooting_oracle_batch on one
+    level. A channel with no bound state at the requested slot raises
+    BracketingError instead of converging to a phantom."""
+    return shooting_oracle_batch([(channel, n_target)])[0]
 
 
 def oracle_binding_residual(channel: Channel, n: int,
@@ -292,6 +368,27 @@ def oracle_binding_residual(channel: Channel, n: int,
     pt = spectral_point(channel, n, 64)
     exact = float(pt.binding)
     return abs(result.binding_oracle - exact) / abs(exact)
+
+
+def oracle_sweep(params: PhysicalParams, j_max: Fraction, n_max: int):
+    """The oracle on every bound slot with j <= j_max and n <= min(n_max, 5),
+    as one batch. Returns the JSON rows, in (j, eps, n) order, and the worst
+    relative binding error."""
+    levels = []
+    j = Fraction(1, 2)
+    while j <= j_max:
+        for eps in (-1, 1):
+            ch = make_channel(params, j, eps)
+            levels += [(ch, n) for n in range(min(n_max, 5) + 1)
+                       if not (n == 0 and eps == 1)]  # no bound state there
+        j += 1
+    rows, worst = [], 0.0
+    for (ch, n), res in zip(levels, shooting_oracle_batch(levels)):
+        rel = oracle_binding_residual(ch, n, res)
+        worst = max(worst, rel)
+        rows.append({"j": str(ch.j), "eps": ch.eps, "n": n,
+                     "rel_binding_error": f"{rel:.3e}"})
+    return rows, worst
 
 
 # -- Gram matrix and report ------------------------------------------------------

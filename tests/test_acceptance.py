@@ -36,20 +36,14 @@ def _finish(log, idx, name, ok, detail):
 def test_criterion_1_spectrum_vs_shooting_oracle(acceptance_log):
     budget = 120.0
     t0 = time.perf_counter()
-    worst = 0.0
-    count = 0
-    for Z in (1, 40, 80):
-        params = make_params(Z=Z)
-        for jnum in (1, 3, 5):
-            for eps in (-1, 1):
-                ch = make_channel(params, Fraction(jnum, 2), eps)
-                for n in range(6):
-                    if n == 0 and eps == 1:
-                        continue  # no bound state in that slot
-                    res = vf.shooting_oracle(ch, n)
-                    rel = vf.oracle_binding_residual(ch, n, res)
-                    worst = max(worst, rel)
-                    count += 1
+    levels = [(make_channel(make_params(Z=Z), Fraction(jnum, 2), eps), n)
+              for Z in (1, 40, 80) for jnum in (1, 3, 5) for eps in (-1, 1)
+              for n in range(6)
+              if not (n == 0 and eps == 1)]  # no bound state in that slot
+    results = vf.shooting_oracle_batch(levels)
+    worst = max(vf.oracle_binding_residual(ch, n, res)
+                for (ch, n), res in zip(levels, results))
+    count = len(results)
     # negative control: the empty slot must fail to bracket, not converge
     control_ok = False
     try:

@@ -190,6 +190,30 @@ class TestVerify:
         assert code == 0
         assert "oracle" not in json.loads(dest.read_text())["runs"][0]
 
+    def test_unbracketed_slot_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        from fractions import Fraction
+        from dirac_su11 import cli
+        from dirac_su11.params import make_channel, make_params
+        from dirac_su11.verify import BracketingError
+
+        ch = make_channel(make_params(Z=1), Fraction(1, 2), -1)
+
+        def no_sign_change(params, j_max, n_max):
+            raise BracketingError("no eigenvalue", slots=[(ch, 1)])
+
+        monkeypatch.setattr(cli, "oracle_sweep", no_sign_change)
+        dest = tmp_path / "verify.json"
+        code = main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "1",
+                     "--out", str(dest)] + FAST)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.err
+        assert "Z=1: residuals all exact, oracle FAILED to bracket" in captured.out
+        assert "j=1/2 eps=-1 n=1: oracle mismatch has no sign change" in captured.out
+        run_doc = json.loads(dest.read_text())["runs"][0]
+        assert run_doc["oracle_unbracketed"] == [{"j": "1/2", "eps": -1, "n": 1}]
+        assert "oracle" not in run_doc
+
     def test_injected_failure_is_reported(self, capsys):
         code, out = run(capsys, ["verify", "--Z", "1", "--j-max", "1/2",
                                  "--n-max", "1", "--skip-oracle",
@@ -249,6 +273,25 @@ class TestExitCodes:
     def test_nonpositive_c(self, capsys):
         assert main(["limit", "--c-schedule", "0,1e3"]) == 2
         capsys.readouterr()
+
+    def test_c_schedule_needs_two_values(self, capsys):
+        for schedule in ("1e2", ",", "1e2,100"):
+            assert main(["limit", "--c-schedule", schedule] + FAST) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: c schedule needs at least two")
+            assert "Traceback" not in err
+
+    def test_nonpositive_precision(self, capsys):
+        for value in ("0", "-5"):
+            assert main(["spectrum", "--precision", value]) == 2
+            assert "must be positive" in capsys.readouterr().err
+
+    def test_failed_internal_check(self, capsys):
+        # 8 bits cannot hold the energy inside (0, c^2)
+        assert main(["spectrum", "--precision", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal check failed:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_module_entry_point(self):
         proc = subprocess.run(

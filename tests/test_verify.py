@@ -133,6 +133,45 @@ class TestShootingOracle:
         assert res.mismatch < 1e-9
 
 
+class TestOracleBatch:
+    def test_batch_agrees_with_single_levels(self):
+        # the levels of acceptance criterion 1; in a batch they share one
+        # step controller, so the hardest level sets the step size
+        levels = [(make_channel(make_params(Z=Z), Fraction(jnum, 2), eps), n)
+                  for Z in (1, 40, 80) for jnum in (1, 3, 5) for eps in (-1, 1)
+                  for n in range(6) if not (n == 0 and eps == 1)]
+        assert len(levels) == 99
+        batch = vf.shooting_oracle_batch(levels)
+        for (ch, n), together in zip(levels, batch):
+            alone = vf.shooting_oracle(ch, n)
+            assert vf.oracle_binding_residual(ch, n, together) <= 1e-12, (str(ch), n)
+            assert vf.oracle_binding_residual(ch, n, alone) <= 1e-12, (str(ch), n)
+            assert abs(together.nu_oracle - alone.nu_oracle) <= 1e-12 * alone.nu_oracle
+
+    def test_every_empty_slot_is_named(self):
+        ch3 = make_channel(P1, Fraction(3, 2), 1)
+        with pytest.raises(vf.BracketingError) as info:
+            vf.shooting_oracle_batch([(CH_P, 0), (CH, 0), (ch3, 0)])
+        assert info.value.slots == ((CH_P, 0), (ch3, 0))
+        assert str(info.value).count("no eigenvalue between") == 2
+
+    def test_index_guards_cover_the_batch(self):
+        with pytest.raises(DomainError):
+            vf.shooting_oracle_batch([(CH, 0), (CH, vf.ORACLE_N_CAP + 1)])
+
+    def test_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(vf, "_ILLINOIS_CAP", 2)
+        with pytest.raises(AssertionError, match="did not converge in 2 rounds"):
+            vf.shooting_oracle(CH, 0)
+
+    def test_sweep_rows(self):
+        rows, worst = vf.oracle_sweep(P1, Fraction(3, 2), 1)
+        assert [(r["j"], r["eps"], r["n"]) for r in rows] == [
+            ("1/2", -1, 0), ("1/2", -1, 1), ("1/2", 1, 1),
+            ("3/2", -1, 0), ("3/2", -1, 1), ("3/2", 1, 1)]
+        assert worst < 1e-10
+
+
 class TestGram:
     def test_offdiagonal_exact_integer_zero(self):
         g = vf.orthonormality_matrix(CH, range(5), 128)
