@@ -210,21 +210,25 @@ def lower_state(state: LadderState) -> LadderState:
     )
 
 
-def build_state(channel: Channel, n: int, precision: int = DEFAULT_PRECISION,
-                check: bool = True) -> LadderState:
-    """Climb from the bottom rung to rung n with per-step exactness checks."""
+def climb(channel: Channel, n: int, precision: int = DEFAULT_PRECISION) -> list:
+    """Rungs 0..n of the channel tower, from one climb; each rung is checked
+    once, before the next is raised (leading coefficient, degree, Casimir
+    eigenvalue)."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("rung index must be a nonnegative integer")
     if n > MAX_RUNG:
         raise DomainError(f"rung {n} above the configured cap {MAX_RUNG}")
-    state = ground_state(channel, precision)
+    rungs = [ground_state(channel, precision)]
+    _check_rung(rungs[0])
     for _ in range(n):
-        state = raise_state(state)
-        if check:
-            _check_rung(state)
-    if check and n == 0:
-        _check_rung(state)
-    return state
+        rungs.append(raise_state(rungs[-1]))
+        _check_rung(rungs[-1])
+    return rungs
+
+
+def build_state(channel: Channel, n: int, precision: int = DEFAULT_PRECISION) -> LadderState:
+    """Rung n of the channel tower: the top of one climb."""
+    return climb(channel, n, precision)[-1]
 
 
 def _check_rung(state: LadderState) -> None:

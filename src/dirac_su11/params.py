@@ -114,8 +114,8 @@ def make_channel(params: PhysicalParams, j: Rational | str, eps: int) -> Channel
     if s2 <= 0:
         raise DomainError("tau^2 - zeta^2 <= 0: channel collapses at this coupling")
     xi = j * (j + 1) - zeta * zeta
-    # xi = lambda(lambda - 1) = s^2 - 1/4, by construction
-    assert xi == s2 - Fraction(1, 4)
+    if xi != s2 - Fraction(1, 4):  # xi = lambda(lambda - 1) = s^2 - 1/4
+        raise AssertionError("Casimir value xi is not s^2 - 1/4")
     return Channel(params, j, eps, tau, s2, xi)
 
 

@@ -471,26 +471,25 @@ class QsPolynomial:
         return acc
 
     def eval_mp(self, x, precision: int = 256) -> mp.mpf:
-        with mp.workprec(precision + _EMBED_GUARD_BITS):
-            acc = mp.mpf(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c.embed(precision + _EMBED_GUARD_BITS)
-        with mp.workprec(precision):
-            return +acc
+        return horner_mp(self.embed_coeffs(precision + _EMBED_GUARD_BITS), x, precision)
 
     def embed_coeffs(self, precision: int = 256) -> list:
         return [c.embed(precision) for c in self.coeffs]
-
-    def max_abs_coeff(self, precision: int = 256) -> mp.mpf:
-        """Largest |coefficient| after embedding; exact zero gives mpf(0)."""
-        with mp.workprec(precision):
-            vals = [abs(c.embed(precision)) for c in self.coeffs]
-            return max(vals) if vals else mp.mpf(0)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         return " + ".join(f"({c})*rho^{k}" for k, c in enumerate(self.coeffs))
+
+
+def horner_mp(embedded: Sequence, x, precision: int) -> mp.mpf:
+    """eval_mp on coefficients embedded at precision + _EMBED_GUARD_BITS."""
+    with mp.workprec(precision + _EMBED_GUARD_BITS):
+        acc = mp.mpf(0)
+        for c in reversed(embedded):
+            acc = acc * x + c
+    with mp.workprec(precision):
+        return +acc
 
 
 def polynomial_divmod(f: QsPolynomial, g: QsPolynomial):
@@ -515,14 +514,19 @@ def sturm_positive_roots(p: QsPolynomial) -> int:
     """Count distinct real roots of p in the open interval (0, +inf), exactly.
 
     Standard Sturm chain, feasible here because coefficient signs are exactly
-    decidable in Q(s) and its tower.
+    decidable in Q(s) and its tower. Each nonzero member is divided by its
+    |leading coefficient|, which keeps every sign and stops coefficient growth.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no well-defined root count")
-    chain = [p, p.derivative()]
+
+    def unit_lead(q: QsPolynomial) -> QsPolynomial:  # p' is zero for a constant p
+        return q if q.is_zero else q.scale(q.leading.inverse() * q.leading.sign())
+
+    chain = [unit_lead(p), unit_lead(p.derivative())]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         _, r = polynomial_divmod(chain[-2], chain[-1])
-        chain.append(-r)
+        chain.append(unit_lead(-r))
     if chain[-1].is_zero:
         chain.pop()
 
@@ -530,14 +534,8 @@ def sturm_positive_roots(p: QsPolynomial) -> int:
         signs = [s for s in signs if s != 0]
         return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
 
-    # sign just right of 0 is the sign of the first nonzero coefficient
-    at_zero_plus = []
-    for q in chain:
-        s = 0
-        for c in q.coeffs:
-            s = c.sign()
-            if s != 0:
-                break
-        at_zero_plus.append(s)
-    at_inf = [q.leading.sign() if not q.is_zero else 0 for q in chain]
+    # every member left is nonzero; just right of 0 its sign is that of
+    # its first nonzero coefficient
+    at_zero_plus = [next(c.sign() for c in q.coeffs if not c.is_zero) for q in chain]
+    at_inf = [q.leading.sign() for q in chain]
     return sign_changes(at_zero_plus) - sign_changes(at_inf)

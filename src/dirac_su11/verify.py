@@ -44,10 +44,10 @@ from .params import (
     mp_str,
 )
 from .qsfield import QsNumber, QsPolynomial, TowerNumber
-from .ladder import LadderState, build_state
+# build_state is unused here but stays importable as verify.build_state
+from .ladder import LadderState, build_state, climb  # noqa: F401
 from .algebra import (
     COMMUTATORS,
-    FamilyFunction,
     FamilySum,
     casimir_composed,
     casimir_explicit,
@@ -351,12 +351,11 @@ def shooting_oracle_batch(levels) -> list:
     return out
 
 
-def shooting_oracle(channel: Channel, n_target: int,
-                    precision: int = DEFAULT_PRECISION,
-                    tolerance: float = 1e-12) -> OracleResult:
+def shooting_oracle(channel: Channel, n_target: int) -> OracleResult:
     """The n-th eigenvalue of one channel: shooting_oracle_batch on one
-    level. A channel with no bound state at the requested slot raises
-    BracketingError instead of converging to a phantom."""
+    level, converged to brentq's tolerance. A channel with no bound state
+    at the requested slot raises BracketingError instead of converging to
+    a phantom."""
     return shooting_oracle_batch([(channel, n_target)])[0]
 
 
@@ -401,7 +400,14 @@ def orthonormality_matrix(channel: Channel, n_list, precision: int = DEFAULT_PRE
     Off-diagonal entries are exact integer zeros (distinct modes); diagonal
     entries are 1 when normalized, otherwise the tracked 1/ladder_norm^2.
     """
-    states = [build_state(channel, n, precision) for n in n_list]
+    n_list = list(n_list)
+    if min(n_list, default=0) < 0:
+        raise DomainError("rung index must be a nonnegative integer")
+    rungs = climb(channel, max(n_list, default=0), precision)
+    return _gram_matrix([rungs[n] for n in n_list], precision, normalized)
+
+
+def _gram_matrix(states, precision: int, normalized: bool):
     size = len(states)
     out = [[0] * size for _ in range(size)]
     for i in range(size):
@@ -436,20 +442,27 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                         inject_off_shell: bool = False) -> dict:
     """Run the exact residual suite over a channel grid; JSON-friendly.
 
+    One climb per channel serves the residual rows, the Gram matrix and
+    (j = 1/2, eps = -1) the commutator and Casimir samples.
+
     inject_off_shell deliberately swaps one state's first-order residuals
     for their detuned counterparts, so a healthy reporting path must flag
     the run as failed.
     """
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
     channels = []
     all_exact = True
     injected = False
+    sample_ch = make_channel(params, Fraction(1, 2), -1)
+    sample_rungs = climb(sample_ch, max(n_max, 2), precision)
     j = Fraction(1, 2)
     while j <= j_max:
         for eps in (-1, 1):
             ch = make_channel(params, j, eps)
+            rungs = sample_rungs if ch == sample_ch else climb(ch, n_max, precision)
             rows = []
-            for n in range(n_max + 1):
-                state = build_state(ch, n, precision)
+            for n, state in enumerate(rungs[:n_max + 1]):
                 entry = {"n": n, "physical": state.is_physical}
                 reports = list(second_order_residual(state, precision))
                 if state.is_physical:
@@ -490,7 +503,7 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                     all_exact = False
                     entry["failed"] = bad
                 rows.append(entry)
-            gram = orthonormality_matrix(ch, range(min(n_max, 5) + 1), precision)
+            gram = _gram_matrix(rungs[:min(n_max, 5) + 1], precision, True)
             size = len(gram)
             off_ok = all(gram[a][b] == 0 for a in range(size)
                          for b in range(size) if a != b)
@@ -504,10 +517,7 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                              "gram_diagonal_max_err": mp_str(diag_err, 32),
                              "gram_identity_ok": gram_ok})
         j += 1
-    sample_ch = make_channel(params, Fraction(1, 2), -1)
-    sample_members = [
-        FamilyFunction(sample_ch, k, build_state(sample_ch, k, precision).psi_plus)
-        for k in range(3)]
+    sample_members = [state.plus_function() for state in sample_rungs[:3]]
     comm_ok = all(
         commutator_check(f, pair).is_zero
         for f in sample_members for pair in COMMUTATORS)

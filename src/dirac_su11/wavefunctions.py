@@ -34,7 +34,8 @@ from typing import Optional
 import mpmath as mp
 
 from .params import DEFAULT_PRECISION, _GUARD, Channel, DomainError
-from .qsfield import QsNumber, QsPolynomial, TowerNumber, sturm_positive_roots
+from .qsfield import (_EMBED_GUARD_BITS, QsNumber, QsPolynomial, TowerNumber,
+                      horner_mp, sturm_positive_roots)
 from .ladder import LadderState, with_norm_constant
 from .algebra import gamma_weighted_moments
 
@@ -170,22 +171,6 @@ def norm_integral(pair: RadialPair, precision: Optional[int] = None) -> mp.mpf:
         total = (pair.f_scale ** 2 * _moment_sum(ff, moments, prec)
                  + pair.g_scale ** 2 * _moment_sum(gg, moments, prec))
     with mp.workprec(prec):
-        return +total
-
-
-def overlap_integral(a: RadialPair, b: RadialPair, precision: int) -> mp.mpf:
-    """int (F_a F_b + G_a G_b) d rho; exact 0 is impossible here (floats),
-    so exact orthogonality statements live at the polynomial level."""
-    if a.channel.key() != b.channel.key():
-        raise ValueError("overlap requires a common channel")
-    ff = a.f_poly * b.f_poly
-    gg = a.g_poly * b.g_poly
-    count = max(ff.degree, gg.degree) + 1
-    moments = radial_moments(a.channel, count, precision)
-    with mp.workprec(precision + _GUARD):
-        total = (a.f_scale * b.f_scale * _moment_sum(ff, moments, precision)
-                 + a.g_scale * b.g_scale * _moment_sum(gg, moments, precision))
-    with mp.workprec(precision):
         return +total
 
 
@@ -345,7 +330,8 @@ def sample(pair: RadialPair, count: int = 400,
            rho_min: Fraction = Fraction(1, 1000),
            rho_max: Optional[Fraction] = None,
            precision: Optional[int] = None) -> RadialPair:
-    """Evaluate (F, G) on a geometric grid; returns a pair carrying samples."""
+    """Evaluate (F, G) on a geometric grid; returns a pair carrying samples.
+    Both polynomials are embedded once, as eval_mp would at every point."""
     if count < 2:
         raise DomainError("need at least two sample points")
     prec = precision or pair.state.spectral.precision
@@ -360,11 +346,13 @@ def sample(pair: RadialPair, count: int = 400,
         lo = mp.mpf(rho_min.numerator) / rho_min.denominator
         ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
         s_emb = ch.s.embed(prec + _GUARD)
+        f_emb, g_emb = (poly.embed_coeffs(prec + _GUARD + _EMBED_GUARD_BITS)
+                        for poly in (pair.f_poly, pair.g_poly))
         for i in range(count):
             rho = lo * ratio ** i
             weight = mp.power(rho, s_emb) * mp.exp(-rho)
-            fv = pair.f_scale * weight * pair.f_poly.eval_mp(rho, prec + _GUARD)
-            gv = pair.g_scale * weight * pair.g_poly.eval_mp(rho, prec + _GUARD)
+            fv = pair.f_scale * weight * horner_mp(f_emb, rho, prec + _GUARD)
+            gv = pair.g_scale * weight * horner_mp(g_emb, rho, prec + _GUARD)
             with mp.workprec(prec):
                 rows.append((+rho, +fv, +gv))
     return replace(pair, samples=tuple(rows))
@@ -386,7 +374,3 @@ def write_csv(pair: RadialPair, path: str, precision: int = DEFAULT_PRECISION) -
 def count_f_nodes(pair: RadialPair) -> int:
     """Positive zeros of F, exactly; the weight rho^s e^{-rho} never vanishes."""
     return sturm_positive_roots(pair.f_poly)
-
-
-def count_g_nodes(pair: RadialPair) -> int:
-    return sturm_positive_roots(pair.g_poly)

@@ -1,6 +1,7 @@
 """Tower construction, ladder coefficients, ket normalization."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -47,6 +48,22 @@ class TestConstruction:
             ld.build_state(CH, ld.MAX_RUNG + 1)
         with pytest.raises(DomainError):
             ld.build_state(CH, -1)
+
+    def test_bad_rung_stops_the_climb(self, monkeypatch):
+        # each rung is checked before the next is raised, so a bad rung
+        # fails with its own message and nothing above it is built
+        raised = []
+        real = ld.raise_state
+
+        def corrupt(state):
+            raised.append(state.n)
+            up = real(state)
+            return replace(up, psi_plus=up.psi_plus.scale(CH.qs(3))) if up.n == 2 else up
+
+        monkeypatch.setattr(ld, "raise_state", corrupt)
+        with pytest.raises(AssertionError, match="rung 2 leading coefficient"):
+            ld.climb(CH, 6)
+        assert raised == [0, 1]
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 8))

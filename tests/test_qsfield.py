@@ -211,3 +211,29 @@ def test_sturm_counts_known_roots():
     assert sturm_positive_roots(x_minus_s * x_minus_s1) == 2
     # content scaling does not change the count
     assert sturm_positive_roots((x_minus_s * x_minus_s1).scale(s)) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rationals(6, 3), max_size=3), st.integers(-2, 2),
+       st.integers(1, 3), qs_numbers())
+def test_sturm_counts_constructed_roots(roots, b, c, scale):
+    # scale (x^2 + b x + b^2 + c) prod (x - r): the quadratic has no real
+    # root, so the count is the number of distinct positive r
+    if scale.is_zero:
+        return
+    p = poly([b * b + c, b, 1]).scale(scale)
+    for r in roots:
+        p = p * poly([-r, 1])
+    assert sturm_positive_roots(p) == len({r for r in roots if r > 0})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(qs_numbers(), min_size=1, max_size=5))
+def test_sturm_count_ignores_negative_scale(coeffs):
+    # the chain is normalised by |leading coefficient|; a negative scale
+    # flips every member and must leave the count alone
+    p = QsPolynomial.from_coeffs(coeffs, QsNumber.zero(S2))
+    if p.is_zero:
+        return
+    s = QsNumber.s_root(S2)
+    assert sturm_positive_roots(p.scale(-s)) == sturm_positive_roots(p)

@@ -1,5 +1,6 @@
 """Residual checks, shooting oracle, Gram matrix, report format."""
 
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,6 +15,19 @@ P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
 CH_P = make_channel(P1, Fraction(1, 2), 1)
 CH_HEAVY = make_channel(make_params(Z=80), Fraction(5, 2), -1)
+
+
+def count_rung_checks(monkeypatch) -> Counter:
+    """Count ladder._check_rung calls per (channel, n) from here on."""
+    seen = Counter()
+    check = ld._check_rung
+
+    def counting(state):
+        seen[(state.channel.key(), state.n)] += 1
+        check(state)
+
+    monkeypatch.setattr(ld, "_check_rung", counting)
+    return seen
 
 
 class TestFirstOrder:
@@ -194,8 +208,34 @@ class TestGram:
                 state = ld.build_state(CH, i, 192)
                 assert abs(g[i][i] - 1 / state.ladder_norm ** 2) < mp.mpf("1e-40")
 
+    def test_one_climb_checks_each_rung_once(self, monkeypatch):
+        seen = count_rung_checks(monkeypatch)
+        g = vf.orthonormality_matrix(CH, [4, 0, 2], 128)
+        assert seen == Counter({(CH.key(), n): 1 for n in range(5)})
+        assert g[0][1] == g[1][2] == 0
+
+    def test_negative_rung_refused(self):
+        with pytest.raises(DomainError):
+            vf.orthonormality_matrix(CH, [2, -1], 128)
+
 
 class TestReport:
+    @pytest.mark.parametrize("n_max", [0, 2, 3])
+    def test_each_rung_checked_once(self, monkeypatch, n_max):
+        seen = count_rung_checks(monkeypatch)
+        rep = vf.verification_report(P1, Fraction(3, 2), n_max, 128)
+        assert rep["all_exact"] is True
+        rungs = {(make_channel(P1, j, eps).key(), n)
+                 for j in (Fraction(1, 2), Fraction(3, 2)) for eps in (-1, 1)
+                 for n in range(n_max + 1)}
+        # the algebra samples are rungs 0..2 of (j = 1/2, eps = -1)
+        rungs |= {(CH.key(), n) for n in range(3)}
+        assert seen == Counter(dict.fromkeys(rungs, 1))
+
+    def test_negative_n_max_refused(self):
+        with pytest.raises(DomainError):
+            vf.verification_report(P1, Fraction(1, 2), -2, 128)
+
     def test_report_shape_and_flags(self):
         rep = vf.verification_report(P1, Fraction(3, 2), 2, 128)
         assert rep["schema"] == "dirac-su11/1"

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_su11.params import make_params, make_channel, DomainError
+from dirac_su11.params import _GUARD, make_params, make_channel, DomainError
 from dirac_su11.qsfield import QsNumber, QsPolynomial, TowerNumber
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
@@ -17,6 +17,7 @@ P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
 CH_P = make_channel(P1, Fraction(1, 2), 1)
 CH_HEAVY = make_channel(make_params(Z=80), Fraction(3, 2), -1)
+CH_DEEP = {eps: make_channel(make_params(Z=80), Fraction(5, 2), eps) for eps in (-1, 1)}
 
 HP = 300
 
@@ -168,6 +169,33 @@ class TestSamplingAndNodes:
     def test_node_count_heavy(self):
         for n in (0, 2, 4):
             assert wf.count_f_nodes(pair_for(CH_HEAVY, n, 128)) == n
+
+    @pytest.mark.parametrize("eps", [-1, 1])
+    def test_deep_node_counts(self, eps):
+        # F of an eps = +1 state has one node fewer than its rung index
+        rungs = ld.climb(CH_DEEP[eps], 20, 128)
+        for n in (5, 12, 20):
+            nodes = wf.count_f_nodes(wf.assemble(rungs[n]))
+            assert nodes == (n if eps == -1 else n - 1)
+
+    def test_deep_samples_equal_pointwise_eval_mp(self):
+        prec, count = 128, 40
+        pair = wf.normalize(pair_for(CH_HEAVY, 20, prec))
+        got = wf.sample(pair, count=count).samples
+        work = prec + _GUARD
+        with mp.workprec(prec):
+            top = 5 * (20 + CH_HEAVY.s.embed(prec) + 1)
+        with mp.workprec(work):
+            lo = mp.mpf(1) / 1000
+            ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
+            s = CH_HEAVY.s.embed(work)
+            for i, (rho_s, fv, gv) in enumerate(got):
+                rho = lo * ratio ** i
+                weight = mp.power(rho, s) * mp.exp(-rho)
+                f_ref = pair.f_scale * weight * pair.f_poly.eval_mp(rho, work)
+                g_ref = pair.g_scale * weight * pair.g_poly.eval_mp(rho, work)
+                with mp.workprec(prec):
+                    assert (rho_s, fv, gv) == (+rho, +f_ref, +g_ref)
 
     def test_sample_grid_geometry(self):
         pair = wf.sample(pair_for(CH, 2, 128), count=50)
