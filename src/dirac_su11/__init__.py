@@ -12,6 +12,7 @@ from .params import (
     DomainError,
     PhysicalParams,
     SpectralPoint,
+    channel_grid,
     make_channel,
     make_params,
     mu_from_energy,
@@ -49,7 +50,6 @@ from .wavefunctions import (
     laguerre_poly,
     normalize,
     sample,
-    write_csv,
 )
 from .verify import (
     BracketingError,
@@ -68,7 +68,6 @@ from .jloperator import (
     JLMatrix,
     diagonality_scan,
     jl_fg_matrix,
-    jl_psi_action,
     spectroscopic_label,
 )
 
@@ -76,7 +75,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Channel", "DomainError", "PhysicalParams", "SpectralPoint",
-    "make_channel", "make_params", "mu_from_energy",
+    "channel_grid", "make_channel", "make_params", "mu_from_energy",
     "nonrelativistic_limit_table", "spectral_point",
     "QsNumber", "QsPolynomial", "TowerNumber", "sturm_positive_roots",
     "FamilyFunction", "FamilySum", "GaussQs", "ScaledFamilyFunction",
@@ -86,12 +85,11 @@ __all__ = [
     "ground_state", "ladder_coefficient", "lower_state", "raise_state",
     "LaguerreReport", "RadialPair", "assemble", "count_f_nodes",
     "laguerre_cross_check", "laguerre_poly", "normalize", "sample",
-    "write_csv",
     "BracketingError", "OracleResult", "ResidualReport",
     "first_order_residual", "oracle_sweep", "orthonormality_matrix",
     "second_order_residual", "shooting_oracle", "shooting_oracle_batch",
     "verification_report",
     "DiagonalityRecord", "JLMatrix", "diagonality_scan", "jl_fg_matrix",
-    "jl_psi_action", "spectroscopic_label",
+    "spectroscopic_label",
     "__version__",
 ]

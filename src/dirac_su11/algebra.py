@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .params import DEFAULT_PRECISION, Channel, DomainError, _GUARD
+from .params import DEFAULT_PRECISION, Channel, _GUARD
 from .qsfield import QsNumber, QsPolynomial, Rational
 
 HALF = Fraction(1, 2)
@@ -380,8 +380,10 @@ def gamma_weighted_moments(channel: Channel, count: int, precision: int) -> list
     """[Gamma(2s+m)/2^(2s+m) for m in range(count)], extended on demand.
 
     Values carry precision + guard bits; callers round at their own level.
+    They depend on s alone, so the cache is keyed by s^2, not by the
+    channel's labels.
     """
-    key = (channel.key(), precision)
+    key = (channel.s2, precision)
     cached = _MOMENT_CACHE.get(key)
     if cached is None:
         cached = []
@@ -397,6 +399,20 @@ def gamma_weighted_moments(channel: Channel, count: int, precision: int) -> list
     return cached[:count]
 
 
+def moment_sum(poly: QsPolynomial, channel: Channel, precision: int,
+               shift: int = 0) -> mp.mpf:
+    """sum_m c_m Gamma(2s+m+shift)/2^(2s+m+shift) over the coefficients c_m
+    of poly; shift 0 is the measure d rho/rho of the inner product, shift 1
+    the radial measure d rho. Carries precision + guard bits."""
+    moments = gamma_weighted_moments(channel, poly.degree + 1 + shift, precision)
+    with mp.workprec(precision + _GUARD):
+        acc = mp.mpf(0)
+        for c, moment in zip(poly.coeffs, moments[shift:]):
+            if not c.is_zero:
+                acc += c.embed(precision + _GUARD) * moment
+        return acc
+
+
 def inner_product(f: FamilyFunction, g: FamilyFunction, precision: int = DEFAULT_PRECISION):
     """Phase average times x-integral; exact integer 0 across modes."""
     if f.channel.key() != g.channel.key():
@@ -406,17 +422,8 @@ def inner_product(f: FamilyFunction, g: FamilyFunction, precision: int = DEFAULT
     prod = f.poly * g.poly
     if prod.is_zero:
         return 0
-    if 2 * f.channel.s2 <= 0:  # divergent moment guard; unreachable for valid channels
-        raise DomainError("nonpositive weight exponent")
-    moments = gamma_weighted_moments(f.channel, prod.degree + 1, precision)
-    with mp.workprec(precision + _GUARD):
-        acc = mp.mpf(0)
-        for m in range(prod.degree + 1):
-            c = prod.coeff(m)
-            if not c.is_zero:
-                acc += c.embed(precision + _GUARD) * moments[m]
     with mp.workprec(precision):
-        return +acc
+        return +moment_sum(prod, f.channel, precision)
 
 
 def inner_product_sums(A: FamilySum, B: FamilySum, precision: int = DEFAULT_PRECISION) -> mp.mpc:

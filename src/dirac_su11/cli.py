@@ -14,9 +14,10 @@ verification run reports a failure or an internal check fails.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .params import (
     DEFAULT_PRECISION,
     SCHEMA_TAG,
     DomainError,
+    channel_grid,
     make_channel,
     make_params,
     mp_str,
@@ -41,7 +43,6 @@ from .wavefunctions import (
     normalize,
     report_to_dict,
     sample,
-    write_csv,
 )
 from .verify import (
     ORACLE_REL_TOL,
@@ -50,29 +51,7 @@ from .verify import (
     oracle_sweep,
     verification_report,
 )
-from .jloperator import diagonality_scan, scan_to_dict
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    command: str
-    c: str
-    Z: int
-    precision: int
-    j: Optional[Fraction] = None
-    eps: Optional[int] = None
-    n: Optional[int] = None
-    j_max: Optional[Fraction] = None
-    n_max: Optional[int] = None
-    N_max: Optional[int] = None
-    fmt: str = "json"
-    out: Optional[str] = None
-    samples: int = 400
-    with_oracle: bool = True
-    inject_off_shell: bool = False
-    z_list: tuple = ()
-    c_schedule: tuple = ()
-    allow_unphysical: bool = False
+from .jloperator import diagonality_scan, scan_to_dict, spectroscopic_label
 
 
 def _fraction(text: str) -> Fraction:
@@ -92,13 +71,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _c_schedule(text: str) -> tuple:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+class _ZList(argparse.Action):
+    """Repeatable --Z whose first use replaces the default pair."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest,
+                (() if given is self.default else given) + (value,))
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="dirac-su11",
         description="Exact algebraic bound states of the Coulomb-Dirac problem.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_z=True):
+    def common(p, run, with_z=True):
+        p.set_defaults(run=run)
         p.add_argument("--c", default="137.035999084",
                        help="speed of light in atomic units, decimal string")
         if with_z:
@@ -108,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the payload to this file")
 
     p = sub.add_parser("spectrum", help="bound levels over a channel grid")
-    common(p)
+    common(p, run_spectrum)
     p.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--N-max", dest="N_max", type=int, default=None,
@@ -117,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("state", help="assemble and sample one radial state")
-    common(p)
+    common(p, run_state)
     p.add_argument("--j", type=_fraction, required=True, help="total angular momentum, e.g. 3/2")
     p.add_argument("--eps", type=int, choices=(-1, 1), required=True)
     p.add_argument("--n", type=int, required=True, help="tower index, 0 is the bottom rung")
@@ -127,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assemble a tau > 0 bottom rung anyway")
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    common(p, with_z=False)
-    p.add_argument("--Z", type=int, action="append", dest="z_list",
+    common(p, run_verify, with_z=False)
+    p.add_argument("--Z", type=int, action=_ZList, dest="z_list", default=(1, 80),
                    help="repeatable; default 1 and 80")
     p.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
     p.add_argument("--n-max", type=int, default=5)
@@ -139,46 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "purpose; the run must then report FAIL")
 
     p = sub.add_parser("jl", help="diagonality scan of the grading operator")
-    common(p)
+    common(p, run_jl)
     p.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
     p.add_argument("--n-max", type=int, default=3)
 
     p = sub.add_parser("limit", help="nonrelativistic limit of one level")
-    common(p)
+    common(p, run_limit)
     p.add_argument("--j", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--eps", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--c-schedule", default="1e2,1e3,1e4",
+    p.add_argument("--c-schedule", type=_c_schedule, default="1e2,1e3,1e4",
                    help="comma-separated c values, decimal strings")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     return top
-
-
-def config_from_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    kw = dict(
-        command=ns.command,
-        c=ns.c,
-        Z=getattr(ns, "Z", 1) if ns.command != "verify" else 1,
-        precision=ns.precision,
-        out=ns.out,
-    )
-    if ns.command == "spectrum":
-        kw.update(j_max=ns.j_max, n_max=ns.n_max, N_max=ns.N_max, fmt=ns.fmt)
-    elif ns.command == "state":
-        kw.update(j=ns.j, eps=ns.eps, n=ns.n, samples=ns.samples, fmt=ns.fmt,
-                  allow_unphysical=ns.allow_unphysical)
-    elif ns.command == "verify":
-        kw.update(j_max=ns.j_max, n_max=ns.n_max,
-                  with_oracle=not ns.skip_oracle,
-                  inject_off_shell=ns.inject_off_shell,
-                  z_list=tuple(ns.z_list) if ns.z_list else (1, 80))
-    elif ns.command == "jl":
-        kw.update(j_max=ns.j_max, n_max=ns.n_max)
-    elif ns.command == "limit":
-        kw.update(j=ns.j, eps=ns.eps, n=ns.n, fmt=ns.fmt,
-                  c_schedule=tuple(t.strip() for t in ns.c_schedule.split(",") if t.strip()))
-    return RunConfig(**kw)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -192,60 +158,61 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
-def _spectrum_rows(cfg: RunConfig):
-    from .jloperator import spectroscopic_label
+def _csv_text(header, rows) -> str:
+    """CSV with a header line; the last line break is left to _emit."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
-    params = make_params(cfg.c, cfg.Z)
-    if cfg.N_max is not None:
-        if cfg.N_max < 1:
+
+_SPECTRUM_FIELDS = ("N", "j", "eps", "n", "label", "E", "binding", "quantum_defect")
+
+
+def _spectrum_rows(ns):
+    params = make_params(ns.c, ns.Z)
+    if ns.N_max is not None:
+        if ns.N_max < 1:
             raise DomainError("N-max must be at least 1")
-        j_max = Fraction(2 * cfg.N_max - 1, 2)
-        n_max = cfg.N_max - 1
+        j_max = Fraction(2 * ns.N_max - 1, 2)
+        n_max = ns.N_max - 1
     else:
-        j_max, n_max = cfg.j_max, cfg.n_max
+        j_max, n_max = ns.j_max, ns.n_max
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
     rows = []
-    j = Fraction(1, 2)
-    while j <= j_max:
-        for eps in (-1, 1):
-            ch = make_channel(params, j, eps)
-            for n in range(n_max + 1):
-                pt = spectral_point(ch, n, cfg.precision)
-                if not pt.is_physical:
-                    continue
-                if cfg.N_max is not None and pt.N > cfg.N_max:
-                    continue
-                rows.append({
-                    "N": pt.N,
-                    "j": str(j),
-                    "eps": eps,
-                    "n": n,
-                    "label": spectroscopic_label(ch, n),
-                    "E": mp_str(pt.E, cfg.precision),
-                    "binding": mp_str(pt.binding, cfg.precision),
-                    "quantum_defect": mp_str(pt.eps_j, cfg.precision),
-                })
-        j += 1
+    for ch in channel_grid(params, j_max):
+        for n in range(n_max + 1):
+            if not ch.is_bound(n):
+                continue
+            pt = spectral_point(ch, n, ns.precision)
+            if ns.N_max is not None and pt.N > ns.N_max:
+                continue
+            rows.append({
+                "N": pt.N,
+                "j": str(ch.j),
+                "eps": ch.eps,
+                "n": n,
+                "label": spectroscopic_label(ch, n),
+                "E": mp_str(pt.E, ns.precision),
+                "binding": mp_str(pt.binding, ns.precision),
+                "quantum_defect": mp_str(pt.eps_j, ns.precision),
+            })
     rows.sort(key=lambda r: (r["N"], Fraction(r["j"]), r["eps"], r["n"]))
     return rows
 
 
-def run_spectrum(cfg: RunConfig) -> int:
-    rows = _spectrum_rows(cfg)
-    if cfg.fmt == "csv":
-        import io
-        import csv as _csv
-
-        buf = io.StringIO()
-        names = ["N", "j", "eps", "n", "label", "E", "binding", "quantum_defect"]
-        w = _csv.DictWriter(buf, fieldnames=names)
-        w.writeheader()
-        w.writerows(rows)
-        _emit(buf.getvalue().rstrip("\n"), cfg.out)
+def run_spectrum(ns) -> int:
+    rows = _spectrum_rows(ns)
+    if ns.fmt == "csv":
+        _emit(_csv_text(_SPECTRUM_FIELDS,
+                        ([r[k] for k in _SPECTRUM_FIELDS] for r in rows)), ns.out)
     else:
         payload = {"schema": SCHEMA_TAG, "kind": "spectrum",
-                   "Z": cfg.Z, "c": cfg.c, "precision": cfg.precision,
+                   "Z": ns.Z, "c": ns.c, "precision": ns.precision,
                    "rows": rows}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
     return 0
 
 
@@ -267,70 +234,59 @@ def _state_checks(pair, precision: int):
     return checks, lag
 
 
-def run_state(cfg: RunConfig) -> int:
-    params = make_params(cfg.c, cfg.Z)
-    ch = make_channel(params, cfg.j, cfg.eps)
-    state = build_state(ch, cfg.n, cfg.precision)
-    pair = normalize(assemble(state, allow_unphysical=cfg.allow_unphysical))
-    pair = sample(pair, count=cfg.samples)
+def run_state(ns) -> int:
+    params = make_params(ns.c, ns.Z)
+    ch = make_channel(params, ns.j, ns.eps)
+    state = build_state(ch, ns.n, ns.precision)
+    pair = normalize(assemble(state, allow_unphysical=ns.allow_unphysical))
+    pair = sample(pair, count=ns.samples)
     checks, lag = None, None
     if pair.state.is_physical:
         try:
-            checks, lag = _state_checks(pair, cfg.precision)
+            checks, lag = _state_checks(pair, ns.precision)
         except AssertionError as exc:
             checks = {"identity_failure": str(exc)}
     checks_ok = checks is None or ("identity_failure" not in checks
                                    and all(v for v in checks.values()))
-    if cfg.fmt == "csv":
-        if not cfg.out:
-            import io
-            import csv as _csv
-
-            buf = io.StringIO()
-            w = _csv.writer(buf)
-            w.writerow(["rho", "F", "G"])
-            for rho, fv, gv in pair.samples:
-                w.writerow([mp_str(rho, cfg.precision), mp_str(fv, cfg.precision),
-                            mp_str(gv, cfg.precision)])
-            print(buf.getvalue().rstrip("\n"))
-        else:
-            write_csv(pair, cfg.out, cfg.precision)
-            print(f"wrote {cfg.out}")
-            if checks is not None:
-                print(f"identity checks: {'pass' if checks_ok else 'FAIL'}")
-            if lag is not None:
-                print(f"laguerre scalars: a={lag.a} b={lag.b}")
+    if ns.fmt == "csv":
+        _emit(_csv_text(("rho", "F", "G"),
+                        ([mp_str(v, ns.precision) for v in row] for row in pair.samples)),
+              ns.out)
+        if ns.out and checks is not None:
+            print(f"identity checks: {'pass' if checks_ok else 'FAIL'}")
+        if ns.out and lag is not None:
+            print(f"laguerre scalars: a={lag.a} b={lag.b}")
         return 0 if checks_ok else 3
     payload = {
         "schema": SCHEMA_TAG,
         "kind": "state",
-        "Z": cfg.Z, "c": cfg.c, "precision": cfg.precision,
-        "j": str(cfg.j), "eps": cfg.eps, "n": cfg.n,
+        "Z": ns.Z, "c": ns.c, "precision": ns.precision,
+        "j": str(ns.j), "eps": ns.eps, "n": ns.n,
         "physical": pair.state.is_physical,
-        "E": mp_str(pair.state.spectral.E, cfg.precision),
-        "binding": mp_str(pair.state.spectral.binding, cfg.precision),
-        "norm_constant": mp_str(pair.state.norm_constant, cfg.precision),
+        "E": mp_str(pair.state.spectral.E, ns.precision),
+        "binding": mp_str(pair.state.spectral.binding, ns.precision),
+        "norm_constant": mp_str(pair.state.norm_constant, ns.precision),
         "f_nodes": count_f_nodes(pair),
         "checks": checks,
-        "laguerre_report": report_to_dict(lag, cfg.precision) if lag else None,
-        "samples": [[mp_str(v, cfg.precision) for v in row] for row in pair.samples],
+        "laguerre_report": report_to_dict(lag, ns.precision) if lag else None,
+        "samples": [[mp_str(v, ns.precision) for v in row] for row in pair.samples],
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
     return 0 if checks_ok else 3
 
 
-def run_verify(cfg: RunConfig) -> int:
+def run_verify(ns) -> int:
     runs = []
     ok = True
-    for z in cfg.z_list:
-        params = make_params(cfg.c, z)
-        rep = verification_report(params, cfg.j_max, cfg.n_max, cfg.precision,
-                                  inject_off_shell=cfg.inject_off_shell)
+    for z in ns.z_list:
+        params = make_params(ns.c, z)
+        rep = verification_report(params, ns.j_max, ns.n_max, ns.precision,
+                                  inject_off_shell=ns.inject_off_shell)
         line = f"Z={z}: residuals {'all exact' if rep['all_exact'] else 'FAILED'}"
         unbracketed = []
-        if cfg.with_oracle:
+        if not ns.skip_oracle:
             try:
-                rep["oracle"], worst = oracle_sweep(params, cfg.j_max, cfg.n_max)
+                rep["oracle"], worst = oracle_sweep(params, ns.j_max, ns.n_max)
             except BracketingError as exc:
                 # every swept slot is bound in closed form: a failed check
                 unbracketed = [{"j": str(ch.j), "eps": ch.eps, "n": n}
@@ -364,68 +320,47 @@ def run_verify(cfg: RunConfig) -> int:
                       f"not the identity (max diagonal err "
                       f"{block['gram_diagonal_max_err']})")
     payload = {"schema": SCHEMA_TAG, "kind": "verify", "runs": runs}
-    if cfg.out:
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
+    if ns.out:
+        _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
     return 0 if ok else 3
 
 
-def run_jl(cfg: RunConfig) -> int:
-    params = make_params(cfg.c, cfg.Z)
-    records = diagonality_scan(params, cfg.j_max, cfg.n_max, cfg.precision)
-    payload = scan_to_dict(records, cfg.precision)
+def run_jl(ns) -> int:
+    params = make_params(ns.c, ns.Z)
+    records = diagonality_scan(params, ns.j_max, ns.n_max, ns.precision)
+    payload = scan_to_dict(records, ns.precision)
     print("diagonal bound states:", " ".join(payload["diagonal_labels"]))
-    if cfg.out:
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
     return 0
 
 
-def run_limit(cfg: RunConfig) -> int:
-    table = nonrelativistic_limit_table(cfg.j, cfg.eps, cfg.n,
-                                        c_schedule=cfg.c_schedule,
-                                        Z=cfg.Z, precision=cfg.precision)
-    rows = [{
-        "c": str(row.c),
-        "binding": mp_str(row.binding, cfg.precision),
-        "bohr": mp_str(row.bohr, cfg.precision),
-        "difference": mp_str(row.difference, cfg.precision),
-    } for row in table.rows]
-    if cfg.fmt == "csv":
-        import io
-        import csv as _csv
-
-        buf = io.StringIO()
-        w = _csv.DictWriter(buf, fieldnames=["c", "binding", "bohr", "difference"])
-        w.writeheader()
-        w.writerows(rows)
-        _emit(buf.getvalue().rstrip("\n"), cfg.out)
+def run_limit(ns) -> int:
+    table = nonrelativistic_limit_table(ns.j, ns.eps, ns.n,
+                                        c_schedule=ns.c_schedule,
+                                        Z=ns.Z, precision=ns.precision)
+    rows = [(str(row.c), mp_str(row.binding, ns.precision),
+             mp_str(row.bohr, ns.precision), mp_str(row.difference, ns.precision))
+            for row in table.rows]
+    names = ("c", "binding", "bohr", "difference")
+    if ns.fmt == "csv":
+        _emit(_csv_text(names, rows), ns.out)
         print(f"fitted_exponent={float(table.fitted_exponent):.6f}")
     else:
         payload = {"schema": SCHEMA_TAG, "kind": "limit",
-                   "Z": cfg.Z, "j": str(cfg.j), "eps": cfg.eps, "n": cfg.n,
+                   "Z": ns.Z, "j": str(ns.j), "eps": ns.eps, "n": ns.n,
                    "fitted_exponent": f"{float(table.fitted_exponent):.12f}",
-                   "rows": rows}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
+                   "rows": [dict(zip(names, row)) for row in rows]}
+        _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
     return 0
-
-
-_RUNNERS = {
-    "spectrum": run_spectrum,
-    "state": run_state,
-    "verify": run_verify,
-    "jl": run_jl,
-    "limit": run_limit,
-}
 
 
 def main(argv=None) -> int:
     try:
-        cfg = config_from_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _RUNNERS[cfg.command](cfg)
+        return ns.run(ns)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,10 +38,9 @@ from .params import (
     DomainError,
     PhysicalParams,
     SpectralPoint,
-    make_channel,
+    channel_grid,
     mp_str,
 )
-from .ladder import LadderState
 from .wavefunctions import exact_w
 
 _ORBITAL_LETTERS = "spdfghik"
@@ -49,10 +48,9 @@ _ORBITAL_LETTERS = "spdfghik"
 
 @dataclass(frozen=True, slots=True)
 class JLMatrix:
-    """2x2 complex matrix in a tagged basis ('FG' doublet or 'psi' halves)."""
+    """2x2 complex matrix, on the (F, iG) doublet or on the window halves."""
 
     entries: tuple  # ((m11, m12), (m21, m22)) of mpc
-    basis: str
 
     def determinant(self, precision: int = DEFAULT_PRECISION) -> mp.mpc:
         (a, b), (c, d) = self.entries
@@ -74,7 +72,7 @@ def jl_fg_matrix(point: SpectralPoint, precision: Optional[int] = None) -> JLMat
         m12 = mp.mpc(0, -tau * (c2 + point.E) / c2)
         m21 = mp.mpc(0, tau * (c2 - point.E) / c2)
     with mp.workprec(prec):
-        return JLMatrix(((+m11, +m12), (+m21, +m11)), basis="FG")
+        return JLMatrix(((+m11, +m12), (+m21, +m11)))
 
 
 def jl_similarity(point: SpectralPoint, precision: Optional[int] = None) -> JLMatrix:
@@ -100,7 +98,7 @@ def jl_similarity(point: SpectralPoint, precision: Optional[int] = None) -> JLMa
         out = matmul(s_inv, matmul(m.entries, s))
     with mp.workprec(prec):
         out = tuple(tuple(+x for x in row) for row in out)
-    return JLMatrix(out, basis="psi")
+    return JLMatrix(out)
 
 
 def jl_eigencoefficients(channel: Channel, n: int,
@@ -115,18 +113,6 @@ def jl_eigencoefficients(channel: Channel, n: int,
         plus = zeta * (1 + tau / w)
     with mp.workprec(precision):
         return +minus, +plus
-
-
-def jl_psi_action(state: LadderState, precision: Optional[int] = None):
-    """Action on the state's window halves.
-
-    Returns (coeff on psi_plus, coeff on psi_minus, sign pattern), the sign
-    pattern being the signature of how the two coefficients recombine into
-    the doublet rows: F picks up (+, +), iG picks up (-, +).
-    """
-    prec = precision or state.spectral.precision
-    coeff_minus, coeff_plus = jl_eigencoefficients(state.channel, state.n, prec)
-    return coeff_minus, coeff_plus, ((+1, +1), (-1, +1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,24 +147,21 @@ def diagonality_scan(params: PhysicalParams, j_max: Fraction = Fraction(5, 2),
     coupled system), so the diagonal bound states are the n = 0 rungs of
     the tau < 0 channels.
     """
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
     records = []
-    j = Fraction(1, 2)
-    while j <= j_max:
-        for eps in (-1, 1):
-            ch = make_channel(params, j, eps)
-            for n in range(n_max + 1):
-                physical = not (n == 0 and ch.tau > 0)
-                cm, cp = jl_eigencoefficients(ch, n, precision)
-                records.append(DiagonalityRecord(
-                    channel=ch,
-                    n=n,
-                    coeff_minus=cm,
-                    coeff_plus=cp,
-                    is_diagonal=(n == 0 and ch.tau < 0),
-                    physical=physical,
-                    spectroscopic_label=spectroscopic_label(ch, n),
-                ))
-        j += 1
+    for ch in channel_grid(params, j_max):
+        for n in range(n_max + 1):
+            cm, cp = jl_eigencoefficients(ch, n, precision)
+            records.append(DiagonalityRecord(
+                channel=ch,
+                n=n,
+                coeff_minus=cm,
+                coeff_plus=cp,
+                is_diagonal=(n == 0 and ch.is_bound(n)),
+                physical=ch.is_bound(n),
+                spectroscopic_label=spectroscopic_label(ch, n),
+            ))
     return records
 
 

@@ -35,6 +35,7 @@ from .params import (
     DomainError,
     SpectralPoint,
     spectral_point,
+    tower_gap,
 )
 from .qsfield import QsNumber, QsPolynomial
 from .algebra import (
@@ -109,11 +110,6 @@ def ladder_coefficient(lam: QsNumber, mu: QsNumber, direction: str,
         root = mp.sqrt(radicand.embed(precision + _GUARD))
     with mp.workprec(precision):
         return +root if direction == "+" else -(+root)
-
-
-def tower_gap(channel: Channel, n: int) -> QsNumber:
-    """mu(mu-1) - lambda(lambda-1) at mu = lambda + n, i.e. n(n + 2s)."""
-    return channel.qs(n * n, 2 * n)
 
 
 def n_lambda_constant(channel: Channel, precision: int = DEFAULT_PRECISION) -> mp.mpf:

@@ -98,6 +98,10 @@ class Channel:
     def key(self) -> tuple:
         return (self.params.c, self.params.Z, self.j, self.eps)
 
+    def is_bound(self, n: int) -> bool:
+        """The n = 0 rung of a tau > 0 channel solves no radial problem."""
+        return not (n == 0 and self.tau > 0)
+
     def __str__(self) -> str:
         return f"channel(j={self.j}, eps={self.eps:+d}, Z={self.params.Z})"
 
@@ -119,6 +123,29 @@ def make_channel(params: PhysicalParams, j: Rational | str, eps: int) -> Channel
     return Channel(params, j, eps, tau, s2, xi)
 
 
+def channel_grid(params: PhysicalParams, j_max: Rational) -> list:
+    """The channels with j = 1/2, 3/2, ... <= j_max, eps = -1 before +1."""
+    if j_max < Fraction(1, 2):
+        raise DomainError("j_max must be at least 1/2")
+    return [make_channel(params, Fraction(twice_j, 2), eps)
+            for twice_j in range(1, int(2 * j_max) + 1, 2) for eps in (-1, 1)]
+
+
+def tower_gap(channel: Channel, n: int) -> QsNumber:
+    """mu(mu-1) - lambda(lambda-1) at mu = lambda + n, i.e. n(n + 2s)."""
+    return channel.qs(n * n, 2 * n)
+
+
+def tower_w2(channel: Channel, n: int) -> QsNumber:
+    """w^2 = (s + n)^2 + zeta^2 as an element of Q(s).
+
+    On shell this is tau^2 + n(n + 2s); it is built from s^2 itself so
+    that checks of that relation decide it rather than restate it.
+    """
+    sn = channel.s + n
+    return sn * sn + channel.zeta * channel.zeta
+
+
 @dataclass(frozen=True, slots=True)
 class SpectralPoint:
     """One bound level: exact mode data plus embedded energy quantities."""
@@ -136,14 +163,7 @@ class SpectralPoint:
 
     @property
     def is_physical(self) -> bool:
-        """The n = 0 rung of a tau > 0 channel solves no radial problem."""
-        return not (self.n == 0 and self.channel.tau > 0)
-
-    @property
-    def w2(self) -> QsNumber:
-        """w^2 = (s + n)^2 + zeta^2 = tau^2 + n^2 + 2 n s, exact in Q(s)."""
-        ch = self.channel
-        return ch.qs(ch.tau * ch.tau + self.n * self.n, 2 * self.n)
+        return self.channel.is_bound(self.n)
 
 
 def spectral_point(
@@ -258,28 +278,3 @@ def nonrelativistic_limit_table(
 def mp_str(x: mp.mpf, precision: int) -> str:
     """Deterministic decimal form carrying the full precision."""
     return mp.nstr(x, prec_to_dps(precision), strip_zeros=True)
-
-
-def point_to_dict(p: SpectralPoint) -> dict:
-    return {
-        "schema": SCHEMA_TAG,
-        "j": str(p.channel.j),
-        "eps": p.channel.eps,
-        "n": p.n,
-        "N": p.N,
-        "Z": p.channel.params.Z,
-        "c": str(p.channel.params.c),
-        "precision": p.precision,
-        "mu": mp_str(p.mu.embed(p.precision), p.precision),
-        "E": mp_str(p.E, p.precision),
-        "binding": mp_str(p.binding, p.precision),
-        "physical": p.is_physical,
-    }
-
-
-def point_from_dict(d: dict) -> SpectralPoint:
-    if d.get("schema") != SCHEMA_TAG:
-        raise DomainError(f"unknown schema tag {d.get('schema')!r}")
-    params = make_params(d["c"], int(d["Z"]))
-    ch = make_channel(params, d["j"], int(d["eps"]))
-    return spectral_point(ch, int(d["n"]), int(d["precision"]))

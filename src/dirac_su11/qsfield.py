@@ -18,7 +18,6 @@ floating point at all.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -213,20 +212,6 @@ class QsNumber:
         return f"QsNumber({self.a}, {self.b}, s2={self.s2})"
 
 
-_QS_TEXT = re.compile(
-    r"^\s*(?P<a>-?\d+(?:/\d+)?)\s*\+\s*\((?P<b>-?\d+(?:/\d+)?)\)s\s*"
-    r"\[s\^2=(?P<s2>-?\d+(?:/\d+)?)\]\s*$"
-)
-
-
-def parse_qs(text: str) -> QsNumber:
-    """Inverse of str(QsNumber)."""
-    m = _QS_TEXT.match(text)
-    if not m:
-        raise ValueError(f"not a Q(s) literal: {text!r}")
-    return QsNumber(Fraction(m["a"]), Fraction(m["b"]), Fraction(m["s2"]))
-
-
 @dataclass(frozen=True, slots=True)
 class TowerNumber:
     """Element u + v*w of Q(s)(w), with w the positive root of w^2 = w2 in Q(s)."""
@@ -389,10 +374,6 @@ class QsPolynomial:
         while cs and cs[-1].is_zero:
             cs.pop()
         return QsPolynomial(tuple(cs), zero)
-
-    @staticmethod
-    def constant(c, zero: FieldElement) -> "QsPolynomial":
-        return QsPolynomial.from_coeffs([c], zero)
 
     @staticmethod
     def zero_poly(zero: FieldElement) -> "QsPolynomial":

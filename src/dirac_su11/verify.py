@@ -40,8 +40,10 @@ from .params import (
     Channel,
     DomainError,
     PhysicalParams,
+    channel_grid,
     make_channel,
     mp_str,
+    tower_w2,
 )
 from .qsfield import QsNumber, QsPolynomial, TowerNumber
 # build_state is unused here but stays importable as verify.build_state
@@ -54,7 +56,7 @@ from .algebra import (
     commutator_check,
     inner_product,
 )
-from .wavefunctions import RadialPair, assemble, exact_w, tower_lift, tower_w2
+from .wavefunctions import RadialPair, assemble, exact_w, tower_lift
 
 ORACLE_N_CAP = 10
 ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
@@ -373,14 +375,8 @@ def oracle_sweep(params: PhysicalParams, j_max: Fraction, n_max: int):
     """The oracle on every bound slot with j <= j_max and n <= min(n_max, 5),
     as one batch. Returns the JSON rows, in (j, eps, n) order, and the worst
     relative binding error."""
-    levels = []
-    j = Fraction(1, 2)
-    while j <= j_max:
-        for eps in (-1, 1):
-            ch = make_channel(params, j, eps)
-            levels += [(ch, n) for n in range(min(n_max, 5) + 1)
-                       if not (n == 0 and eps == 1)]  # no bound state there
-        j += 1
+    levels = [(ch, n) for ch in channel_grid(params, j_max)
+              for n in range(min(n_max, 5) + 1) if ch.is_bound(n)]
     rows, worst = [], 0.0
     for (ch, n), res in zip(levels, shooting_oracle_batch(levels)):
         rel = oracle_binding_residual(ch, n, res)
@@ -451,72 +447,69 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
+    grid = channel_grid(params, j_max)
     channels = []
     all_exact = True
     injected = False
     sample_ch = make_channel(params, Fraction(1, 2), -1)
     sample_rungs = climb(sample_ch, max(n_max, 2), precision)
-    j = Fraction(1, 2)
-    while j <= j_max:
-        for eps in (-1, 1):
-            ch = make_channel(params, j, eps)
-            rungs = sample_rungs if ch == sample_ch else climb(ch, n_max, precision)
-            rows = []
-            for n, state in enumerate(rungs[:n_max + 1]):
-                entry = {"n": n, "physical": state.is_physical}
-                reports = list(second_order_residual(state, precision))
-                if state.is_physical:
-                    pair = assemble(state)
-                    if inject_off_shell and not injected and n >= 1:
-                        injected = True
-                        entry["injected_off_shell"] = True
-                        for rep in detuned_first_order(state, precision=precision):
-                            reports.append(ResidualReport(
-                                rep.which.replace("-detuned", ""),
-                                rep.residual_poly, rep.is_exact_zero,
-                                rep.max_abs_embedded))
-                    else:
-                        reports.extend(first_order_residual(pair, precision))
-                    if n >= 1:
-                        det = detuned_first_order(state, precision=precision)
-                        entry["detuned_nonzero"] = all(
-                            not r.is_exact_zero for r in det)
-                        if not entry["detuned_nonzero"]:
-                            all_exact = False
-                    expected_zero = reports
+    for ch in grid:
+        rungs = sample_rungs if ch == sample_ch else climb(ch, n_max, precision)
+        rows = []
+        for n, state in enumerate(rungs[:n_max + 1]):
+            entry = {"n": n, "physical": state.is_physical}
+            reports = list(second_order_residual(state, precision))
+            if state.is_physical:
+                pair = assemble(state)
+                if inject_off_shell and not injected and n >= 1:
+                    injected = True
+                    entry["injected_off_shell"] = True
+                    for rep in detuned_first_order(state, precision=precision):
+                        reports.append(ResidualReport(
+                            rep.which.replace("-detuned", ""),
+                            rep.residual_poly, rep.is_exact_zero,
+                            rep.max_abs_embedded))
                 else:
-                    # bottom rung of a tau > 0 channel: the raise-split
-                    # residual is the witness that no bound state sits here
-                    raise_split = [r for r in reports if r.which == "ladder-split-raise"]
-                    entry["bottom_rung_witness_nonzero"] = all(
-                        not r.is_exact_zero for r in raise_split)
-                    if not entry["bottom_rung_witness_nonzero"]:
+                    reports.extend(first_order_residual(pair, precision))
+                if n >= 1:
+                    det = detuned_first_order(state, precision=precision)
+                    entry["detuned_nonzero"] = all(
+                        not r.is_exact_zero for r in det)
+                    if not entry["detuned_nonzero"]:
                         all_exact = False
-                    expected_zero = [r for r in reports
-                                     if r.which != "ladder-split-raise"]
-                entry["residuals"] = {
-                    r.which: {"exact_zero": r.is_exact_zero,
-                              "max_abs": mp_str(r.max_abs_embedded, 32)}
-                    for r in reports}
-                bad = [r.which for r in expected_zero if not r.is_exact_zero]
-                if bad:
+                expected_zero = reports
+            else:
+                # bottom rung of a tau > 0 channel: the raise-split
+                # residual is the witness that no bound state sits here
+                raise_split = [r for r in reports if r.which == "ladder-split-raise"]
+                entry["bottom_rung_witness_nonzero"] = all(
+                    not r.is_exact_zero for r in raise_split)
+                if not entry["bottom_rung_witness_nonzero"]:
                     all_exact = False
-                    entry["failed"] = bad
-                rows.append(entry)
-            gram = _gram_matrix(rungs[:min(n_max, 5) + 1], precision, True)
-            size = len(gram)
-            off_ok = all(gram[a][b] == 0 for a in range(size)
-                         for b in range(size) if a != b)
-            with mp.workprec(precision):
-                diag_err = max(abs(gram[a][a] - 1) for a in range(size))
-                gram_ok = off_ok and diag_err < mp.mpf(2) ** -(precision - 16)
-            if not gram_ok:
+                expected_zero = [r for r in reports
+                                 if r.which != "ladder-split-raise"]
+            entry["residuals"] = {
+                r.which: {"exact_zero": r.is_exact_zero,
+                          "max_abs": mp_str(r.max_abs_embedded, 32)}
+                for r in reports}
+            bad = [r.which for r in expected_zero if not r.is_exact_zero]
+            if bad:
                 all_exact = False
-            channels.append({"j": str(ch.j), "eps": eps, "rows": rows,
-                             "gram_offdiagonal_exact_zero": off_ok,
-                             "gram_diagonal_max_err": mp_str(diag_err, 32),
-                             "gram_identity_ok": gram_ok})
-        j += 1
+                entry["failed"] = bad
+            rows.append(entry)
+        gram = _gram_matrix(rungs[:min(n_max, 5) + 1], precision, True)
+        size = len(gram)
+        off_ok = all(gram[a][b] == 0 for a in range(size)
+                     for b in range(size) if a != b)
+        with mp.workprec(precision):
+            diag_err = max(abs(gram[a][a] - 1) for a in range(size))
+            gram_ok = off_ok and diag_err < mp.mpf(2) ** -(precision - 16)
+        if not gram_ok:
+            all_exact = False
+        channels.append({"j": str(ch.j), "eps": ch.eps, "rows": rows,
+                         "gram_offdiagonal_exact_zero": off_ok,
+                         "gram_diagonal_max_err": mp_str(diag_err, 32),
+                         "gram_identity_ok": gram_ok})
     sample_members = [state.plus_function() for state in sample_rungs[:3]]
     comm_ok = all(
         commutator_check(f, pair).is_zero

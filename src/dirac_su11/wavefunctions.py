@@ -25,7 +25,6 @@ the phase-averaged product.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -33,11 +32,12 @@ from typing import Optional
 
 import mpmath as mp
 
-from .params import DEFAULT_PRECISION, _GUARD, Channel, DomainError
+from .params import (DEFAULT_PRECISION, _GUARD, Channel, DomainError,
+                     tower_gap, tower_w2)
 from .qsfield import (_EMBED_GUARD_BITS, QsNumber, QsPolynomial, TowerNumber,
                       horner_mp, sturm_positive_roots)
 from .ladder import LadderState, with_norm_constant
-from .algebra import gamma_weighted_moments
+from .algebra import moment_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,12 +60,6 @@ class RadialPair:
         return self.state.n
 
 
-def tower_w2(channel: Channel, n: int) -> QsNumber:
-    """w^2 = tau^2 + n(n + 2s) = (s+n)^2 + zeta^2 as an element of Q(s)."""
-    tau = channel.tau
-    return channel.qs(tau * tau + n * n, 2 * n)
-
-
 def tower_lift(poly: QsPolynomial, w2: QsNumber) -> QsPolynomial:
     zero = TowerNumber.zero(w2)
     return QsPolynomial.from_coeffs(
@@ -73,7 +67,7 @@ def tower_lift(poly: QsPolynomial, w2: QsNumber) -> QsPolynomial:
 
 
 def exact_w(channel: Channel, n: int) -> TowerNumber:
-    """The positive root of w^2 = tau^2 + n(n+2s) as a tower element.
+    """The positive root of w^2 = (s+n)^2 + zeta^2 as a tower element.
 
     At n = 0 the radicand is the perfect square tau^2 and the quotient ring
     Q(s)[w]/(w^2 - tau^2) has zero divisors, so the symbol form would make
@@ -121,20 +115,6 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
     )
 
 
-def radial_moments(channel: Channel, count: int, precision: int) -> list:
-    """[Gamma(2s+1+m)/2^(2s+1+m)] for m < count (measure d rho)."""
-    return gamma_weighted_moments(channel, count + 1, precision)[1:]
-
-
-def _moment_sum(poly: QsPolynomial, moments, precision: int) -> mp.mpf:
-    with mp.workprec(precision + _GUARD):
-        acc = mp.mpf(0)
-        for m, c in enumerate(poly.coeffs):
-            if not c.is_zero:
-                acc += c.embed(precision + _GUARD) * moments[m]
-        return +acc
-
-
 def normalize(pair: RadialPair, precision: Optional[int] = None) -> RadialPair:
     """Fix the overall constant so int (F^2 + G^2) d rho = 1.
 
@@ -142,13 +122,8 @@ def normalize(pair: RadialPair, precision: Optional[int] = None) -> RadialPair:
     it in norm_constant.
     """
     prec = precision or pair.state.spectral.precision
-    ff = pair.f_poly * pair.f_poly
-    gg = pair.g_poly * pair.g_poly
-    count = max(ff.degree, gg.degree) + 1
-    moments = radial_moments(pair.channel, count, prec)
+    total = norm_integral(pair, prec)
     with mp.workprec(prec + _GUARD):
-        total = (pair.f_scale ** 2 * _moment_sum(ff, moments, prec)
-                 + pair.g_scale ** 2 * _moment_sum(gg, moments, prec))
         if total <= 0:
             raise DomainError("normalization integral must be positive")
         const = 1 / mp.sqrt(total)
@@ -161,17 +136,13 @@ def normalize(pair: RadialPair, precision: Optional[int] = None) -> RadialPair:
 
 
 def norm_integral(pair: RadialPair, precision: Optional[int] = None) -> mp.mpf:
-    """int (F^2 + G^2) d rho for the pair as scaled."""
+    """int (F^2 + G^2) d rho for the pair as scaled, carrying precision +
+    guard bits."""
     prec = precision or pair.state.spectral.precision
-    ff = pair.f_poly * pair.f_poly
-    gg = pair.g_poly * pair.g_poly
-    count = max(ff.degree, gg.degree) + 1
-    moments = radial_moments(pair.channel, count, prec)
+    ff = moment_sum(pair.f_poly * pair.f_poly, pair.channel, prec, shift=1)
+    gg = moment_sum(pair.g_poly * pair.g_poly, pair.channel, prec, shift=1)
     with mp.workprec(prec + _GUARD):
-        total = (pair.f_scale ** 2 * _moment_sum(ff, moments, prec)
-                 + pair.g_scale ** 2 * _moment_sum(gg, moments, prec))
-    with mp.workprec(prec):
-        return +total
+        return pair.f_scale ** 2 * ff + pair.g_scale ** 2 * gg
 
 
 # -- Laguerre route ------------------------------------------------------------
@@ -258,10 +229,8 @@ def laguerre_cross_check(state: LadderState, precision: Optional[int] = None) ->
 
     # determinant: exact zero on shell, nonzero off shell
     tau, s = ch.tau, ch.s
-    gap = ch.qs(n * n, 2 * n)          # n(n+2s)
-    w2_minus_tau2 = tower_w2(ch, n) - ch.qs(tau * tau)
-    det_exact = gap - w2_minus_tau2
-    det_zero = det_exact.is_zero
+    gap = tower_gap(ch, n)
+    det_zero = (gap - (w2 - ch.qs(tau * tau))).is_zero
 
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
@@ -356,19 +325,6 @@ def sample(pair: RadialPair, count: int = 400,
             with mp.workprec(prec):
                 rows.append((+rho, +fv, +gv))
     return replace(pair, samples=tuple(rows))
-
-
-def write_csv(pair: RadialPair, path: str, precision: int = DEFAULT_PRECISION) -> None:
-    from .params import mp_str
-
-    if pair.samples is None:
-        pair = sample(pair)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "F", "G"])
-        for rho, fv, gv in pair.samples:
-            writer.writerow([mp_str(rho, precision), mp_str(fv, precision),
-                             mp_str(gv, precision)])
 
 
 def count_f_nodes(pair: RadialPair) -> int:

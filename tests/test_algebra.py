@@ -5,6 +5,7 @@ hand reduction (mode gaps, Gamma moment ratios) or structural facts
 (exact zero residuals); nothing is read back from the code under test.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -158,6 +159,19 @@ class TestInnerProduct:
             s = CH.s.embed(200)
             expect = mp.gamma(2 * s) / mp.power(2, 2 * s)
             got = al.inner_product(member(CH, 0, [1]), member(CH, 0, [1]), 200)
+            assert abs(got - expect) < mp.mpf(2) ** -180
+
+    def test_moments_follow_s_not_the_channel_labels(self):
+        # a channel with the same (c, Z, j, eps) but another s^2 must not
+        # be served the cached moments of the first
+        other = replace(CH, s2=CH.s2 + Fraction(1, 10), xi=CH.xi + Fraction(1, 10))
+        one = member(CH, 0, [1])
+        al.inner_product(one, one, 200)
+        with mp.workprec(200):
+            s = other.s.embed(200)
+            expect = mp.gamma(2 * s) / mp.power(2, 2 * s)
+            unit = member(other, 0, [1])
+            got = al.inner_product(unit, unit, 200)
             assert abs(got - expect) < mp.mpf(2) ** -180
 
     def test_same_mode_via_moment_recurrence(self):

@@ -1,10 +1,13 @@
 """End-to-end runs of the command line entry point."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from dirac_su11.cli import main
 
@@ -181,6 +184,11 @@ class TestVerify:
                                  "--skip-oracle"] + FAST)
         assert code == 0
         assert "Z=1:" in out and "Z=80:" in out
+        # a given --Z replaces the default pair rather than adding to it
+        code, out = run(capsys, ["verify", "--Z", "7", "--Z", "3", "--j-max", "1/2",
+                                 "--n-max", "0", "--skip-oracle"] + FAST)
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == ["Z=7", "Z=3"]
 
     def test_skip_oracle_omits_the_block(self, capsys, tmp_path):
         dest = tmp_path / "verify.json"
@@ -293,6 +301,27 @@ class TestExitCodes:
         assert err.startswith("error: internal check failed:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_empty_verify_grid(self, capsys):
+        # j-max below 1/2 leaves nothing to check; that is not a pass
+        assert main(["verify", "--Z", "1", "--j-max", "0"] + FAST) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: j_max must be at least 1/2")
+
+    def test_empty_spectrum_j_grid(self, capsys):
+        assert main(["spectrum", "--j-max", "0"] + FAST) == 2
+        assert capsys.readouterr().err.startswith("error: j_max must be at least 1/2")
+
+    def test_empty_spectrum_n_grid(self, capsys):
+        assert main(["spectrum", "--n-max", "-1"] + FAST) == 2
+        assert capsys.readouterr().err.startswith("error: n_max must be nonnegative")
+
+    def test_empty_jl_grid(self, capsys):
+        assert main(["jl", "--n-max", "-1"] + FAST) == 2
+        assert capsys.readouterr().err.startswith("error: n_max must be nonnegative")
+        assert main(["jl", "--j-max", "0"] + FAST) == 2
+        assert capsys.readouterr().err.startswith("error: j_max must be at least 1/2")
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dirac_su11.cli", "spectrum",
@@ -300,3 +329,41 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "spectrum"
+
+
+# sha256 of (stdout, --out file or None) and the exit code of cheap
+# commands at the default precision; any change to a printed byte shows
+GOLDEN = [
+    (["spectrum", "--N-max", "2"],
+     "0d9e3dcfafb7aced30f796020f986c421bd25514f971f613a010e2ea653e19f1", None, 0),
+    (["spectrum", "--N-max", "2", "--format", "csv"],
+     "090518b55a0ac0b0de282d9ff8c8e87dcc3e1f18524febcf65c8b431e3bf2b03", None, 0),
+    (["state", "--j", "1/2", "--eps", "-1", "--n", "3", "--samples", "20",
+      "--format", "json"],
+     "432dd5b8d892e5abeba3f58a1141583d88c639091ace99c1fe9a5e6f9fcc3efa", None, 0),
+    (["state", "--j", "1/2", "--eps", "-1", "--n", "3", "--samples", "20",
+      "--format", "csv"],
+     "f3bc71e0a2de328c69542136da3e7f2daf9ed13951b55e997a3a716f48d067c8", None, 0),
+    (["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2", "--skip-oracle",
+      "--out", "v.json"],
+     "e08bfe5aebc4f5a3a7012616403ea0c9f4c8c23595e1aaef400565bd6db9d8d9",
+     "35e036248ed993e5cb5a642c55462a3377ad07e5df912d90fd39436cd3a55953", 0),
+    (["jl", "--j-max", "3/2", "--n-max", "1"],
+     "7ac0ddd1a33f2b61e368138463c746ead53c304b2e2f1a23ec5dd9a5a4be9952", None, 0),
+    (["limit"],
+     "8d0cc4cbe2ac68d4261fb830880d914fb7f9446bd60570e9bb62db6fd0296716", None, 0),
+    (["limit", "--format", "csv"],
+     "96a529079216299083f54e095ef75f941d79c00007ad5986b794b5bd48f7c11f", None, 0),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, out_sha, code", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(capsys, tmp_path, monkeypatch, argv, stdout_sha, out_sha, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == stdout_sha
+    if out_sha is not None:
+        written = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+        assert hashlib.sha256(written).hexdigest() == out_sha

@@ -6,7 +6,6 @@ import json
 import mpmath as mp
 
 from dirac_su11.params import make_params, make_channel, spectral_point
-from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
 from dirac_su11 import jloperator as jl
 
@@ -82,14 +81,6 @@ class TestSimilarity:
             with mp.workprec(PREC):
                 assert cp == 0
                 assert abs(cm - 2 * _zeta_mp(ch, PREC)) < mp.mpf(2) ** -(PREC - 8)
-
-    def test_psi_action_shape(self):
-        ch = make_channel(P1, Fraction(1, 2), -1)
-        state = ld.build_state(ch, 2, PREC)
-        cm, cp, pattern = jl.jl_psi_action(state)
-        assert pattern == ((+1, +1), (-1, +1))
-        ref = jl.jl_eigencoefficients(ch, 2, PREC)
-        assert (cm, cp) == ref
 
     def test_excited_states_mix_both_halves(self):
         # strictly inside a tower both coefficients are nonzero and distinct

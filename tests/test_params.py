@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from dirac_su11.params import (
     DomainError,
+    channel_grid,
     make_channel,
     make_params,
     mu_from_energy,
     nonrelativistic_limit_table,
-    point_from_dict,
-    point_to_dict,
     spectral_point,
+    tower_gap,
+    tower_w2,
 )
 
 C_DEFAULT = Fraction("137.035999084")
@@ -92,6 +93,12 @@ def test_unphysical_bottom_rung_flag():
     assert spectral_point(chan("1/2", 1), 1).is_physical
     assert spectral_point(chan("1/2", -1), 0).is_physical
     assert spectral_point(chan("5/2", 1), 0).is_physical is False
+    # the one rule behind the flag, on the channel itself
+    for j in ("1/2", "3/2", "5/2"):
+        for eps in (-1, 1):
+            ch = chan(j, eps)
+            assert ch.is_bound(0) == (eps == -1)
+            assert all(ch.is_bound(n) for n in (1, 2, 7))
 
 
 def test_mu_and_w2_exact_forms():
@@ -99,11 +106,12 @@ def test_mu_and_w2_exact_forms():
     pt = spectral_point(ch, 3)
     assert pt.mu == ch.lam + 3
     assert pt.N == 5
-    # w^2 = tau^2 + n^2 + 2 n s and also (s+n)^2 + zeta^2
-    lhs = pt.w2
+    # w^2 = (s+n)^2 + zeta^2 and, on shell, tau^2 + n(n + 2s)
+    lhs = tower_w2(ch, 3)
     s = ch.s
-    rhs = (s + 3) * (s + 3) + ch.qs(ch.zeta ** 2)
-    assert lhs == rhs
+    assert lhs == (s + 3) * (s + 3) + ch.qs(ch.zeta ** 2)
+    assert lhs == ch.qs(ch.tau ** 2) + tower_gap(ch, 3)
+    assert tower_gap(ch, 3) == ch.qs(9, 6)
 
 
 def test_mu_from_energy_inverts():
@@ -152,12 +160,16 @@ def test_nonrelativistic_limit_exponent():
         assert abs(table2.fitted_exponent + 2) < mp.mpf("0.01")
 
 
-def test_point_dict_roundtrip_is_deterministic():
-    pt = spectral_point(chan("3/2", 1, Z=29), 2)
-    d = point_to_dict(pt)
-    assert d["schema"] == "dirac-su11/1"
-    assert d["N"] == 4 and d["physical"] is True
-    again = point_to_dict(point_from_dict(d))
-    assert again == d
-    with pytest.raises(DomainError):
-        point_from_dict({**d, "schema": "bogus/9"})
+def test_channel_grid():
+    params = make_params(Z=3)
+    grid = channel_grid(params, Fraction(5, 2))
+    assert [(ch.j, ch.eps) for ch in grid] == [
+        (Fraction(j, 2), eps) for j in (1, 3, 5) for eps in (-1, 1)]
+    assert grid[3] == make_channel(params, "3/2", 1)
+    # j_max need not be a half-odd integer itself
+    assert len(channel_grid(params, Fraction(7, 3))) == 4
+    assert len(channel_grid(params, 2)) == 4
+    # an empty grid is refused, not returned
+    for j_max in (0, Fraction(1, 3), Fraction(-1, 2)):
+        with pytest.raises(DomainError):
+            channel_grid(params, j_max)

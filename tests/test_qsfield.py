@@ -11,7 +11,6 @@ from dirac_su11.qsfield import (
     QsNumber,
     QsPolynomial,
     TowerNumber,
-    parse_qs,
     polynomial_divmod,
     sturm_positive_roots,
 )
@@ -94,12 +93,6 @@ def test_qs_embed_two_ulp(x):
             assert lo == 0
         else:
             assert abs(lo - hi) <= abs(hi) * mp.mpf(2) ** (1 - prec) * 2
-
-
-@settings(max_examples=50, deadline=None)
-@given(qs_numbers())
-def test_qs_parse_str_roundtrip(x):
-    assert parse_qs(str(x)) == x
 
 
 def test_qs_rejects_mixed_modulus():

@@ -17,3 +17,10 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_all_names_resolve():
+    # a star import fails on the first stale name in __all__
+    missing = [name for name in dirac_su11.__all__ if not hasattr(dirac_su11, name)]
+    assert missing == []
+    assert len(set(dirac_su11.__all__)) == len(dirac_su11.__all__)

@@ -1,7 +1,7 @@
 """Assembly, normalization, Laguerre equivalence, sampling, node counts."""
 
-import csv
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -153,6 +153,18 @@ class TestLaguerreEquivalence:
         with pytest.raises(DomainError):
             wf.laguerre_cross_check(ld.build_state(CH, 0))
 
+    def test_cross_check_decides_the_defining_relation(self):
+        # negative control: shift s^2 (and xi = s^2 - 1/4 with it) off
+        # tau^2 - zeta^2; the tower stays consistent in s, but w^2 - tau^2
+        # is no longer n(n + 2s), and both exact flags must say so
+        delta = Fraction(1, 10 ** 6)
+        off = replace(CH_HEAVY, s2=CH_HEAVY.s2 + delta, xi=CH_HEAVY.xi + delta)
+        rep = wf.laguerre_cross_check(ld.build_state(off, 3))
+        assert rep.rows_exact_zero is False
+        assert rep.det_on_shell_exact_zero is False
+        on = wf.laguerre_cross_check(ld.build_state(CH_HEAVY, 3))
+        assert on.rows_exact_zero and on.det_on_shell_exact_zero
+
     def test_report_dict_roundtrip(self):
         rep = wf.laguerre_cross_check(ld.build_state(CH_HEAVY, 2))
         d = wf.report_to_dict(rep, 128)
@@ -218,15 +230,6 @@ class TestSamplingAndNodes:
                 weight = mp.power(rho, s) * mp.exp(-rho)
                 f_direct = pair.f_scale * weight * pair.f_poly.eval_mp(rho, 192)
                 assert abs(fv - f_direct) < mp.mpf(2) ** -150
-
-    def test_csv_format(self, tmp_path):
-        out = tmp_path / "state.csv"
-        wf.write_csv(wf.sample(pair_for(CH, 1, 64), count=10), str(out), 64)
-        with open(out) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["rho", "F", "G"]
-        assert len(rows) == 11
-        float(rows[1][1])  # parsable decimal strings
 
     def test_sample_count_guard(self):
         with pytest.raises(DomainError):
