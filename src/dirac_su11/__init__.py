@@ -19,11 +19,10 @@ from .params import (
     nonrelativistic_limit_table,
     spectral_point,
 )
-from .qsfield import QsNumber, QsPolynomial, TowerNumber, sturm_positive_roots
+from .qsfield import QsPolynomial, Quadratic, sturm_positive_roots
 from .algebra import (
     FamilyFunction,
     FamilySum,
-    GaussQs,
     ScaledFamilyFunction,
     apply_casimir,
     apply_xi3,
@@ -77,8 +76,8 @@ __all__ = [
     "Channel", "DomainError", "PhysicalParams", "SpectralPoint",
     "channel_grid", "make_channel", "make_params", "mu_from_energy",
     "nonrelativistic_limit_table", "spectral_point",
-    "QsNumber", "QsPolynomial", "TowerNumber", "sturm_positive_roots",
-    "FamilyFunction", "FamilySum", "GaussQs", "ScaledFamilyFunction",
+    "QsPolynomial", "Quadratic", "sturm_positive_roots",
+    "FamilyFunction", "FamilySum", "ScaledFamilyFunction",
     "apply_casimir", "apply_xi3", "apply_xi_minus", "apply_xi_plus",
     "commutator_check", "inner_product",
     "LadderState", "RepresentationBoundaryError", "build_state",

@@ -37,80 +37,17 @@ from fractions import Fraction
 import mpmath as mp
 
 from .params import DEFAULT_PRECISION, Channel, _GUARD
-from .qsfield import QsNumber, QsPolynomial, Rational
+from .qsfield import QsPolynomial, Quadratic, Rational
 
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class GaussQs:
-    """Gaussian scalar re + i*im with both parts in Q(s)."""
-
-    re: QsNumber
-    im: QsNumber
-
-    def _lift(self, other) -> "GaussQs | None":
-        if isinstance(other, GaussQs):
-            return other
-        if isinstance(other, (int, Fraction, QsNumber)):
-            zero = self.re * 0
-            return GaussQs(zero + other, zero)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GaussQs(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussQs(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GaussQs(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GaussQs(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussQs":
-        return GaussQs(self.re, -self.im)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re.is_zero and self.im.is_zero
-
-    def embed(self, precision: int = DEFAULT_PRECISION) -> mp.mpc:
-        return mp.mpc(self.re.embed(precision), self.im.embed(precision))
-
-    def __str__(self) -> str:
-        return f"({self.re}) + i({self.im})"
+def gauss(channel: Channel, re: Rational | Quadratic, im: Rational | Quadratic = 0) -> Quadratic:
+    """The Gaussian scalar re + i*im over Q(s), with i^2 = -1."""
+    return Quadratic.of(re, im, d=channel.qs(-1))
 
 
-def gauss(channel: Channel, re: Rational | QsNumber, im: Rational | QsNumber = 0) -> GaussQs:
-    zero = QsNumber.zero(channel.s2)
-    return GaussQs(zero + re, zero + im)
-
-
-def gauss_i(channel: Channel) -> GaussQs:
+def gauss_i(channel: Channel) -> Quadratic:
     return gauss(channel, 0, 1)
 
 
@@ -123,7 +60,7 @@ class FamilyFunction:
     poly: QsPolynomial
 
     @property
-    def mu(self) -> QsNumber:
+    def mu(self) -> Quadratic:
         return self.channel.lam + self.offset
 
     @property
@@ -135,14 +72,14 @@ class FamilyFunction:
 
 
 def family(channel: Channel, offset: int, coeffs) -> FamilyFunction:
-    zero = QsNumber.zero(channel.s2)
+    zero = Quadratic.zero(channel.s2)
     poly = QsPolynomial.from_coeffs([zero + c for c in coeffs], zero)
     return FamilyFunction(channel, offset, poly)
 
 
 @dataclass(frozen=True, slots=True)
 class ScaledFamilyFunction:
-    scale: GaussQs
+    scale: Quadratic  # Gaussian scalar
     func: FamilyFunction
 
     @property
@@ -169,7 +106,7 @@ class FamilySum:
 
     @staticmethod
     def from_function(f: FamilyFunction) -> "FamilySum":
-        zero = QsPolynomial.zero_poly(QsNumber.zero(f.channel.s2))
+        zero = QsPolynomial.zero_poly(Quadratic.zero(f.channel.s2))
         return FamilySum.of(f.channel, {f.offset: (f.poly, zero)})
 
     @staticmethod
@@ -193,12 +130,11 @@ class FamilySum:
     def __sub__(self, other: "FamilySum") -> "FamilySum":
         return self + other.scaled(gauss(self.channel, -1))
 
-    def scaled(self, c: GaussQs | QsNumber | Rational) -> "FamilySum":
-        if not isinstance(c, GaussQs):
-            c = gauss(self.channel, c if isinstance(c, QsNumber) else Fraction(c))
+    def scaled(self, c: Quadratic | Rational) -> "FamilySum":
+        c = gauss(self.channel, 0) + c  # a rational or Q(s) scale lifts
         raw = {}
         for k, re, im in self.parts:
-            raw[k] = (re.scale(c.re) - im.scale(c.im), re.scale(c.im) + im.scale(c.re))
+            raw[k] = (re.scale(c.a) - im.scale(c.b), re.scale(c.b) + im.scale(c.a))
         return FamilySum.of(self.channel, raw)
 
     @property
@@ -209,7 +145,7 @@ class FamilySum:
 # -- generator closed forms --------------------------------------------------
 
 
-def _mode(channel: Channel, offset: int) -> QsNumber:
+def _mode(channel: Channel, offset: int) -> Quadratic:
     return channel.lam + offset
 
 

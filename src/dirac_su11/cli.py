@@ -102,11 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="bound levels over a channel grid")
     common(p, run_spectrum)
-    p.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--N-max", dest="N_max", type=int, default=None,
-                   help="enumerate whole shells N <= N-max instead of the "
-                        "(j, n) grid; N = j + 1/2 + n")
+    # --N-max replaces the (j, n) grid, so it excludes --j-max and --n-max,
+    # which go together; argparse has no public call to put one option in
+    # two exclusive groups
+    by_j = p.add_mutually_exclusive_group()
+    shells = by_j.add_argument("--N-max", dest="N_max", type=int, default=None,
+                               help="enumerate whole shells N <= N-max instead "
+                                    "of the (j, n) grid; N = j + 1/2 + n")
+    by_j.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
+    by_n = p.add_mutually_exclusive_group()
+    by_n._group_actions.append(shells)
+    by_n.add_argument("--n-max", type=int, default=5)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("state", help="assemble and sample one radial state")
@@ -156,6 +162,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(f"wrote {out}")
     else:
         print(text)
+
+
+def _emit_json(payload: dict, out: Optional[str]) -> None:
+    _emit(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
 def _csv_text(header, rows) -> str:
@@ -212,7 +222,7 @@ def run_spectrum(ns) -> int:
         payload = {"schema": SCHEMA_TAG, "kind": "spectrum",
                    "Z": ns.Z, "c": ns.c, "precision": ns.precision,
                    "rows": rows}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
+        _emit_json(payload, ns.out)
     return 0
 
 
@@ -271,7 +281,7 @@ def run_state(ns) -> int:
         "laguerre_report": report_to_dict(lag, ns.precision) if lag else None,
         "samples": [[mp_str(v, ns.precision) for v in row] for row in pair.samples],
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
+    _emit_json(payload, ns.out)
     return 0 if checks_ok else 3
 
 
@@ -321,7 +331,7 @@ def run_verify(ns) -> int:
                       f"{block['gram_diagonal_max_err']})")
     payload = {"schema": SCHEMA_TAG, "kind": "verify", "runs": runs}
     if ns.out:
-        _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
+        _emit_json(payload, ns.out)
     return 0 if ok else 3
 
 
@@ -330,7 +340,7 @@ def run_jl(ns) -> int:
     records = diagonality_scan(params, ns.j_max, ns.n_max, ns.precision)
     payload = scan_to_dict(records, ns.precision)
     print("diagonal bound states:", " ".join(payload["diagonal_labels"]))
-    _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
+    _emit_json(payload, ns.out)
     return 0
 
 
@@ -350,7 +360,7 @@ def run_limit(ns) -> int:
                    "Z": ns.Z, "j": str(ns.j), "eps": ns.eps, "n": ns.n,
                    "fitted_exponent": f"{float(table.fitted_exponent):.12f}",
                    "rows": [dict(zip(names, row)) for row in rows]}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), ns.out)
+        _emit_json(payload, ns.out)
     return 0
 
 

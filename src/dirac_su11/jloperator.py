@@ -23,7 +23,6 @@ exactly the lowest rung of each tau < 0 channel: 1s, 2p, 3d, ...
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -185,7 +184,3 @@ def scan_to_dict(records, precision: int = DEFAULT_PRECISION) -> dict:
             r.spectroscopic_label for r in records if r.is_diagonal),
         "rows": rows,
     }
-
-
-def scan_to_json(records, precision: int = DEFAULT_PRECISION) -> str:
-    return json.dumps(scan_to_dict(records, precision), indent=2, sort_keys=True)

@@ -37,7 +37,7 @@ from .params import (
     spectral_point,
     tower_gap,
 )
-from .qsfield import QsNumber, QsPolynomial
+from .qsfield import QsPolynomial, Quadratic
 from .algebra import (
     FamilyFunction,
     _step_down_poly,
@@ -88,7 +88,7 @@ class LadderState:
         return f"|n={self.n}> on {self.channel}"
 
 
-def ladder_coefficient(lam: QsNumber, mu: QsNumber, direction: str,
+def ladder_coefficient(lam: Quadratic, mu: Quadratic, direction: str,
                        precision: int = DEFAULT_PRECISION) -> mp.mpf:
     """C_mu^+- = +-sqrt(mu(mu+-1) - lambda(lambda-1)).
 
@@ -122,8 +122,8 @@ def n_lambda_constant(channel: Channel, precision: int = DEFAULT_PRECISION) -> m
 
 
 def ground_state(channel: Channel, precision: int = DEFAULT_PRECISION) -> LadderState:
-    one = QsNumber.one(channel.s2)
-    zero = QsNumber.zero(channel.s2)
+    one = Quadratic.one(channel.s2)
+    zero = Quadratic.zero(channel.s2)
     pt = spectral_point(channel, 0, precision)
     return LadderState(
         spectral=pt,
@@ -134,7 +134,7 @@ def ground_state(channel: Channel, precision: int = DEFAULT_PRECISION) -> Ladder
 
 
 def _zero_state(channel: Channel, precision: int) -> LadderState:
-    zero = QsNumber.zero(channel.s2)
+    zero = Quadratic.zero(channel.s2)
     return LadderState(
         spectral=spectral_point(channel, 0, precision),
         psi_plus=QsPolynomial.zero_poly(zero),
@@ -187,7 +187,7 @@ def lower_state(state: LadderState) -> LadderState:
     new_plus = _step_down_poly(ch, n, state.psi_plus).scale(scale)
     if not (new_plus - state.psi_minus).is_zero:
         raise AssertionError("lower route mismatch between window halves")
-    zero = QsNumber.zero(ch.s2)
+    zero = Quadratic.zero(ch.s2)
     if n == 1:
         new_minus = QsPolynomial.zero_poly(zero)
     else:
@@ -238,7 +238,7 @@ def _check_rung(state: LadderState) -> None:
     if state.psi_plus.degree != n:
         raise AssertionError(f"rung {n} polynomial degree mismatch")
     scaled = apply_casimir(state.plus_function())
-    if not (scaled.scale.re - ch.qs(ch.xi)).is_zero or not scaled.scale.im.is_zero:
+    if not (scaled.scale.a - ch.qs(ch.xi)).is_zero or not scaled.scale.b.is_zero:
         raise AssertionError(f"rung {n} is not a Casimir eigenstate")
 
 

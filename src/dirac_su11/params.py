@@ -26,7 +26,7 @@ from typing import Sequence
 import mpmath as mp
 from mpmath.libmp import prec_to_dps
 
-from .qsfield import QsNumber, Rational, _frac, embed_fraction
+from .qsfield import Quadratic, Rational, _frac, embed_fraction
 
 DEFAULT_PRECISION = 256
 _GUARD = 32
@@ -80,20 +80,20 @@ class Channel:
     xi: Fraction
 
     @property
-    def s(self) -> QsNumber:
-        return QsNumber.s_root(self.s2)
+    def s(self) -> Quadratic:
+        return Quadratic.root(self.s2)
 
     @property
-    def lam(self) -> QsNumber:
+    def lam(self) -> Quadratic:
         """lambda = s + 1/2, the Bargmann index of the discrete series."""
-        return QsNumber.of(Fraction(1, 2), 1, s2=self.s2)
+        return Quadratic.of(Fraction(1, 2), 1, d=self.s2)
 
     @property
     def zeta(self) -> Fraction:
         return self.params.zeta
 
-    def qs(self, a: Rational, b: Rational = 0) -> QsNumber:
-        return QsNumber.of(a, b, s2=self.s2)
+    def qs(self, a: Rational, b: Rational = 0) -> Quadratic:
+        return Quadratic.of(a, b, d=self.s2)
 
     def key(self) -> tuple:
         return (self.params.c, self.params.Z, self.j, self.eps)
@@ -131,12 +131,12 @@ def channel_grid(params: PhysicalParams, j_max: Rational) -> list:
             for twice_j in range(1, int(2 * j_max) + 1, 2) for eps in (-1, 1)]
 
 
-def tower_gap(channel: Channel, n: int) -> QsNumber:
+def tower_gap(channel: Channel, n: int) -> Quadratic:
     """mu(mu-1) - lambda(lambda-1) at mu = lambda + n, i.e. n(n + 2s)."""
     return channel.qs(n * n, 2 * n)
 
 
-def tower_w2(channel: Channel, n: int) -> QsNumber:
+def tower_w2(channel: Channel, n: int) -> Quadratic:
     """w^2 = (s + n)^2 + zeta^2 as an element of Q(s).
 
     On shell this is tau^2 + n(n + 2s); it is built from s^2 itself so
@@ -153,7 +153,7 @@ class SpectralPoint:
     channel: Channel
     n: int
     precision: int
-    mu: QsNumber          # lambda + n, exact
+    mu: Quadratic         # lambda + n, exact
     N: int                # principal quantum number j + 1/2 + n
     E: mp.mpf
     k: mp.mpf             # sqrt(c^4 - E^2)

@@ -1,4 +1,4 @@
-"""Exact arithmetic for the quadratic field Q(s) and its tower Q(s)(w).
+"""Exact arithmetic for the quadratic field Q(s) and the extensions over it.
 
 Everything algebraic in this package lives in Q(s)[rho]: s is the positive
 root of s^2 = tau^2 - zeta^2, which is rational once the coupling zeta and
@@ -6,12 +6,14 @@ the angular eigenvalue tau are rational, but s itself is not. Keeping (a, b)
 rational pairs for a + b*s avoids every rounding question until a number is
 deliberately embedded into mpmath floats.
 
-The first-order radial system additionally involves
-w = sqrt((s + n)^2 + zeta^2), whose square is in Q(s) but which is not.
-TowerNumber represents u + v*w with u, v in Q(s), giving a second quadratic
-extension in which those residuals reduce to exact zeros.
+The same construction over Q(s) gives the two other fields. The first-order
+radial system involves w = sqrt((s + n)^2 + zeta^2), whose square is in Q(s)
+but which is not; in the tower Q(s)(w) those residuals reduce to exact
+zeros. The su(1,1) generators carry a factor i, and Gaussian scalars over
+Q(s) keep it exact. One class, Quadratic, represents a + b*sqrt(d) over
+either base.
 
-Signs of nonzero elements are decidable exactly (compare a^2 against b^2 s^2
+Signs of nonzero elements are decidable exactly (compare a^2 against b^2 d
 when a and b disagree in sign), so root isolation over these fields needs no
 floating point at all.
 """
@@ -28,6 +30,8 @@ Rational = Union[int, Fraction]
 
 _EMBED_GUARD_BITS = 8
 
+_ZERO = Fraction(0)
+
 
 def _frac(x: Rational | str) -> Fraction:
     if isinstance(x, Fraction):
@@ -37,128 +41,161 @@ def _frac(x: Rational | str) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
-def _frac_sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def embed_fraction(x: Fraction, precision: int) -> mp.mpf:
     """Round a rational to the nearest float at the given precision."""
     with mp.workprec(precision):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-@dataclass(frozen=True, slots=True)
-class QsNumber:
-    """Element a + b*s of Q(s), where s is the positive root of s^2 = s2.
+def _is_zero(x) -> bool:
+    return x.is_zero if isinstance(x, Quadratic) else x == 0
 
-    All elements entering an operation must share the modulus s2; mixing
-    channels is a bug, not a conversion.
+
+def _sign(x) -> int:
+    return x.sign() if isinstance(x, Quadratic) else (x > 0) - (x < 0)
+
+
+def _embed(x, precision: int) -> mp.mpf:
+    return x.embed(precision) if isinstance(x, Quadratic) else embed_fraction(x, precision)
+
+
+def _in_base(x, d):
+    """x as an element of the base field under the modulus d: Q when d is a
+    Fraction, Q(s) when d is an element of Q(s)."""
+    base = d.d if isinstance(d, Quadratic) else None
+    if isinstance(x, Quadratic):
+        if base is None or not (x.d is base or x.d == base):
+            raise ValueError("modulus mismatch between quadratic field elements")
+        return x
+    return _frac(x) if base is None else Quadratic(_frac(x), _ZERO, base)
+
+
+@dataclass(frozen=True, slots=True)
+class Quadratic:
+    """Element a + b*sqrt(d) of a quadratic extension K(sqrt(d)).
+
+    K is Q when d is a Fraction: the field Q(s), with d = s^2 > 0. K is
+    Q(s) when d is itself an element of Q(s): the tower Q(s)(w), with
+    d = w^2, or the Gaussian scalars, with d = -1. Ints, Fractions and
+    elements of K lift into K(sqrt(d)). All elements entering an operation
+    must share d; mixing channels is a bug, not a conversion.
     """
 
-    a: Fraction
-    b: Fraction
-    s2: Fraction
+    a: Fraction | Quadratic
+    b: Fraction | Quadratic
+    d: Fraction | Quadratic
 
     def __post_init__(self) -> None:
-        if self.s2 <= 0:
+        if isinstance(self.d, Fraction) and self.d <= 0:
             raise ValueError("s2 must be positive (closed channel otherwise)")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def of(a: Rational, b: Rational = 0, *, s2: Rational) -> "QsNumber":
-        return QsNumber(_frac(a), _frac(b), _frac(s2))
+    def of(a, b=0, *, d) -> "Quadratic":
+        if not isinstance(d, Quadratic):
+            d = _frac(d)
+        return Quadratic(_in_base(a, d), _in_base(b, d), d)
 
     @staticmethod
-    def zero(s2: Rational) -> "QsNumber":
-        return QsNumber(Fraction(0), Fraction(0), _frac(s2))
+    def zero(d) -> "Quadratic":
+        return Quadratic.of(0, d=d)
 
     @staticmethod
-    def one(s2: Rational) -> "QsNumber":
-        return QsNumber(Fraction(1), Fraction(0), _frac(s2))
+    def one(d) -> "Quadratic":
+        return Quadratic.of(1, d=d)
 
     @staticmethod
-    def s_root(s2: Rational) -> "QsNumber":
-        """The generator s itself."""
-        return QsNumber(Fraction(0), Fraction(1), _frac(s2))
+    def root(d) -> "Quadratic":
+        """The generator sqrt(d) itself: s, w or i."""
+        return Quadratic.of(0, 1, d=d)
 
-    def _lift(self, other) -> "QsNumber | None":
-        if isinstance(other, QsNumber):
-            if other.s2 != self.s2:
-                raise ValueError("modulus mismatch between Q(s) elements")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QsNumber(_frac(other), Fraction(0), self.s2)
-        return None
+    def _lift(self, other):
+        """(self, other) as elements of one field, the lower operand lifted
+        into the other's; None when other is no field element. Python calls
+        no reflected operator between two operands of one class, so an
+        element one level up lifts self here."""
+        d = self.d
+        if isinstance(other, Quadratic):
+            if other.d is d or other.d == d:
+                return self, other
+            if isinstance(other.d, Quadratic) and other.d.d == d:
+                return Quadratic(self, _in_base(0, other.d), other.d), other
+        elif not isinstance(other, (int, Fraction)):
+            return None
+        return self, Quadratic(_in_base(other, d), _in_base(0, d), d)
 
     # -- ring/field operations --------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        return QsNumber(self.a + o.a, self.b + o.b, self.s2)
+        x, y = pair
+        return Quadratic(x.a + y.a, x.b + y.b, x.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QsNumber(-self.a, -self.b, self.s2)
+        return Quadratic(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        return QsNumber(self.a - o.a, self.b - o.b, self.s2)
+        x, y = pair
+        return Quadratic(x.a - y.a, x.b - y.b, x.d)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        return o - self
+        x, y = pair
+        return Quadratic(y.a - x.a, y.b - x.b, x.d)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        return QsNumber(
-            self.a * o.a + self.b * o.b * self.s2,
-            self.a * o.b + self.b * o.a,
-            self.s2,
-        )
+        x, y = pair
+        return Quadratic(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QsNumber":
-        return QsNumber(self.a, -self.b, self.s2)
+    def conjugate(self) -> "Quadratic":
+        return Quadratic(self.a, -self.b, self.d)
 
-    def norm(self) -> Fraction:
-        """Field norm a^2 - b^2 s^2; zero iff the element is zero."""
-        return self.a * self.a - self.b * self.b * self.s2
+    def norm(self):
+        """Field norm a^2 - b^2 d, in the base field; zero iff the element is."""
+        return self.a * self.a - self.b * self.b * self.d
 
-    def inverse(self) -> "QsNumber":
+    def inverse(self) -> "Quadratic":
         n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(s)")
-        return QsNumber(self.a / n, -self.b / n, self.s2)
+        if _is_zero(n):
+            raise ZeroDivisionError("division by zero in a quadratic field")
+        ninv = n.inverse() if isinstance(n, Quadratic) else 1 / n
+        return Quadratic(self.a * ninv, -self.b * ninv, self.d)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        return self * o.inverse()
+        x, y = pair
+        return x * y.inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        return o * self.inverse()
+        x, y = pair
+        return y * x.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = QsNumber.one(self.s2)
+        out = Quadratic.one(self.d)
         base = self
         while k:
             if k & 1:
@@ -171,189 +208,34 @@ class QsNumber:
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
+        return _is_zero(self.a) and _is_zero(self.b)
 
     def sign(self) -> int:
-        """Exact sign, with s taken as the positive root."""
-        sa, sb = _frac_sign(self.a), _frac_sign(self.b)
+        """Exact sign, with sqrt(d) taken as the positive root (d > 0)."""
+        sa, sb = _sign(self.a), _sign(self.b)
         if sb == 0:
             return sa
-        if sa == 0:
+        if sa == 0 or sa == sb:
             return sb
-        if sa == sb:
-            return sa
-        # a and b*s compete; |a| vs |b| s decides, squared to stay rational
-        cmp = self.a * self.a - self.b * self.b * self.s2
-        return sa * _frac_sign(cmp)
+        # a and b*sqrt(d) compete; |a| vs |b| sqrt(d) decides, squared to
+        # stay in the base field
+        return sa * _sign(self.norm())
 
-    # -- embedding ----------------------------------------------------------
+    # -- embedding and text form ----------------------------------------------
 
     def embed(self, precision: int = 256) -> mp.mpf:
-        """a + b*sqrt(s2) rounded to `precision` bits (error within 1 ulp)."""
-        with mp.workprec(precision + _EMBED_GUARD_BITS):
-            val = (
-                embed_fraction(self.a, precision + _EMBED_GUARD_BITS)
-                + embed_fraction(self.b, precision + _EMBED_GUARD_BITS)
-                * mp.sqrt(embed_fraction(self.s2, precision + _EMBED_GUARD_BITS))
-            )
-        with mp.workprec(precision):
-            return +val
-
-    # -- text form -----------------------------------------------------------
-
-    def __str__(self) -> str:
-        return f"{self.a} + ({self.b})s [s^2={self.s2}]"
-
-    def __repr__(self) -> str:
-        return f"QsNumber({self.a}, {self.b}, s2={self.s2})"
-
-
-@dataclass(frozen=True, slots=True)
-class TowerNumber:
-    """Element u + v*w of Q(s)(w), with w the positive root of w^2 = w2 in Q(s)."""
-
-    u: QsNumber
-    v: QsNumber
-    w2: QsNumber
-
-    @staticmethod
-    def of(u, v=0, *, w2: QsNumber) -> "TowerNumber":
-        s2 = w2.s2
-        uu = u if isinstance(u, QsNumber) else QsNumber.of(_frac(u), s2=s2)
-        vv = v if isinstance(v, QsNumber) else QsNumber.of(_frac(v), s2=s2)
-        return TowerNumber(uu, vv, w2)
-
-    @staticmethod
-    def zero(w2: QsNumber) -> "TowerNumber":
-        z = QsNumber.zero(w2.s2)
-        return TowerNumber(z, z, w2)
-
-    @staticmethod
-    def one(w2: QsNumber) -> "TowerNumber":
-        return TowerNumber(QsNumber.one(w2.s2), QsNumber.zero(w2.s2), w2)
-
-    @staticmethod
-    def w_root(w2: QsNumber) -> "TowerNumber":
-        return TowerNumber(QsNumber.zero(w2.s2), QsNumber.one(w2.s2), w2)
-
-    def _lift(self, other) -> "TowerNumber | None":
-        if isinstance(other, TowerNumber):
-            if other.w2 != self.w2:
-                raise ValueError("modulus mismatch between tower elements")
-            return other
-        if isinstance(other, (int, Fraction)):
-            other = QsNumber.of(_frac(other), s2=self.w2.s2)
-        if isinstance(other, QsNumber):
-            if other.s2 != self.w2.s2:
-                raise ValueError("modulus mismatch lifting Q(s) into the tower")
-            return TowerNumber(other, QsNumber.zero(other.s2), self.w2)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return TowerNumber(self.u + o.u, self.v + o.v, self.w2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TowerNumber(-self.u, -self.v, self.w2)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return TowerNumber(self.u - o.u, self.v - o.v, self.w2)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return TowerNumber(
-            self.u * o.u + self.v * o.v * self.w2,
-            self.u * o.v + self.v * o.u,
-            self.w2,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate_w(self) -> "TowerNumber":
-        return TowerNumber(self.u, -self.v, self.w2)
-
-    def norm_qs(self) -> QsNumber:
-        return self.u * self.u - self.v * self.v * self.w2
-
-    def inverse(self) -> "TowerNumber":
-        n = self.norm_qs()
-        if n.is_zero:
-            raise ZeroDivisionError("division by zero in Q(s)(w)")
-        ninv = n.inverse()
-        return TowerNumber(self.u * ninv, -self.v * ninv, self.w2)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = TowerNumber.one(self.w2)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return self.u.is_zero and self.v.is_zero
-
-    def sign(self) -> int:
-        su, sv = self.u.sign(), self.v.sign()
-        if sv == 0:
-            return su
-        if su == 0:
-            return sv
-        if su == sv:
-            return su
-        return su * (self.u * self.u - self.v * self.v * self.w2).sign()
-
-    def embed(self, precision: int = 256) -> mp.mpf:
-        with mp.workprec(precision + _EMBED_GUARD_BITS):
-            val = self.u.embed(precision + _EMBED_GUARD_BITS) + self.v.embed(
-                precision + _EMBED_GUARD_BITS
-            ) * mp.sqrt(self.w2.embed(precision + _EMBED_GUARD_BITS))
+        """a + b*sqrt(d) rounded to `precision` bits (error within 1 ulp)."""
+        guarded = precision + _EMBED_GUARD_BITS
+        with mp.workprec(guarded):
+            val = _embed(self.a, guarded) + _embed(self.b, guarded) * mp.sqrt(
+                _embed(self.d, guarded))
         with mp.workprec(precision):
             return +val
 
     def __str__(self) -> str:
-        return f"({self.u}) + ({self.v})w [w^2={self.w2}]"
-
-
-FieldElement = Union[QsNumber, TowerNumber]
+        if isinstance(self.d, Quadratic):
+            return f"({self.a}) + ({self.b})w [w^2={self.d}]"
+        return f"{self.a} + ({self.b})s [s^2={self.d}]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,17 +248,17 @@ class QsPolynomial:
     """
 
     coeffs: tuple
-    zero: FieldElement
+    zero: Quadratic
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence, zero: FieldElement) -> "QsPolynomial":
+    def from_coeffs(coeffs: Sequence, zero: Quadratic) -> "QsPolynomial":
         cs = [zero + c for c in coeffs]  # lifts ints/Fractions, checks modulus
         while cs and cs[-1].is_zero:
             cs.pop()
         return QsPolynomial(tuple(cs), zero)
 
     @staticmethod
-    def zero_poly(zero: FieldElement) -> "QsPolynomial":
+    def zero_poly(zero: Quadratic) -> "QsPolynomial":
         return QsPolynomial((), zero)
 
     @property

@@ -23,7 +23,6 @@ the rest term c^2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +44,7 @@ from .params import (
     mp_str,
     tower_w2,
 )
-from .qsfield import QsNumber, QsPolynomial, TowerNumber
+from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
 from .ladder import LadderState, build_state, climb  # noqa: F401
 from .algebra import (
@@ -56,7 +55,7 @@ from .algebra import (
     commutator_check,
     inner_product,
 )
-from .wavefunctions import RadialPair, assemble, exact_w, tower_lift
+from .wavefunctions import RadialPair, assemble, exact_w, tower_window
 
 ORACLE_N_CAP = 10
 ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
@@ -102,7 +101,7 @@ def _residual_report(which: str, poly: QsPolynomial, precision: int) -> Residual
 
 
 def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
-                 w: TowerNumber):
+                 w: Quadratic):
     """Rows of the coupled first-order system on the polynomial parts.
 
     With F = sqrt(c^2+E) f rho^s e^{-rho} and G = sqrt(c^2-E) g rho^s e^{-rho},
@@ -147,10 +146,8 @@ def detuned_first_order(state: LadderState, delta: Fraction = Fraction(1, 1000),
     if n < 1:
         raise DomainError("detuned control needs n >= 1")
     w2_off = tower_w2(ch, n) * (1 + delta)
-    w_off = TowerNumber.w_root(w2_off)
-    plus = tower_lift(state.psi_plus, w2_off)
-    minus = tower_lift(state.psi_minus, w2_off).scale(
-        -(w_off + ch.qs(ch.tau)))
+    w_off = Quadratic.root(w2_off)
+    plus, minus = tower_window(state, w2_off, w_off)
     f = minus + plus
     g = minus - plus
     row_f, row_g = _system_rows(ch, n, f, g, w_off)
@@ -184,7 +181,7 @@ def second_order_residual(state: LadderState, precision: Optional[int] = None):
         F = FamilySum.from_function(func)
         acted = casimir_explicit(F) - F.scaled(xi)
         if acted.is_zero:
-            poly = QsPolynomial.zero_poly(QsNumber.zero(ch.s2))
+            poly = QsPolynomial.zero_poly(Quadratic.zero(ch.s2))
         else:
             ((_, re, im),) = acted.parts
             if not im.is_zero:
@@ -195,16 +192,12 @@ def second_order_residual(state: LadderState, precision: Optional[int] = None):
     w2 = tower_w2(ch, n)
     w = exact_w(ch, n)
     tau = ch.qs(ch.tau)
-    plus = tower_lift(state.psi_plus, w2)
-    if n == 0:
-        minus = QsPolynomial.zero_poly(TowerNumber.zero(w2))
-    else:
-        minus = tower_lift(state.psi_minus, w2).scale(-(w + tau))
+    plus, minus = tower_window(state, w2, w)
 
-    lower = (plus.derivative().mul_rho() - plus.scale(TowerNumber.of(ch.qs(n), w2=w2))
+    lower = (plus.derivative().mul_rho() - plus.scale(Quadratic.of(ch.qs(n), d=w2))
              - minus.scale(w - tau))
     raise_ = (minus.derivative().mul_rho()
-              + minus.scale(TowerNumber.of(ch.qs(n) + ch.s * 2, w2=w2))
+              + minus.scale(Quadratic.of(ch.qs(n) + ch.s * 2, d=w2))
               - minus.mul_rho().scale(2)
               + plus.scale(w + tau))
     reports.append(_residual_report("ladder-split-lower", lower, prec))
@@ -533,7 +526,3 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
         "all_exact": all_exact,
         "descending_tower": negative_branch_divergence_note(),
     }
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

@@ -34,8 +34,8 @@ import mpmath as mp
 
 from .params import (DEFAULT_PRECISION, _GUARD, Channel, DomainError,
                      tower_gap, tower_w2)
-from .qsfield import (_EMBED_GUARD_BITS, QsNumber, QsPolynomial, TowerNumber,
-                      horner_mp, sturm_positive_roots)
+from .qsfield import (_EMBED_GUARD_BITS, QsPolynomial, Quadratic, horner_mp,
+                      sturm_positive_roots)
 from .ladder import LadderState, with_norm_constant
 from .algebra import moment_sum
 
@@ -60,13 +60,13 @@ class RadialPair:
         return self.state.n
 
 
-def tower_lift(poly: QsPolynomial, w2: QsNumber) -> QsPolynomial:
-    zero = TowerNumber.zero(w2)
+def tower_lift(poly: QsPolynomial, w2: Quadratic) -> QsPolynomial:
+    zero = Quadratic.zero(w2)
     return QsPolynomial.from_coeffs(
-        [TowerNumber.of(c, w2=w2) for c in poly.coeffs], zero)
+        [Quadratic.of(c, d=w2) for c in poly.coeffs], zero)
 
 
-def exact_w(channel: Channel, n: int) -> TowerNumber:
+def exact_w(channel: Channel, n: int) -> Quadratic:
     """The positive root of w^2 = (s+n)^2 + zeta^2 as a tower element.
 
     At n = 0 the radicand is the perfect square tau^2 and the quotient ring
@@ -75,13 +75,23 @@ def exact_w(channel: Channel, n: int) -> TowerNumber:
     """
     w2 = tower_w2(channel, n)
     if n == 0:
-        return TowerNumber.of(channel.qs(abs(channel.tau)), w2=w2)
-    return TowerNumber.w_root(w2)
+        return Quadratic.of(channel.qs(abs(channel.tau)), d=w2)
+    return Quadratic.root(w2)
 
 
-def small_component_scalar(channel: Channel, n: int) -> TowerNumber:
+def small_component_scalar(channel: Channel, n: int) -> Quadratic:
     """-(w + tau): the exact ratio psi_minus / pi_{n-1} of a bound state."""
     return -(exact_w(channel, n) + channel.qs(channel.tau))
+
+
+def tower_window(state: LadderState, w2: Quadratic, w: Quadratic):
+    """(pi_n, -(w + tau) pi_{n-1}) lifted into Q(s)[w] with w^2 = w2; the
+    minus half is zero at n = 0."""
+    plus = tower_lift(state.psi_plus, w2)
+    if state.n == 0:
+        return plus, QsPolynomial.zero_poly(Quadratic.zero(w2))
+    tau = state.channel.qs(state.channel.tau)
+    return plus, tower_lift(state.psi_minus, w2).scale(-(w + tau))
 
 
 def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
@@ -93,12 +103,7 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
             "pass allow_unphysical=True to assemble it anyway")
     ch = state.channel
     n = state.n
-    w2 = tower_w2(ch, n)
-    plus = tower_lift(state.psi_plus, w2)
-    if n == 0:
-        minus = QsPolynomial.zero_poly(TowerNumber.zero(w2))
-    else:
-        minus = tower_lift(state.psi_minus, w2).scale(small_component_scalar(ch, n))
+    plus, minus = tower_window(state, tower_w2(ch, n), exact_w(ch, n))
     prec = state.spectral.precision
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
@@ -152,8 +157,8 @@ def laguerre_poly(channel: Channel, n: int) -> QsPolynomial:
     """L_n^{(2s)}(2 rho) over Q(s) by the three-term recurrence."""
     if n < 0:
         raise DomainError("Laguerre degree must be nonnegative")
-    zero = QsNumber.zero(channel.s2)
-    one = QsNumber.one(channel.s2)
+    zero = Quadratic.zero(channel.s2)
+    one = Quadratic.one(channel.s2)
     alpha = channel.s * 2
     prev = QsPolynomial.from_coeffs([one], zero)  # L_0
     if n == 0:
@@ -187,7 +192,7 @@ class LaguerreReport:
     sonine_residual: mp.mpf         # Gamma(2s+n+1)/Gamma(2s+1) vs prod (2s+k)
 
 
-def _coupling_rows(channel: Channel, n: int, a: TowerNumber, b: TowerNumber):
+def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
     """Rows of the linear system relating the two Laguerre scalars:
 
         (n + 2s) a + (w - tau) b = 0
@@ -214,11 +219,11 @@ def laguerre_cross_check(state: LadderState, precision: Optional[int] = None) ->
     # exact scalar ratios against the recurrence-built polynomials
     ln = laguerre_poly(ch, n)
     lnm1 = laguerre_poly(ch, n - 1)
-    a_scalar = TowerNumber.of(ch.qs(math.factorial(n)), w2=w2)
-    if not (tower_lift(state.psi_plus, w2) - tower_lift(ln, w2).scale(a_scalar)).is_zero:
+    plus, phys_minus = tower_window(state, w2, exact_w(ch, n))
+    a_scalar = Quadratic.of(ch.qs(math.factorial(n)), d=w2)
+    if not (plus - tower_lift(ln, w2).scale(a_scalar)).is_zero:
         raise AssertionError("psi_plus is not n! L_n^{(2s)}(2 rho)")
     b_scalar = small_component_scalar(ch, n) * math.factorial(n - 1)
-    phys_minus = tower_lift(state.psi_minus, w2).scale(small_component_scalar(ch, n))
     if not (phys_minus - tower_lift(lnm1, w2).scale(b_scalar)).is_zero:
         raise AssertionError("psi_minus is not -(w+tau)(n-1)! L_{n-1}^{(2s)}(2 rho)")
 

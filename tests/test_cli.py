@@ -316,6 +316,16 @@ class TestExitCodes:
         assert main(["spectrum", "--n-max", "-1"] + FAST) == 2
         assert capsys.readouterr().err.startswith("error: n_max must be nonnegative")
 
+    def test_shells_exclude_the_grid_options(self, capsys):
+        # --N-max replaces the (j, n) grid; naming both is a usage error
+        for extra in (["--j-max", "7/2"], ["--n-max", "9"]):
+            assert main(["spectrum", "--N-max", "1"] + extra + FAST) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "not allowed with argument --N-max" in captured.err
+        assert main(["spectrum", "--j-max", "1/2", "--n-max", "0"] + FAST) == 0
+        capsys.readouterr()
+
     def test_empty_jl_grid(self, capsys):
         assert main(["jl", "--n-max", "-1"] + FAST) == 2
         assert capsys.readouterr().err.startswith("error: n_max must be nonnegative")

@@ -1,7 +1,6 @@
 """Scalar invariant on the doublet: matrix form, diagonalization, scan."""
 
 from fractions import Fraction
-import json
 
 import mpmath as mp
 
@@ -131,5 +130,3 @@ class TestScan:
         doc = jl.scan_to_dict(records, 128)
         assert doc["kind"] == "diagonality-scan"
         assert doc["diagonal_labels"] == ["1s", "2p"]
-        again = json.loads(jl.scan_to_json(records, 128))
-        assert again == doc

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_su11.qsfield import (
-    QsNumber,
     QsPolynomial,
-    TowerNumber,
+    Quadratic,
     polynomial_divmod,
     sturm_positive_roots,
 )
@@ -25,7 +24,7 @@ def rationals(max_num=30, max_den=8):
 
 
 def qs_numbers(s2=S2):
-    return st.builds(lambda a, b: QsNumber.of(a, b, s2=s2), rationals(), rationals())
+    return st.builds(lambda a, b: Quadratic.of(a, b, d=s2), rationals(), rationals())
 
 
 @st.composite
@@ -33,12 +32,12 @@ def tower_triples(draw):
     # w2 = tau^2 + n^2 + 2 n s is the shape that actually occurs; sharing n
     # keeps the three values in one quadratic extension
     n = draw(st.integers(min_value=0, max_value=4))
-    w2 = QsNumber.of(Fraction(4) + n * n, 2 * n, s2=S2)
+    w2 = Quadratic.of(Fraction(4) + n * n, 2 * n, d=S2)
 
     def one_value():
-        u = QsNumber.of(draw(rationals(15, 5)), draw(rationals(15, 5)), s2=S2)
-        v = QsNumber.of(draw(rationals(15, 5)), draw(rationals(15, 5)), s2=S2)
-        return TowerNumber.of(u, v, w2=w2)
+        u = Quadratic.of(draw(rationals(15, 5)), draw(rationals(15, 5)), d=S2)
+        v = Quadratic.of(draw(rationals(15, 5)), draw(rationals(15, 5)), d=S2)
+        return Quadratic.of(u, v, d=w2)
 
     return one_value(), one_value(), one_value()
 
@@ -59,7 +58,7 @@ def test_qs_ring_axioms(x, y, z):
 def test_qs_division_and_inverse(x, y):
     if not y.is_zero:
         assert (x / y) * y == x
-        assert y * y.inverse() == QsNumber.one(S2)
+        assert y * y.inverse() == Quadratic.one(S2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -67,7 +66,7 @@ def test_qs_division_and_inverse(x, y):
 def test_qs_pow_and_conjugate(x):
     assert x ** 3 == x * x * x
     prod = x * x.conjugate()
-    assert prod.is_rational
+    assert prod.b == 0
     assert prod.a == x.norm()
 
 
@@ -96,8 +95,8 @@ def test_qs_embed_two_ulp(x):
 
 
 def test_qs_rejects_mixed_modulus():
-    x = QsNumber.of(1, 1, s2=Fraction(3, 4))
-    y = QsNumber.of(1, 1, s2=Fraction(5, 4))
+    x = Quadratic.of(1, 1, d=Fraction(3, 4))
+    y = Quadratic.of(1, 1, d=Fraction(5, 4))
     with pytest.raises(ValueError):
         _ = x + y
 
@@ -107,9 +106,9 @@ def test_qs_sign_near_cancellation():
     # sqrt(3)/2 = 0.86602540378...; 86602540378/10**11 is just below
     b = Fraction(10) ** 11
     a = -Fraction(86602540378)
-    assert QsNumber.of(a, b, s2=S2).sign() == 1
-    assert QsNumber.of(-a, -b, s2=S2).sign() == -1
-    assert QsNumber.of(a - 1, b, s2=S2).sign() == -1
+    assert Quadratic.of(a, b, d=S2).sign() == 1
+    assert Quadratic.of(-a, -b, d=S2).sign() == -1
+    assert Quadratic.of(a - 1, b, d=S2).sign() == -1
 
 
 @settings(max_examples=25, deadline=None)
@@ -138,11 +137,64 @@ def test_tower_inverse_and_sign(triple):
 @given(tower_triples())
 def test_tower_conjugate_norm_descends(triple):
     x, _, _ = triple
-    nq = x.norm_qs()
-    assert isinstance(nq, QsNumber)
-    prod = x * x.conjugate_w()
-    assert prod.v.is_zero
-    assert prod.u == nq
+    nq = x.norm()
+    assert isinstance(nq, Quadratic) and nq.d == S2
+    prod = x * x.conjugate()
+    assert prod.b.is_zero
+    assert prod.a == nq
+
+
+# -- one class across the levels ------------------------------------------------
+
+W2 = Quadratic.of(4, 2, d=S2)        # w^2 = 4 + 2s, a tower over Q(s)
+I2 = Quadratic.of(-1, d=S2)          # i^2 = -1, the Gaussian scalars
+
+
+def test_qs_element_lifts_from_either_side():
+    x = Quadratic.of(Fraction(-3, 7), 5, d=S2)
+    for d in (W2, I2):
+        y = Quadratic.of(Fraction(1, 2), x, d=d)
+        lifted = Quadratic.of(x, d=d)
+        assert x + y == y + x == lifted + y
+        assert x - y == -(y - x) == lifted - y
+        assert x * y == y * x == lifted * y
+        assert x / y == lifted / y
+        assert (y / x) * x == y
+        assert (x + y).d == d
+
+
+def test_levels_with_other_moduli_raise():
+    tower = Quadratic.of(1, 1, d=W2)
+    other_s = Quadratic.of(1, 1, d=Fraction(5, 4))
+    other_w = Quadratic.of(1, 1, d=Quadratic.of(5, 2, d=S2))
+    gaussian = Quadratic.of(1, 1, d=I2)
+    for x, y in ((tower, other_s), (tower, other_w), (tower, gaussian)):
+        for op in (lambda p, q: p + q, lambda p, q: p * q):
+            with pytest.raises(ValueError):
+                op(x, y)
+            with pytest.raises(ValueError):
+                op(y, x)
+
+
+def test_text_forms_are_unchanged():
+    x = Quadratic.of(Fraction(-3, 7), 5, d=S2)
+    assert str(x) == "-3/7 + (5)s [s^2=3/4]"
+    t = Quadratic.of(Quadratic.of(1, -2, d=S2), Fraction(1, 2), d=W2)
+    assert str(t) == ("(1 + (-2)s [s^2=3/4]) + (1/2 + (0)s [s^2=3/4])w "
+                      "[w^2=4 + (2)s [s^2=3/4]]")
+
+
+def test_tower_sign_near_cancellation():
+    # u + w with u a 40-digit truncation of -w: nonzero, and the sign
+    # decision goes through the norm u^2 - w^2 in Q(s)
+    with mp.workprec(300):
+        w = mp.sqrt(4 + mp.sqrt(3))
+        digits = int(mp.floor(w * mp.mpf(10) ** 40))
+    for u in (Fraction(-digits, 10 ** 40), Fraction(-digits - 1, 10 ** 40)):
+        for x in (Quadratic.of(u, 1, d=W2), Quadratic.of(-u, -1, d=W2)):
+            assert not x.is_zero
+            assert x.sign() == (1 if x.embed(256) > 0 else -1)
+    assert Quadratic.of(Fraction(-digits, 10 ** 40), 1, d=W2).sign() == 1
 
 
 # -- polynomials --------------------------------------------------------------
@@ -150,7 +202,7 @@ def test_tower_conjugate_norm_descends(triple):
 
 def poly(coeffs):
     return QsPolynomial.from_coeffs(
-        [QsNumber.of(c, 0, s2=S2) for c in coeffs], QsNumber.zero(S2)
+        [Quadratic.of(c, 0, d=S2) for c in coeffs], Quadratic.zero(S2)
     )
 
 
@@ -197,10 +249,10 @@ def test_sturm_counts_known_roots():
     # x^2 + 1: none
     assert sturm_positive_roots(poly([1, 0, 1])) == 0
     # roots at s and s+1 with s = sqrt(3)/2: (x-s)(x-s-1)
-    s = QsNumber.s_root(S2)
-    one = QsNumber.one(S2)
-    x_minus_s = QsPolynomial.from_coeffs([-s, one], QsNumber.zero(S2))
-    x_minus_s1 = QsPolynomial.from_coeffs([-s - 1, one], QsNumber.zero(S2))
+    s = Quadratic.root(S2)
+    one = Quadratic.one(S2)
+    x_minus_s = QsPolynomial.from_coeffs([-s, one], Quadratic.zero(S2))
+    x_minus_s1 = QsPolynomial.from_coeffs([-s - 1, one], Quadratic.zero(S2))
     assert sturm_positive_roots(x_minus_s * x_minus_s1) == 2
     # content scaling does not change the count
     assert sturm_positive_roots((x_minus_s * x_minus_s1).scale(s)) == 2
@@ -225,8 +277,8 @@ def test_sturm_counts_constructed_roots(roots, b, c, scale):
 def test_sturm_count_ignores_negative_scale(coeffs):
     # the chain is normalised by |leading coefficient|; a negative scale
     # flips every member and must leave the count alone
-    p = QsPolynomial.from_coeffs(coeffs, QsNumber.zero(S2))
+    p = QsPolynomial.from_coeffs(coeffs, Quadratic.zero(S2))
     if p.is_zero:
         return
-    s = QsNumber.s_root(S2)
+    s = Quadratic.root(S2)
     assert sturm_positive_roots(p.scale(-s)) == sturm_positive_roots(p)

@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import dirac_su11
@@ -24,3 +26,31 @@ def test_all_names_resolve():
     missing = [name for name in dirac_su11.__all__ if not hasattr(dirac_su11, name)]
     assert missing == []
     assert len(set(dirac_su11.__all__)) == len(dirac_su11.__all__)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_no_uncalled_helpers():
+    # every module- or class-level def/class of the package (dunders
+    # aside) is named somewhere besides its own definition line
+    where = defaultdict(set)
+    for top in ("src", "tests", "scripts", "benchmark"):
+        for path in (ROOT / top).rglob("*.py"):
+            for lineno, text in enumerate(path.read_text().splitlines(), 1):
+                for word in re.findall(r"\w+", text):
+                    where[word].add((path, lineno))
+    uncalled = []
+    for path in sorted((ROOT / "src" / "dirac_su11").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if not where[name] - {(path, node.lineno)}:
+                    uncalled.append(f"{path.name}:{node.lineno} {name}")
+    assert uncalled == []

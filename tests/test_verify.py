@@ -242,8 +242,6 @@ class TestReport:
         assert rep["all_exact"] is True
         assert rep["commutators_exact"] is True
         assert len(rep["channels"]) == 4  # j in {1/2, 3/2} x eps
-        js = vf.report_to_json(rep)
-        assert '"all_exact": true' in js
 
     def test_divergence_note_mentions_the_integral(self):
         note = vf.negative_branch_divergence_note()

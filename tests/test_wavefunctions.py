@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirac_su11.params import _GUARD, make_params, make_channel, DomainError
-from dirac_su11.qsfield import QsNumber, QsPolynomial, TowerNumber
+from dirac_su11.qsfield import QsPolynomial, Quadratic
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
 
@@ -35,14 +35,14 @@ class TestTowerScalars:
 
     def test_w_at_bottom_is_rational(self):
         w = wf.exact_w(CH, 0)
-        assert w.v.is_zero
-        assert w.u == CH.qs(Fraction(1))  # |tau| = 1 for j = 1/2
+        assert w.b.is_zero
+        assert w.a == CH.qs(Fraction(1))  # |tau| = 1 for j = 1/2
 
     def test_w_squares_to_w2(self):
         for n in (0, 1, 4):
             w = wf.exact_w(CH_HEAVY, n)
             w2 = wf.tower_w2(CH_HEAVY, n)
-            assert (w * w - TowerNumber.of(w2, w2=w2)).is_zero
+            assert (w * w - Quadratic.of(w2, d=w2)).is_zero
 
     def test_small_component_scalar_vanishes_only_at_physical_bottom(self):
         assert wf.small_component_scalar(CH, 0).is_zero
@@ -123,7 +123,7 @@ class TestLaguerreEquivalence:
                 for k in range(n):
                     poch_an = poch_an * (a + 1 + k)
                 lead = poch_an * Fraction(1, math.factorial(n))
-                zero = QsNumber.zero(ch.s2)
+                zero = Quadratic.zero(ch.s2)
                 coeffs = []
                 for k in range(n + 1):
                     num = ch.qs(1)
