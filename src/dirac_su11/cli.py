@@ -7,8 +7,9 @@ Subcommands:
     jl         diagonality scan of the grading operator
     limit      nonrelativistic limit study of one level
 
-Exit codes: 0 on success, 2 on usage or domain errors, 3 when a
-verification run reports a failure or an internal check fails.
+Exit codes: 0 on success (also when the reader of stdout closes it
+early), 2 on usage or domain errors (an unwritable --out among them), 3
+when a verification run reports a failure or an internal check fails.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -104,15 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, run_spectrum)
     # --N-max replaces the (j, n) grid, so it excludes --j-max and --n-max,
     # which go together; argparse has no public call to put one option in
-    # two exclusive groups
+    # two exclusive groups. It counts an option as given only when its value
+    # `is not` the default, and int("5") is the cached 5: so the grid
+    # defaults are None here and filled in by _spectrum_rows
     by_j = p.add_mutually_exclusive_group()
     shells = by_j.add_argument("--N-max", dest="N_max", type=int, default=None,
                                help="enumerate whole shells N <= N-max instead "
                                     "of the (j, n) grid; N = j + 1/2 + n")
-    by_j.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
+    by_j.add_argument("--j-max", type=_fraction, default=None)
     by_n = p.add_mutually_exclusive_group()
     by_n._group_actions.append(shells)
-    by_n.add_argument("--n-max", type=int, default=5)
+    by_n.add_argument("--n-max", type=int, default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("state", help="assemble and sample one radial state")
@@ -155,10 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from exc
         print(f"wrote {out}")
     else:
         print(text)
@@ -188,7 +195,8 @@ def _spectrum_rows(ns):
         j_max = Fraction(2 * ns.N_max - 1, 2)
         n_max = ns.N_max - 1
     else:
-        j_max, n_max = ns.j_max, ns.n_max
+        j_max = Fraction(5, 2) if ns.j_max is None else ns.j_max
+        n_max = 5 if ns.n_max is None else ns.n_max
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     rows = []
@@ -226,17 +234,18 @@ def run_spectrum(ns) -> int:
     return 0
 
 
-def _state_checks(pair, precision: int):
+def _state_checks(pair):
     """Identity cross-checks on an assembled bound state; bool-valued."""
+    precision = pair.state.spectral.precision
     checks = {}
     lag = None
-    reps = first_order_residual(pair, precision)
+    reps = first_order_residual(pair)
     checks["first_order_exact"] = all(r.is_exact_zero for r in reps)
     with mp.workprec(precision):
-        norm_err = abs(norm_integral(pair, precision) - 1)
+        norm_err = abs(norm_integral(pair) - 1)
         checks["normalization_ok"] = bool(norm_err < mp.mpf(2) ** -(precision - 16))
     if pair.n >= 1:
-        lag = laguerre_cross_check(pair.state, precision)
+        lag = laguerre_cross_check(pair.state)
         checks["laguerre_scalars_exact"] = (lag.rows_exact_zero
                                             and lag.det_on_shell_exact_zero)
         checks["elimination_ok"] = bool(
@@ -253,7 +262,7 @@ def run_state(ns) -> int:
     checks, lag = None, None
     if pair.state.is_physical:
         try:
-            checks, lag = _state_checks(pair, ns.precision)
+            checks, lag = _state_checks(pair)
         except AssertionError as exc:
             checks = {"identity_failure": str(exc)}
     checks_ok = checks is None or ("identity_failure" not in checks
@@ -364,7 +373,7 @@ def run_limit(ns) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -377,6 +386,24 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (spectrum | head -1); send the rest
+        # to devnull so that the flush at interpreter exit cannot fail again
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # in process, stdout may be a StringIO
+            return 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import mpmath as mp
 
@@ -59,9 +58,9 @@ class JLMatrix:
             return +det
 
 
-def jl_fg_matrix(point: SpectralPoint, precision: Optional[int] = None) -> JLMatrix:
+def jl_fg_matrix(point: SpectralPoint) -> JLMatrix:
     """Operator matrix on the (F, iG) doublet of a spectral point."""
-    prec = precision or point.precision
+    prec = point.precision
     ch = point.channel
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
@@ -74,11 +73,11 @@ def jl_fg_matrix(point: SpectralPoint, precision: Optional[int] = None) -> JLMat
         return JLMatrix(((+m11, +m12), (+m21, +m11)))
 
 
-def jl_similarity(point: SpectralPoint, precision: Optional[int] = None) -> JLMatrix:
+def jl_similarity(point: SpectralPoint) -> JLMatrix:
     """S^-1 M S computed numerically; must come out diagonal."""
-    prec = precision or point.precision
+    prec = point.precision
     ch = point.channel
-    m = jl_fg_matrix(point, prec)
+    m = jl_fg_matrix(point)
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
         p = mp.sqrt(c2 + point.E)

@@ -43,6 +43,7 @@ from .algebra import (
     _step_down_poly,
     _step_up_poly,
     apply_casimir,
+    inner_product,
 )
 
 MAX_RUNG = 64
@@ -242,12 +243,10 @@ def _check_rung(state: LadderState) -> None:
         raise AssertionError(f"rung {n} is not a Casimir eigenstate")
 
 
-def ket_norm_squared(state: LadderState, precision: Optional[int] = None) -> mp.mpf:
+def ket_norm_squared(state: LadderState) -> mp.mpf:
     """<psi_plus, psi_plus> under the phase-averaged inner product."""
-    from .algebra import inner_product
-
-    prec = precision or state.spectral.precision
-    val = inner_product(state.plus_function(), state.plus_function(), prec)
+    val = inner_product(state.plus_function(), state.plus_function(),
+                        state.spectral.precision)
     return val if isinstance(val, mp.mpf) else mp.mpf(val)
 
 

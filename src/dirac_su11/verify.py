@@ -24,9 +24,8 @@ the rest term c^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 import mpmath as mp
 import numpy as np
@@ -42,6 +41,7 @@ from .params import (
     channel_grid,
     make_channel,
     mp_str,
+    spectral_point,
     tower_w2,
 )
 from .qsfield import QsPolynomial, Quadratic
@@ -63,6 +63,7 @@ ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
 _RHO0 = 1e-6             # where the outward series seed starts
 _XTOL, _RTOL = 1e-300, 8.9e-16   # converged bracket width, as brentq's
 _ILLINOIS_CAP = 100      # root-finding rounds; typical levels need about 10
+_DETUNE = Fraction(1, 1000)   # relative shift of w^2 in the detuned control
 
 
 class BracketingError(DomainError):
@@ -125,9 +126,9 @@ def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
     return row_f, row_g
 
 
-def first_order_residual(pair: RadialPair, precision: Optional[int] = None):
+def first_order_residual(pair: RadialPair):
     """Both rows of the coupled system on the assembled pair; exact zeros."""
-    prec = precision or pair.state.spectral.precision
+    prec = pair.state.spectral.precision
     ch = pair.channel
     n = pair.n
     w = exact_w(ch, n)
@@ -136,16 +137,15 @@ def first_order_residual(pair: RadialPair, precision: Optional[int] = None):
             _residual_report("radial-row-g", row_g, prec))
 
 
-def detuned_first_order(state: LadderState, delta: Fraction = Fraction(1, 1000),
-                        precision: Optional[int] = None):
-    """Negative control: scale w^2 by (1 + delta) and redo the first-order
-    residuals. Off shell both rows must be exactly nonzero."""
-    prec = precision or state.spectral.precision
+def detuned_first_order(state: LadderState):
+    """Negative control: scale w^2 by 1 + _DETUNE = 1001/1000 and redo the
+    first-order residuals. Off shell both rows must be exactly nonzero."""
+    prec = state.spectral.precision
     ch = state.channel
     n = state.n
     if n < 1:
         raise DomainError("detuned control needs n >= 1")
-    w2_off = tower_w2(ch, n) * (1 + delta)
+    w2_off = tower_w2(ch, n) * (1 + _DETUNE)
     w_off = Quadratic.root(w2_off)
     plus, minus = tower_window(state, w2_off, w_off)
     f = minus + plus
@@ -155,7 +155,7 @@ def detuned_first_order(state: LadderState, delta: Fraction = Fraction(1, 1000),
             _residual_report("radial-row-g-detuned", row_g, prec))
 
 
-def second_order_residual(state: LadderState, precision: Optional[int] = None):
+def second_order_residual(state: LadderState):
     """Decoupled mode equations and the ladder-split relations, all exact.
 
     mode-equation-plus/minus: each window half satisfies its own
@@ -170,7 +170,7 @@ def second_order_residual(state: LadderState, precision: Optional[int] = None):
     residual is (w + tau) psi_plus, which vanishes exactly when tau < 0
     (w = -tau) and equals 2 tau at a tau > 0 bottom rung.
     """
-    prec = precision or state.spectral.precision
+    prec = state.spectral.precision
     ch = state.channel
     n = state.n
     xi = ch.qs(ch.xi)
@@ -357,10 +357,7 @@ def shooting_oracle(channel: Channel, n_target: int) -> OracleResult:
 def oracle_binding_residual(channel: Channel, n: int,
                             result: OracleResult) -> float:
     """|binding_oracle - binding_exact| / |binding_exact| in float64."""
-    from .params import spectral_point
-
-    pt = spectral_point(channel, n, 64)
-    exact = float(pt.binding)
+    exact = float(spectral_point(channel, n, 64).binding)
     return abs(result.binding_oracle - exact) / abs(exact)
 
 
@@ -451,21 +448,18 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
         rows = []
         for n, state in enumerate(rungs[:n_max + 1]):
             entry = {"n": n, "physical": state.is_physical}
-            reports = list(second_order_residual(state, precision))
+            reports = list(second_order_residual(state))
             if state.is_physical:
                 pair = assemble(state)
                 if inject_off_shell and not injected and n >= 1:
                     injected = True
                     entry["injected_off_shell"] = True
-                    for rep in detuned_first_order(state, precision=precision):
-                        reports.append(ResidualReport(
-                            rep.which.replace("-detuned", ""),
-                            rep.residual_poly, rep.is_exact_zero,
-                            rep.max_abs_embedded))
+                    reports += [replace(rep, which=rep.which.replace("-detuned", ""))
+                                for rep in detuned_first_order(state)]
                 else:
-                    reports.extend(first_order_residual(pair, precision))
+                    reports.extend(first_order_residual(pair))
                 if n >= 1:
-                    det = detuned_first_order(state, precision=precision)
+                    det = detuned_first_order(state)
                     entry["detuned_nonzero"] = all(
                         not r.is_exact_zero for r in det)
                     if not entry["detuned_nonzero"]:

@@ -32,8 +32,8 @@ from typing import Optional
 
 import mpmath as mp
 
-from .params import (DEFAULT_PRECISION, _GUARD, Channel, DomainError,
-                     tower_gap, tower_w2)
+from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
+                     DomainError, mp_str, tower_gap, tower_w2)
 from .qsfield import (_EMBED_GUARD_BITS, QsPolynomial, Quadratic, horner_mp,
                       sturm_positive_roots)
 from .ladder import LadderState, with_norm_constant
@@ -120,14 +120,14 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
     )
 
 
-def normalize(pair: RadialPair, precision: Optional[int] = None) -> RadialPair:
+def normalize(pair: RadialPair) -> RadialPair:
     """Fix the overall constant so int (F^2 + G^2) d rho = 1.
 
     Returns a pair whose scales carry the constant and whose state records
     it in norm_constant.
     """
-    prec = precision or pair.state.spectral.precision
-    total = norm_integral(pair, prec)
+    prec = pair.state.spectral.precision
+    total = norm_integral(pair)
     with mp.workprec(prec + _GUARD):
         if total <= 0:
             raise DomainError("normalization integral must be positive")
@@ -140,10 +140,10 @@ def normalize(pair: RadialPair, precision: Optional[int] = None) -> RadialPair:
                        g_scale=+(pair.g_scale * const))
 
 
-def norm_integral(pair: RadialPair, precision: Optional[int] = None) -> mp.mpf:
+def norm_integral(pair: RadialPair) -> mp.mpf:
     """int (F^2 + G^2) d rho for the pair as scaled, carrying precision +
     guard bits."""
-    prec = precision or pair.state.spectral.precision
+    prec = pair.state.spectral.precision
     ff = moment_sum(pair.f_poly * pair.f_poly, pair.channel, prec, shift=1)
     gg = moment_sum(pair.g_poly * pair.g_poly, pair.channel, prec, shift=1)
     with mp.workprec(prec + _GUARD):
@@ -208,10 +208,10 @@ def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
     return row1, row2
 
 
-def laguerre_cross_check(state: LadderState, precision: Optional[int] = None) -> LaguerreReport:
+def laguerre_cross_check(state: LadderState) -> LaguerreReport:
     ch = state.channel
     n = state.n
-    prec = precision or state.spectral.precision
+    prec = state.spectral.precision
     if n < 1:
         raise DomainError("cross check needs n >= 1 so both scalars exist")
     w2 = tower_w2(ch, n)
@@ -277,8 +277,6 @@ def laguerre_cross_check(state: LadderState, precision: Optional[int] = None) ->
 
 
 def report_to_dict(report: LaguerreReport, precision: int = DEFAULT_PRECISION) -> dict:
-    from .params import SCHEMA_TAG, mp_str
-
     return {
         "schema": SCHEMA_TAG,
         "kind": "laguerre-report",
@@ -300,24 +298,19 @@ def report_to_dict(report: LaguerreReport, precision: int = DEFAULT_PRECISION) -
 # -- sampling and node counting -------------------------------------------------
 
 
-def sample(pair: RadialPair, count: int = 400,
-           rho_min: Fraction = Fraction(1, 1000),
-           rho_max: Optional[Fraction] = None,
-           precision: Optional[int] = None) -> RadialPair:
-    """Evaluate (F, G) on a geometric grid; returns a pair carrying samples.
-    Both polynomials are embedded once, as eval_mp would at every point."""
+def sample(pair: RadialPair, count: int = 400) -> RadialPair:
+    """Evaluate (F, G) on a geometric grid from rho = 1/1000 to
+    5 (n + s + 1); returns a pair carrying samples. Both polynomials are
+    embedded once, as eval_mp would at every point."""
     if count < 2:
         raise DomainError("need at least two sample points")
-    prec = precision or pair.state.spectral.precision
+    prec = pair.state.spectral.precision
     ch = pair.channel
-    if rho_max is None:
-        with mp.workprec(prec):
-            top = 5 * (pair.n + ch.s.embed(prec) + 1)
-    else:
-        top = mp.mpf(rho_max.numerator) / rho_max.denominator
+    with mp.workprec(prec):
+        top = 5 * (pair.n + ch.s.embed(prec) + 1)
     rows = []
     with mp.workprec(prec + _GUARD):
-        lo = mp.mpf(rho_min.numerator) / rho_min.denominator
+        lo = mp.mpf(1) / 1000
         ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
         s_emb = ch.s.embed(prec + _GUARD)
         f_emb, g_emb = (poly.embed_coeffs(prec + _GUARD + _EMBED_GUARD_BITS)

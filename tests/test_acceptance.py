@@ -167,7 +167,7 @@ def test_criterion_4_laguerre_equivalence(acceptance_log):
             bad.append((Z, jnum, eps, 0, "pi_0 != L_0"))
         for n in range(1, 21):
             state = ld.raise_state(state)
-            rep = wf.laguerre_cross_check(state, PREC)
+            rep = wf.laguerre_cross_check(state)
             if not (rep.rows_exact_zero and rep.det_on_shell_exact_zero):
                 bad.append((Z, jnum, eps, n, "system not singular on shell"))
             worst_elim = max(worst_elim, float(rep.eliminated_energy_residual))

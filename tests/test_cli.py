@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -317,14 +318,49 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: n_max must be nonnegative")
 
     def test_shells_exclude_the_grid_options(self, capsys):
-        # --N-max replaces the (j, n) grid; naming both is a usage error
-        for extra in (["--j-max", "7/2"], ["--n-max", "9"]):
+        # --N-max replaces the (j, n) grid; naming both is a usage error,
+        # also with a value equal to the grid default
+        for extra in (["--j-max", "7/2"], ["--n-max", "9"],
+                      ["--j-max", "5/2"], ["--n-max", "5"]):
             assert main(["spectrum", "--N-max", "1"] + extra + FAST) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "not allowed with argument --N-max" in captured.err
         assert main(["spectrum", "--j-max", "1/2", "--n-max", "0"] + FAST) == 0
         capsys.readouterr()
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        dest = str(tmp_path / "missing" / "x")
+        for argv in (["spectrum", "--N-max", "1"], ["limit"],
+                     ["state", "--j", "1/2", "--eps", "-1", "--n", "1"]):
+            assert main(argv + ["--out", dest] + FAST) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: cannot write {dest}: "
+                                    "No such file or directory\n")
+
+    def test_closed_stdout_is_success(self, monkeypatch):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE whatever the timing
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dirac_su11.cli", "spectrum",
+                 "--precision", "64"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+        # in process, stdout may have no file descriptor to redirect
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["spectrum", "--N-max", "1"] + FAST) == 0
 
     def test_empty_jl_grid(self, capsys):
         assert main(["jl", "--n-max", "-1"] + FAST) == 2

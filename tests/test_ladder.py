@@ -140,7 +140,7 @@ class TestKetNormalization:
     def test_unit_kets_up_the_tower(self):
         for n in (0, 1, 2, 5):
             state = ld.build_state(CH, n, 192)
-            val = ld.ket_norm_squared(state, 192)
+            val = ld.ket_norm_squared(state)
             with mp.workprec(192):
                 assert abs(state.ladder_norm ** 2 * val - 1) < mp.mpf(2) ** -150
 

@@ -28,6 +28,29 @@ def test_all_names_resolve():
     assert len(set(dirac_su11.__all__)) == len(dirac_su11.__all__)
 
 
+STATE_TYPES = {"LadderState", "RadialPair", "SpectralPoint"}
+
+
+def test_precision_comes_from_the_state():
+    # a state, pair or spectral point carries the precision it was built
+    # at; a function handed one reads it there, so no second value can
+    # disagree with it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if not params:
+                continue
+            first = params[0].annotation
+            kind = getattr(first, "id", getattr(first, "value", None))
+            if kind in STATE_TYPES and any(p.arg == "precision" for p in params):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -35,7 +58,7 @@ def test_no_uncalled_helpers():
     # every module- or class-level def/class of the package (dunders
     # aside) is named somewhere besides its own definition line
     where = defaultdict(set)
-    for top in ("src", "tests", "scripts", "benchmark"):
+    for top in ("src", "tests", "benchmark"):
         for path in (ROOT / top).rglob("*.py"):
             for lineno, text in enumerate(path.read_text().splitlines(), 1):
                 for word in re.findall(r"\w+", text):

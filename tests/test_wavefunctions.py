@@ -223,7 +223,7 @@ class TestSamplingAndNodes:
             assert abs(r0 - r1) < mp.mpf("1e-25")
 
     def test_sample_values_match_direct_evaluation(self):
-        pair = wf.sample(wf.normalize(pair_for(CH, 1, 192)), count=7, precision=192)
+        pair = wf.sample(wf.normalize(pair_for(CH, 1, 192)), count=7)
         with mp.workprec(192):
             s = CH.s.embed(192)
             for rho, fv, gv in pair.samples:
