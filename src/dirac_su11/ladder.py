@@ -15,9 +15,28 @@ that makes the state a unit ket for the phase-averaged inner product,
 
 A state holds the window (psi_plus, psi_minus) = (pi_n, pi_{n-1}): the pair
 of adjacent tower polynomials the physical radial solution is assembled
-from. Raising shifts the window, so the new psi_minus is the old psi_plus;
-for n >= 1 this must agree with stepping the old psi_minus up, and that
-route equivalence is asserted on every raise.
+from. Raising shifts the window, so the new psi_minus is the old psi_plus.
+
+The algebra sees a channel only through lambda = s + 1/2, so with s kept
+as a symbol the map above has coefficients in Z[s] and so does every pi_n.
+One universal tower in Z[s][rho], held as plain Python ints, is climbed
+on demand up to MAX_RUNG, and each rung n is decided there once per
+process, for every channel at once:
+
+- the window shift: lowering pi_n from mode lambda + n returns
+  -n(n+2s) pi_{n-1}, the window's other half;
+- the leading coefficient (-2)^n and the degree n;
+- the explicit Casimir d^2/dx^2 - e^{2x} - 2i e^x d/dphi - 1/4 equals the
+  composed Xi3^2 - Xi1^2 - Xi2^2, both times 4 so they stay integral;
+- its eigenvalue: 4 times the Casimir is (4s^2 - 1) pi_n;
+- pi_n = n! L_n^{(2s)}(2 rho), against the three-term Laguerre recurrence.
+
+A channel's rungs are the image of the universal ones under the ring map
+Z[s] -> Q(s), s^2 -> tau^2 - zeta^2. An identity in Z[s][rho] holds under
+every such map, so each is decided for all channels. Per channel there
+remains one rational test, xi = s^2 - 1/4, which ties the channel's
+Casimir value to the universal eigenvalue; everything that involves tau,
+zeta or w (verify, wavefunctions) is decided per channel.
 """
 
 from __future__ import annotations
@@ -38,13 +57,7 @@ from .params import (
     tower_gap,
 )
 from .qsfield import QsPolynomial, Quadratic
-from .algebra import (
-    FamilyFunction,
-    _step_down_poly,
-    _step_up_poly,
-    apply_casimir,
-    inner_product,
-)
+from .algebra import FamilyFunction, _step_down_poly, inner_product
 
 MAX_RUNG = 64
 
@@ -81,9 +94,6 @@ class LadderState:
 
     def plus_function(self) -> FamilyFunction:
         return FamilyFunction(self.channel, self.n, self.psi_plus)
-
-    def minus_function(self) -> FamilyFunction:
-        return FamilyFunction(self.channel, self.n - 1, self.psi_minus)
 
     def __str__(self) -> str:
         return f"|n={self.n}> on {self.channel}"
@@ -123,12 +133,16 @@ def n_lambda_constant(channel: Channel, precision: int = DEFAULT_PRECISION) -> m
 
 
 def ground_state(channel: Channel, precision: int = DEFAULT_PRECISION) -> LadderState:
-    one = Quadratic.one(channel.s2)
+    """Rung 0 of the channel tower; every tower of a channel starts here, so
+    here the channel's xi is tied to the universal Casimir eigenvalue."""
+    if channel.xi != channel.s2 - Fraction(1, 4):
+        raise AssertionError(
+            f"{channel}: xi is not s^2 - 1/4, the universal Casimir eigenvalue")
     zero = Quadratic.zero(channel.s2)
     pt = spectral_point(channel, 0, precision)
     return LadderState(
         spectral=pt,
-        psi_plus=QsPolynomial.from_coeffs([one], zero),
+        psi_plus=tower_image(channel, 0),
         psi_minus=QsPolynomial.zero_poly(zero),
         ladder_norm=n_lambda_constant(channel, precision),
     )
@@ -145,19 +159,14 @@ def _zero_state(channel: Channel, precision: int) -> LadderState:
 
 
 def raise_state(state: LadderState) -> LadderState:
+    """Rung n+1: the window shifts, and its new top half is the image of
+    universal rung n+1."""
     ch = state.channel
     if state.is_zero:
         return state
     n = state.n
     if n + 1 > MAX_RUNG:
         raise DomainError(f"rung {n + 1} above the configured cap {MAX_RUNG}")
-    new_plus = _step_up_poly(ch, n, state.psi_plus)
-    new_minus = state.psi_plus
-    if n >= 1:
-        # window shift must agree with stepping the old psi_minus up
-        routed = _step_up_poly(ch, n - 1, state.psi_minus)
-        if not (routed - new_minus).is_zero:
-            raise AssertionError("raise route mismatch between window halves")
     prec = state.spectral.precision
     gap = tower_gap(ch, n + 1)  # |C^+_{lam+n}|^2 = (n+1)(n+1+2s)
     with mp.workprec(prec + _GUARD):
@@ -166,8 +175,8 @@ def raise_state(state: LadderState) -> LadderState:
         norm = +norm
     return LadderState(
         spectral=spectral_point(ch, n + 1, prec),
-        psi_plus=new_plus,
-        psi_minus=new_minus,
+        psi_plus=tower_image(ch, n + 1),
+        psi_minus=state.psi_plus,
         ladder_norm=norm,
     )
 
@@ -208,18 +217,16 @@ def lower_state(state: LadderState) -> LadderState:
 
 
 def climb(channel: Channel, n: int, precision: int = DEFAULT_PRECISION) -> list:
-    """Rungs 0..n of the channel tower, from one climb; each rung is checked
-    once, before the next is raised (leading coefficient, degree, Casimir
-    eigenvalue)."""
+    """Rungs 0..n of the channel tower, from one climb. Universal rung k is
+    decided before rung k of any channel is built, so a bad rung fails with
+    its own message and nothing above it is raised."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("rung index must be a nonnegative integer")
     if n > MAX_RUNG:
         raise DomainError(f"rung {n} above the configured cap {MAX_RUNG}")
     rungs = [ground_state(channel, precision)]
-    _check_rung(rungs[0])
     for _ in range(n):
         rungs.append(raise_state(rungs[-1]))
-        _check_rung(rungs[-1])
     return rungs
 
 
@@ -228,19 +235,128 @@ def build_state(channel: Channel, n: int, precision: int = DEFAULT_PRECISION) ->
     return climb(channel, n, precision)[-1]
 
 
-def _check_rung(state: LadderState) -> None:
-    ch = state.channel
-    n = state.n
-    # leading coefficient of pi_n is (-2)^n exactly
-    lead = state.psi_plus.leading
-    expected = ch.qs(Fraction((-2) ** n))
-    if not (lead - expected).is_zero:
-        raise AssertionError(f"rung {n} leading coefficient is not (-2)^n")
-    if state.psi_plus.degree != n:
-        raise AssertionError(f"rung {n} polynomial degree mismatch")
-    scaled = apply_casimir(state.plus_function())
-    if not (scaled.scale.a - ch.qs(ch.xi)).is_zero or not scaled.scale.b.is_zero:
-        raise AssertionError(f"rung {n} is not a Casimir eigenstate")
+# -- the universal tower in Z[s][rho] -----------------------------------------
+#
+# A polynomial in Z[s][rho] is a dict {(i, k): c} of its nonzero terms
+# c rho^i s^k, so two polynomials are equal iff their dicts are.
+
+_TOWER: list = []   # decided universal rungs pi_0, pi_1, ...; never built at import
+
+
+def _comb(*terms) -> dict:
+    """The sum of c rho^i s^k P over the (c, i, k, P) terms."""
+    out: dict = {}
+    for c, i, k, poly in terms:
+        for (a, b), v in poly.items():
+            key = (a + i, b + k)
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _euler(poly: dict) -> dict:
+    """rho d/drho."""
+    return {(i, k): i * v for (i, k), v in poly.items() if i}
+
+
+def _up(n: int, poly: dict) -> dict:
+    """Raise from mode lambda + n: rho q' + (2s + n + 1) q - 2 rho q."""
+    return _comb((1, 0, 0, _euler(poly)), (2, 0, 1, poly), (n + 1, 0, 0, poly),
+                 (-2, 1, 0, poly))
+
+
+def _down(n: int, poly: dict) -> dict:
+    """Lower from mode lambda + n: rho q' + (s - mu + 1/2) q = rho q' - n q."""
+    return _comb((1, 0, 0, _euler(poly)), (-n, 0, 0, poly))
+
+
+def _casimir_explicit4(n: int, poly: dict) -> dict:
+    """4 (D1^2 q - rho^2 q + 2 mu rho q - q/4) at mu = lambda + n, with
+    D1 q = rho q' + (s - rho) q, as algebra.casimir_explicit."""
+    def d1(q):
+        return _comb((1, 0, 0, _euler(q)), (1, 0, 1, q), (-1, 1, 0, q))
+
+    return _comb((4, 0, 0, d1(d1(poly))), (-4, 2, 0, poly), (8, 1, 1, poly),
+                 (4 * (2 * n + 1), 1, 0, poly), (-1, 0, 0, poly))
+
+
+def _casimir_composed4(n: int, poly: dict) -> dict:
+    """4 (Xi3^2 - Xi1^2 - Xi2^2) at mode mu = lambda + n. Xi1^2 + Xi2^2 is
+    (Xi+ Xi- + Xi- Xi+)/2, and Xi+- carry a factor i each, so 4 times the
+    Casimir is (2 mu)^2 q + 2 up(down q) + 2 down(up q)."""
+    return _comb((4, 0, 2, poly), (4 * (2 * n + 1), 0, 1, poly), ((2 * n + 1) ** 2, 0, 0, poly),
+                 (2, 0, 0, _up(n - 1, _down(n, poly))), (2, 0, 0, _down(n + 1, _up(n, poly))))
+
+
+def _laguerre_next(k: int, cur: dict, prev: dict) -> dict:
+    """(k+1)! L_{k+1} from k! L_k and (k-1)! L_{k-1} at alpha = 2s, y = 2 rho:
+    (k+1) L_{k+1} = (2k + 1 + alpha - y) L_k - (k + alpha) L_{k-1}."""
+    return _comb((2 * k + 1, 0, 0, cur), (2, 0, 1, cur), (-2, 1, 0, cur),
+                 (-k * k, 0, 0, prev), (-2 * k, 0, 1, prev))
+
+
+def _decide_casimir(n: int, poly: dict) -> None:
+    """Both Casimir routes agree on poly at mode lambda + n, and their value
+    is (s^2 - 1/4) poly; all times 4."""
+    explicit = _casimir_explicit4(n, poly)
+    if explicit != _casimir_composed4(n, poly):
+        raise AssertionError(f"universal rung {n}: explicit and composed Casimir disagree")
+    if explicit != _comb((4, 0, 2, poly), (-1, 0, 0, poly)):
+        raise AssertionError(f"universal rung {n} is not a Casimir eigenstate")
+
+
+def _decide_rung(n: int, poly: dict, below: list) -> None:
+    """Decide the identities of universal rung n, given the decided rungs
+    below it; raise AssertionError naming the first that fails."""
+    if {key: v for key, v in poly.items() if key[0] == n} != {(n, 0): (-2) ** n}:
+        raise AssertionError(f"universal rung {n} leading coefficient is not (-2)^n")
+    if max(i for i, _ in poly) != n:
+        raise AssertionError(f"universal rung {n} polynomial degree mismatch")
+    if n >= 1 and _down(n, poly) != _comb((-n * n, 0, 0, below[n - 1]),
+                                          (-2 * n, 0, 1, below[n - 1])):
+        raise AssertionError(f"universal rung {n} window shift: lowering does "
+                             "not return -n(n+2s) pi_(n-1)")
+    _decide_casimir(n, poly)
+    laguerre = {(0, 0): 1} if n == 0 else _laguerre_next(
+        n - 1, below[n - 1], below[n - 2] if n >= 2 else {})
+    if poly != laguerre:
+        raise AssertionError(f"universal rung {n} is not n! L_n^(2s)(2 rho)")
+
+
+def _raise_universal(n: int, poly: dict) -> dict:
+    """Universal rung n+1 from rung n."""
+    return _up(n, poly)
+
+
+def universal_rung(n: int) -> dict:
+    """pi_n in Z[s][rho], decided; the tower is climbed to n on first use."""
+    if not 0 <= n <= MAX_RUNG:
+        raise DomainError(f"rung {n} outside 0..{MAX_RUNG}")
+    while len(_TOWER) <= n:
+        k = len(_TOWER)
+        poly = {(0, 0): 1} if k == 0 else _raise_universal(k - 1, _TOWER[-1])
+        _decide_rung(k, poly, _TOWER)
+        _TOWER.append(poly)
+    return _TOWER[n]
+
+
+def tower_image(channel: Channel, n: int) -> QsPolynomial:
+    """Universal rung n under s^2 -> s2: the channel's pi_n over Q(s).
+
+    With s2 = p/q, the coefficient sum_k c_k s^k becomes
+    (sum_k c_k p^(k//2) q^(top - k//2)) / q^top in the part of s^(k%2),
+    so each coefficient of Q(s) costs one gcd."""
+    poly = universal_rung(n)
+    s2 = channel.s2
+    p, q = s2.numerator, s2.denominator
+    top = max(k for _, k in poly) // 2
+    weight = [p ** m * q ** (top - m) for m in range(top + 1)]
+    parts = [[0, 0] for _ in range(n + 1)]
+    for (i, k), c in poly.items():
+        parts[i][k & 1] += c * weight[k >> 1]
+    den = q ** top
+    # the leading coefficient (-2)^n is decided nonzero: no trailing zeros
+    return QsPolynomial(tuple(Quadratic(Fraction(a, den), Fraction(b, den), s2)
+                              for a, b in parts), Quadratic.zero(s2))
 
 
 def ket_norm_squared(state: LadderState) -> mp.mpf:

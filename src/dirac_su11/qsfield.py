@@ -37,7 +37,10 @@ def _frac(x: Rational | str) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
@@ -85,16 +88,16 @@ class Quadratic:
     b: Fraction | Quadratic
     d: Fraction | Quadratic
 
-    def __post_init__(self) -> None:
-        if isinstance(self.d, Fraction) and self.d <= 0:
-            raise ValueError("s2 must be positive (closed channel otherwise)")
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(a, b=0, *, d) -> "Quadratic":
+        """a + b*sqrt(d); every modulus enters here, since arithmetic only
+        reuses the moduli of its operands."""
         if not isinstance(d, Quadratic):
             d = _frac(d)
+            if d <= 0:
+                raise ValueError("s2 must be positive (closed channel otherwise)")
         return Quadratic(_in_base(a, d), _in_base(b, d), d)
 
     @staticmethod

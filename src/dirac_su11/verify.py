@@ -46,7 +46,7 @@ from .params import (
 )
 from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
-from .ladder import LadderState, build_state, climb  # noqa: F401
+from .ladder import LadderState, build_state, climb, tower_image  # noqa: F401
 from .algebra import (
     COMMUTATORS,
     FamilySum,
@@ -160,7 +160,10 @@ def second_order_residual(state: LadderState):
 
     mode-equation-plus/minus: each window half satisfies its own
     second-order equation, i.e. the explicit Casimir action returns
-    xi times the function.
+    xi times the function. The window halves are the images of universal
+    rungs n and n-1, whose Casimir eigenvalue s^2 - 1/4 is decided in
+    Z[s][rho] (ladder.universal_rung), so each residual is
+    (s^2 - 1/4 - xi) times its half.
 
     ladder-split-lower: rho psi_plus' - n psi_plus = (w - tau) psi_minus
     ladder-split-raise: rho psi_minus' + (n + 2s - 2 rho) psi_minus
@@ -173,21 +176,14 @@ def second_order_residual(state: LadderState):
     prec = state.spectral.precision
     ch = state.channel
     n = state.n
-    xi = ch.qs(ch.xi)
+    link = ch.qs(ch.s2 - Fraction(1, 4) - ch.xi)
     reports = []
-
-    for tag, func in (("mode-equation-plus", state.plus_function()),
-                      ("mode-equation-minus", state.minus_function())):
-        F = FamilySum.from_function(func)
-        acted = casimir_explicit(F) - F.scaled(xi)
-        if acted.is_zero:
-            poly = QsPolynomial.zero_poly(Quadratic.zero(ch.s2))
-        else:
-            ((_, re, im),) = acted.parts
-            if not im.is_zero:
-                raise AssertionError("real input must stay real under the mode equation")
-            poly = re
-        reports.append(_residual_report(tag, poly, prec))
+    for tag, half, k in (("mode-equation-plus", state.psi_plus, n),
+                         ("mode-equation-minus", state.psi_minus, n - 1)):
+        rung = tower_image(ch, k) if k >= 0 else QsPolynomial.zero_poly(half.zero)
+        if half != rung:
+            raise AssertionError(f"rung {n} window is not the image of the universal tower")
+        reports.append(_residual_report(tag, half.scale(link), prec))
 
     w2 = tower_w2(ch, n)
     w = exact_w(ch, n)

@@ -36,7 +36,7 @@ from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, mp_str, tower_gap, tower_w2)
 from .qsfield import (_EMBED_GUARD_BITS, QsPolynomial, Quadratic, horner_mp,
                       sturm_positive_roots)
-from .ladder import LadderState, with_norm_constant
+from .ladder import LadderState, tower_image, with_norm_constant
 from .algebra import moment_sum
 
 
@@ -154,23 +154,11 @@ def norm_integral(pair: RadialPair) -> mp.mpf:
 
 
 def laguerre_poly(channel: Channel, n: int) -> QsPolynomial:
-    """L_n^{(2s)}(2 rho) over Q(s) by the three-term recurrence."""
+    """L_n^{(2s)}(2 rho) over Q(s): the image of universal rung n, which is
+    decided equal to n! L_n by the three-term recurrence, over n!."""
     if n < 0:
         raise DomainError("Laguerre degree must be nonnegative")
-    zero = Quadratic.zero(channel.s2)
-    one = Quadratic.one(channel.s2)
-    alpha = channel.s * 2
-    prev = QsPolynomial.from_coeffs([one], zero)  # L_0
-    if n == 0:
-        return prev
-    # L_1 = 1 + alpha - y at y = 2 rho
-    cur = QsPolynomial.from_coeffs([one + alpha, zero - 2], zero)
-    for k in range(1, n):
-        # (k+1) L_{k+1} = (2k+1+alpha - y) L_k - (k+alpha) L_{k-1}
-        lin = QsPolynomial.from_coeffs([alpha + (2 * k + 1), zero - 2], zero)
-        nxt = (lin * cur - prev.scale(alpha + k)).scale(Fraction(1, k + 1))
-        prev, cur = cur, nxt
-    return cur
+    return tower_image(channel, n).scale(Fraction(1, math.factorial(n)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -283,6 +283,12 @@ class TestExitCodes:
         assert main(["limit", "--c-schedule", "0,1e3"]) == 2
         capsys.readouterr()
 
+    def test_zero_denominator_c(self, capsys):
+        for argv in (["spectrum", "--c", "1/0"], ["limit", "--c-schedule", "1e2,1/0"]):
+            assert main(argv + FAST) == 2
+            err = capsys.readouterr().err
+            assert err == "error: zero denominator in '1/0'\n"
+
     def test_c_schedule_needs_two_values(self, capsys):
         for schedule in ("1e2", ",", "1e2,100"):
             assert main(["limit", "--c-schedule", schedule] + FAST) == 2

@@ -9,10 +9,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirac_su11.params import make_params, make_channel, DomainError
+from dirac_su11.qsfield import QsPolynomial, Quadratic
 from dirac_su11 import algebra as al
 from dirac_su11 import ladder as ld
 
 P1 = make_params(Z=1)
+
+
+def reference_climb(channel, n):
+    """Rungs 0..n of the per-channel climb in Q(s) that the universal tower
+    replaced: each raised by the step map and checked there for its leading
+    coefficient, degree and Casimir eigenvalue."""
+    zero = Quadratic.zero(channel.s2)
+    polys = [QsPolynomial.from_coeffs([1], zero)]
+    for k in range(n + 1):
+        if k:
+            polys.append(al._step_up_poly(channel, k - 1, polys[-1]))
+        pi = polys[k]
+        assert (pi.leading - channel.qs((-2) ** k)).is_zero and pi.degree == k
+        scaled = al.apply_casimir(al.FamilyFunction(channel, k, pi))
+        assert (scaled.scale.a - channel.qs(channel.xi)).is_zero and scaled.scale.b.is_zero
+    return polys
+
+
 CH = make_channel(P1, Fraction(1, 2), -1)
 CH_HEAVY = make_channel(make_params(Z=92), Fraction(3, 2), 1)
 
@@ -50,20 +69,68 @@ class TestConstruction:
             ld.build_state(CH, -1)
 
     def test_bad_rung_stops_the_climb(self, monkeypatch):
-        # each rung is checked before the next is raised, so a bad rung
-        # fails with its own message and nothing above it is built
-        raised = []
-        real = ld.raise_state
+        # universal rung k is decided before rung k of a channel is built,
+        # so a bad universal rung fails with its own message and nothing
+        # above it is raised, in Z[s][rho] or in the channel
+        monkeypatch.setattr(ld, "_TOWER", [])
+        raised, climbed = [], []
+        real_universal, real_state = ld._raise_universal, ld.raise_state
 
-        def corrupt(state):
-            raised.append(state.n)
-            up = real(state)
-            return replace(up, psi_plus=up.psi_plus.scale(CH.qs(3))) if up.n == 2 else up
+        def corrupt(n, poly):
+            raised.append(n)
+            up = real_universal(n, poly)
+            return {key: 3 * v for key, v in up.items()} if n + 1 == 2 else up
 
-        monkeypatch.setattr(ld, "raise_state", corrupt)
-        with pytest.raises(AssertionError, match="rung 2 leading coefficient"):
+        def counting(state):
+            climbed.append(state.n)
+            return real_state(state)
+
+        monkeypatch.setattr(ld, "_raise_universal", corrupt)
+        monkeypatch.setattr(ld, "raise_state", counting)
+        with pytest.raises(AssertionError, match="universal rung 2 leading coefficient"):
             ld.climb(CH, 6)
         assert raised == [0, 1]
+        assert climbed == [0, 1]
+        assert len(ld._TOWER) == 2
+
+    def test_wrong_mode_fails_the_eigenvalue(self):
+        # pi_2 is a Casimir eigenfunction at mode lambda + 2 only; at
+        # lambda + 3 both routes still agree, but the value is not
+        # (s^2 - 1/4) pi_2
+        pi2 = ld.universal_rung(2)
+        ld._decide_casimir(2, pi2)
+        with pytest.raises(AssertionError, match="rung 3 is not a Casimir eigenstate"):
+            ld._decide_casimir(3, pi2)
+
+    def test_laguerre_route_is_decided(self, monkeypatch):
+        # a wrong three-term recurrence must fail the rung it reaches first
+        monkeypatch.setattr(ld, "_TOWER", [])
+        real = ld._laguerre_next
+        monkeypatch.setattr(ld, "_laguerre_next", lambda k, cur, prev: ld._comb(
+            (1, 0, 0, real(k, cur, prev)), (1, 0, 0, prev)))
+        with pytest.raises(AssertionError, match="universal rung 2 is not n! L_n"):
+            ld.universal_rung(4)
+
+    def test_shifted_xi_fails_the_link(self):
+        # xi must be s^2 - 1/4, the eigenvalue decided in Z[s][rho]
+        off = replace(CH, xi=CH.xi + Fraction(1, 100))
+        with pytest.raises(AssertionError, match="xi is not s\\^2 - 1/4"):
+            ld.climb(off, 3)
+
+    @pytest.mark.parametrize("Z", [1, 80, 118])
+    @pytest.mark.parametrize("eps", [-1, 1])
+    def test_images_equal_the_channel_climb(self, Z, eps):
+        j = {1: Fraction(1, 2), 80: Fraction(5, 2), 118: Fraction(3, 2)}[Z]
+        ch = make_channel(make_params(Z=Z), j, eps)
+        reference = reference_climb(ch, 20)
+        rungs = ld.climb(ch, 20)
+        assert [r.psi_plus for r in rungs] == reference
+        assert [r.psi_minus for r in rungs[1:]] == reference[:-1]
+
+    def test_universal_tower_is_integral_and_small(self):
+        pi20 = ld.universal_rung(20)
+        assert all(isinstance(v, int) for v in pi20.values())
+        assert max(abs(v).bit_length() for v in pi20.values()) < 80
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 8))

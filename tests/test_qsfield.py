@@ -101,6 +101,14 @@ def test_qs_rejects_mixed_modulus():
         _ = x + y
 
 
+def test_nonpositive_modulus_rejected():
+    # every modulus enters through Quadratic.of, which zero, one and root call
+    with pytest.raises(ValueError, match="s2 must be positive"):
+        Quadratic.of(1, d=Fraction(-1))
+    with pytest.raises(ValueError, match="s2 must be positive"):
+        Quadratic.root(Fraction(0))
+
+
 def test_qs_sign_near_cancellation():
     # a + b s with a = -floor(b s) - style near misses: sign must be exact
     # sqrt(3)/2 = 0.86602540378...; 86602540378/10**11 is just below

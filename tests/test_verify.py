@@ -1,6 +1,7 @@
 """Residual checks, shooting oracle, Gram matrix, report format."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,15 +19,17 @@ CH_HEAVY = make_channel(make_params(Z=80), Fraction(5, 2), -1)
 
 
 def count_rung_checks(monkeypatch) -> Counter:
-    """Count ladder._check_rung calls per (channel, n) from here on."""
+    """Count ladder._decide_rung calls per universal rung n, from an empty
+    universal tower on."""
+    monkeypatch.setattr(ld, "_TOWER", [])
     seen = Counter()
-    check = ld._check_rung
+    decide = ld._decide_rung
 
-    def counting(state):
-        seen[(state.channel.key(), state.n)] += 1
-        check(state)
+    def counting(n, poly, below):
+        seen[n] += 1
+        decide(n, poly, below)
 
-    monkeypatch.setattr(ld, "_check_rung", counting)
+    monkeypatch.setattr(ld, "_decide_rung", counting)
     return seen
 
 
@@ -101,6 +104,21 @@ class TestSecondOrder:
         for name, rep in by_name.items():
             if name != "ladder-split-raise":
                 assert rep.is_exact_zero
+
+    def test_mode_rows_read_the_universal_rungs(self):
+        # the mode-equation rows are (s^2 - 1/4 - xi) times the window
+        # halves, which must be the images of universal rungs n and n-1
+        state = ld.build_state(CH_HEAVY, 3, 128)
+        off = replace(CH_HEAVY, xi=CH_HEAVY.xi + Fraction(1, 100))
+        shifted = replace(state, spectral=replace(state.spectral, channel=off))
+        by_name = {r.which: r for r in vf.second_order_residual(shifted)}
+        for tag, half in (("mode-equation-plus", state.psi_plus),
+                          ("mode-equation-minus", state.psi_minus)):
+            assert (by_name[tag].residual_poly - half.scale(Fraction(-1, 100))).is_zero
+        assert by_name["ladder-split-lower"].is_exact_zero
+        corrupt = replace(state, psi_plus=state.psi_plus.scale(CH_HEAVY.qs(3)))
+        with pytest.raises(AssertionError, match="not the image of the universal tower"):
+            vf.second_order_residual(corrupt)
 
     def test_physical_bottom_has_no_witness(self):
         state = ld.build_state(CH, 0, 128)
@@ -209,10 +227,15 @@ class TestGram:
                 assert abs(g[i][i] - 1 / state.ladder_norm ** 2) < mp.mpf("1e-40")
 
     def test_one_climb_checks_each_rung_once(self, monkeypatch):
+        # each universal rung is decided once per process, however many
+        # channels climb it
         seen = count_rung_checks(monkeypatch)
         g = vf.orthonormality_matrix(CH, [4, 0, 2], 128)
-        assert seen == Counter({(CH.key(), n): 1 for n in range(5)})
+        assert seen == Counter(dict.fromkeys(range(5), 1))
         assert g[0][1] == g[1][2] == 0
+        vf.orthonormality_matrix(CH_HEAVY, range(5), 128)
+        vf.orthonormality_matrix(CH, [3], 128)
+        assert seen == Counter(dict.fromkeys(range(5), 1))
 
     def test_negative_rung_refused(self):
         with pytest.raises(DomainError):
@@ -222,15 +245,13 @@ class TestGram:
 class TestReport:
     @pytest.mark.parametrize("n_max", [0, 2, 3])
     def test_each_rung_checked_once(self, monkeypatch, n_max):
+        # four channels, and two values of Z, climb the universal tower
+        # once; the algebra samples take rungs 0..2 whatever n_max is
         seen = count_rung_checks(monkeypatch)
-        rep = vf.verification_report(P1, Fraction(3, 2), n_max, 128)
-        assert rep["all_exact"] is True
-        rungs = {(make_channel(P1, j, eps).key(), n)
-                 for j in (Fraction(1, 2), Fraction(3, 2)) for eps in (-1, 1)
-                 for n in range(n_max + 1)}
-        # the algebra samples are rungs 0..2 of (j = 1/2, eps = -1)
-        rungs |= {(CH.key(), n) for n in range(3)}
-        assert seen == Counter(dict.fromkeys(rungs, 1))
+        for params in (P1, make_params(Z=80)):
+            rep = vf.verification_report(params, Fraction(3, 2), n_max, 128)
+            assert rep["all_exact"] is True
+        assert seen == Counter(dict.fromkeys(range(max(n_max, 2) + 1), 1))
 
     def test_negative_n_max_refused(self):
         with pytest.raises(DomainError):
