@@ -156,7 +156,6 @@ class SpectralPoint:
     mu: Quadratic         # lambda + n, exact
     N: int                # principal quantum number j + 1/2 + n
     E: mp.mpf
-    k: mp.mpf             # sqrt(c^4 - E^2)
     nu: mp.mpf            # sqrt((c^2 - E) / (c^2 + E))
     binding: mp.mpf       # E - c^2, computed cancellation-free
     eps_j: mp.mpf         # quantum defect j + 1/2 - s
@@ -181,14 +180,14 @@ def spectral_point(
         sn = ch.s.embed(precision + _GUARD) + n
         w = mp.sqrt(sn * sn + zeta * zeta)
         E = c2 * sn / w
-        k = c2 * zeta / w
+        k = c2 * zeta / w     # sqrt(c^4 - E^2)
         nu = k / (c2 + E)
         binding = -c2 * zeta * zeta / (w * (sn + w))
         eps_j = embed_fraction(ch.j + Fraction(1, 2), precision + _GUARD) - (sn - n)
     with mp.workprec(precision):
-        E, k, nu, binding, eps_j = +E, +k, +nu, +binding, +eps_j
+        E, nu, binding, eps_j = +E, +nu, +binding, +eps_j
 
-    point = SpectralPoint(ch, n, precision, mu, N, E, k, nu, binding, eps_j)
+    point = SpectralPoint(ch, n, precision, mu, N, E, nu, binding, eps_j)
     _check_point(point)
     return point
 

@@ -362,18 +362,14 @@ def polynomial_divmod(f: QsPolynomial, g: QsPolynomial):
     """Euclidean division over the coefficient field: f = q*g + r, deg r < deg g."""
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    q = QsPolynomial.zero_poly(f.zero)
+    q = [f.zero] * max(f.degree - g.degree + 1, 0)
     r = f
     ginv = g.leading.inverse()
     while not r.is_zero and r.degree >= g.degree:
         shift = r.degree - g.degree
-        factor = r.leading * ginv
-        term = QsPolynomial.from_coeffs(
-            [f.zero] * shift + [factor], f.zero
-        )
-        q = q + term
-        r = r - (g * term)
-    return q, r
+        q[shift] = r.leading * ginv
+        r = r - g.scale(q[shift]).mul_rho(shift)
+    return QsPolynomial.from_coeffs(q, f.zero), r
 
 
 def sturm_positive_roots(p: QsPolynomial) -> int:

@@ -9,6 +9,12 @@ an exact algebraic zero, not a small number. The identities
 replace every energy-dependent coefficient by an element of Q(s)[w]; a
 detuned w (off shell) must and does leave a nonzero residual.
 
+The first-order system is transcribed once, in _system_rows, on the pair
+(f, g) = (minus + plus, minus - plus) of the window halves. The ladder-split
+relations are the same system in the (plus, minus) basis, so they are read
+off its rows as polynomials: row_f = lower - raise and row_g = lower + raise,
+that is lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
+
 The shooting oracle knows nothing of ladders or Laguerre polynomials: it
 integrates the first-order radial system in float64 from both ends and
 finds the scaled momentum nu at which the two halves match. It runs any
@@ -39,7 +45,6 @@ from .params import (
     DomainError,
     PhysicalParams,
     channel_grid,
-    make_channel,
     mp_str,
     spectral_point,
     tower_w2,
@@ -90,15 +95,13 @@ class ResidualReport:
 
 
 def _residual_report(which: str, poly: QsPolynomial, precision: int) -> ResidualReport:
-    exact = poly.is_zero
-    if exact:
-        mx = mp.mpf(0)
-    else:
+    mx = mp.mpf(0)
+    if not poly.is_zero:
         with mp.workprec(precision + _GUARD):
             mx = max(abs(c.embed(precision + _GUARD)) for c in poly.coeffs)
         with mp.workprec(precision):
             mx = +mx
-    return ResidualReport(which, poly, exact, mx)
+    return ResidualReport(which, poly, poly.is_zero, mx)
 
 
 def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
@@ -131,8 +134,7 @@ def first_order_residual(pair: RadialPair):
     prec = pair.state.spectral.precision
     ch = pair.channel
     n = pair.n
-    w = exact_w(ch, n)
-    row_f, row_g = _system_rows(ch, n, pair.f_poly, pair.g_poly, w)
+    row_f, row_g = _system_rows(ch, n, pair.f_poly, pair.g_poly, exact_w(ch, n))
     return (_residual_report("radial-row-f", row_f, prec),
             _residual_report("radial-row-g", row_g, prec))
 
@@ -148,9 +150,7 @@ def detuned_first_order(state: LadderState):
     w2_off = tower_w2(ch, n) * (1 + _DETUNE)
     w_off = Quadratic.root(w2_off)
     plus, minus = tower_window(state, w2_off, w_off)
-    f = minus + plus
-    g = minus - plus
-    row_f, row_g = _system_rows(ch, n, f, g, w_off)
+    row_f, row_g = _system_rows(ch, n, minus + plus, minus - plus, w_off)
     return (_residual_report("radial-row-f-detuned", row_f, prec),
             _residual_report("radial-row-g-detuned", row_g, prec))
 
@@ -169,10 +169,20 @@ def second_order_residual(state: LadderState):
     ladder-split-raise: rho psi_minus' + (n + 2s - 2 rho) psi_minus
                          = -(w + tau) psi_plus
 
-    The raise relation is the unphysical-bottom detector: at n = 0 its
-    residual is (w + tau) psi_plus, which vanishes exactly when tau < 0
-    (w = -tau) and equals 2 tau at a tau > 0 bottom rung.
+    These are the first-order system in the (plus, minus) basis: their
+    residuals are lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2
+    on the rows of first_order_residual. The raise relation is the
+    unphysical-bottom detector: at n = 0 its residual is (w + tau) psi_plus,
+    which vanishes exactly when tau < 0 (w = -tau) and equals 2 tau at a
+    tau > 0 bottom rung.
     """
+    radial = first_order_residual(assemble(state, allow_unphysical=True))
+    return _second_order_rows(state, radial)
+
+
+def _second_order_rows(state: LadderState, radial):
+    """The four reports of second_order_residual, the split rows read off
+    the radial rows (row_f, row_g) of the same state."""
     prec = state.spectral.precision
     ch = state.channel
     n = state.n
@@ -184,20 +194,11 @@ def second_order_residual(state: LadderState):
         if half != rung:
             raise AssertionError(f"rung {n} window is not the image of the universal tower")
         reports.append(_residual_report(tag, half.scale(link), prec))
-
-    w2 = tower_w2(ch, n)
-    w = exact_w(ch, n)
-    tau = ch.qs(ch.tau)
-    plus, minus = tower_window(state, w2, w)
-
-    lower = (plus.derivative().mul_rho() - plus.scale(Quadratic.of(ch.qs(n), d=w2))
-             - minus.scale(w - tau))
-    raise_ = (minus.derivative().mul_rho()
-              + minus.scale(Quadratic.of(ch.qs(n) + ch.s * 2, d=w2))
-              - minus.mul_rho().scale(2)
-              + plus.scale(w + tau))
-    reports.append(_residual_report("ladder-split-lower", lower, prec))
-    reports.append(_residual_report("ladder-split-raise", raise_, prec))
+    row_f, row_g = (rep.residual_poly for rep in radial)
+    reports.append(_residual_report(
+        "ladder-split-lower", (row_f + row_g).scale(Fraction(1, 2)), prec))
+    reports.append(_residual_report(
+        "ladder-split-raise", (row_g - row_f).scale(Fraction(1, 2)), prec))
     return tuple(reports)
 
 
@@ -375,21 +376,20 @@ def oracle_sweep(params: PhysicalParams, j_max: Fraction, n_max: int):
 # -- Gram matrix and report ------------------------------------------------------
 
 
-def orthonormality_matrix(channel: Channel, n_list, precision: int = DEFAULT_PRECISION,
-                          normalized: bool = True):
-    """Gram matrix of tower kets under the phase-averaged inner product.
+def orthonormality_matrix(channel: Channel, n_list, precision: int = DEFAULT_PRECISION):
+    """Gram matrix of unit tower kets under the phase-averaged inner product.
 
     Off-diagonal entries are exact integer zeros (distinct modes); diagonal
-    entries are 1 when normalized, otherwise the tracked 1/ladder_norm^2.
+    entries are 1 to within the working precision.
     """
     n_list = list(n_list)
     if min(n_list, default=0) < 0:
         raise DomainError("rung index must be a nonnegative integer")
     rungs = climb(channel, max(n_list, default=0), precision)
-    return _gram_matrix([rungs[n] for n in n_list], precision, normalized)
+    return _gram_matrix([rungs[n] for n in n_list], precision)
 
 
-def _gram_matrix(states, precision: int, normalized: bool):
+def _gram_matrix(states, precision: int):
     size = len(states)
     out = [[0] * size for _ in range(size)]
     for i in range(size):
@@ -399,12 +399,10 @@ def _gram_matrix(states, precision: int, normalized: bool):
             if isinstance(val, int):
                 out[i][j] = val
                 continue
-            if normalized:
-                with mp.workprec(precision + _GUARD):
-                    val = val * states[i].ladder_norm * states[j].ladder_norm
-                with mp.workprec(precision):
-                    val = +val
-            out[i][j] = val
+            with mp.workprec(precision + _GUARD):
+                val = val * states[i].ladder_norm * states[j].ladder_norm
+            with mp.workprec(precision):
+                out[i][j] = +val
     return out
 
 
@@ -424,8 +422,10 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                         inject_off_shell: bool = False) -> dict:
     """Run the exact residual suite over a channel grid; JSON-friendly.
 
-    One climb per channel serves the residual rows, the Gram matrix and
-    (j = 1/2, eps = -1) the commutator and Casimir samples.
+    One climb per channel, to rung max(n_max, 2), serves the residual rows
+    and the Gram matrix; the first channel's (j = 1/2, eps = -1) also gives
+    the commutator and Casimir samples. Each rung is assembled once, and its
+    split rows are read off its radial rows.
 
     inject_off_shell deliberately swaps one state's first-order residuals
     for their detuned counterparts, so a healthy reporting path must flag
@@ -437,40 +437,35 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
     channels = []
     all_exact = True
     injected = False
-    sample_ch = make_channel(params, Fraction(1, 2), -1)
-    sample_rungs = climb(sample_ch, max(n_max, 2), precision)
-    for ch in grid:
-        rungs = sample_rungs if ch == sample_ch else climb(ch, n_max, precision)
+    towers = [climb(ch, max(n_max, 2), precision) for ch in grid]
+    for ch, rungs in zip(grid, towers):
         rows = []
         for n, state in enumerate(rungs[:n_max + 1]):
             entry = {"n": n, "physical": state.is_physical}
-            reports = list(second_order_residual(state))
+            radial = first_order_residual(assemble(state, allow_unphysical=True))
+            reports = list(_second_order_rows(state, radial))
             if state.is_physical:
-                pair = assemble(state)
-                if inject_off_shell and not injected and n >= 1:
-                    injected = True
-                    entry["injected_off_shell"] = True
-                    reports += [replace(rep, which=rep.which.replace("-detuned", ""))
-                                for rep in detuned_first_order(state)]
-                else:
-                    reports.extend(first_order_residual(pair))
                 if n >= 1:
                     det = detuned_first_order(state)
                     entry["detuned_nonzero"] = all(
                         not r.is_exact_zero for r in det)
                     if not entry["detuned_nonzero"]:
                         all_exact = False
+                    if inject_off_shell and not injected:
+                        injected = True
+                        entry["injected_off_shell"] = True
+                        radial = [replace(rep, which=rep.which.replace("-detuned", ""))
+                                  for rep in det]
+                reports.extend(radial)
                 expected_zero = reports
             else:
                 # bottom rung of a tau > 0 channel: the raise-split
-                # residual is the witness that no bound state sits here
-                raise_split = [r for r in reports if r.which == "ladder-split-raise"]
-                entry["bottom_rung_witness_nonzero"] = all(
-                    not r.is_exact_zero for r in raise_split)
-                if not entry["bottom_rung_witness_nonzero"]:
+                # residual, the last row, is the witness that no bound
+                # state sits here
+                *expected_zero, witness = reports
+                entry["bottom_rung_witness_nonzero"] = not witness.is_exact_zero
+                if witness.is_exact_zero:
                     all_exact = False
-                expected_zero = [r for r in reports
-                                 if r.which != "ladder-split-raise"]
             entry["residuals"] = {
                 r.which: {"exact_zero": r.is_exact_zero,
                           "max_abs": mp_str(r.max_abs_embedded, 32)}
@@ -480,7 +475,7 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                 all_exact = False
                 entry["failed"] = bad
             rows.append(entry)
-        gram = _gram_matrix(rungs[:min(n_max, 5) + 1], precision, True)
+        gram = _gram_matrix(rungs[:min(n_max, 5) + 1], precision)
         size = len(gram)
         off_ok = all(gram[a][b] == 0 for a in range(size)
                      for b in range(size) if a != b)
@@ -493,7 +488,7 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                          "gram_offdiagonal_exact_zero": off_ok,
                          "gram_diagonal_max_err": mp_str(diag_err, 32),
                          "gram_identity_ok": gram_ok})
-    sample_members = [state.plus_function() for state in sample_rungs[:3]]
+    sample_members = [state.plus_function() for state in towers[0][:3]]
     comm_ok = all(
         commutator_check(f, pair).is_zero
         for f in sample_members for pair in COMMUTATORS)

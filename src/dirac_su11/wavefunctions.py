@@ -50,6 +50,7 @@ class RadialPair:
     f_scale: mp.mpf
     g_scale: mp.mpf
     samples: Optional[tuple] = None
+    moments: Optional[tuple] = None  # (M[f^2], M[g^2]) of the parts, set by normalize
 
     @property
     def channel(self) -> Channel:
@@ -58,12 +59,6 @@ class RadialPair:
     @property
     def n(self) -> int:
         return self.state.n
-
-
-def tower_lift(poly: QsPolynomial, w2: Quadratic) -> QsPolynomial:
-    zero = Quadratic.zero(w2)
-    return QsPolynomial.from_coeffs(
-        [Quadratic.of(c, d=w2) for c in poly.coeffs], zero)
 
 
 def exact_w(channel: Channel, n: int) -> Quadratic:
@@ -87,11 +82,10 @@ def small_component_scalar(channel: Channel, n: int) -> Quadratic:
 def tower_window(state: LadderState, w2: Quadratic, w: Quadratic):
     """(pi_n, -(w + tau) pi_{n-1}) lifted into Q(s)[w] with w^2 = w2; the
     minus half is zero at n = 0."""
-    plus = tower_lift(state.psi_plus, w2)
-    if state.n == 0:
-        return plus, QsPolynomial.zero_poly(Quadratic.zero(w2))
+    zero = Quadratic.zero(w2)
     tau = state.channel.qs(state.channel.tau)
-    return plus, tower_lift(state.psi_minus, w2).scale(-(w + tau))
+    return (QsPolynomial.from_coeffs(state.psi_plus.coeffs, zero),
+            QsPolynomial.from_coeffs(state.psi_minus.coeffs, zero).scale(-(w + tau)))
 
 
 def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
@@ -123,10 +117,11 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
 def normalize(pair: RadialPair) -> RadialPair:
     """Fix the overall constant so int (F^2 + G^2) d rho = 1.
 
-    Returns a pair whose scales carry the constant and whose state records
-    it in norm_constant.
+    Returns a pair whose scales carry the constant, whose state records
+    it in norm_constant, and which keeps the moments of f^2 and g^2.
     """
     prec = pair.state.spectral.precision
+    pair = replace(pair, moments=_square_moments(pair))
     total = norm_integral(pair)
     with mp.workprec(prec + _GUARD):
         if total <= 0:
@@ -140,12 +135,19 @@ def normalize(pair: RadialPair) -> RadialPair:
                        g_scale=+(pair.g_scale * const))
 
 
+def _square_moments(pair: RadialPair) -> tuple:
+    """(M[f^2], M[g^2]) under the radial measure d rho: each polynomial part
+    squared exactly once."""
+    prec = pair.state.spectral.precision
+    return tuple(moment_sum(p * p, pair.channel, prec, shift=1)
+                 for p in (pair.f_poly, pair.g_poly))
+
+
 def norm_integral(pair: RadialPair) -> mp.mpf:
     """int (F^2 + G^2) d rho for the pair as scaled, carrying precision +
-    guard bits."""
+    guard bits; reuses the moments a normalized pair keeps."""
     prec = pair.state.spectral.precision
-    ff = moment_sum(pair.f_poly * pair.f_poly, pair.channel, prec, shift=1)
-    gg = moment_sum(pair.g_poly * pair.g_poly, pair.channel, prec, shift=1)
+    ff, gg = _square_moments(pair) if pair.moments is None else pair.moments
     with mp.workprec(prec + _GUARD):
         return pair.f_scale ** 2 * ff + pair.g_scale ** 2 * gg
 
@@ -163,8 +165,9 @@ def laguerre_poly(channel: Channel, n: int) -> QsPolynomial:
 
 @dataclass(frozen=True, slots=True)
 class LaguerreReport:
-    """Exact comparison of the tower polynomials with classical Laguerre
-    polynomials, plus the coupled linear system tying the two scalars."""
+    """The Laguerre scalars of the two window halves and the coupled linear
+    system tying them; pi_n = n! L_n^{(2s)}(2 rho) itself is decided once
+    per rung in ladder."""
 
     n: int
     alpha: str                      # 2s as an exact field element, printed
@@ -204,16 +207,10 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
         raise DomainError("cross check needs n >= 1 so both scalars exist")
     w2 = tower_w2(ch, n)
 
-    # exact scalar ratios against the recurrence-built polynomials
-    ln = laguerre_poly(ch, n)
-    lnm1 = laguerre_poly(ch, n - 1)
-    plus, phys_minus = tower_window(state, w2, exact_w(ch, n))
+    # the scalars of psi_plus = n! L_n and psi_minus = -(w+tau)(n-1)! L_{n-1};
+    # pi_n = n! L_n^{(2s)}(2 rho) is decided in ladder._decide_rung
     a_scalar = Quadratic.of(ch.qs(math.factorial(n)), d=w2)
-    if not (plus - tower_lift(ln, w2).scale(a_scalar)).is_zero:
-        raise AssertionError("psi_plus is not n! L_n^{(2s)}(2 rho)")
     b_scalar = small_component_scalar(ch, n) * math.factorial(n - 1)
-    if not (phys_minus - tower_lift(lnm1, w2).scale(b_scalar)).is_zero:
-        raise AssertionError("psi_minus is not -(w+tau)(n-1)! L_{n-1}^{(2s)}(2 rho)")
 
     row1, row2 = _coupling_rows(ch, n, a_scalar, b_scalar)
     rows_zero = row1.is_zero and row2.is_zero

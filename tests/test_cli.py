@@ -139,6 +139,24 @@ class TestState:
         assert doc["laguerre_report"] is None
         assert doc["checks"]["first_order_exact"] is True
 
+    def test_each_component_squared_once(self, capsys, monkeypatch):
+        # normalize squares f and g; the normalization check reuses them
+        from dirac_su11 import algebra, wavefunctions
+        squared = []
+        moment_sum = algebra.moment_sum
+
+        def counting(poly, *args, **kwargs):
+            squared.append(poly)
+            return moment_sum(poly, *args, **kwargs)
+
+        monkeypatch.setattr(algebra, "moment_sum", counting)
+        monkeypatch.setattr(wavefunctions, "moment_sum", counting)
+        code, out = run(capsys, ["state", "--j", "1/2", "--eps", "-1", "--n", "3",
+                                 "--samples", "3", "--format", "json"] + FAST)
+        assert code == 0
+        assert json.loads(out)["checks"]["normalization_ok"] is True
+        assert len(squared) == 2
+
     def test_unphysical_slot_is_an_error(self, capsys):
         code = main(["state", "--j", "1/2", "--eps", "1", "--n", "0"] + FAST)
         captured = capsys.readouterr()

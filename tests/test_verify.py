@@ -7,7 +7,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from dirac_su11.params import make_params, make_channel, spectral_point, DomainError
+from dirac_su11.params import (make_params, make_channel, spectral_point, tower_w2,
+                               DomainError)
+from dirac_su11.qsfield import Quadratic
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
 from dirac_su11 import verify as vf
@@ -126,6 +128,60 @@ class TestSecondOrder:
         assert by_name["ladder-split-raise"].is_exact_zero
 
 
+def split_rows(state, w2, w):
+    """The ladder-split residuals (lower, raise) written out by hand on the
+    window at w, w^2 = w2."""
+    ch, n = state.channel, state.n
+    tau = ch.qs(ch.tau)
+    plus, minus = wf.tower_window(state, w2, w)
+    lower = (plus.derivative().mul_rho() - plus.scale(Quadratic.of(ch.qs(n), d=w2))
+             - minus.scale(w - tau))
+    raise_ = (minus.derivative().mul_rho()
+              + minus.scale(Quadratic.of(ch.qs(n) + ch.s * 2, d=w2))
+              - minus.mul_rho().scale(2) + plus.scale(w + tau))
+    return lower, raise_
+
+
+class TestRotation:
+    # f = minus + plus and g = minus - plus turn the split relations into
+    # the radial rows: row_f = lower - raise, row_g = lower + raise
+    CASES = [(CH, 0), (CH, 1), (CH, 3), (CH_P, 0), (CH_P, 2), (CH_HEAVY, 3)]
+
+    @pytest.mark.parametrize("ch, n", CASES)
+    def test_on_shell(self, ch, n):
+        state = ld.build_state(ch, n, 128)
+        lower, raise_ = split_rows(state, tower_w2(ch, n), wf.exact_w(ch, n))
+        pair = wf.assemble(state, allow_unphysical=True)
+        row_f, row_g = (r.residual_poly for r in vf.first_order_residual(pair))
+        assert row_f == lower - raise_
+        assert row_g == lower + raise_
+        by_name = {r.which: r.residual_poly for r in vf.second_order_residual(state)}
+        assert by_name["ladder-split-lower"] == lower
+        assert by_name["ladder-split-raise"] == raise_
+        assert lower.is_zero
+        if state.is_physical:
+            assert raise_.is_zero
+        else:  # tau > 0 bottom: raise = 2 tau pi_0
+            assert raise_.coeffs == (raise_.zero + ch.qs(2 * ch.tau),)
+
+    @pytest.mark.parametrize("ch, n", [c for c in CASES if c[1] >= 1])
+    def test_detuned(self, ch, n):
+        state = ld.build_state(ch, n, 128)
+        w2 = tower_w2(ch, n) * (1 + vf._DETUNE)
+        lower, raise_ = split_rows(state, w2, Quadratic.root(w2))
+        detuned = vf.detuned_first_order(state)
+        row_f, row_g = (r.residual_poly for r in detuned)
+        assert row_f == lower - raise_
+        assert row_g == lower + raise_
+        # the split rows read off the detuned rows are the detuned split
+        by_name = {r.which: r.residual_poly
+                   for r in vf._second_order_rows(state, detuned)}
+        assert by_name["ladder-split-lower"] == lower
+        assert by_name["ladder-split-raise"] == raise_
+        # off shell the lowering relation fails; raising holds for any w
+        assert not lower.is_zero and raise_.is_zero
+
+
 class TestShootingOracle:
     def test_ground_binding(self):
         res = vf.shooting_oracle(CH, 0)
@@ -220,11 +276,12 @@ class TestGram:
                 assert abs(g[i][i] - 1) < mp.mpf(2) ** -150
 
     def test_unnormalized_diagonal_tracks_norm(self):
-        g = vf.orthonormality_matrix(CH, range(4), 192, normalized=False)
+        # before the ket normalizers, the diagonal is <pi_n, pi_n> = 1/A_n^2
         with mp.workprec(192):
             for i in range(4):
                 state = ld.build_state(CH, i, 192)
-                assert abs(g[i][i] - 1 / state.ladder_norm ** 2) < mp.mpf("1e-40")
+                assert abs(ld.ket_norm_squared(state)
+                           - 1 / state.ladder_norm ** 2) < mp.mpf("1e-40")
 
     def test_one_climb_checks_each_rung_once(self, monkeypatch):
         # each universal rung is decided once per process, however many
@@ -252,6 +309,22 @@ class TestReport:
             rep = vf.verification_report(params, Fraction(3, 2), n_max, 128)
             assert rep["all_exact"] is True
         assert seen == Counter(dict.fromkeys(range(max(n_max, 2) + 1), 1))
+
+    def test_each_rung_assembled_once(self, monkeypatch):
+        # one window lift per rung, plus one per detuned control
+        calls = []
+        window = wf.tower_window
+
+        def counting(*args):
+            calls.append(args)
+            return window(*args)
+
+        monkeypatch.setattr(wf, "tower_window", counting)
+        monkeypatch.setattr(vf, "tower_window", counting)
+        rep = vf.verification_report(make_params(Z=80))
+        rows = [row for block in rep["channels"] for row in block["rows"]]
+        assert len(rows) == 36
+        assert len(calls) == len(rows) + sum("detuned_nonzero" in row for row in rows)
 
     def test_negative_n_max_refused(self):
         with pytest.raises(DomainError):
