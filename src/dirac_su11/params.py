@@ -193,8 +193,10 @@ def spectral_point(
 
 
 def _check_point(p: SpectralPoint) -> None:
-    c2 = p.channel.params.c2
-    if not (0 < p.E < embed_fraction(c2, p.precision)):
+    # E = c^2 (s + n)/w with w > 0, so 0 < E < c^2 iff s + n > 0 and
+    # (s + n)^2 < w^2: decided in Q(s), whatever precision embeds E
+    sn = p.channel.s + p.n
+    if sn.sign() <= 0 or (tower_w2(p.channel, p.n) - sn * sn).sign() <= 0:
         raise AssertionError("bound-state energy left (0, c^2)")
     # representation bound 2 mu^2 >= xi, strict for bound modes
     gap = 2 * p.mu * p.mu - p.channel.qs(p.channel.xi)

@@ -18,10 +18,13 @@ that is lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
 The shooting oracle knows nothing of ladders or Laguerre polynomials: it
 integrates the first-order radial system in float64 from both ends and
 finds the scaled momentum nu at which the two halves match. It runs any
-number of levels in lock-step: every level's outward and inward half is
-one block of a single stacked DOP853 system (Hairer, Norsett & Wanner,
-Solving ODEs I), and vectorised Illinois false position (Dowell &
-Jarratt, BIT 11, 1971) refines all brackets at once, one solve per round.
+number of levels, and many trial values of nu per level, in lock-step:
+every (level, nu) lane's outward and inward half is one block of a single
+stacked DOP853 system (Hairer, Norsett & Wanner, Solving ODEs I). Since
+scipy's per-step overhead dominates, a solve of 224 lanes costs less than
+twice one of 14, so each round samples every live bracket at many points
+at once: evenly at first, then geometrically about an inverse cubic
+estimate of the root. The 14 levels of j <= 3/2, n <= 3 take five solves.
 Its eigenvalues confirm the closed-form spectrum to near machine accuracy
 (the binding energy is compared, since the total energy is dominated by
 the rest term c^2).
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .params import (
     DEFAULT_PRECISION,
@@ -67,7 +70,12 @@ ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
 
 _RHO0 = 1e-6             # where the outward series seed starts
 _XTOL, _RTOL = 1e-300, 8.9e-16   # converged bracket width, as brentq's
-_ILLINOIS_CAP = 100      # root-finding rounds; typical levels need about 10
+_ROUND_CAP = 100         # root-finding rounds after the first solve; levels need 2-4
+_SAMPLES = 16            # trial nu per live level in each solve
+# the innermost points sit this many tolerances either side of the root
+# estimate; _RTOL is at least 4 float64 ulps, so 2 x 3/8 of it plus one ulp
+# of rounding stays within a tolerance
+_HALF_TOL = 0.375
 _DETUNE = Fraction(1, 1000)   # relative shift of w^2 in the detuned control
 
 
@@ -251,27 +259,61 @@ def _shoot(s, zeta, tau, n, nu):
     ones = np.ones(m)
     y0 = np.concatenate((1.0 + f1 * _RHO0, ones, g0 + g1 * _RHO0, -ones))
     atol = np.tile(np.concatenate((np.full(m, 1e-14), np.full(m, 1e-300))), 2)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=atol)
-    if not sol.success:
-        raise AssertionError(f"oracle integration failed: {sol.message}")
-    fo, fi, go, gi = sol.y[:, -1].reshape(4, m)
-    return (fo * gi - fi * go) / (np.hypot(fo, go) * np.hypot(fi, gi)), sol.nfev
+    # the stepper solve_ivp drives, driven here without keeping the history
+    # of every step: a wide solve would hold megabytes of it
+    solver = DOP853(rhs, 0.0, y0, 1.0, rtol=1e-13, atol=atol)
+    message = None
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status != "finished":
+        raise AssertionError(f"oracle integration failed: {message}")
+    fo, fi, go, gi = solver.y.reshape(4, m)
+    return (fo * gi - fi * go) / (np.hypot(fo, go) * np.hypot(fi, gi)), solver.nfev
+
+
+def _root_estimate(x, m, i, a, b, fa, fb):
+    """Where each row's mismatch m(x) vanishes inside its pair (a, b) =
+    (x[i], x[i+1]): inverse cubic interpolation through the four samples
+    around the pair, or the secant of the pair where the cubic is undefined
+    or leaves it."""
+    rows = np.arange(len(i))[:, None]
+    cols = np.clip(i - 1, 0, x.shape[1] - 4)[:, None] + np.arange(4)
+    X, M = x[rows, cols], m[rows, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cubic = np.zeros(len(i))
+        for p in range(4):
+            term = X[:, p]
+            for q in range(4):
+                if q != p:
+                    term = term * M[:, q] / (M[:, q] - M[:, p])
+            cubic = cubic + term
+        secant = a - fa * (b - a) / (fb - fa)
+    inside = np.isfinite(cubic) & (a < cubic) & (cubic < b)
+    return np.where(inside, cubic, secant)
 
 
 def shooting_oracle_batch(levels) -> list:
     """Two-sided float64 shooting for a list of (channel, n) levels at once.
 
     Every level is integrated in one stacked DOP853 system (see _shoot), so
-    the levels share one step controller. The root of each level's
-    normalized Wronskian mismatch in nu is bracketed by the closed-form
-    values at the half-integer indices n -+ 1/2: both ends of every
-    bracket go into one solve, and a level with no sign change there (no
-    bound state at the slot) raises BracketingError naming every empty
-    slot before any root finding. Vectorised Illinois false position then
-    refines the levels whose bracket is still wider than brentq's
-    tolerance, one solve per round; converged levels drop out. A level's
-    ``steps`` counts the RHS evaluations of the solves it took part in,
-    and ``mismatch`` is that of its last iterate.
+    the levels share one step controller, and every trial nu of every live
+    level goes into the same solve. The root of each level's normalized
+    Wronskian mismatch in nu is bracketed by the closed-form values at the
+    half-integer indices n -+ 1/2. The first solve samples each bracket at
+    _SAMPLES evenly spaced points, ends included; a level with no sign
+    change between its ends (no bound state at the slot) raises
+    BracketingError naming every empty slot before any root finding.
+
+    Then, for every live level, the narrowest adjacent pair of samples whose
+    mismatch changes sign (zero counts as positive) is kept. A level is
+    done when that pair is no wider than brentq's tolerance
+    _XTOL + _RTOL |nu|; its nu is the end of the pair with the smaller
+    mismatch. Otherwise inverse cubic interpolation through the four
+    samples around the pair, or the pair's secant where the cubic leaves
+    it, estimates the root, and the next solve takes _SAMPLES points spaced
+    geometrically out from the estimate, from _HALF_TOL tolerances to the
+    ends of the pair. A level's ``steps`` counts the RHS evaluations of the
+    solves it took part in, and ``mismatch`` is that of its nu.
     """
     for _, index in levels:
         if not isinstance(index, int) or index < 0:
@@ -285,52 +327,72 @@ def shooting_oracle_batch(levels) -> list:
     tau = np.array([float(ch.tau) for ch, _ in levels])
     n = np.array([index for _, index in levels], dtype=float)
     k = len(levels)
+    steps = np.zeros(k, dtype=int)
+
+    def shoot(lanes, nus):
+        # one solve: level lanes[i] at trial value nus[i]
+        mis, nfev = _shoot(s[lanes], zeta[lanes], tau[lanes], n[lanes], nus)
+        steps[np.unique(lanes)] += nfev
+        return mis
 
     nu_lo = _nu_of_index(s, zeta, n + 0.5)
     nu_hi = _nu_of_index(s, zeta, n - 0.5)
-    ends, nfev = _shoot(*(np.tile(v, 2) for v in (s, zeta, tau, n)),
-                        np.concatenate((nu_lo, nu_hi)))
-    m_lo, m_hi = ends[:k], ends[k:]
-    empty = np.flatnonzero(m_lo * m_hi > 0)
+    live = np.arange(k)
+    x = nu_lo[:, None] + (nu_hi - nu_lo)[:, None] * np.linspace(0.0, 1.0, _SAMPLES)
+    x[:, -1] = nu_hi
+    m = shoot(live.repeat(_SAMPLES), x.ravel()).reshape(x.shape)
+    empty = np.flatnonzero((m[:, 0] < 0) == (m[:, -1] < 0))
     if empty.size:
         raise BracketingError("; ".join(
             f"no eigenvalue between nu={nu_lo[i]:.6g} and nu={nu_hi[i]:.6g} "
             f"for {levels[i][0]} at slot n={levels[i][1]}" for i in empty),
             slots=[levels[i] for i in empty])
 
-    # Illinois: b is always the latest iterate, [a, b] brackets the root
-    a, fa, b, fb = nu_lo.copy(), m_lo.copy(), nu_hi.copy(), m_hi.copy()
-    steps = np.full(k, nfev)
-    live = np.arange(k)
+    root, root_mis = np.empty(k), np.empty(k)
     rounds = 0
     while True:
-        A, FA, B, FB = a[live], fa[live], b[live], fb[live]
-        done = (FB == 0) | (np.abs(B - A) <= _XTOL + _RTOL * np.abs(B))
-        live, A, FA, B, FB = (v[~done] for v in (live, A, FA, B, FB))
-        if not live.size:
+        # the narrowest adjacent pair of samples whose mismatch changes sign
+        # (a zero mismatch counts as positive); the ends always differ
+        rows = np.arange(live.size)
+        change = (m[:, :-1] < 0) != (m[:, 1:] < 0)
+        i = np.argmin(np.where(change, np.diff(x, axis=1), np.inf), axis=1)
+        a, b, fa, fb = x[rows, i], x[rows, i + 1], m[rows, i], m[rows, i + 1]
+        done = b - a <= _XTOL + _RTOL * np.minimum(np.abs(a), np.abs(b))
+        closer = np.abs(fa) <= np.abs(fb)
+        root[live[done]] = np.where(closer, a, b)[done]
+        root_mis[live[done]] = np.minimum(np.abs(fa), np.abs(fb))[done]
+        keep = ~done
+        if not keep.any():
             break
-        if rounds == _ILLINOIS_CAP:
+        if rounds == _ROUND_CAP:
             raise AssertionError(
                 f"oracle root finding did not converge in {rounds} rounds for "
-                + ", ".join(f"{levels[i][0]} n={levels[i][1]}" for i in live))
+                + ", ".join(f"{levels[j][0]} n={levels[j][1]}" for j in live[keep]))
         rounds += 1
-        # as in Brent's method, keep each iterate half a tolerance inside
-        # the bracket, so one next to the root crosses it and closes the
-        # bracket (the bracket is wider than a whole tolerance here)
-        tol = 0.5 * (_XTOL + _RTOL * np.abs(B))
-        c = np.clip(B - FB * (B - A) / (FB - FA),
-                    np.minimum(A, B) + tol, np.maximum(A, B) - tol)
-        fc, nfev = _shoot(s[live], zeta[live], tau[live], n[live], c)
-        steps[live] += nfev
-        flip = fc * FB < 0
-        a[live] = np.where(flip, B, A)
-        fa[live] = np.where(flip, FB, 0.5 * FA)
-        b[live], fb[live] = c, fc
+        live, x, m, i, a, b, fa, fb = (v[keep] for v in (live, x, m, i, a, b, fa, fb))
+        c = _root_estimate(x, m, i, a, b, fa, fb)
+        # as in Brent's method, keep the estimate inside the pair, so that
+        # the two innermost points, under a tolerance apart, close the pair
+        # on a root the estimate found (the pair is wider than a tolerance)
+        h = _HALF_TOL * (_XTOL + _RTOL * np.abs(c))
+        c = np.clip(c, a + h, b - h)
+        # distances h, h q, h q^2, ... growing towards each end of the pair
+        half = _SAMPLES // 2
+        pw = np.arange(half) / half
+        left = c[:, None] - h[:, None] * ((c - a) / h)[:, None] ** pw[::-1]
+        right = c[:, None] + h[:, None] * ((b - c) / h)[:, None] ** pw
+        # a point that rounds onto an end of the pair takes that end's
+        # sample, so no point is integrated twice
+        lo, hi = a[:, None], b[:, None]
+        x = np.clip(np.column_stack((a, left, right, b)), lo, hi)
+        m = np.where(x == lo, fa[:, None], fb[:, None])
+        inner = np.nonzero((x != lo) & (x != hi))
+        m[inner] = shoot(live[inner[0]], x[inner])
 
     out = []
-    for (ch, _), nu, lo, hi, st, mis in zip(levels, b.tolist(), nu_lo.tolist(),
+    for (ch, _), nu, lo, hi, st, mis in zip(levels, root.tolist(), nu_lo.tolist(),
                                            nu_hi.tolist(), steps.tolist(),
-                                           np.abs(fb).tolist()):
+                                           root_mis.tolist()):
         c2 = float(ch.params.c * ch.params.c)
         out.append(OracleResult(
             E_oracle=c2 * (1 - nu ** 2) / (1 + nu ** 2),

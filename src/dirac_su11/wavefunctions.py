@@ -101,6 +101,11 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
     prec = state.spectral.precision
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
+        if state.spectral.E >= c2:
+            # 0 < E < c^2 is decided exactly in spectral_point; only the
+            # embedding can round E up to c^2
+            raise DomainError(f"E rounds to c^2 or above at {prec} bits, "
+                              "so sqrt(c^2 - E) needs a higher precision")
         fs = mp.sqrt(c2 + state.spectral.E)
         gs = mp.sqrt(c2 - state.spectral.E)
     with mp.workprec(prec):

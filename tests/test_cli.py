@@ -319,11 +319,23 @@ class TestExitCodes:
             assert main(["spectrum", "--precision", value]) == 2
             assert "must be positive" in capsys.readouterr().err
 
-    def test_failed_internal_check(self, capsys):
-        # 8 bits cannot hold the energy inside (0, c^2)
+    def test_failed_internal_check(self, capsys, monkeypatch):
+        # with w^2 = (s + n)^2 the exact energy window check must fail
+        from dirac_su11 import params
+        monkeypatch.setattr(params, "tower_w2", lambda ch, n: (ch.s + n) * (ch.s + n))
         assert main(["spectrum", "--precision", "8"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: internal check failed:")
+        assert err == "error: internal check failed: bound-state energy left (0, c^2)\n"
+
+    def test_low_precision(self, capsys):
+        # the energy window is decided in Q(s), so 8 bits print a spectrum;
+        # sqrt(c^2 - E) of a state needs E embedded below c^2
+        assert main(["spectrum", "--precision", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["binding"] == "-0.5"
+        assert main(["state", "--j", "1/2", "--eps", "-1", "--n", "0",
+                     "--precision", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: E rounds to c^2 or above at 8 bits")
         assert len(err.strip().splitlines()) == 1
 
     def test_empty_verify_grid(self, capsys):

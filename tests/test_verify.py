@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from dirac_su11.params import (make_params, make_channel, spectral_point, tower_w2,
+from dirac_su11.params import (make_params, make_channel, channel_grid, spectral_point, tower_w2,
                                DomainError)
 from dirac_su11.qsfield import Quadratic
 from dirac_su11 import ladder as ld
@@ -221,6 +221,31 @@ class TestShootingOracle:
         assert res.mismatch < 1e-9
 
 
+def spy_on_shoot(monkeypatch):
+    """Record every lane _shoot integrates. Returns {(tau, n): {nu:
+    mismatch}} and, per solve, its RHS count and the set of (tau, n) in it.
+    At one Z, (tau, n) names a level."""
+    probes, calls = {}, []
+    shoot = vf._shoot
+
+    def spy(s, zeta, tau, n, nu):
+        mismatch, nfev = shoot(s, zeta, tau, n, nu)
+        keys = list(zip(tau.tolist(), n.astype(int).tolist()))
+        calls.append((nfev, set(keys)))
+        for key, x, m in zip(keys, nu.tolist(), mismatch.tolist()):
+            probes.setdefault(key, {})[x] = m
+        return mismatch, nfev
+
+    monkeypatch.setattr(vf, "_shoot", spy)
+    return probes, calls
+
+
+def sweep_levels(Z):
+    """The bound levels with j <= 3/2, n <= 3 at one Z: 14 levels."""
+    return [(ch, n) for ch in channel_grid(make_params(Z=Z), Fraction(3, 2))
+            for n in range(4) if ch.is_bound(n)]
+
+
 class TestOracleBatch:
     def test_batch_agrees_with_single_levels(self):
         # the levels of acceptance criterion 1; in a batch they share one
@@ -247,8 +272,37 @@ class TestOracleBatch:
         with pytest.raises(DomainError):
             vf.shooting_oracle_batch([(CH, 0), (CH, vf.ORACLE_N_CAP + 1)])
 
+    def test_every_level_is_certified(self, monkeypatch):
+        # each nu_oracle is one end of a pair of probed points at most a
+        # tolerance apart whose mismatches differ in sign (zero counts as
+        # positive); steps is the RHS count of the solves it took part in
+        probes, calls = spy_on_shoot(monkeypatch)
+        levels = sweep_levels(40)
+        for (ch, n), res in zip(levels, vf.shooting_oracle_batch(levels)):
+            key = (float(ch.tau), n)
+            assert res.steps == sum(nfev for nfev, keys in calls if key in keys)
+            seen = probes[key]
+            tol = vf._XTOL + vf._RTOL * abs(res.nu_oracle)
+            assert res.nu_oracle in seen, (str(ch), n)
+            negative = seen[res.nu_oracle] < 0
+            assert any(abs(nu - res.nu_oracle) <= tol and (m < 0) != negative
+                       for nu, m in seen.items()), (str(ch), n)
+            assert res.mismatch == abs(seen[res.nu_oracle])
+
+    def test_solve_counts(self, monkeypatch):
+        _, calls = spy_on_shoot(monkeypatch)
+        vf.shooting_oracle_batch(sweep_levels(40))
+        assert len(calls) <= 5
+        calls.clear()
+        vf.shooting_oracle(CH_HEAVY, 3)
+        assert len(calls) <= 5
+        calls.clear()
+        with pytest.raises(vf.BracketingError):
+            vf.shooting_oracle(CH_P, 0)
+        assert len(calls) == 1
+
     def test_round_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(vf, "_ILLINOIS_CAP", 2)
+        monkeypatch.setattr(vf, "_ROUND_CAP", 2)
         with pytest.raises(AssertionError, match="did not converge in 2 rounds"):
             vf.shooting_oracle(CH, 0)
 
