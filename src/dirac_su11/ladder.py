@@ -344,7 +344,7 @@ def tower_image(channel: Channel, n: int) -> QsPolynomial:
 
     With s2 = p/q, the coefficient sum_k c_k s^k becomes
     (sum_k c_k p^(k//2) q^(top - k//2)) / q^top in the part of s^(k%2),
-    so each coefficient of Q(s) costs one gcd."""
+    handed to Q(s) as that integer triple, with no gcd."""
     poly = universal_rung(n)
     s2 = channel.s2
     p, q = s2.numerator, s2.denominator
@@ -355,8 +355,8 @@ def tower_image(channel: Channel, n: int) -> QsPolynomial:
         parts[i][k & 1] += c * weight[k >> 1]
     den = q ** top
     # the leading coefficient (-2)^n is decided nonzero: no trailing zeros
-    return QsPolynomial(tuple(Quadratic(Fraction(a, den), Fraction(b, den), s2)
-                              for a, b in parts), Quadratic.zero(s2))
+    return QsPolynomial(tuple(Quadratic.from_ints(a, b, den, d=s2) for a, b in parts),
+                        Quadratic.zero(s2))
 
 
 def ket_norm_squared(state: LadderState) -> mp.mpf:

@@ -2,16 +2,29 @@
 
 Everything algebraic in this package lives in Q(s)[rho]: s is the positive
 root of s^2 = tau^2 - zeta^2, which is rational once the coupling zeta and
-the angular eigenvalue tau are rational, but s itself is not. Keeping (a, b)
-rational pairs for a + b*s avoids every rounding question until a number is
+the angular eigenvalue tau are rational, but s itself is not. Exact
+arithmetic in Q(s) avoids every rounding question until a number is
 deliberately embedded into mpmath floats.
+
+An element of Q(s) is three plain ints (x, y, den), meaning (x + y*s)/den
+with den > 0, and s^2 = p/q is kept as its two ints. A sum over one
+denominator takes no gcd, a sum over two takes the gcd of the two
+denominators, and a product or an inverse is reduced by the one gcd of its
+three ints. So the triple need not be in lowest terms, and nothing inside
+the field needs it to be: zero is x = y = 0, equality cross-multiplies, and
+the sign compares x^2 q with y^2 p. What leaves the field is reduced at the
+edge: the read-only parts `a` and `b` are Fractions in lowest terms, and
+`embed`, `str` and `hash` go through them, so every triple that stands for
+one element rounds, prints and hashes alike. (mpmath rounds a numerator to
+the working precision before it divides, so an unreduced one could round
+differently.)
 
 The same construction over Q(s) gives the two other fields. The first-order
 radial system involves w = sqrt((s + n)^2 + zeta^2), whose square is in Q(s)
 but which is not; in the tower Q(s)(w) those residuals reduce to exact
 zeros. The su(1,1) generators carry a factor i, and Gaussian scalars over
-Q(s) keep it exact. One class, Quadratic, represents a + b*sqrt(d) over
-either base.
+Q(s) keep it exact. An element of either is a pair of elements of Q(s). One
+class, Quadratic, represents a + b*sqrt(d) over either base.
 
 Signs of nonzero elements are decidable exactly (compare a^2 against b^2 d
 when a and b disagree in sign), so root isolation over these fields needs no
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 import mpmath as mp
@@ -50,16 +64,19 @@ def embed_fraction(x: Fraction, precision: int) -> mp.mpf:
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def _is_zero(x) -> bool:
-    return x.is_zero if isinstance(x, Quadratic) else x == 0
-
-
-def _sign(x) -> int:
-    return x.sign() if isinstance(x, Quadratic) else (x > 0) - (x < 0)
-
-
 def _embed(x, precision: int) -> mp.mpf:
     return x.embed(precision) if isinstance(x, Quadratic) else embed_fraction(x, precision)
+
+
+def _modulus(d):
+    """d as the modulus of a field: an element of Q(s) as it is, a rational
+    only if positive (s^2 of an open channel)."""
+    if isinstance(d, Quadratic):
+        return d
+    d = _frac(d)
+    if d <= 0:
+        raise ValueError("s2 must be positive (closed channel otherwise)")
+    return d
 
 
 def _in_base(x, d):
@@ -73,7 +90,45 @@ def _in_base(x, d):
     return _frac(x) if base is None else Quadratic(_frac(x), _ZERO, base)
 
 
-@dataclass(frozen=True, slots=True)
+_new = object.__new__
+
+
+def _qs(x: int, y: int, den: int, like: "Quadratic") -> "Quadratic":
+    """(x + y*s)/den, den > 0, in the Q(s) of `like`, as it stands."""
+    e = _new(Quadratic)
+    e._x, e._y, e._den, e._pq, e.d = x, y, den, like._pq, like.d
+    return e
+
+
+def _qs_reduced(x: int, y: int, den: int, like: "Quadratic") -> "Quadratic":
+    """_qs divided by the gcd of the three ints: the one reduction a product
+    or an inverse takes."""
+    g = gcd(x, y, den)
+    if g != 1:
+        x, y, den = x // g, y // g, den // g
+    return _qs(x, y, den, like)
+
+
+def _sum(u: "Quadratic", x: int, y: int, den: int) -> "Quadratic":
+    """u + (x + y*s)/den in the Q(s) of u; one gcd at most, none when the
+    denominators agree."""
+    du = u._den
+    if du == den:
+        return _qs(u._x + x, u._y + y, den, u)
+    g = gcd(du, den)
+    if g == 1:
+        return _qs(u._x * den + x * du, u._y * den + y * du, du * den, u)
+    du, den = du // g, den // g
+    return _qs(u._x * den + x * du, u._y * den + y * du, u._den * den, u)
+
+
+def _pair(a: "Quadratic", b: "Quadratic", d: "Quadratic") -> "Quadratic":
+    """a + b*sqrt(d) for a, b and d in one field: a tower or Gaussian element."""
+    e = _new(Quadratic)
+    e._x, e._y, e._den, e._pq, e.d = a, b, None, None, d
+    return e
+
+
 class Quadratic:
     """Element a + b*sqrt(d) of a quadratic extension K(sqrt(d)).
 
@@ -82,23 +137,52 @@ class Quadratic:
     d = w^2, or the Gaussian scalars, with d = -1. Ints, Fractions and
     elements of K lift into K(sqrt(d)). All elements entering an operation
     must share d; mixing channels is a bug, not a conversion.
+
+    An element of Q(s) keeps ints (x, y, den) for (x + y*s)/den, den > 0,
+    not necessarily in lowest terms, and s^2 = p/q as the ints (p, q); an
+    element one level up keeps its parts a and b, two elements of Q(s).
+    These fields are private. `a` and `b` read the parts, in Q(s) as
+    Fractions in lowest terms, and `d` the modulus. Equality is equality
+    of the numbers, whatever triples stand for them. Treat an element as
+    immutable: its hash is that of (a, b, d).
     """
 
-    a: Fraction | Quadratic
-    b: Fraction | Quadratic
-    d: Fraction | Quadratic
+    __slots__ = ("_x", "_y", "_den", "_pq", "d")
+
+    def __init__(self, a, b, d):
+        """a + b*sqrt(d) with a and b already in the base field of d;
+        `of` is the constructor that checks and lifts."""
+        self.d = d
+        if isinstance(d, Quadratic):
+            self._x, self._y, self._den, self._pq = a, b, None, None
+            return
+        a, b = _frac(a), _frac(b)
+        ad, bd = a.denominator, b.denominator
+        g = gcd(ad, bd)
+        self._x, self._y = a.numerator * (bd // g), b.numerator * (ad // g)
+        self._den, self._pq = ad // g * bd, (d.numerator, d.denominator)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(a, b=0, *, d) -> "Quadratic":
-        """a + b*sqrt(d); every modulus enters here, since arithmetic only
-        reuses the moduli of its operands."""
-        if not isinstance(d, Quadratic):
-            d = _frac(d)
-            if d <= 0:
-                raise ValueError("s2 must be positive (closed channel otherwise)")
+        """a + b*sqrt(d); every modulus enters here or in from_ints, since
+        arithmetic only reuses the moduli of its operands."""
+        d = _modulus(d)
         return Quadratic(_in_base(a, d), _in_base(b, d), d)
+
+    @staticmethod
+    def from_ints(x: int, y: int, den: int, *, d) -> "Quadratic":
+        """(x + y*s)/den in Q(s) with s^2 = d, from integer parts as they
+        stand (no gcd is taken); den must be positive."""
+        d = _modulus(d)
+        if isinstance(d, Quadratic):
+            raise TypeError("from_ints builds elements of Q(s), over a rational s^2")
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        e = _new(Quadratic)
+        e._x, e._y, e._den, e._pq, e.d = x, y, den, (d.numerator, d.denominator), d
+        return e
 
     @staticmethod
     def zero(d) -> "Quadratic":
@@ -113,6 +197,15 @@ class Quadratic:
         """The generator sqrt(d) itself: s, w or i."""
         return Quadratic.of(0, 1, d=d)
 
+    def _rational(self, r) -> "Quadratic":
+        """The rational r as an element of self's field."""
+        if self._den is None:
+            base = self.d
+            return _pair(base._rational(r), base._rational(0), base)
+        if isinstance(r, int):
+            return _qs(r, 0, 1, self)
+        return _qs(r.numerator, 0, r.denominator, self)
+
     def _lift(self, other):
         """(self, other) as elements of one field, the lower operand lifted
         into the other's; None when other is no field element. Python calls
@@ -123,61 +216,106 @@ class Quadratic:
             if other.d is d or other.d == d:
                 return self, other
             if isinstance(other.d, Quadratic) and other.d.d == d:
-                return Quadratic(self, _in_base(0, other.d), other.d), other
-        elif not isinstance(other, (int, Fraction)):
-            return None
-        return self, Quadratic(_in_base(other, d), _in_base(0, d), d)
+                return _pair(self, self._rational(0), other.d), other
+            if self._den is not None:
+                raise ValueError("modulus mismatch between quadratic field elements")
+            return self, _pair(_in_base(other, d), d._rational(0), d)
+        if isinstance(other, (int, Fraction)):
+            return self, self._rational(other)
+        return None
 
     # -- ring/field operations --------------------------------------------
 
     def __add__(self, other):
-        pair = self._lift(other)
-        if pair is None:
-            return NotImplemented
-        x, y = pair
-        return Quadratic(x.a + y.a, x.b + y.b, x.d)
+        if other.__class__ is not Quadratic or other.d is not self.d:
+            pair = self._lift(other)
+            if pair is None:
+                return NotImplemented
+            self, other = pair
+        if self._den is None:
+            return _pair(self._x + other._x, self._y + other._y, self.d)
+        return _sum(self, other._x, other._y, other._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quadratic(-self.a, -self.b, self.d)
+        if self._den is None:
+            return _pair(-self._x, -self._y, self.d)
+        return _qs(-self._x, -self._y, self._den, self)
 
     def __sub__(self, other):
-        pair = self._lift(other)
-        if pair is None:
-            return NotImplemented
-        x, y = pair
-        return Quadratic(x.a - y.a, x.b - y.b, x.d)
+        if other.__class__ is not Quadratic or other.d is not self.d:
+            pair = self._lift(other)
+            if pair is None:
+                return NotImplemented
+            self, other = pair
+        if self._den is None:
+            return _pair(self._x - other._x, self._y - other._y, self.d)
+        return _sum(self, -other._x, -other._y, other._den)
 
     def __rsub__(self, other):
         pair = self._lift(other)
         if pair is None:
             return NotImplemented
         x, y = pair
-        return Quadratic(y.a - x.a, y.b - x.b, x.d)
+        return y - x
 
     def __mul__(self, other):
-        pair = self._lift(other)
-        if pair is None:
-            return NotImplemented
-        x, y = pair
-        return Quadratic(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
+        if other.__class__ is not Quadratic or other.d is not self.d:
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other)
+            pair = self._lift(other)
+            if pair is None:
+                return NotImplemented
+            self, other = pair
+        if self._den is None:
+            a, b, c, e = self._x, self._y, other._x, other._y
+            return _pair(a * c + b * e * self.d, a * e + b * c, self.d)
+        p, q = self._pq
+        xa, ya, xb, yb = self._x, self._y, other._x, other._y
+        return _qs_reduced(xa * xb * q + ya * yb * p, (xa * yb + xb * ya) * q,
+                           self._den * other._den * q, self)
 
     __rmul__ = __mul__
 
+    def _scaled(self, r) -> "Quadratic":
+        """self times the rational r."""
+        if self._den is None:
+            return _pair(self._x._scaled(r), self._y._scaled(r), self.d)
+        if isinstance(r, int):
+            return _qs_reduced(self._x * r, self._y * r, self._den, self)
+        n = r.numerator
+        return _qs_reduced(self._x * n, self._y * n, self._den * r.denominator, self)
+
     def conjugate(self) -> "Quadratic":
-        return Quadratic(self.a, -self.b, self.d)
+        if self._den is None:
+            return _pair(self._x, -self._y, self.d)
+        return _qs(self._x, -self._y, self._den, self)
 
     def norm(self):
         """Field norm a^2 - b^2 d, in the base field; zero iff the element is."""
-        return self.a * self.a - self.b * self.b * self.d
+        if self._den is None:
+            return self._x * self._x - self._y * self._y * self.d
+        p, q = self._pq
+        return Fraction(self._x * self._x * q - self._y * self._y * p,
+                        self._den * self._den * q)
 
     def inverse(self) -> "Quadratic":
-        n = self.norm()
-        if _is_zero(n):
+        if self._den is None:
+            n = self.norm()
+            if n.is_zero:
+                raise ZeroDivisionError("division by zero in a quadratic field")
+            ninv = n.inverse()
+            return _pair(self._x * ninv, -self._y * ninv, self.d)
+        x, y = self._x, self._y
+        p, q = self._pq
+        n = x * x * q - y * y * p
+        if not n:
             raise ZeroDivisionError("division by zero in a quadratic field")
-        ninv = n.inverse() if isinstance(n, Quadratic) else 1 / n
-        return Quadratic(self.a * ninv, -self.b * ninv, self.d)
+        t = self._den * q
+        if n < 0:
+            n, t = -n, -t
+        return _qs_reduced(x * t, -y * t, n, self)
 
     def __truediv__(self, other):
         pair = self._lift(other)
@@ -198,7 +336,7 @@ class Quadratic:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = Quadratic.one(self.d)
+        out = self._rational(1)
         base = self
         while k:
             if k & 1:
@@ -211,20 +349,56 @@ class Quadratic:
 
     @property
     def is_zero(self) -> bool:
-        return _is_zero(self.a) and _is_zero(self.b)
+        if self._den is None:
+            return self._x.is_zero and self._y.is_zero
+        return not self._x and not self._y
 
     def sign(self) -> int:
         """Exact sign, with sqrt(d) taken as the positive root (d > 0)."""
-        sa, sb = _sign(self.a), _sign(self.b)
+        if self._den is None:
+            sa, sb = self._x.sign(), self._y.sign()
+        else:
+            x, y = self._x, self._y
+            sa, sb = (x > 0) - (x < 0), (y > 0) - (y < 0)
         if sb == 0:
             return sa
         if sa == 0 or sa == sb:
             return sb
         # a and b*sqrt(d) compete; |a| vs |b| sqrt(d) decides, squared to
-        # stay in the base field
-        return sa * _sign(self.norm())
+        # stay in the base field (in Q(s), x^2 q against y^2 p)
+        if self._den is None:
+            return sa * self.norm().sign()
+        p, q = self._pq
+        n = x * x * q - y * y * p
+        return sa * ((n > 0) - (n < 0))
 
-    # -- embedding and text form ----------------------------------------------
+    def __eq__(self, other):
+        if other.__class__ is not Quadratic:
+            return NotImplemented
+        if (self._den is None) != (other._den is None):
+            return False
+        if not (self.d is other.d or self.d == other.d):
+            return False
+        if self._den is None:
+            return self._x == other._x and self._y == other._y
+        return (self._x * other._den == other._x * self._den
+                and self._y * other._den == other._y * self._den)
+
+    # -- reads at the edge: parts, embedding, text form ----------------------
+
+    @property
+    def a(self):
+        """The rational part: a Fraction in lowest terms in Q(s), an element
+        of Q(s) one level up."""
+        return self._x if self._den is None else Fraction(self._x, self._den)
+
+    @property
+    def b(self):
+        """The part of sqrt(d), like `a`."""
+        return self._y if self._den is None else Fraction(self._y, self._den)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
 
     def embed(self, precision: int = 256) -> mp.mpf:
         """a + b*sqrt(d) rounded to `precision` bits (error within 1 ulp)."""
@@ -239,6 +413,9 @@ class Quadratic:
         if isinstance(self.d, Quadratic):
             return f"({self.a}) + ({self.b})w [w^2={self.d}]"
         return f"{self.a} + ({self.b})s [s^2={self.d}]"
+
+    def __repr__(self) -> str:
+        return f"Quadratic(a={self.a!r}, b={self.b!r}, d={self.d!r})"
 
 
 @dataclass(frozen=True, slots=True)

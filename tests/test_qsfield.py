@@ -1,5 +1,6 @@
 """Exact arithmetic layer: field axioms, signs, embeddings, polynomials."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -290,3 +291,198 @@ def test_sturm_count_ignores_negative_scale(coeffs):
         return
     s = Quadratic.root(S2)
     assert sturm_positive_roots(p.scale(-s)) == sturm_positive_roots(p)
+
+
+# -- the integer representation against Fraction pairs -----------------------
+#
+# An element of Q(s) is an integer triple (x, y, den) for (x + y s)/den, in
+# lowest terms or not. The reference below keeps the rational pair (a, b) in
+# Fractions and is the arithmetic the triple replaces; every operation, read
+# and embedding of an element must agree with it, and two triples of one
+# number must not be told apart by anything that leaves the field.
+
+_GUARD = 8  # qsfield._EMBED_GUARD_BITS, restated so the reference is independent
+
+
+class Ref:
+    """a + b sqrt(d) on Fraction pairs; d a Fraction, or a Ref one level down."""
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = a, b, d
+
+    def __add__(self, o):
+        return Ref(self.a + o.a, self.b + o.b, self.d)
+
+    def __sub__(self, o):
+        return Ref(self.a - o.a, self.b - o.b, self.d)
+
+    def __mul__(self, o):
+        return Ref(self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d)
+
+    def norm(self):
+        return self.a * self.a - self.b * self.b * self.d
+
+    def inverse(self):
+        n = self.norm()
+        ninv = n.inverse() if isinstance(n, Ref) else 1 / n
+        return Ref(self.a * ninv, -(self.b * ninv), self.d)
+
+    def __neg__(self):
+        return Ref(-self.a, -self.b, self.d)
+
+    @property
+    def is_zero(self):
+        return _ref_zero(self.a) and _ref_zero(self.b)
+
+    def embed(self, precision):
+        guarded = precision + _GUARD
+        with mp.workprec(guarded):
+            val = (_ref_embed(self.a, guarded)
+                   + _ref_embed(self.b, guarded) * mp.sqrt(_ref_embed(self.d, guarded)))
+        with mp.workprec(precision):
+            return +val
+
+    def sign(self):
+        # from a wide embedding: a nonzero element of these fields is far
+        # larger than 2^-2000 for the sizes drawn here
+        with mp.workprec(2000):
+            v = self.embed(2000)
+        return (v > 0) - (v < 0)
+
+    def __str__(self):
+        if isinstance(self.d, Ref):
+            return f"({self.a}) + ({self.b})w [w^2={self.d}]"
+        return f"{self.a} + ({self.b})s [s^2={self.d}]"
+
+
+def _ref_zero(x):
+    return x.is_zero if isinstance(x, Ref) else x == 0
+
+
+def _ref_embed(x, precision):
+    if isinstance(x, Ref):
+        return x.embed(precision)
+    with mp.workprec(precision):
+        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+
+
+def same_number(q, r):
+    """q (a Quadratic) and r (a Ref) are one number, part by part."""
+    if isinstance(r.d, Ref):
+        return same_number(q.a, r.a) and same_number(q.b, r.b) and same_number(q.d, r.d)
+    return q.a == r.a and q.b == r.b and q.d == r.d
+
+
+@st.composite
+def triples(draw, s2=S2, big=10 ** 40):
+    """(reduced element, an unreduced twin k times it, its Ref) of Q(s):
+    negative values, large parts and denominators sharing factors."""
+    x = draw(st.integers(-big, big))
+    y = draw(st.integers(-big, big))
+    den = draw(st.integers(1, 10 ** 6)) * draw(st.sampled_from((1, 2, 3, 4, 12)))
+    k = draw(st.integers(2, 10 ** 12))
+    ref = Ref(Fraction(x, den), Fraction(y, den), s2)
+    g = math.gcd(x, y, den)
+    x, y, den = x // g, y // g, den // g
+    return (Quadratic.from_ints(x, y, den, d=s2),
+            Quadratic.from_ints(k * x, k * y, k * den, d=s2), ref)
+
+
+@st.composite
+def near_cancellations(draw):
+    """(x + y s)/den with x within a few units of -y s: the sign is decided
+    by the last bits of x^2 q against y^2 p."""
+    p, q = S2.numerator, S2.denominator
+    y = draw(st.integers(1, 10 ** 30)) * draw(st.sampled_from((-1, 1)))
+    root = math.isqrt(y * y * p // q)
+    x = (root if y < 0 else -root) + draw(st.integers(-2, 2))
+    den = draw(st.integers(1, 1000))
+    k = draw(st.integers(2, 10 ** 6))
+    return (Quadratic.from_ints(k * x, k * y, k * den, d=S2),
+            Ref(Fraction(x, den), Fraction(y, den), S2))
+
+
+def assert_edges_agree(q, twin, r):
+    """What leaves the field: parts, text, hash and embeddings, for q, its
+    twin and the reference."""
+    assert same_number(q, r) and same_number(twin, r)
+    assert q == twin and not q != twin
+    assert hash(q) == hash(twin) == hash((q.a, q.b, q.d))
+    assert str(q) == str(twin) == str(r)
+    assert q.is_zero == twin.is_zero == r.is_zero
+    assert q.sign() == twin.sign() == r.sign()
+    for bits in (53, 256, 1000):
+        e = q.embed(bits)
+        assert e == twin.embed(bits) == r.embed(bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples(), triples())
+def test_triples_agree_with_fraction_pairs(u, v):
+    (x, x2, rx), (y, y2, ry) = u, v
+    assert_edges_agree(x, x2, rx)
+    for a, b in ((x, y), (x2, y2), (x, y2), (x2, y)):
+        assert_edges_agree(a + b, b + a, rx + ry)
+        assert_edges_agree(a - b, -(b - a), rx - ry)
+        assert_edges_agree(a * b, b * a, rx * ry)
+        if not ry.is_zero:
+            assert_edges_agree(a / b, a * b.inverse(), rx * ry.inverse())
+            assert_edges_agree(b.inverse(), 1 / b, ry.inverse())
+    assert (x - x2).is_zero and x - x2 == Quadratic.zero(S2)
+    assert (x == y) == (rx.a == ry.a and rx.b == ry.b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_cancellations())
+def test_sign_near_cancellation_of_triples(pair):
+    x, r = pair
+    assert x.sign() == r.sign()
+    assert (-x).sign() == -r.sign()
+    assert (x * x).sign() == (1 if not r.is_zero else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(triples(big=10 ** 12), triples(big=10 ** 12), triples(big=10 ** 12),
+       triples(big=10 ** 12), st.integers(0, 4))
+def test_tower_over_triples_agrees_with_fraction_pairs(u, v, w, t, n):
+    # tower elements whose Q(s) parts are unreduced triples, over the
+    # modulus w^2 = 4 + n^2 + 2 n s as in the first-order system
+    w2 = Quadratic.of(4 + n * n, 2 * n, d=S2)
+    rw2 = Ref(Fraction(4 + n * n), Fraction(2 * n), S2)
+    (a, a2, ra), (b, b2, rb), (c, c2, rc), (e, e2, re) = u, v, w, t
+    x, x2, rx = Quadratic.of(a, b, d=w2), Quadratic.of(a2, b2, d=w2), Ref(ra, rb, rw2)
+    y, y2, ry = Quadratic.of(c, e, d=w2), Quadratic.of(c2, e2, d=w2), Ref(rc, re, rw2)
+    assert_edges_agree(x, x2, rx)
+    assert_edges_agree(x + y2, y + x2, rx + ry)
+    assert_edges_agree(x2 - y, -(y2 - x), rx - ry)
+    assert_edges_agree(x * y2, y * x2, rx * ry)
+    if not ry.is_zero:
+        assert_edges_agree(x / y2, x2 * y.inverse(), rx * ry.inverse())
+        assert_edges_agree(y2.inverse(), 1 / y, ry.inverse())
+
+
+def test_from_ints_checks_its_inputs():
+    assert Quadratic.from_ints(6, -4, 8, d=S2) == Quadratic.of(Fraction(3, 4), Fraction(-1, 2), d=S2)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        Quadratic.from_ints(1, 1, 0, d=S2)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        Quadratic.from_ints(1, 1, -2, d=S2)
+    with pytest.raises(ValueError, match="s2 must be positive"):
+        Quadratic.from_ints(1, 1, 1, d=Fraction(-3, 4))
+    with pytest.raises(TypeError):
+        Quadratic.from_ints(1, 1, 1, d=Quadratic.of(4, 2, d=S2))
+
+
+@pytest.mark.parametrize("x, den, k, bits", [
+    (-7395413833116453493314848921838296975448, 193603, 416390898122, 53),
+    (int("14847016657167996374525245439906129327242163990722999061524649201921959323898"
+         "26621461045751415653730727988039151847239966"), 356102418539, 16184143790, 256),
+], ids=["53 bits", "256 bits"])
+def test_unreduced_twin_rounds_like_the_reduced_one(x, den, k, bits):
+    # rounding k x and k den to the working precision before dividing
+    # lands one ulp away from rounding x and den in these cases, so the
+    # embedding must reduce first
+    q = Quadratic.from_ints(x, 0, den, d=S2)
+    twin = Quadratic.from_ints(k * x, 0, k * den, d=S2)
+    assert twin.embed(bits) == q.embed(bits) == Ref(Fraction(x, den), Fraction(0), S2).embed(bits)
+    assert str(twin) == str(q)

@@ -6,6 +6,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import dirac_su11
+from dirac_su11.qsfield import Quadratic
 
 SRC = Path(dirac_su11.__file__).parent
 
@@ -77,3 +78,23 @@ def test_no_uncalled_helpers():
                 if not where[name] - {(path, node.lineno)}:
                     uncalled.append(f"{path.name}:{node.lineno} {name}")
     assert uncalled == []
+
+
+def test_quadratic_representation_is_private():
+    # an element of Q(s) is an integer triple that only qsfield reads;
+    # everything else goes through the parts a, b and d and builds elements
+    # through the named constructors (of, from_ints, zero, one, root)
+    private = {name for name in Quadratic.__slots__ if name.startswith("_")}
+    found = []
+    for top in ("src", "tests", "benchmark"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == SRC / "qsfield.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    found.append(f"{path.name}:{node.lineno} .{node.attr}")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "Quadratic"):
+                    found.append(f"{path.name}:{node.lineno} Quadratic(...)")
+    assert private and found == []

@@ -1,5 +1,6 @@
 """Residual checks, shooting oracle, Gram matrix, report format."""
 
+import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from dirac_su11.params import (make_params, make_channel, channel_grid, spectral_point, tower_w2,
                                DomainError)
-from dirac_su11.qsfield import Quadratic
+from dirac_su11.qsfield import QsPolynomial, Quadratic
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
 from dirac_su11 import verify as vf
@@ -180,6 +181,37 @@ class TestRotation:
         assert by_name["ladder-split-raise"] == raise_
         # off shell the lowering relation fails; raising holds for any w
         assert not lower.is_zero and raise_.is_zero
+
+
+def rerepresent(poly, k):
+    """poly with each coefficient stored as k times its lowest-terms triple."""
+    coeffs = []
+    for c in poly.coeffs:
+        a, b = c.a, c.b
+        den = math.lcm(a.denominator, b.denominator)
+        coeffs.append(Quadratic.from_ints(k * a.numerator * (den // a.denominator),
+                                          k * b.numerator * (den // b.denominator),
+                                          k * den, d=c.d))
+    return QsPolynomial.from_coeffs(coeffs, poly.zero)
+
+
+class TestRepresentation:
+    def test_equality_ignores_reduction(self):
+        # the mode-equation rows check each window half against its
+        # universal image with !=; coefficients that differ only in the
+        # triple that stores them are equal
+        state = ld.build_state(CH_HEAVY, 3, 128)
+        radial = vf.first_order_residual(wf.assemble(state))
+        expected = [r.residual_poly for r in vf._second_order_rows(state, radial)]
+        for k in (1, 7):
+            plus, minus = rerepresent(state.psi_plus, k), rerepresent(state.psi_minus, k)
+            assert plus == state.psi_plus and not plus != state.psi_plus
+            assert minus == state.psi_minus
+            assert hash(plus) == hash(state.psi_plus)
+            assert str(plus) == str(state.psi_plus)
+            twin = replace(state, psi_plus=plus, psi_minus=minus)
+            rows = vf._second_order_rows(twin, radial)
+            assert [r.residual_poly for r in rows] == expected
 
 
 class TestShootingOracle:
