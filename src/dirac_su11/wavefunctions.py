@@ -107,7 +107,9 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
             raise DomainError(f"E rounds to c^2 or above at {prec} bits, "
                               "so sqrt(c^2 - E) needs a higher precision")
         fs = mp.sqrt(c2 + state.spectral.E)
-        gs = mp.sqrt(c2 - state.spectral.E)
+        # c^2 - E is -binding, which spectral_point computes without the
+        # cancellation of subtracting E from c^2
+        gs = mp.sqrt(-state.spectral.binding)
     with mp.workprec(prec):
         fs, gs = +fs, +gs
     return RadialPair(

@@ -422,10 +422,10 @@ GOLDEN = [
      "090518b55a0ac0b0de282d9ff8c8e87dcc3e1f18524febcf65c8b431e3bf2b03", None, 0),
     (["state", "--j", "1/2", "--eps", "-1", "--n", "3", "--samples", "20",
       "--format", "json"],
-     "432dd5b8d892e5abeba3f58a1141583d88c639091ace99c1fe9a5e6f9fcc3efa", None, 0),
+     "755bd4adb4b8e95db0a8ba61f70e5bafc8ef0ef2c9806352dc4b1e22f09fba9c", None, 0),
     (["state", "--j", "1/2", "--eps", "-1", "--n", "3", "--samples", "20",
       "--format", "csv"],
-     "f3bc71e0a2de328c69542136da3e7f2daf9ed13951b55e997a3a716f48d067c8", None, 0),
+     "6dae23a5938769d22aa4485f80ae637a1c2a7720075f2533f2aaf0543e597b81", None, 0),
     (["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2", "--skip-oracle",
       "--out", "v.json"],
      "e08bfe5aebc4f5a3a7012616403ea0c9f4c8c23595e1aaef400565bd6db9d8d9",

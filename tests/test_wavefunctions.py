@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_su11.params import _GUARD, make_params, make_channel, DomainError
+from dirac_su11.params import _GUARD, make_params, make_channel, spectral_point, DomainError
 from dirac_su11.qsfield import QsPolynomial, Quadratic
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
@@ -78,6 +78,16 @@ class TestAssembly:
             c2 = CH_HEAVY.params.c2_mp(HP)
             assert abs(pair.f_scale ** 2 - (c2 + pt.E)) < mp.mpf(2) ** -220
             assert abs(pair.g_scale ** 2 - (c2 - pt.E)) < mp.mpf(2) ** -220
+
+    @pytest.mark.parametrize("n", [0, 3, 20])
+    def test_g_scale_keeps_every_bit(self, n):
+        # g_scale = sqrt(c^2 - E) = sqrt(-binding); c^2 - E with E rounded
+        # first loses the leading bits that E and c^2 share: about 14 of
+        # 256 at Z = 1 and n = 0, 19 at n = 20, as the binding shrinks
+        pair = pair_for(CH, n)
+        with mp.workprec(1024):
+            exact = mp.sqrt(-spectral_point(CH, n, 1024).binding)
+            assert abs(pair.g_scale - exact) <= exact * mp.mpf(2) ** -254
 
 
 class TestNormalization:
