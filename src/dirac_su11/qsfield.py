@@ -217,9 +217,8 @@ class Quadratic:
                 return self, other
             if isinstance(other.d, Quadratic) and other.d.d == d:
                 return _pair(self, self._rational(0), other.d), other
-            if self._den is not None:
-                raise ValueError("modulus mismatch between quadratic field elements")
-            return self, _pair(_in_base(other, d), d._rational(0), d)
+            other = _in_base(other, d)  # raises unless other is in the base field
+            return self, _pair(other, d._rational(0), d)
         if isinstance(other, (int, Fraction)):
             return self, self._rational(other)
         return None
@@ -262,8 +261,6 @@ class Quadratic:
 
     def __mul__(self, other):
         if other.__class__ is not Quadratic or other.d is not self.d:
-            if isinstance(other, (int, Fraction)):
-                return self._scaled(other)
             pair = self._lift(other)
             if pair is None:
                 return NotImplemented
@@ -277,15 +274,6 @@ class Quadratic:
                            self._den * other._den * q, self)
 
     __rmul__ = __mul__
-
-    def _scaled(self, r) -> "Quadratic":
-        """self times the rational r."""
-        if self._den is None:
-            return _pair(self._x._scaled(r), self._y._scaled(r), self.d)
-        if isinstance(r, int):
-            return _qs_reduced(self._x * r, self._y * r, self._den, self)
-        n = r.numerator
-        return _qs_reduced(self._x * n, self._y * n, self._den * r.denominator, self)
 
     def conjugate(self) -> "Quadratic":
         if self._den is None:
