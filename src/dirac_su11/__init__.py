@@ -22,14 +22,11 @@ from .params import (
 from .qsfield import QsPolynomial, Quadratic, sturm_positive_roots
 from .algebra import (
     FamilyFunction,
-    FamilySum,
     ScaledFamilyFunction,
+    apply,
     apply_casimir,
-    apply_xi3,
-    apply_xi_minus,
-    apply_xi_plus,
-    commutator_check,
     inner_product,
+    universal_images,
 )
 from .ladder import (
     LadderState,
@@ -77,9 +74,8 @@ __all__ = [
     "channel_grid", "make_channel", "make_params", "mu_from_energy",
     "nonrelativistic_limit_table", "spectral_point",
     "QsPolynomial", "Quadratic", "sturm_positive_roots",
-    "FamilyFunction", "FamilySum", "ScaledFamilyFunction",
-    "apply_casimir", "apply_xi3", "apply_xi_minus", "apply_xi_plus",
-    "commutator_check", "inner_product",
+    "FamilyFunction", "ScaledFamilyFunction", "apply", "apply_casimir",
+    "inner_product", "universal_images",
     "LadderState", "RepresentationBoundaryError", "build_state",
     "ground_state", "ladder_coefficient", "lower_state", "raise_state",
     "LaguerreReport", "RadialPair", "assemble", "count_f_nodes",

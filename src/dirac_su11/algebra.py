@@ -12,16 +12,26 @@ the lowest weight lambda = s + 1/2. The generators are
     Xi_plus   = i e^{+i phi} (d/dx - e^x - i d/dphi + 1/2)
     Xi_minus  = i e^{-i phi} (d/dx + e^x + i d/dphi + 1/2)
 
-and substituting the family form turns Xi_plus/Xi_minus into the exact
-polynomial maps
+with Xi1 = (Xi+ + Xi-)/2 and Xi2 = (Xi+ - Xi-)/2i. Written once, on one
+monomial rho^i at mode lambda + k, each maps to at most two monomials, and
+after scaling Xi3 (and with it Xi1, Xi2) by 2 its coefficients lie in
+Z[I][i, s, k], I^2 = -1:
 
-    q  |->  rho q' + (s + mu + 1/2) q - 2 rho q      (mode mu -> mu+1)
-    q  |->  rho q' + (s - mu + 1/2) q                (mode mu -> mu-1)
+    Xi+    rho^i -> I[(i + 2s + k + 1) rho^i - 2 rho^(i+1)]    mode +1
+    Xi-    rho^i -> I(i - k) rho^i                              mode -1
+    2 Xi3  rho^i -> (2s + 2k + 1) rho^i
 
-with an overall factor i. Everything here stays exact: the phase never
-becomes a grid, phi-derivatives act algebraically through the stored mode,
-and the imaginary units live in Gaussian scalars over Q(s) so polynomial
-coefficients never leave the field.
+GENERATORS is this table, with d/dx and e^x, the pieces of the explicit
+Casimir d^2/dx^2 - e^{2x} - 2i e^x d/dphi - 1/4. The six structure
+relations and the equality of that explicit Casimir with the composed
+Xi3^2 - Xi1^2 - Xi2^2 are decided on the generic monomial once per process,
+on first use (`universal_images`). By linearity they then hold for every
+family member, and the ring map s^2 -> tau^2 - zeta^2 carries them to
+every channel. The rest of the package reads the decided images of Xi+,
+Xi-, 2 Xi3 and 4 times the Casimir, specialized: `universal_map` in
+Z[s][rho] at one mode (the ladder's universal tower) and `apply` on one
+channel's family member over Q(s). Both give the real part: Xi+ and Xi-
+are I times it, and the caller tracks that factor.
 
 The inner product is the phase average times the x-integral,
 int dphi/2pi int dx; on the family the phi average kills any cross-mode
@@ -37,18 +47,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .params import DEFAULT_PRECISION, Channel, _GUARD
-from .qsfield import QsPolynomial, Quadratic, Rational
-
-HALF = Fraction(1, 2)
-
-
-def gauss(channel: Channel, re: Rational | Quadratic, im: Rational | Quadratic = 0) -> Quadratic:
-    """The Gaussian scalar re + i*im over Q(s), with i^2 = -1."""
-    return Quadratic.of(re, im, d=channel.qs(-1))
-
-
-def gauss_i(channel: Channel) -> Quadratic:
-    return gauss(channel, 0, 1)
+from .qsfield import QsPolynomial, Quadratic
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,10 +59,6 @@ class FamilyFunction:
     poly: QsPolynomial
 
     @property
-    def mu(self) -> Quadratic:
-        return self.channel.lam + self.offset
-
-    @property
     def is_zero(self) -> bool:
         return self.poly.is_zero
 
@@ -71,240 +66,162 @@ class FamilyFunction:
         return f"[mode lam{self.offset:+d}] {self.poly}"
 
 
-def family(channel: Channel, offset: int, coeffs) -> FamilyFunction:
-    zero = Quadratic.zero(channel.s2)
-    poly = QsPolynomial.from_coeffs([zero + c for c in coeffs], zero)
-    return FamilyFunction(channel, offset, poly)
-
-
 @dataclass(frozen=True, slots=True)
 class ScaledFamilyFunction:
-    scale: Quadratic  # Gaussian scalar
+    scale: Quadratic  # in Q(s)
     func: FamilyFunction
 
-    @property
-    def is_zero(self) -> bool:
-        return self.scale.is_zero or self.func.is_zero
+
+# -- the generators, decided once on a generic family member ------------------
+#
+# name: (mode step, power of I, {rho step b: (c_i, c_s, c_k, c_1)}). On
+# rho^i at mode lambda + k the generator gives the sum over b of
+# I^power (c_i i + c_s s + c_k k + c_1) rho^(i+b), at mode lambda + k + step.
+GENERATORS = {
+    "+": (1, 1, {0: (1, 2, 1, 1), 1: (0, 0, 0, -2)}),    # Xi+
+    "-": (-1, 1, {0: (1, 0, -1, 0)}),                    # Xi-
+    "3": (0, 0, {0: (0, 2, 2, 1)}),                      # 2 Xi3 = 2 mu
+    "x": (0, 0, {0: (1, 1, 0, 0), 1: (0, 0, 0, -1)}),    # d/dx
+    "r": (0, 0, {1: (0, 0, 0, 1)}),                      # e^x = rho
+}
+
+# 2 Xi1 = Xi+ + Xi- and 2 Xi2 = (Xi+ - Xi-)/I = I(Xi- - Xi+); a term
+# (c, e, word) is c I^e times the word, whose letters act right to left
+_DERIVED = {"1": ((1, 0, "+"), (1, 0, "-")), "2": ((1, 1, "-"), (-1, 1, "+"))}
+
+# 4 times d^2/dx^2 - e^{2x} - 2i e^x d/dphi - 1/4, with -2i d/dphi = 2 Xi3
+CASIMIR4 = ((4, 0, "xx"), (-4, 0, "rr"), (4, 0, "3r"), (-1, 0, ""))
+
+# each must vanish on every family member; the commutators are times 2 or 4
+RELATIONS = {
+    "3+": ((1, 0, "3+"), (-1, 0, "+3"), (-2, 0, "+")),   # [Xi3, Xi+] = Xi+
+    "3-": ((1, 0, "3-"), (-1, 0, "-3"), (2, 0, "-")),    # [Xi3, Xi-] = -Xi-
+    "+-": ((1, 0, "+-"), (-1, 0, "-+"), (1, 0, "3")),    # [Xi+, Xi-] = -2 Xi3
+    "12": ((1, 0, "12"), (-1, 0, "21"), (2, 1, "3")),    # [Xi1, Xi2] = -i Xi3
+    "23": ((1, 0, "23"), (-1, 0, "32"), (-2, 1, "1")),   # [Xi2, Xi3] = i Xi1
+    "31": ((1, 0, "31"), (-1, 0, "13"), (-2, 1, "2")),   # [Xi3, Xi1] = i Xi2
+    # explicit Casimir = Xi3^2 - Xi1^2 - Xi2^2
+    "Casimir routes": CASIMIR4 + ((-1, 0, "33"), (1, 0, "11"), (1, 0, "22")),
+}
+
+# An image is a dict {(m, a): P}: the image of rho^i at mode lambda + k has
+# the term P rho^(i+a) at mode lambda + k + m. P is a polynomial in
+# Z[I][i, s, k], a dict {(e_I, e_i, e_s, e_k): c} of its nonzero terms.
+_IMAGES: dict = {}   # the decided images; never built at import
 
 
-@dataclass(frozen=True, slots=True)
-class FamilySum:
-    """Finite complex combination of family members, one (re, im) polynomial
-    pair per mode. Canonical: offsets sorted, all-zero pairs dropped."""
-
-    channel: Channel
-    parts: tuple  # of (offset, re_poly, im_poly)
-
-    @staticmethod
-    def of(channel: Channel, raw: dict) -> "FamilySum":
-        parts = []
-        for k in sorted(raw):
-            re, im = raw[k]
-            if not (re.is_zero and im.is_zero):
-                parts.append((k, re, im))
-        return FamilySum(channel, tuple(parts))
-
-    @staticmethod
-    def from_function(f: FamilyFunction) -> "FamilySum":
-        zero = QsPolynomial.zero_poly(Quadratic.zero(f.channel.s2))
-        return FamilySum.of(f.channel, {f.offset: (f.poly, zero)})
-
-    @staticmethod
-    def from_scaled(sf: ScaledFamilyFunction) -> "FamilySum":
-        return FamilySum.from_function(sf.func).scaled(sf.scale)
-
-    def _raw(self) -> dict:
-        return {k: (re, im) for k, re, im in self.parts}
-
-    def __add__(self, other: "FamilySum") -> "FamilySum":
-        if self.channel.key() != other.channel.key():
-            raise ValueError("cannot mix channels in a family sum")
-        raw = self._raw()
-        for k, re, im in other.parts:
-            if k in raw:
-                raw[k] = (raw[k][0] + re, raw[k][1] + im)
-            else:
-                raw[k] = (re, im)
-        return FamilySum.of(self.channel, raw)
-
-    def __sub__(self, other: "FamilySum") -> "FamilySum":
-        return self + other.scaled(gauss(self.channel, -1))
-
-    def scaled(self, c: Quadratic | Rational) -> "FamilySum":
-        c = gauss(self.channel, 0) + c  # a rational or Q(s) scale lifts
-        raw = {}
-        for k, re, im in self.parts:
-            raw[k] = (re.scale(c.a) - im.scale(c.b), re.scale(c.b) + im.scale(c.a))
-        return FamilySum.of(self.channel, raw)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.parts
+def _add(out: dict, image: dict, c: int, e: int) -> None:
+    """out += c I^e image, in place; I^2 = -1."""
+    for mode_rho, poly in image.items():
+        acc = out.setdefault(mode_rho, {})
+        for (eI, ei, es, ek), v in poly.items():
+            flips, eI = divmod(eI + e, 2)
+            key = (eI, ei, es, ek)
+            acc[key] = acc.get(key, 0) + (-1) ** flips * c * v
 
 
-# -- generator closed forms --------------------------------------------------
-
-
-def _mode(channel: Channel, offset: int) -> Quadratic:
-    return channel.lam + offset
-
-
-def _step_up_poly(channel: Channel, offset: int, q: QsPolynomial) -> QsPolynomial:
-    # rho q' + (s + mu + 1/2) q - 2 rho q  at  mu = lam + offset
-    coeff = channel.s + _mode(channel, offset) + HALF
-    return q.derivative().mul_rho() + q.scale(coeff) - q.mul_rho().scale(channel.qs(2))
-
-
-def _step_down_poly(channel: Channel, offset: int, q: QsPolynomial) -> QsPolynomial:
-    # rho q' + (s - mu + 1/2) q
-    coeff = channel.s - _mode(channel, offset) + HALF
-    return q.derivative().mul_rho() + q.scale(coeff)
-
-
-def apply_xi3(f: FamilyFunction) -> ScaledFamilyFunction:
-    return ScaledFamilyFunction(gauss(f.channel, f.mu), f)
-
-
-def apply_xi_plus(f: FamilyFunction) -> ScaledFamilyFunction:
-    out = FamilyFunction(f.channel, f.offset + 1, _step_up_poly(f.channel, f.offset, f.poly))
-    return ScaledFamilyFunction(gauss_i(f.channel), out)
-
-
-def apply_xi_minus(f: FamilyFunction) -> ScaledFamilyFunction:
-    out = FamilyFunction(f.channel, f.offset - 1, _step_down_poly(f.channel, f.offset, f.poly))
-    return ScaledFamilyFunction(gauss_i(f.channel), out)
-
-
-# FamilySum-level actions: each part is mapped with the i prefactor folded
-# into the (re, im) pair, i(a + ib) = -b + ia.
-
-
-def xi3(F: FamilySum) -> FamilySum:
-    raw = {}
-    for k, re, im in F.parts:
-        mu = _mode(F.channel, k)
-        raw[k] = (re.scale(mu), im.scale(mu))
-    return FamilySum.of(F.channel, raw)
-
-
-def _shift(F: FamilySum, step: int, poly_map) -> FamilySum:
-    raw = {}
-    for k, re, im in F.parts:
-        new_re = -poly_map(F.channel, k, im)
-        new_im = poly_map(F.channel, k, re)
-        kk = k + step
-        if kk in raw:
-            raw[kk] = (raw[kk][0] + new_re, raw[kk][1] + new_im)
-        else:
-            raw[kk] = (new_re, new_im)
-    return FamilySum.of(F.channel, raw)
-
-
-def xi_plus(F: FamilySum) -> FamilySum:
-    return _shift(F, +1, _step_up_poly)
-
-
-def xi_minus(F: FamilySum) -> FamilySum:
-    return _shift(F, -1, _step_down_poly)
-
-
-def xi1(F: FamilySum) -> FamilySum:
-    return (xi_plus(F) + xi_minus(F)).scaled(HALF)
-
-
-def xi2(F: FamilySum) -> FamilySum:
-    # (Xi+ - Xi-) / 2i = -(i/2)(Xi+ - Xi-)
-    half_i = gauss(F.channel, 0, Fraction(-1, 2))
-    return (xi_plus(F) - xi_minus(F)).scaled(half_i)
-
-
-_OPS = {"1": xi1, "2": xi2, "3": xi3, "+": xi_plus, "-": xi_minus}
-
-
-def casimir_composed(F: FamilySum) -> FamilySum:
-    """-Xi1^2 - Xi2^2 + Xi3^2 by literal operator composition."""
-    out = xi3(xi3(F))
-    out = out - xi1(xi1(F))
-    out = out - xi2(xi2(F))
+def _clean(image: dict) -> dict:
+    out = {}
+    for mode_rho, poly in image.items():
+        poly = {key: v for key, v in poly.items() if v}
+        if poly:
+            out[mode_rho] = poly
     return out
 
 
-def casimir_explicit(F: FamilySum) -> FamilySum:
-    """d^2/dx^2 - e^{2x} - 2i e^x d/dphi - 1/4 on the family.
+def _act(name: str, image: dict) -> dict:
+    """One table generator on an image."""
+    step, power, terms = GENERATORS[name]
+    out: dict = {}
+    for (m, a), poly in image.items():
+        for b, (ci, cs, ck, c1) in terms.items():
+            # the coefficient at rho^(i+a), mode lambda + k + m
+            linear = {(0, 1, 0, 0): ci, (0, 0, 1, 0): cs, (0, 0, 0, 1): ck,
+                      (0, 0, 0, 0): c1 + ci * a + ck * m}
+            for key, v in linear.items():
+                if v:
+                    shifted = {(eI, ei + key[1], es + key[2], ek + key[3]): u
+                               for (eI, ei, es, ek), u in poly.items()}
+                    _add(out, {(m + step, a + b): shifted}, v, power)
+    return _clean(out)
 
-    With D1 q = rho q' + (s - rho) q (the x-derivative pushed onto the
-    polynomial part) this is D1^2 q - rho^2 q + 2 mu rho q - q/4, all in Q(s).
-    """
-    ch = F.channel
 
-    def d1(q):
-        return q.derivative().mul_rho() + q.scale(ch.s) - q.mul_rho()
+def _words(terms, image: dict) -> dict:
+    """The sum of c I^e word(image) over the terms (c, e, word)."""
+    out: dict = {}
+    for c, e, word in terms:
+        x = image
+        for letter in reversed(word):
+            x = _words(_DERIVED[letter], x) if letter in _DERIVED else _act(letter, x)
+        _add(out, x, c, e)
+    return _clean(out)
 
-    raw = {}
-    for k, re, im in F.parts:
-        mu = _mode(ch, k)
-        quarter = ch.qs(Fraction(1, 4))
 
-        def act(q):
-            return (
-                d1(d1(q))
-                - q.mul_rho(2)
-                + q.mul_rho().scale(2 * mu)
-                - q.scale(quarter)
-            )
+def universal_images() -> dict:
+    """The images of Xi+ ("+"), Xi- ("-"), 2 Xi3 ("3") and 4 times the
+    Casimir ("casimir") on rho^i at mode lambda + k, after every relation is
+    decided there; once per process, on first use. A relation that fails
+    raises AssertionError naming it."""
+    if not _IMAGES:
+        monomial = {(0, 0): {(0, 0, 0, 0): 1}}
+        for name, terms in RELATIONS.items():
+            if _words(terms, monomial):
+                raise AssertionError(
+                    f"su(1,1) relation {name} fails on the generic family member")
+        images = {name: _act(name, monomial) for name in "+-3"}
+        images["casimir"] = _words(CASIMIR4, monomial)
+        _IMAGES.update(images)
+    return _IMAGES
 
-        raw[k] = (act(re), act(im))
-    return FamilySum.of(ch, raw)
+
+def _at(poly: dict, i: int, k: int) -> dict:
+    """An image coefficient at rho^i and mode lambda + k, as {e: c} for the
+    sum of c s^e; the power of I is dropped."""
+    out: dict = {}
+    for (_, ei, es, ek), v in poly.items():
+        out[es] = out.get(es, 0) + v * i ** ei * k ** ek
+    return out
+
+
+def universal_map(name: str, k: int, poly: dict) -> dict:
+    """The real part of a decided image at mode lambda + k on a polynomial
+    in Z[s][rho], the dict {(i, e): c} of its terms c rho^i s^e."""
+    out: dict = {}
+    for (_, a), coeff in universal_images()[name].items():
+        for (i, e), c in poly.items():
+            for es, v in _at(coeff, i, k).items():
+                key = (i + a, e + es)
+                out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def apply(name: str, f: FamilyFunction) -> FamilyFunction:
+    """The real part of a decided image on f, over f's channel: Xi+ f and
+    Xi- f are I times it."""
+    ch, q = f.channel, f.poly
+    out = QsPolynomial.zero_poly(q.zero)
+    for (step, a), coeff in universal_images()[name].items():   # one step each
+        scalars = []
+        for i in range(len(q.coeffs)):
+            parts = [0, 0]   # rational and s parts, with s^2 = s2
+            for e, v in _at(coeff, i, f.offset).items():
+                parts[e % 2] += v * ch.s2 ** (e // 2)
+            scalars.append(ch.qs(*parts))
+        out = out + QsPolynomial.from_coeffs(
+            [c * x for c, x in zip(q.coeffs, scalars)], q.zero).mul_rho(a)
+    return FamilyFunction(ch, f.offset + step, out)
 
 
 def apply_casimir(f: FamilyFunction) -> ScaledFamilyFunction:
-    """Casimir action; the composed and explicit routes must agree exactly."""
-    F = FamilySum.from_function(f)
-    composed = casimir_composed(F)
-    explicit = casimir_explicit(F)
-    if not (composed - explicit).is_zero:
-        raise AssertionError("Casimir composition disagrees with its explicit form")
-    xi = f.channel.qs(f.channel.xi)
-    if (composed - FamilySum.from_function(f).scaled(xi)).is_zero:
-        return ScaledFamilyFunction(gauss(f.channel, xi), f)
-    # not in the lowest-weight tower: hand back the action itself; the
-    # mu+-2 pieces of Xi1^2 + Xi2^2 cancel, so exactly one mode survives
-    ((k, re, im),) = composed.parts
-    if not im.is_zero:
-        raise AssertionError("Casimir must act real on a real family member")
-    return ScaledFamilyFunction(gauss(f.channel, 1), FamilyFunction(f.channel, k, re))
-
-
-COMMUTATORS = ("3+", "3-", "+-", "12", "23", "31")
-
-
-def commutator_check(f: FamilyFunction, pair: str) -> FamilySum:
-    """Residual of one structure relation applied to f; zero iff it holds.
-
-    3+ : [Xi3, Xi+] - Xi+          12 : [Xi1, Xi2] + iXi3
-    3- : [Xi3, Xi-] + Xi-          23 : [Xi2, Xi3] - iXi1
-    +- : [Xi+, Xi-] + 2Xi3         31 : [Xi3, Xi1] - iXi2
-    """
-    F = FamilySum.from_function(f)
+    """The Casimir on f: xi times f when f is an eigenfunction, as every
+    member of the lowest-weight tower is; otherwise its image, scale 1."""
     ch = f.channel
-    i = gauss_i(ch)
-
-    def comm(a, b):
-        return _OPS[a](_OPS[b](F)) - _OPS[b](_OPS[a](F))
-
-    if pair == "3+":
-        return comm("3", "+") - xi_plus(F)
-    if pair == "3-":
-        return comm("3", "-") + xi_minus(F)
-    if pair == "+-":
-        return comm("+", "-") + xi3(F).scaled(2)
-    if pair == "12":
-        return comm("1", "2") + xi3(F).scaled(i)
-    if pair == "23":
-        return comm("2", "3") - xi1(F).scaled(i)
-    if pair == "31":
-        return comm("3", "1") - xi2(F).scaled(i)
-    raise ValueError(f"unknown commutator tag {pair!r}")
+    image = apply("casimir", f)
+    xi = ch.qs(ch.xi)
+    if (image.poly - f.poly.scale(xi * 4)).is_zero:
+        return ScaledFamilyFunction(xi, f)
+    return ScaledFamilyFunction(ch.qs(1), FamilyFunction(
+        ch, image.offset, image.poly.scale(Fraction(1, 4))))
 
 
 # -- inner product ------------------------------------------------------------
@@ -360,28 +277,3 @@ def inner_product(f: FamilyFunction, g: FamilyFunction, precision: int = DEFAULT
         return 0
     with mp.workprec(precision):
         return +moment_sum(prod, f.channel, precision)
-
-
-def inner_product_sums(A: FamilySum, B: FamilySum, precision: int = DEFAULT_PRECISION) -> mp.mpc:
-    """Sesquilinear extension to sums (first argument conjugated)."""
-    if A.channel.key() != B.channel.key():
-        raise ValueError("inner product requires a common channel")
-    braw, out_re, out_im = B._raw(), mp.mpf(0), mp.mpf(0)
-    with mp.workprec(precision + _GUARD):
-        for k, are, aim in A.parts:
-            if k not in braw:
-                continue
-            bre, bim = braw[k]
-            ch = A.channel
-
-            def pairing(p, q):
-                f = FamilyFunction(ch, k, p)
-                g = FamilyFunction(ch, k, q)
-                v = inner_product(f, g, precision + _GUARD)
-                return v if isinstance(v, mp.mpf) else mp.mpf(v)
-
-            # (are - i aim)(bre + i bim)
-            out_re += pairing(are, bre) + pairing(aim, bim)
-            out_im += pairing(are, bim) - pairing(aim, bre)
-    with mp.workprec(precision):
-        return mp.mpc(+out_re, +out_im)

@@ -1,15 +1,13 @@
 """Lowest-weight tower of radial states built by ladder operators.
 
 A bound channel carries one discrete-series tower: the bottom state has
-polynomial part 1 at mode lambda = s + 1/2 and each step up multiplies by
-the mode-shift map
-
-    pi_{n+1} = rho pi_n' + (s + mu + 1/2) pi_n - 2 rho pi_n,   mu = lambda + n,
-
-which generates pi_n = n! L_n^{(2s)}(2 rho) with leading coefficient (-2)^n.
-States are stored unnormalized with real polynomial parts (the phase i of
-each application is bookkept separately); `ladder_norm` tracks the scalar
-that makes the state a unit ket for the phase-averaged inner product,
+polynomial part 1 at mode lambda = s + 1/2, and each step up from mode
+lambda + n applies the real part of Xi+ there (`algebra.GENERATORS`),
+which generates pi_n = n! L_n^{(2s)}(2 rho) with leading coefficient
+(-2)^n. States are stored unnormalized with real polynomial parts (the
+phase i of each application is bookkept separately); `ladder_norm` tracks
+the scalar that makes the state a unit ket for the phase-averaged inner
+product,
 
     A_n = N_lam / sqrt(n! (2s+1)_n),    N_lam = 2^s / sqrt(Gamma(2s)).
 
@@ -20,20 +18,22 @@ from. Raising shifts the window, so the new psi_minus is the old psi_plus.
 The algebra sees a channel only through lambda = s + 1/2, so with s kept
 as a symbol the map above has coefficients in Z[s] and so does every pi_n.
 One universal tower in Z[s][rho], held as plain Python ints, is climbed
-on demand up to MAX_RUNG, and each rung n is decided there once per
-process, for every channel at once:
+on demand up to MAX_RUNG. Its steps are the decided image of Xi+ from
+`algebra.universal_images` (the one transcription of the generators,
+whose structure relations and Casimir routes are decided there for every
+family member), and each rung n is decided once per process, for every
+channel at once:
 
 - the window shift: lowering pi_n from mode lambda + n returns
-  -n(n+2s) pi_{n-1}, the window's other half;
+  -n(n+2s) pi_{n-1}, the window's other half, and lowering pi_0 returns 0;
 - the leading coefficient (-2)^n and the degree n;
-- the explicit Casimir d^2/dx^2 - e^{2x} - 2i e^x d/dphi - 1/4 equals the
-  composed Xi3^2 - Xi1^2 - Xi2^2, both times 4 so they stay integral;
-- its eigenvalue: 4 times the Casimir is (4s^2 - 1) pi_n;
+- the Casimir eigenvalue: 4 times the Casimir is (4s^2 - 1) pi_n;
 - pi_n = n! L_n^{(2s)}(2 rho), against the three-term Laguerre recurrence.
 
 A channel's rungs are the image of the universal ones under the ring map
 Z[s] -> Q(s), s^2 -> tau^2 - zeta^2. An identity in Z[s][rho] holds under
-every such map, so each is decided for all channels. Per channel there
+every such map, so each is decided for all channels; raising and lowering
+a channel state only move its window along these images. Per channel there
 remains one rational test, xi = s^2 - 1/4, which ties the channel's
 Casimir value to the universal eigenvalue; everything that involves tau,
 zeta or w (verify, wavefunctions) is decided per channel.
@@ -57,7 +57,7 @@ from .params import (
     tower_gap,
 )
 from .qsfield import QsPolynomial, Quadratic
-from .algebra import FamilyFunction, _step_down_poly, inner_product
+from .algebra import FamilyFunction, inner_product, universal_map
 
 MAX_RUNG = 64
 
@@ -182,27 +182,16 @@ def raise_state(state: LadderState) -> LadderState:
 
 
 def lower_state(state: LadderState) -> LadderState:
+    """Rung n-1: the window shifts down along the tower images. Lowering
+    pi_n returns -n(n+2s) pi_{n-1}, and pi_0 is annihilated; both are
+    decided on the universal rungs."""
     ch = state.channel
     prec = state.spectral.precision
     if state.is_zero:
         return state
     n = state.n
     if n == 0:
-        # annihilation: the step-down map sends the bottom rung to zero
-        killed = _step_down_poly(ch, 0, state.psi_plus)
-        if not killed.is_zero:
-            raise AssertionError("step-down map failed to annihilate the bottom rung")
         return _zero_state(ch, prec)
-    scale = tower_gap(ch, n).inverse() * -1  # B_mu pi_n = -n(n+2s) pi_{n-1}
-    new_plus = _step_down_poly(ch, n, state.psi_plus).scale(scale)
-    if not (new_plus - state.psi_minus).is_zero:
-        raise AssertionError("lower route mismatch between window halves")
-    zero = Quadratic.zero(ch.s2)
-    if n == 1:
-        new_minus = QsPolynomial.zero_poly(zero)
-    else:
-        scale2 = tower_gap(ch, n - 1).inverse() * -1
-        new_minus = _step_down_poly(ch, n - 1, state.psi_minus).scale(scale2)
     gap = tower_gap(ch, n)
     with mp.workprec(prec + _GUARD):
         norm = state.ladder_norm * mp.sqrt(gap.embed(prec + _GUARD))
@@ -210,8 +199,9 @@ def lower_state(state: LadderState) -> LadderState:
         norm = +norm
     return LadderState(
         spectral=spectral_point(ch, n - 1, prec),
-        psi_plus=new_plus,
-        psi_minus=new_minus,
+        psi_plus=tower_image(ch, n - 1),
+        psi_minus=(tower_image(ch, n - 2) if n >= 2
+                   else QsPolynomial.zero_poly(Quadratic.zero(ch.s2))),
         ladder_norm=norm,
     )
 
@@ -253,40 +243,6 @@ def _comb(*terms) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def _euler(poly: dict) -> dict:
-    """rho d/drho."""
-    return {(i, k): i * v for (i, k), v in poly.items() if i}
-
-
-def _up(n: int, poly: dict) -> dict:
-    """Raise from mode lambda + n: rho q' + (2s + n + 1) q - 2 rho q."""
-    return _comb((1, 0, 0, _euler(poly)), (2, 0, 1, poly), (n + 1, 0, 0, poly),
-                 (-2, 1, 0, poly))
-
-
-def _down(n: int, poly: dict) -> dict:
-    """Lower from mode lambda + n: rho q' + (s - mu + 1/2) q = rho q' - n q."""
-    return _comb((1, 0, 0, _euler(poly)), (-n, 0, 0, poly))
-
-
-def _casimir_explicit4(n: int, poly: dict) -> dict:
-    """4 (D1^2 q - rho^2 q + 2 mu rho q - q/4) at mu = lambda + n, with
-    D1 q = rho q' + (s - rho) q, as algebra.casimir_explicit."""
-    def d1(q):
-        return _comb((1, 0, 0, _euler(q)), (1, 0, 1, q), (-1, 1, 0, q))
-
-    return _comb((4, 0, 0, d1(d1(poly))), (-4, 2, 0, poly), (8, 1, 1, poly),
-                 (4 * (2 * n + 1), 1, 0, poly), (-1, 0, 0, poly))
-
-
-def _casimir_composed4(n: int, poly: dict) -> dict:
-    """4 (Xi3^2 - Xi1^2 - Xi2^2) at mode mu = lambda + n. Xi1^2 + Xi2^2 is
-    (Xi+ Xi- + Xi- Xi+)/2, and Xi+- carry a factor i each, so 4 times the
-    Casimir is (2 mu)^2 q + 2 up(down q) + 2 down(up q)."""
-    return _comb((4, 0, 2, poly), (4 * (2 * n + 1), 0, 1, poly), ((2 * n + 1) ** 2, 0, 0, poly),
-                 (2, 0, 0, _up(n - 1, _down(n, poly))), (2, 0, 0, _down(n + 1, _up(n, poly))))
-
-
 def _laguerre_next(k: int, cur: dict, prev: dict) -> dict:
     """(k+1)! L_{k+1} from k! L_k and (k-1)! L_{k-1} at alpha = 2s, y = 2 rho:
     (k+1) L_{k+1} = (2k + 1 + alpha - y) L_k - (k + alpha) L_{k-1}."""
@@ -295,12 +251,8 @@ def _laguerre_next(k: int, cur: dict, prev: dict) -> dict:
 
 
 def _decide_casimir(n: int, poly: dict) -> None:
-    """Both Casimir routes agree on poly at mode lambda + n, and their value
-    is (s^2 - 1/4) poly; all times 4."""
-    explicit = _casimir_explicit4(n, poly)
-    if explicit != _casimir_composed4(n, poly):
-        raise AssertionError(f"universal rung {n}: explicit and composed Casimir disagree")
-    if explicit != _comb((4, 0, 2, poly), (-1, 0, 0, poly)):
+    """4 times the Casimir at mode lambda + n is (4s^2 - 1) poly."""
+    if universal_map("casimir", n, poly) != _comb((4, 0, 2, poly), (-1, 0, 0, poly)):
         raise AssertionError(f"universal rung {n} is not a Casimir eigenstate")
 
 
@@ -311,8 +263,8 @@ def _decide_rung(n: int, poly: dict, below: list) -> None:
         raise AssertionError(f"universal rung {n} leading coefficient is not (-2)^n")
     if max(i for i, _ in poly) != n:
         raise AssertionError(f"universal rung {n} polynomial degree mismatch")
-    if n >= 1 and _down(n, poly) != _comb((-n * n, 0, 0, below[n - 1]),
-                                          (-2 * n, 0, 1, below[n - 1])):
+    lowered = _comb((-n * n, 0, 0, below[n - 1]), (-2 * n, 0, 1, below[n - 1])) if n else {}
+    if universal_map("-", n, poly) != lowered:
         raise AssertionError(f"universal rung {n} window shift: lowering does "
                              "not return -n(n+2s) pi_(n-1)")
     _decide_casimir(n, poly)
@@ -323,8 +275,8 @@ def _decide_rung(n: int, poly: dict, below: list) -> None:
 
 
 def _raise_universal(n: int, poly: dict) -> dict:
-    """Universal rung n+1 from rung n."""
-    return _up(n, poly)
+    """Universal rung n+1 from rung n: the real part of Xi+ at mode lambda + n."""
+    return universal_map("+", n, poly)
 
 
 def universal_rung(n: int) -> dict:

@@ -19,12 +19,13 @@ one element rounds, prints and hashes alike. (mpmath rounds a numerator to
 the working precision before it divides, so an unreduced one could round
 differently.)
 
-The same construction over Q(s) gives the two other fields. The first-order
-radial system involves w = sqrt((s + n)^2 + zeta^2), whose square is in Q(s)
-but which is not; in the tower Q(s)(w) those residuals reduce to exact
-zeros. The su(1,1) generators carry a factor i, and Gaussian scalars over
-Q(s) keep it exact. An element of either is a pair of elements of Q(s). One
-class, Quadratic, represents a + b*sqrt(d) over either base.
+The same construction over Q(s) gives the tower. The first-order radial
+system involves w = sqrt((s + n)^2 + zeta^2), whose square is in Q(s) but
+which is not; in the tower Q(s)(w) those residuals reduce to exact zeros.
+An element of the tower is a pair of elements of Q(s). One class,
+Quadratic, represents a + b*sqrt(d) over either base. Every modulus is
+positive (s^2 of an open channel, w^2 > 0 decided in Q(s)), so every
+element is real: `sign` and `embed` hold for all of them.
 
 Signs of nonzero elements are decidable exactly (compare a^2 against b^2 d
 when a and b disagree in sign), so root isolation over these fields needs no
@@ -69,9 +70,11 @@ def _embed(x, precision: int) -> mp.mpf:
 
 
 def _modulus(d):
-    """d as the modulus of a field: an element of Q(s) as it is, a rational
-    only if positive (s^2 of an open channel)."""
+    """d as the modulus of a field, only if positive: a rational s^2 of an
+    open channel, or an element w^2 of Q(s), whose sign is decided exactly."""
     if isinstance(d, Quadratic):
+        if d.sign() <= 0:
+            raise ValueError("a modulus over Q(s) must be positive")
         return d
     d = _frac(d)
     if d <= 0:
@@ -123,7 +126,7 @@ def _sum(u: "Quadratic", x: int, y: int, den: int) -> "Quadratic":
 
 
 def _pair(a: "Quadratic", b: "Quadratic", d: "Quadratic") -> "Quadratic":
-    """a + b*sqrt(d) for a, b and d in one field: a tower or Gaussian element."""
+    """a + b*sqrt(d) for a, b and d in one field: a tower element."""
     e = _new(Quadratic)
     e._x, e._y, e._den, e._pq, e.d = a, b, None, None, d
     return e
@@ -134,9 +137,10 @@ class Quadratic:
 
     K is Q when d is a Fraction: the field Q(s), with d = s^2 > 0. K is
     Q(s) when d is itself an element of Q(s): the tower Q(s)(w), with
-    d = w^2, or the Gaussian scalars, with d = -1. Ints, Fractions and
-    elements of K lift into K(sqrt(d)). All elements entering an operation
-    must share d; mixing channels is a bug, not a conversion.
+    d = w^2 > 0. A modulus that is not positive is refused, so every
+    element is real. Ints, Fractions and elements of K lift into
+    K(sqrt(d)). All elements entering an operation must share d; mixing
+    channels is a bug, not a conversion.
 
     An element of Q(s) keeps ints (x, y, den) for (x + y*s)/den, den > 0,
     not necessarily in lowest terms, and s^2 = p/q as the ints (p, q); an
@@ -194,7 +198,7 @@ class Quadratic:
 
     @staticmethod
     def root(d) -> "Quadratic":
-        """The generator sqrt(d) itself: s, w or i."""
+        """The generator sqrt(d) itself: s or w."""
         return Quadratic.of(0, 1, d=d)
 
     def _rational(self, r) -> "Quadratic":
@@ -342,7 +346,7 @@ class Quadratic:
         return not self._x and not self._y
 
     def sign(self) -> int:
-        """Exact sign, with sqrt(d) taken as the positive root (d > 0)."""
+        """Exact sign, with sqrt(d) the positive root of the positive d."""
         if self._den is None:
             sa, sb = self._x.sign(), self._y.sign()
         else:

@@ -55,14 +55,7 @@ from .params import (
 from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
 from .ladder import LadderState, build_state, climb, tower_image  # noqa: F401
-from .algebra import (
-    COMMUTATORS,
-    FamilySum,
-    casimir_composed,
-    casimir_explicit,
-    commutator_check,
-    inner_product,
-)
+from .algebra import inner_product, universal_images
 from .wavefunctions import RadialPair, assemble, exact_w, tower_window
 
 ORACLE_N_CAP = 10
@@ -484,10 +477,13 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                         inject_off_shell: bool = False) -> dict:
     """Run the exact residual suite over a channel grid; JSON-friendly.
 
-    One climb per channel, to rung max(n_max, 2), serves the residual rows
-    and the Gram matrix; the first channel's (j = 1/2, eps = -1) also gives
-    the commutator and Casimir samples. Each rung is assembled once, and its
-    split rows are read off its radial rows.
+    One climb per channel serves the residual rows and the Gram matrix.
+    Each rung is assembled once, and its split rows are read off its radial
+    rows. The su(1,1) structure relations and the two Casimir routes are
+    not sampled here: they are decided once per process on a generic
+    family member (`algebra.universal_images`), which covers every channel,
+    mode and degree, so `commutators_exact` and `casimir_routes_agree`
+    report that decision.
 
     inject_off_shell deliberately swaps one state's first-order residuals
     for their detuned counterparts, so a healthy reporting path must flag
@@ -499,8 +495,8 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
     channels = []
     all_exact = True
     injected = False
-    towers = [climb(ch, max(n_max, 2), precision) for ch in grid]
-    for ch, rungs in zip(grid, towers):
+    for ch in grid:
+        rungs = climb(ch, n_max, precision)
         rows = []
         for n, state in enumerate(rungs[:n_max + 1]):
             entry = {"n": n, "physical": state.is_physical}
@@ -550,15 +546,9 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                          "gram_offdiagonal_exact_zero": off_ok,
                          "gram_diagonal_max_err": mp_str(diag_err, 32),
                          "gram_identity_ok": gram_ok})
-    sample_members = [state.plus_function() for state in towers[0][:3]]
-    comm_ok = all(
-        commutator_check(f, pair).is_zero
-        for f in sample_members for pair in COMMUTATORS)
-    casimir_ok = all(
-        (casimir_composed(S) - casimir_explicit(S)).is_zero
-        for S in (FamilySum.from_function(f) for f in sample_members))
-    if not (comm_ok and casimir_ok):
-        all_exact = False
+    # the climbs above stand on the decided generator images: a structure
+    # relation or Casimir route that fails raises AssertionError, naming it
+    universal_images()
     return {
         "schema": SCHEMA_TAG,
         "kind": "verification-report",
@@ -567,8 +557,8 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
         "precision": precision,
         "j_max": str(j_max),
         "n_max": n_max,
-        "commutators_exact": comm_ok,
-        "casimir_routes_agree": casimir_ok,
+        "commutators_exact": True,
+        "casimir_routes_agree": True,
         "channels": channels,
         "all_exact": all_exact,
         "descending_tower": negative_branch_divergence_note(),

@@ -327,6 +327,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: internal check failed: bound-state energy left (0, c^2)\n"
 
+    def test_failed_generator_relation(self, capsys, monkeypatch):
+        # a wrong sign in the generator table fails the universal decision,
+        # and verify names the relation instead of printing a traceback
+        from dirac_su11 import algebra, ladder
+        monkeypatch.setattr(algebra, "_IMAGES", {})
+        monkeypatch.setattr(ladder, "_TOWER", [])
+        monkeypatch.setitem(algebra.GENERATORS, "-", (-1, 1, {0: (1, 0, 1, 0)}))
+        assert main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "1",
+                     "--skip-oracle"] + FAST) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: internal check failed: su(1,1) relation +- "
+                                "fails on the generic family member\n")
+
     def test_low_precision(self, capsys):
         # the energy window is decided in Q(s), so 8 bits print a spectrum;
         # sqrt(c^2 - E) of a state needs E embedded below c^2

@@ -18,17 +18,17 @@ P1 = make_params(Z=1)
 
 def reference_climb(channel, n):
     """Rungs 0..n of the per-channel climb in Q(s) that the universal tower
-    replaced: each raised by the step map and checked there for its leading
-    coefficient, degree and Casimir eigenvalue."""
+    replaced: each raised by the channel image of Xi+ and checked there for
+    its leading coefficient, degree and Casimir eigenvalue."""
     zero = Quadratic.zero(channel.s2)
     polys = [QsPolynomial.from_coeffs([1], zero)]
     for k in range(n + 1):
         if k:
-            polys.append(al._step_up_poly(channel, k - 1, polys[-1]))
+            polys.append(al.apply("+", al.FamilyFunction(channel, k - 1, polys[-1])).poly)
         pi = polys[k]
         assert (pi.leading - channel.qs((-2) ** k)).is_zero and pi.degree == k
         scaled = al.apply_casimir(al.FamilyFunction(channel, k, pi))
-        assert (scaled.scale.a - channel.qs(channel.xi)).is_zero and scaled.scale.b.is_zero
+        assert scaled.scale == channel.qs(channel.xi)
     return polys
 
 
@@ -101,6 +101,19 @@ class TestConstruction:
         ld._decide_casimir(2, pi2)
         with pytest.raises(AssertionError, match="rung 3 is not a Casimir eigenstate"):
             ld._decide_casimir(3, pi2)
+
+    def test_bottom_rung_annihilation_is_decided(self, monkeypatch):
+        # the window shift reaches n = 0: lowering pi_0 must give zero
+        real = ld.universal_map
+
+        def leaky(name, k, poly):
+            out = real(name, k, poly)
+            return {(0, 0): 1} if (name, k, out) == ("-", 0, {}) else out
+
+        monkeypatch.setattr(ld, "_TOWER", [])
+        monkeypatch.setattr(ld, "universal_map", leaky)
+        with pytest.raises(AssertionError, match="universal rung 0 window shift"):
+            ld.universal_rung(0)
 
     def test_laguerre_route_is_decided(self, monkeypatch):
         # a wrong three-term recurrence must fail the rung it reaches first
@@ -176,20 +189,21 @@ class TestLadderCoefficients:
             ld.ladder_coefficient(lam, lam, "x", 64)
 
     def test_operator_route_matches_coefficient_product(self):
-        # Xi- Xi+ on rung n scales by (n+1)(n+1+2s) = |C^+|^2 exactly
+        # Xi- Xi+ on rung n scales by (n+1)(n+1+2s) = |C^+|^2 exactly; in
+        # real parts Xi- Xi+ = I^2 M P
         for n in range(4):
-            state = ld.build_state(CH, n)
-            F = al.FamilySum.from_function(state.plus_function())
+            f = ld.build_state(CH, n).plus_function()
             gap = ld.tower_gap(CH, n + 1)
-            assert (al.xi_minus(al.xi_plus(F)) - F.scaled(gap)).is_zero
+            down_up = al.apply("-", al.apply("+", f))
+            assert (down_up.poly + f.poly.scale(gap)).is_zero
 
     def test_expectation_identity_through_rung_ten(self):
         # <Xi+ Xi-> on unit kets: mu(mu-1) - lam(lam-1) = n(n+2s), exact
         for n in range(11):
-            state = ld.build_state(CH_HEAVY, n, 128)
-            F = al.FamilySum.from_function(state.plus_function())
+            f = ld.build_state(CH_HEAVY, n, 128).plus_function()
             gap = ld.tower_gap(CH_HEAVY, n)
-            assert (al.xi_plus(al.xi_minus(F)) - F.scaled(gap)).is_zero
+            up_down = al.apply("+", al.apply("-", f))
+            assert (up_down.poly + f.poly.scale(gap)).is_zero
             mu = CH_HEAVY.lam + n
             lam = CH_HEAVY.lam
             assert (mu * (mu - 1) - lam * (lam - 1) - gap).is_zero

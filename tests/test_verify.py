@@ -389,12 +389,12 @@ class TestReport:
     @pytest.mark.parametrize("n_max", [0, 2, 3])
     def test_each_rung_checked_once(self, monkeypatch, n_max):
         # four channels, and two values of Z, climb the universal tower
-        # once; the algebra samples take rungs 0..2 whatever n_max is
+        # once, and no higher than n_max
         seen = count_rung_checks(monkeypatch)
         for params in (P1, make_params(Z=80)):
             rep = vf.verification_report(params, Fraction(3, 2), n_max, 128)
             assert rep["all_exact"] is True
-        assert seen == Counter(dict.fromkeys(range(max(n_max, 2) + 1), 1))
+        assert seen == Counter(dict.fromkeys(range(n_max + 1), 1))
 
     def test_each_rung_assembled_once(self, monkeypatch):
         # one window lift per rung, plus one per detuned control
