@@ -47,16 +47,12 @@ from .wavefunctions import (
     normalize,
     sample,
 )
+from . import verify
 from .verify import (
-    BracketingError,
-    OracleResult,
     ResidualReport,
     first_order_residual,
-    oracle_sweep,
     orthonormality_matrix,
     second_order_residual,
-    shooting_oracle,
-    shooting_oracle_batch,
     verification_report,
 )
 from .jloperator import (
@@ -68,6 +64,15 @@ from .jloperator import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the oracle's names (BracketingError, shooting_oracle, ...) resolve
+    # through verify, which imports the oracle and numpy on first use
+    if name not in verify._ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(verify, name)
+
 
 __all__ = [
     "Channel", "DomainError", "PhysicalParams", "SpectralPoint",

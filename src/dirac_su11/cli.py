@@ -46,13 +46,7 @@ from .wavefunctions import (
     report_to_dict,
     sample,
 )
-from .verify import (
-    ORACLE_REL_TOL,
-    BracketingError,
-    first_order_residual,
-    oracle_sweep,
-    verification_report,
-)
+from .verify import first_order_residual, verification_report
 from .jloperator import diagonality_scan, scan_to_dict, spectroscopic_label
 
 
@@ -287,6 +281,9 @@ def run_state(ns) -> int:
 
 
 def run_verify(ns) -> int:
+    if not ns.skip_oracle:
+        # the oracle brings numpy and scipy; only this path loads them
+        from . import oracle
     runs = []
     ok = True
     for z in ns.z_list:
@@ -297,8 +294,8 @@ def run_verify(ns) -> int:
         unbracketed = []
         if not ns.skip_oracle:
             try:
-                rep["oracle"], worst = oracle_sweep(params, ns.j_max, ns.n_max)
-            except BracketingError as exc:
+                rep["oracle"], worst = oracle.oracle_sweep(params, ns.j_max, ns.n_max)
+            except oracle.BracketingError as exc:
                 # every swept slot is bound in closed form: a failed check
                 unbracketed = [{"j": str(ch.j), "eps": ch.eps, "n": n}
                                for ch, n in exc.slots]
@@ -308,7 +305,7 @@ def run_verify(ns) -> int:
             else:
                 rep["oracle_worst_rel_error"] = f"{worst:.3e}"
                 line += f", oracle worst rel err {worst:.1e}"
-                if worst > ORACLE_REL_TOL:
+                if worst > oracle.ORACLE_REL_TOL:
                     line += " FAILED"
                     ok = False
         if not rep["all_exact"]:

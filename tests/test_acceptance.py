@@ -21,6 +21,7 @@ from dirac_su11 import algebra as alg
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
 from dirac_su11 import verify as vf
+from dirac_su11 import oracle as orc
 from dirac_su11 import jloperator as jl
 
 from channel_images import REAL_RELATIONS, member, residual
@@ -42,15 +43,15 @@ def test_criterion_1_spectrum_vs_shooting_oracle(acceptance_log):
               for Z in (1, 40, 80) for jnum in (1, 3, 5) for eps in (-1, 1)
               for n in range(6)
               if not (n == 0 and eps == 1)]  # no bound state in that slot
-    results = vf.shooting_oracle_batch(levels)
-    worst = max(vf.oracle_binding_residual(ch, n, res)
+    results = orc.shooting_oracle_batch(levels)
+    worst = max(orc.oracle_binding_residual(ch, n, res)
                 for (ch, n), res in zip(levels, results))
     count = len(results)
     # negative control: the empty slot must fail to bracket, not converge
     control_ok = False
     try:
-        vf.shooting_oracle(make_channel(make_params(Z=1), Fraction(1, 2), 1), 0)
-    except vf.BracketingError:
+        orc.shooting_oracle(make_channel(make_params(Z=1), Fraction(1, 2), 1), 0)
+    except orc.BracketingError:
         control_ok = True
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and count == 99 and control_ok and elapsed <= budget

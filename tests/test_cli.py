@@ -219,16 +219,16 @@ class TestVerify:
 
     def test_unbracketed_slot_fails_the_run(self, capsys, tmp_path, monkeypatch):
         from fractions import Fraction
-        from dirac_su11 import cli
+        from dirac_su11 import oracle
         from dirac_su11.params import make_channel, make_params
-        from dirac_su11.verify import BracketingError
+        from dirac_su11.oracle import BracketingError
 
         ch = make_channel(make_params(Z=1), Fraction(1, 2), -1)
 
         def no_sign_change(params, j_max, n_max):
             raise BracketingError("no eigenvalue", slots=[(ch, 1)])
 
-        monkeypatch.setattr(cli, "oracle_sweep", no_sign_change)
+        monkeypatch.setattr(oracle, "oracle_sweep", no_sign_change)
         dest = tmp_path / "verify.json"
         code = main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "1",
                      "--out", str(dest)] + FAST)

@@ -80,6 +80,40 @@ def test_no_uncalled_helpers():
     assert uncalled == []
 
 
+def _imported_modules(path):
+    """Absolute names of the modules a package file imports, anywhere in
+    it, function bodies included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ("dirac_su11", base)))
+                if not node.module:  # from . import x
+                    found.update(f"{base}.{alias.name}" for alias in node.names)
+                    continue
+            found.add(base)
+    return found
+
+
+def test_the_oracle_never_looks_at_the_algebra():
+    # the oracle checks the exact spectrum from outside: it reads a
+    # channel's numbers from params and nothing from the algebra
+    algebra = {f"dirac_su11.{name}" for name in
+               ("qsfield", "ladder", "algebra", "wavefunctions", "verify")}
+    assert _imported_modules(SRC / "oracle.py") & algebra == set()
+
+
+def test_only_the_oracle_imports_numpy_and_scipy():
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "oracle.py"
+             for name in sorted(_imported_modules(path))
+             if name.split(".")[0] in ("numpy", "scipy")]
+    assert found == []
+
+
 def test_quadratic_representation_is_private():
     # an element of Q(s) is an integer triple that only qsfield reads;
     # everything else goes through the parts a, b and d and builds elements

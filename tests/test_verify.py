@@ -1,4 +1,4 @@
-"""Residual checks, shooting oracle, Gram matrix, report format."""
+"""Residual checks, shooting oracle (dirac_su11.oracle), Gram matrix, report format."""
 
 import math
 from collections import Counter
@@ -14,6 +14,7 @@ from dirac_su11.qsfield import QsPolynomial, Quadratic
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
 from dirac_su11 import verify as vf
+from dirac_su11 import oracle as orc
 
 P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
@@ -216,38 +217,38 @@ class TestRepresentation:
 
 class TestShootingOracle:
     def test_ground_binding(self):
-        res = vf.shooting_oracle(CH, 0)
-        assert vf.oracle_binding_residual(CH, 0, res) < 1e-10
+        res = orc.shooting_oracle(CH, 0)
+        assert orc.oracle_binding_residual(CH, 0, res) < 1e-10
         # frozen digits of the lowest level at the default c
         assert abs(res.binding_oracle - (-0.5000066565965526)) < 1e-12
 
     def test_excited_and_heavy(self):
-        assert vf.oracle_binding_residual(CH, 2, vf.shooting_oracle(CH, 2)) < 1e-10
+        assert orc.oracle_binding_residual(CH, 2, orc.shooting_oracle(CH, 2)) < 1e-10
         ch40 = make_channel(make_params(Z=40), Fraction(3, 2), -1)
-        assert vf.oracle_binding_residual(ch40, 1, vf.shooting_oracle(ch40, 1)) < 1e-10
+        assert orc.oracle_binding_residual(ch40, 1, orc.shooting_oracle(ch40, 1)) < 1e-10
 
     def test_tau_positive_channel_slots(self):
         # n = 0 must fail to bracket; n = 1 must converge
-        with pytest.raises(vf.BracketingError):
-            vf.shooting_oracle(CH_P, 0)
-        assert vf.oracle_binding_residual(CH_P, 1, vf.shooting_oracle(CH_P, 1)) < 1e-10
+        with pytest.raises(orc.BracketingError):
+            orc.shooting_oracle(CH_P, 0)
+        assert orc.oracle_binding_residual(CH_P, 1, orc.shooting_oracle(CH_P, 1)) < 1e-10
 
     def test_degenerate_partners_agree(self):
         # same (j, n?) pair across eps: E(j, -1, n) = E(j, +1, n) exactly in
         # the closed form; the oracle solves two different systems and must
         # land on the same number
-        a = vf.shooting_oracle(CH, 1)
-        b = vf.shooting_oracle(CH_P, 1)
+        a = orc.shooting_oracle(CH, 1)
+        b = orc.shooting_oracle(CH_P, 1)
         assert abs(a.binding_oracle - b.binding_oracle) < 1e-11 * abs(a.binding_oracle) + 1e-22
 
     def test_index_guards(self):
         with pytest.raises(DomainError):
-            vf.shooting_oracle(CH, vf.ORACLE_N_CAP + 1)
+            orc.shooting_oracle(CH, orc.ORACLE_N_CAP + 1)
         with pytest.raises(DomainError):
-            vf.shooting_oracle(CH, -1)
+            orc.shooting_oracle(CH, -1)
 
     def test_result_fields(self):
-        res = vf.shooting_oracle(CH, 1)
+        res = orc.shooting_oracle(CH, 1)
         assert res.bracket[0] < res.nu_oracle < res.bracket[1]
         assert res.steps > 0
         assert res.mismatch < 1e-9
@@ -258,7 +259,7 @@ def spy_on_shoot(monkeypatch):
     mismatch}} and, per solve, its RHS count and the set of (tau, n) in it.
     At one Z, (tau, n) names a level."""
     probes, calls = {}, []
-    shoot = vf._shoot
+    shoot = orc._shoot
 
     def spy(s, zeta, tau, n, nu):
         mismatch, nfev = shoot(s, zeta, tau, n, nu)
@@ -268,7 +269,7 @@ def spy_on_shoot(monkeypatch):
             probes.setdefault(key, {})[x] = m
         return mismatch, nfev
 
-    monkeypatch.setattr(vf, "_shoot", spy)
+    monkeypatch.setattr(orc, "_shoot", spy)
     return probes, calls
 
 
@@ -286,23 +287,23 @@ class TestOracleBatch:
                   for Z in (1, 40, 80) for jnum in (1, 3, 5) for eps in (-1, 1)
                   for n in range(6) if not (n == 0 and eps == 1)]
         assert len(levels) == 99
-        batch = vf.shooting_oracle_batch(levels)
+        batch = orc.shooting_oracle_batch(levels)
         for (ch, n), together in zip(levels, batch):
-            alone = vf.shooting_oracle(ch, n)
-            assert vf.oracle_binding_residual(ch, n, together) <= 1e-12, (str(ch), n)
-            assert vf.oracle_binding_residual(ch, n, alone) <= 1e-12, (str(ch), n)
+            alone = orc.shooting_oracle(ch, n)
+            assert orc.oracle_binding_residual(ch, n, together) <= 1e-12, (str(ch), n)
+            assert orc.oracle_binding_residual(ch, n, alone) <= 1e-12, (str(ch), n)
             assert abs(together.nu_oracle - alone.nu_oracle) <= 1e-12 * alone.nu_oracle
 
     def test_every_empty_slot_is_named(self):
         ch3 = make_channel(P1, Fraction(3, 2), 1)
-        with pytest.raises(vf.BracketingError) as info:
-            vf.shooting_oracle_batch([(CH_P, 0), (CH, 0), (ch3, 0)])
+        with pytest.raises(orc.BracketingError) as info:
+            orc.shooting_oracle_batch([(CH_P, 0), (CH, 0), (ch3, 0)])
         assert info.value.slots == ((CH_P, 0), (ch3, 0))
         assert str(info.value).count("no eigenvalue between") == 2
 
     def test_index_guards_cover_the_batch(self):
         with pytest.raises(DomainError):
-            vf.shooting_oracle_batch([(CH, 0), (CH, vf.ORACLE_N_CAP + 1)])
+            orc.shooting_oracle_batch([(CH, 0), (CH, orc.ORACLE_N_CAP + 1)])
 
     def test_every_level_is_certified(self, monkeypatch):
         # each nu_oracle is one end of a pair of probed points at most a
@@ -310,11 +311,11 @@ class TestOracleBatch:
         # positive); steps is the RHS count of the solves it took part in
         probes, calls = spy_on_shoot(monkeypatch)
         levels = sweep_levels(40)
-        for (ch, n), res in zip(levels, vf.shooting_oracle_batch(levels)):
+        for (ch, n), res in zip(levels, orc.shooting_oracle_batch(levels)):
             key = (float(ch.tau), n)
             assert res.steps == sum(nfev for nfev, keys in calls if key in keys)
             seen = probes[key]
-            tol = vf._XTOL + vf._RTOL * abs(res.nu_oracle)
+            tol = orc._XTOL + orc._RTOL * abs(res.nu_oracle)
             assert res.nu_oracle in seen, (str(ch), n)
             negative = seen[res.nu_oracle] < 0
             assert any(abs(nu - res.nu_oracle) <= tol and (m < 0) != negative
@@ -323,23 +324,23 @@ class TestOracleBatch:
 
     def test_solve_counts(self, monkeypatch):
         _, calls = spy_on_shoot(monkeypatch)
-        vf.shooting_oracle_batch(sweep_levels(40))
+        orc.shooting_oracle_batch(sweep_levels(40))
         assert len(calls) <= 5
         calls.clear()
-        vf.shooting_oracle(CH_HEAVY, 3)
+        orc.shooting_oracle(CH_HEAVY, 3)
         assert len(calls) <= 5
         calls.clear()
-        with pytest.raises(vf.BracketingError):
-            vf.shooting_oracle(CH_P, 0)
+        with pytest.raises(orc.BracketingError):
+            orc.shooting_oracle(CH_P, 0)
         assert len(calls) == 1
 
     def test_round_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(vf, "_ROUND_CAP", 2)
+        monkeypatch.setattr(orc, "_ROUND_CAP", 2)
         with pytest.raises(AssertionError, match="did not converge in 2 rounds"):
-            vf.shooting_oracle(CH, 0)
+            orc.shooting_oracle(CH, 0)
 
     def test_sweep_rows(self):
-        rows, worst = vf.oracle_sweep(P1, Fraction(3, 2), 1)
+        rows, worst = orc.oracle_sweep(P1, Fraction(3, 2), 1)
         assert [(r["j"], r["eps"], r["n"]) for r in rows] == [
             ("1/2", -1, 0), ("1/2", -1, 1), ("1/2", 1, 1),
             ("3/2", -1, 0), ("3/2", -1, 1), ("3/2", 1, 1)]
