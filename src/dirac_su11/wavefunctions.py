@@ -35,7 +35,7 @@ import mpmath as mp
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, mp_str, tower_gap, tower_w2)
 from .qsfield import (_EMBED_GUARD_BITS, QsPolynomial, Quadratic, horner_mp,
-                      sturm_positive_roots)
+                      positive_root_count)
 from .ladder import LadderState, tower_image, with_norm_constant
 from .algebra import moment_sum
 
@@ -318,5 +318,7 @@ def sample(pair: RadialPair, count: int = 400) -> RadialPair:
 
 
 def count_f_nodes(pair: RadialPair) -> int:
-    """Positive zeros of F, exactly; the weight rho^s e^{-rho} never vanishes."""
-    return sturm_positive_roots(pair.f_poly)
+    """Distinct positive zeros of F, exactly; the weight rho^s e^{-rho}
+    never vanishes. The float estimate that proposes the separating points
+    runs at the state's precision."""
+    return positive_root_count(pair.f_poly, pair.state.spectral.precision)

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from dirac_su11 import qsfield
 from dirac_su11.cli import main
 
 FAST = ["--precision", "128"]
@@ -131,6 +132,25 @@ class TestState:
         lag = doc["laguerre_report"]
         assert lag["rows_exact_zero"] is True
         assert lag["scalar_ratio_plus"] == "2"  # 2! for n = 2
+
+    def test_f_nodes_do_not_depend_on_the_sample_grid(self, capsys):
+        argv = ["state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", "20",
+                "--format", "json"]
+        for count in ("2", "400"):
+            code, out = run(capsys, argv + ["--samples", count])
+            assert code == 0
+            assert json.loads(out)["f_nodes"] == 19
+
+    def test_deep_state_nodes_are_certified(self, capsys, monkeypatch):
+        # twice the depth of the n = 20 state; the Sturm chain alone takes
+        # about 5 s here
+        fallbacks = []
+        monkeypatch.setattr(qsfield, "sturm_positive_roots", fallbacks.append)
+        code, out = run(capsys, ["state", "--Z", "80", "--j", "5/2", "--eps", "1",
+                                 "--n", "40", "--samples", "2", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["f_nodes"] == 39
+        assert fallbacks == []
 
     def test_ground_state_has_no_laguerre_report(self, capsys):
         _, out = run(capsys, ["state", "--j", "1/2", "--eps", "-1", "--n", "0",

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirac_su11.params import _GUARD, make_params, make_channel, spectral_point, DomainError
-from dirac_su11.qsfield import QsPolynomial, Quadratic
+from dirac_su11.qsfield import QsPolynomial, Quadratic, sturm_positive_roots
 from dirac_su11 import ladder as ld
+from dirac_su11 import qsfield
 from dirac_su11 import wavefunctions as wf
 
 P1 = make_params(Z=1)
@@ -199,6 +200,24 @@ class TestSamplingAndNodes:
         for n in (5, 12, 20):
             nodes = wf.count_f_nodes(wf.assemble(rungs[n]))
             assert nodes == (n if eps == -1 else n - 1)
+
+    @pytest.mark.parametrize("Z", [1, 80, 118])
+    def test_physical_slots_certified_without_sturm(self, Z, monkeypatch):
+        # the Descartes bound and the exact sign certificate meet on every
+        # slot; Sturm, which costs 0.3 s a slot at n = 20, checks n <= 8
+        fallbacks = []
+        monkeypatch.setattr(qsfield, "sturm_positive_roots", fallbacks.append)
+        params = make_params(Z=Z)
+        for j in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
+            for eps in (-1, 1):
+                rungs = ld.climb(make_channel(params, j, eps), 20, 128)
+                for n in (1, 3, 8, 20):
+                    pair = wf.assemble(rungs[n])
+                    nodes = wf.count_f_nodes(pair)
+                    assert nodes == (n if eps == -1 else n - 1)
+                    if n <= 8:
+                        assert nodes == sturm_positive_roots(pair.f_poly)
+        assert fallbacks == []
 
     def test_deep_samples_equal_pointwise_eval_mp(self):
         prec, count = 128, 40
