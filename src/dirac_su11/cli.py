@@ -29,7 +29,7 @@ from .params import (
     DEFAULT_PRECISION,
     SCHEMA_TAG,
     DomainError,
-    channel_grid,
+    channel_slots,
     make_channel,
     make_params,
     mp_str,
@@ -69,15 +69,6 @@ def _positive_int(text: str) -> int:
 
 def _c_schedule(text: str) -> tuple:
     return tuple(t.strip() for t in text.split(",") if t.strip())
-
-
-class _ZList(argparse.Action):
-    """Repeatable --Z whose first use replaces the default pair."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        given = getattr(namespace, self.dest)
-        setattr(namespace, self.dest,
-                (() if given is self.default else given) + (value,))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification suite")
     common(p, run_verify, with_z=False)
-    p.add_argument("--Z", type=int, action=_ZList, dest="z_list", default=(1, 80),
+    p.add_argument("--Z", type=int, action="append", dest="z_list", default=None,
                    help="repeatable; default 1 and 80")
     p.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
     p.add_argument("--n-max", type=int, default=5)
@@ -191,26 +182,23 @@ def _spectrum_rows(ns):
     else:
         j_max = Fraction(5, 2) if ns.j_max is None else ns.j_max
         n_max = 5 if ns.n_max is None else ns.n_max
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
     rows = []
-    for ch in channel_grid(params, j_max):
-        for n in range(n_max + 1):
-            if not ch.is_bound(n):
-                continue
-            pt = spectral_point(ch, n, ns.precision)
-            if ns.N_max is not None and pt.N > ns.N_max:
-                continue
-            rows.append({
-                "N": pt.N,
-                "j": str(ch.j),
-                "eps": ch.eps,
-                "n": n,
-                "label": spectroscopic_label(ch, n),
-                "E": mp_str(pt.E, ns.precision),
-                "binding": mp_str(pt.binding, ns.precision),
-                "quantum_defect": mp_str(pt.eps_j, ns.precision),
-            })
+    for ch, n in channel_slots(params, j_max, n_max):
+        if not ch.is_bound(n):
+            continue
+        pt = spectral_point(ch, n, ns.precision)
+        if ns.N_max is not None and pt.N > ns.N_max:
+            continue
+        rows.append({
+            "N": pt.N,
+            "j": str(ch.j),
+            "eps": ch.eps,
+            "n": n,
+            "label": spectroscopic_label(ch, n),
+            "E": mp_str(pt.E, ns.precision),
+            "binding": mp_str(pt.binding, ns.precision),
+            "quantum_defect": mp_str(pt.eps_j, ns.precision),
+        })
     rows.sort(key=lambda r: (r["N"], Fraction(r["j"]), r["eps"], r["n"]))
     return rows
 
@@ -270,7 +258,7 @@ def run_state(ns) -> int:
         "physical": pair.state.is_physical,
         "E": mp_str(pair.state.spectral.E, ns.precision),
         "binding": mp_str(pair.state.spectral.binding, ns.precision),
-        "norm_constant": mp_str(pair.state.norm_constant, ns.precision),
+        "norm_constant": mp_str(pair.norm_constant, ns.precision),
         "f_nodes": count_f_nodes(pair),
         "checks": checks,
         "laguerre_report": report_to_dict(lag, ns.precision) if lag else None,
@@ -286,7 +274,7 @@ def run_verify(ns) -> int:
         from . import oracle
     runs = []
     ok = True
-    for z in ns.z_list:
+    for z in ns.z_list or (1, 80):
         params = make_params(ns.c, z)
         rep = verification_report(params, ns.j_max, ns.n_max, ns.precision,
                                   inject_off_shell=ns.inject_off_shell)

@@ -36,10 +36,10 @@ from .params import (
     DomainError,
     PhysicalParams,
     SpectralPoint,
-    channel_grid,
+    channel_slots,
+    exact_w,
     mp_str,
 )
-from .wavefunctions import exact_w
 
 _ORBITAL_LETTERS = "spdfghik"
 
@@ -145,21 +145,18 @@ def diagonality_scan(params: PhysicalParams, j_max: Fraction = Fraction(5, 2),
     coupled system), so the diagonal bound states are the n = 0 rungs of
     the tau < 0 channels.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
     records = []
-    for ch in channel_grid(params, j_max):
-        for n in range(n_max + 1):
-            cm, cp = jl_eigencoefficients(ch, n, precision)
-            records.append(DiagonalityRecord(
-                channel=ch,
-                n=n,
-                coeff_minus=cm,
-                coeff_plus=cp,
-                is_diagonal=(n == 0 and ch.is_bound(n)),
-                physical=ch.is_bound(n),
-                spectroscopic_label=spectroscopic_label(ch, n),
-            ))
+    for ch, n in channel_slots(params, j_max, n_max):
+        cm, cp = jl_eigencoefficients(ch, n, precision)
+        records.append(DiagonalityRecord(
+            channel=ch,
+            n=n,
+            coeff_minus=cm,
+            coeff_plus=cp,
+            is_diagonal=(n == 0 and ch.is_bound(n)),
+            physical=ch.is_bound(n),
+            spectroscopic_label=spectroscopic_label(ch, n),
+        ))
     return records
 
 

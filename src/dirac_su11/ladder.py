@@ -5,7 +5,7 @@ polynomial part 1 at mode lambda = s + 1/2, and each step up from mode
 lambda + n applies the real part of Xi+ there (`algebra.GENERATORS`),
 which generates pi_n = n! L_n^{(2s)}(2 rho) with leading coefficient
 (-2)^n. States are stored unnormalized with real polynomial parts (the
-phase i of each application is bookkept separately); `ladder_norm` tracks
+phase i of each application is bookkept separately); `ladder_norm` derives
 the scalar that makes the state a unit ket for the phase-averaged inner
 product,
 
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 import mpmath as mp
 
@@ -68,13 +67,12 @@ class RepresentationBoundaryError(DomainError):
 
 @dataclass(frozen=True, slots=True)
 class LadderState:
-    """Rung n of a channel tower, polynomial parts unnormalized over Q(s)."""
+    """Rung n of a channel tower: the window (pi_n, pi_{n-1}), unnormalized
+    over Q(s)."""
 
     spectral: SpectralPoint
     psi_plus: QsPolynomial
     psi_minus: QsPolynomial
-    ladder_norm: mp.mpf
-    norm_constant: Optional[mp.mpf] = None
 
     @property
     def channel(self) -> Channel:
@@ -91,6 +89,13 @@ class LadderState:
     @property
     def is_physical(self) -> bool:
         return self.spectral.is_physical
+
+    @property
+    def ladder_norm(self) -> mp.mpf:
+        """A_n, derived from the rung index; 0 for the zero state."""
+        if self.is_zero:
+            return mp.mpf(0)
+        return ladder_norms(self.channel, self.n, self.spectral.precision)[-1]
 
     def plus_function(self) -> FamilyFunction:
         return FamilyFunction(self.channel, self.n, self.psi_plus)
@@ -132,78 +137,58 @@ def n_lambda_constant(channel: Channel, precision: int = DEFAULT_PRECISION) -> m
         return +val
 
 
+def ladder_norms(channel: Channel, n: int, precision: int) -> list:
+    """A_0..A_n: N_lam divided by sqrt(k(k+2s)) for k = 1..n, one guarded
+    step per rung."""
+    norms = [n_lambda_constant(channel, precision)]
+    for k in range(1, n + 1):
+        with mp.workprec(precision + _GUARD):
+            norm = norms[-1] / mp.sqrt(tower_gap(channel, k).embed(precision + _GUARD))
+        with mp.workprec(precision):
+            norms.append(+norm)
+    return norms
+
+
 def ground_state(channel: Channel, precision: int = DEFAULT_PRECISION) -> LadderState:
     """Rung 0 of the channel tower; every tower of a channel starts here, so
     here the channel's xi is tied to the universal Casimir eigenvalue."""
     if channel.xi != channel.s2 - Fraction(1, 4):
         raise AssertionError(
             f"{channel}: xi is not s^2 - 1/4, the universal Casimir eigenvalue")
-    zero = Quadratic.zero(channel.s2)
-    pt = spectral_point(channel, 0, precision)
-    return LadderState(
-        spectral=pt,
-        psi_plus=tower_image(channel, 0),
-        psi_minus=QsPolynomial.zero_poly(zero),
-        ladder_norm=n_lambda_constant(channel, precision),
-    )
+    return _rung(channel, 0, precision)
 
 
-def _zero_state(channel: Channel, precision: int) -> LadderState:
-    zero = Quadratic.zero(channel.s2)
+def _rung(channel: Channel, n: int, precision: int) -> LadderState:
+    """The window (pi_n, pi_{n-1}) of rung n; pi_{-1} is zero."""
     return LadderState(
-        spectral=spectral_point(channel, 0, precision),
-        psi_plus=QsPolynomial.zero_poly(zero),
-        psi_minus=QsPolynomial.zero_poly(zero),
-        ladder_norm=mp.mpf(0),
+        spectral=spectral_point(channel, n, precision),
+        psi_plus=tower_image(channel, n),
+        psi_minus=(tower_image(channel, n - 1) if n
+                   else QsPolynomial.zero_poly(Quadratic.zero(channel.s2))),
     )
 
 
 def raise_state(state: LadderState) -> LadderState:
     """Rung n+1: the window shifts, and its new top half is the image of
     universal rung n+1."""
-    ch = state.channel
     if state.is_zero:
         return state
     n = state.n
     if n + 1 > MAX_RUNG:
         raise DomainError(f"rung {n + 1} above the configured cap {MAX_RUNG}")
-    prec = state.spectral.precision
-    gap = tower_gap(ch, n + 1)  # |C^+_{lam+n}|^2 = (n+1)(n+1+2s)
-    with mp.workprec(prec + _GUARD):
-        norm = state.ladder_norm / mp.sqrt(gap.embed(prec + _GUARD))
-    with mp.workprec(prec):
-        norm = +norm
-    return LadderState(
-        spectral=spectral_point(ch, n + 1, prec),
-        psi_plus=tower_image(ch, n + 1),
-        psi_minus=state.psi_plus,
-        ladder_norm=norm,
-    )
+    return _rung(state.channel, n + 1, state.spectral.precision)
 
 
 def lower_state(state: LadderState) -> LadderState:
     """Rung n-1: the window shifts down along the tower images. Lowering
     pi_n returns -n(n+2s) pi_{n-1}, and pi_0 is annihilated; both are
-    decided on the universal rungs."""
-    ch = state.channel
-    prec = state.spectral.precision
+    decided on the universal rungs. The zero state stays at rung 0 with
+    both halves zero."""
     if state.is_zero:
         return state
-    n = state.n
-    if n == 0:
-        return _zero_state(ch, prec)
-    gap = tower_gap(ch, n)
-    with mp.workprec(prec + _GUARD):
-        norm = state.ladder_norm * mp.sqrt(gap.embed(prec + _GUARD))
-    with mp.workprec(prec):
-        norm = +norm
-    return LadderState(
-        spectral=spectral_point(ch, n - 1, prec),
-        psi_plus=tower_image(ch, n - 1),
-        psi_minus=(tower_image(ch, n - 2) if n >= 2
-                   else QsPolynomial.zero_poly(Quadratic.zero(ch.s2))),
-        ladder_norm=norm,
-    )
+    if state.n == 0:
+        return replace(state, psi_plus=state.psi_minus)
+    return _rung(state.channel, state.n - 1, state.spectral.precision)
 
 
 def climb(channel: Channel, n: int, precision: int = DEFAULT_PRECISION) -> list:
@@ -316,7 +301,3 @@ def ket_norm_squared(state: LadderState) -> mp.mpf:
     val = inner_product(state.plus_function(), state.plus_function(),
                         state.spectral.precision)
     return val if isinstance(val, mp.mpf) else mp.mpf(val)
-
-
-def with_norm_constant(state: LadderState, value: mp.mpf) -> LadderState:
-    return replace(state, norm_constant=value)

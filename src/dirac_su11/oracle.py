@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import DOP853
 
-from .params import Channel, DomainError, PhysicalParams, channel_grid, spectral_point
+from .params import Channel, DomainError, PhysicalParams, channel_slots, spectral_point
 
 ORACLE_N_CAP = 10
 ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
@@ -265,8 +265,8 @@ def oracle_sweep(params: PhysicalParams, j_max: Fraction, n_max: int):
     """The oracle on every bound slot with j <= j_max and n <= min(n_max, 5),
     as one batch. Returns the JSON rows, in (j, eps, n) order, and the worst
     relative binding error."""
-    levels = [(ch, n) for ch in channel_grid(params, j_max)
-              for n in range(min(n_max, 5) + 1) if ch.is_bound(n)]
+    levels = [(ch, n) for ch, n in channel_slots(params, j_max, min(n_max, 5))
+              if ch.is_bound(n)]
     rows, worst = [], 0.0
     for (ch, n), res in zip(levels, shooting_oracle_batch(levels)):
         rel = oracle_binding_residual(ch, n, res)

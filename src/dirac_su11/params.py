@@ -131,6 +131,16 @@ def channel_grid(params: PhysicalParams, j_max: Rational) -> list:
             for twice_j in range(1, int(2 * j_max) + 1, 2) for eps in (-1, 1)]
 
 
+def channel_slots(params: PhysicalParams, j_max: Rational, n_max: int):
+    """Yield (channel, n) for the channels of channel_grid(params, j_max)
+    and n = 0..n_max, channel by channel; n_max is checked first."""
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
+    for ch in channel_grid(params, j_max):
+        for n in range(n_max + 1):
+            yield ch, n
+
+
 def tower_gap(channel: Channel, n: int) -> Quadratic:
     """mu(mu-1) - lambda(lambda-1) at mu = lambda + n, i.e. n(n + 2s)."""
     return channel.qs(n * n, 2 * n)
@@ -144,6 +154,19 @@ def tower_w2(channel: Channel, n: int) -> Quadratic:
     """
     sn = channel.s + n
     return sn * sn + channel.zeta * channel.zeta
+
+
+def exact_w(channel: Channel, n: int) -> Quadratic:
+    """The positive root of w^2 = (s+n)^2 + zeta^2 as a tower element.
+
+    At n = 0 the radicand is the perfect square tau^2 and the quotient ring
+    Q(s)[w]/(w^2 - tau^2) has zero divisors, so the symbol form would make
+    structural zero tests lie; there w is stored by its value |tau|.
+    """
+    w2 = tower_w2(channel, n)
+    if n == 0:
+        return Quadratic.of(channel.qs(abs(channel.tau)), d=w2)
+    return Quadratic.root(w2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,8 +1,9 @@
 """Independent checks: exact residuals, Gram matrix, verification report.
 
-Residual checks substitute the assembled polynomial pairs into the radial
-equations and reduce everything to tower arithmetic, so a passing check is
-an exact algebraic zero, not a small number. The identities
+Residual checks substitute the polynomial parts of a state's window into
+the radial equations and reduce everything to tower arithmetic, so a
+passing check is an exact algebraic zero, not a small number; no row
+needs the float scales sqrt(c^2 +- E). The identities
 
     zeta / nu = w + s + n,      zeta nu = w - s - n,      w^2 = tau^2 + n(n+2s)
 
@@ -10,10 +11,11 @@ replace every energy-dependent coefficient by an element of Q(s)[w]; a
 detuned w (off shell) must and does leave a nonzero residual.
 
 The first-order system is transcribed once, in _system_rows, on the pair
-(f, g) = (minus + plus, minus - plus) of the window halves. The ladder-split
-relations are the same system in the (plus, minus) basis, so they are read
-off its rows as polynomials: row_f = lower - raise and row_g = lower + raise,
-that is lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
+(f, g) = (minus + plus, minus - plus) of the window halves
+(`wavefunctions.radial_parts`). The ladder-split relations are the same
+system in the (plus, minus) basis, so they are read off its rows as
+polynomials: row_f = lower - raise and row_g = lower + raise, that is
+lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
 
 The float64 shooting oracle lives in `oracle`, which alone imports numpy
 and scipy. Its public names still resolve here; the first use of one
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 
 import mpmath as mp
 
@@ -34,15 +37,16 @@ from .params import (
     Channel,
     DomainError,
     PhysicalParams,
-    channel_grid,
+    channel_slots,
+    exact_w,
     mp_str,
     tower_w2,
 )
 from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
-from .ladder import LadderState, build_state, climb, tower_image  # noqa: F401
+from .ladder import LadderState, build_state, climb, ladder_norms, tower_image  # noqa: F401
 from .algebra import inner_product, universal_images
-from .wavefunctions import RadialPair, assemble, exact_w, tower_window
+from .wavefunctions import RadialPair, radial_parts, tower_window
 
 _DETUNE = Fraction(1, 1000)   # relative shift of w^2 in the detuned control
 
@@ -65,24 +69,31 @@ def __getattr__(name):
 
 @dataclass(frozen=True, slots=True)
 class ResidualReport:
+    """One residual row, exact in the tower; its magnitude is embedded only
+    when read."""
+
     which: str
     residual_poly: QsPolynomial
-    is_exact_zero: bool
-    max_abs_embedded: mp.mpf
+    precision: int
+
+    @property
+    def is_exact_zero(self) -> bool:
+        return self.residual_poly.is_zero
+
+    @property
+    def max_abs_embedded(self) -> mp.mpf:
+        """The largest |coefficient| of the row at the report's precision."""
+        if self.is_exact_zero:
+            return mp.mpf(0)
+        prec = self.precision
+        with mp.workprec(prec + _GUARD):
+            mx = max(abs(c.embed(prec + _GUARD)) for c in self.residual_poly.coeffs)
+        with mp.workprec(prec):
+            return +mx
 
     def __str__(self) -> str:
         tag = "exact 0" if self.is_exact_zero else f"nonzero ({mp.nstr(self.max_abs_embedded, 5)})"
         return f"[{self.which}] {tag}"
-
-
-def _residual_report(which: str, poly: QsPolynomial, precision: int) -> ResidualReport:
-    mx = mp.mpf(0)
-    if not poly.is_zero:
-        with mp.workprec(precision + _GUARD):
-            mx = max(abs(c.embed(precision + _GUARD)) for c in poly.coeffs)
-        with mp.workprec(precision):
-            mx = +mx
-    return ResidualReport(which, poly, poly.is_zero, mx)
 
 
 def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
@@ -110,30 +121,32 @@ def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
     return row_f, row_g
 
 
+def _reports(tags, rows, precision: int) -> tuple:
+    return tuple(ResidualReport(tag, row, precision) for tag, row in zip(tags, rows))
+
+
 def first_order_residual(pair: RadialPair):
-    """Both rows of the coupled system on the assembled pair; exact zeros."""
-    prec = pair.state.spectral.precision
-    ch = pair.channel
-    n = pair.n
-    row_f, row_g = _system_rows(ch, n, pair.f_poly, pair.g_poly, exact_w(ch, n))
-    return (_residual_report("radial-row-f", row_f, prec),
-            _residual_report("radial-row-g", row_g, prec))
+    """Both rows of the coupled system on a radial pair; exact zeros."""
+    ch, n = pair.channel, pair.n
+    rows = _system_rows(ch, n, pair.f_poly, pair.g_poly, exact_w(ch, n))
+    return _reports(("radial-row-f", "radial-row-g"), rows, pair.state.spectral.precision)
+
+
+def _window_rows(state: LadderState, w: Quadratic, suffix: str = ""):
+    """The radial reports of the state's window lifted to w, with w^2 = w.d."""
+    f, g = radial_parts(*tower_window(state, w.d, w))
+    rows = _system_rows(state.channel, state.n, f, g, w)
+    return _reports(("radial-row-f" + suffix, "radial-row-g" + suffix), rows,
+                    state.spectral.precision)
 
 
 def detuned_first_order(state: LadderState):
     """Negative control: scale w^2 by 1 + _DETUNE = 1001/1000 and redo the
     first-order residuals. Off shell both rows must be exactly nonzero."""
-    prec = state.spectral.precision
-    ch = state.channel
-    n = state.n
-    if n < 1:
+    if state.n < 1:
         raise DomainError("detuned control needs n >= 1")
-    w2_off = tower_w2(ch, n) * (1 + _DETUNE)
-    w_off = Quadratic.root(w2_off)
-    plus, minus = tower_window(state, w2_off, w_off)
-    row_f, row_g = _system_rows(ch, n, minus + plus, minus - plus, w_off)
-    return (_residual_report("radial-row-f-detuned", row_f, prec),
-            _residual_report("radial-row-g-detuned", row_g, prec))
+    w_off = Quadratic.root(tower_w2(state.channel, state.n) * (1 + _DETUNE))
+    return _window_rows(state, w_off, "-detuned")
 
 
 def second_order_residual(state: LadderState):
@@ -157,30 +170,26 @@ def second_order_residual(state: LadderState):
     which vanishes exactly when tau < 0 (w = -tau) and equals 2 tau at a
     tau > 0 bottom rung.
     """
-    radial = first_order_residual(assemble(state, allow_unphysical=True))
-    return _second_order_rows(state, radial)
+    return _second_order_rows(state, _window_rows(state, exact_w(state.channel, state.n)))
 
 
 def _second_order_rows(state: LadderState, radial):
     """The four reports of second_order_residual, the split rows read off
     the radial rows (row_f, row_g) of the same state."""
-    prec = state.spectral.precision
     ch = state.channel
     n = state.n
     link = ch.qs(ch.s2 - Fraction(1, 4) - ch.xi)
-    reports = []
-    for tag, half, k in (("mode-equation-plus", state.psi_plus, n),
-                         ("mode-equation-minus", state.psi_minus, n - 1)):
+    rows = []
+    for half, k in ((state.psi_plus, n), (state.psi_minus, n - 1)):
         rung = tower_image(ch, k) if k >= 0 else QsPolynomial.zero_poly(half.zero)
         if half != rung:
             raise AssertionError(f"rung {n} window is not the image of the universal tower")
-        reports.append(_residual_report(tag, half.scale(link), prec))
+        rows.append(half.scale(link))
     row_f, row_g = (rep.residual_poly for rep in radial)
-    reports.append(_residual_report(
-        "ladder-split-lower", (row_f + row_g).scale(Fraction(1, 2)), prec))
-    reports.append(_residual_report(
-        "ladder-split-raise", (row_g - row_f).scale(Fraction(1, 2)), prec))
-    return tuple(reports)
+    rows += [(row_f + row_g).scale(Fraction(1, 2)), (row_g - row_f).scale(Fraction(1, 2))]
+    return _reports(("mode-equation-plus", "mode-equation-minus",
+                     "ladder-split-lower", "ladder-split-raise"), rows,
+                    state.spectral.precision)
 
 
 # -- Gram matrix and report ------------------------------------------------------
@@ -195,22 +204,23 @@ def orthonormality_matrix(channel: Channel, n_list, precision: int = DEFAULT_PRE
     n_list = list(n_list)
     if min(n_list, default=0) < 0:
         raise DomainError("rung index must be a nonnegative integer")
-    rungs = climb(channel, max(n_list, default=0), precision)
-    return _gram_matrix([rungs[n] for n in n_list], precision)
+    return _gram_matrix(climb(channel, max(n_list, default=0), precision), n_list, precision)
 
 
-def _gram_matrix(states, precision: int):
-    size = len(states)
-    out = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            val = inner_product(states[i].plus_function(),
-                                states[j].plus_function(), precision)
+def _gram_matrix(rungs, n_list, precision: int):
+    """Gram entries of rungs[a], rungs[b] for a, b in n_list; the rungs are
+    one climb, so their ket normalizers come from one pass."""
+    norms = ladder_norms(rungs[0].channel, len(rungs) - 1, precision)
+    out = [[0] * len(n_list) for _ in n_list]
+    for i, a in enumerate(n_list):
+        for j, b in enumerate(n_list):
+            val = inner_product(rungs[a].plus_function(),
+                                rungs[b].plus_function(), precision)
             if isinstance(val, int):
                 out[i][j] = val
                 continue
             with mp.workprec(precision + _GUARD):
-                val = val * states[i].ladder_norm * states[j].ladder_norm
+                val = val * norms[a] * norms[b]
             with mp.workprec(precision):
                 out[i][j] = +val
     return out
@@ -233,29 +243,28 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
     """Run the exact residual suite over a channel grid; JSON-friendly.
 
     One climb per channel serves the residual rows and the Gram matrix.
-    Each rung is assembled once, and its split rows are read off its radial
-    rows. The su(1,1) structure relations and the two Casimir routes are
-    not sampled here: they are decided once per process on a generic
-    family member (`algebra.universal_images`), which covers every channel,
-    mode and degree, so `commutators_exact` and `casimir_routes_agree`
-    report that decision.
+    Each rung's window is lifted to w once, and its split rows are read off
+    its radial rows; no row embeds E, so any precision decides them. The
+    su(1,1) structure relations and the two Casimir routes are not sampled
+    here: they are decided once per process on a generic family member
+    (`algebra.universal_images`), which covers every channel, mode and
+    degree, so `commutators_exact` and `casimir_routes_agree` report that
+    decision.
 
     inject_off_shell deliberately swaps one state's first-order residuals
     for their detuned counterparts, so a healthy reporting path must flag
     the run as failed.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
-    grid = channel_grid(params, j_max)
     channels = []
     all_exact = True
     injected = False
-    for ch in grid:
+    for ch, slots in groupby(channel_slots(params, j_max, n_max), key=lambda slot: slot[0]):
         rungs = climb(ch, n_max, precision)
         rows = []
-        for n, state in enumerate(rungs[:n_max + 1]):
+        for _, n in slots:
+            state = rungs[n]
             entry = {"n": n, "physical": state.is_physical}
-            radial = first_order_residual(assemble(state, allow_unphysical=True))
+            radial = _window_rows(state, exact_w(ch, n))
             reports = list(_second_order_rows(state, radial))
             if state.is_physical:
                 if n >= 1:
@@ -288,7 +297,7 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                 all_exact = False
                 entry["failed"] = bad
             rows.append(entry)
-        gram = _gram_matrix(rungs[:min(n_max, 5) + 1], precision)
+        gram = _gram_matrix(rungs, range(min(n_max, 5) + 1), precision)
         size = len(gram)
         off_ok = all(gram[a][b] == 0 for a in range(size)
                      for b in range(size) if a != b)

@@ -19,8 +19,8 @@ Normalization uses the radial measure d rho,
     int_0^inf rho^{2s+m} e^{-2 rho} d rho = Gamma(2s+1+m) / 2^{2s+1+m},
 
 so that A^2 [ (c^2+E) M[f^2] + (c^2-E) M[g^2] ] = 1 fixes the physical
-constant; it is stored on the state, separate from the ket normalizer of
-the phase-averaged product.
+constant; it is stored on the pair, separate from the ket normalizer of
+the phase-averaged product, which the state derives.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from typing import Optional
 import mpmath as mp
 
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
-                     DomainError, mp_str, tower_gap, tower_w2)
+                     DomainError, exact_w, mp_str, tower_gap, tower_w2)
 from .qsfield import (_EMBED_GUARD_BITS, QsPolynomial, Quadratic, horner_mp,
                       positive_root_count)
-from .ladder import LadderState, tower_image, with_norm_constant
+from .ladder import LadderState, tower_image
 from .algebra import moment_sum
 
 
@@ -51,6 +51,7 @@ class RadialPair:
     g_scale: mp.mpf
     samples: Optional[tuple] = None
     moments: Optional[tuple] = None  # (M[f^2], M[g^2]) of the parts, set by normalize
+    norm_constant: Optional[mp.mpf] = None  # set by normalize
 
     @property
     def channel(self) -> Channel:
@@ -59,19 +60,6 @@ class RadialPair:
     @property
     def n(self) -> int:
         return self.state.n
-
-
-def exact_w(channel: Channel, n: int) -> Quadratic:
-    """The positive root of w^2 = (s+n)^2 + zeta^2 as a tower element.
-
-    At n = 0 the radicand is the perfect square tau^2 and the quotient ring
-    Q(s)[w]/(w^2 - tau^2) has zero divisors, so the symbol form would make
-    structural zero tests lie; there w is stored by its value |tau|.
-    """
-    w2 = tower_w2(channel, n)
-    if n == 0:
-        return Quadratic.of(channel.qs(abs(channel.tau)), d=w2)
-    return Quadratic.root(w2)
 
 
 def small_component_scalar(channel: Channel, n: int) -> Quadratic:
@@ -88,6 +76,12 @@ def tower_window(state: LadderState, w2: Quadratic, w: Quadratic):
             QsPolynomial.from_coeffs(state.psi_minus.coeffs, zero).scale(-(w + tau)))
 
 
+def radial_parts(plus: QsPolynomial, minus: QsPolynomial):
+    """(f, g) = (minus + plus, minus - plus): the polynomial parts of (F, G)
+    from a tower window."""
+    return minus + plus, minus - plus
+
+
 def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
     """Radial pair of a tower state; the bottom rung with tau > 0 solves the
     coupled system only formally and is refused unless explicitly allowed."""
@@ -97,7 +91,7 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
             "pass allow_unphysical=True to assemble it anyway")
     ch = state.channel
     n = state.n
-    plus, minus = tower_window(state, tower_w2(ch, n), exact_w(ch, n))
+    f, g = radial_parts(*tower_window(state, tower_w2(ch, n), exact_w(ch, n)))
     prec = state.spectral.precision
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
@@ -112,20 +106,14 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
         gs = mp.sqrt(-state.spectral.binding)
     with mp.workprec(prec):
         fs, gs = +fs, +gs
-    return RadialPair(
-        state=state,
-        f_poly=minus + plus,
-        g_poly=minus - plus,
-        f_scale=fs,
-        g_scale=gs,
-    )
+    return RadialPair(state=state, f_poly=f, g_poly=g, f_scale=fs, g_scale=gs)
 
 
 def normalize(pair: RadialPair) -> RadialPair:
     """Fix the overall constant so int (F^2 + G^2) d rho = 1.
 
-    Returns a pair whose scales carry the constant, whose state records
-    it in norm_constant, and which keeps the moments of f^2 and g^2.
+    Returns a pair whose scales carry the constant, which records it in
+    norm_constant and keeps the moments of f^2 and g^2.
     """
     prec = pair.state.spectral.precision
     pair = replace(pair, moments=_square_moments(pair))
@@ -136,8 +124,7 @@ def normalize(pair: RadialPair) -> RadialPair:
         const = 1 / mp.sqrt(total)
     with mp.workprec(prec):
         const = +const
-        new_state = with_norm_constant(pair.state, const)
-        return replace(pair, state=new_state,
+        return replace(pair, norm_constant=const,
                        f_scale=+(pair.f_scale * const),
                        g_scale=+(pair.g_scale * const))
 

@@ -371,6 +371,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: E rounds to c^2 or above at 8 bits")
         assert len(err.strip().splitlines()) == 1
+        # the exact residual suite forms no sqrt(c^2 -+ E): any precision decides it
+        assert main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2",
+                     "--skip-oracle", "--precision", "8"]) == 0
+        assert capsys.readouterr().out == "Z=1: residuals all exact\n"
 
     def test_empty_verify_grid(self, capsys):
         # j-max below 1/2 leaves nothing to check; that is not a pass
@@ -464,6 +468,10 @@ GOLDEN = [
       "--out", "v.json"],
      "e08bfe5aebc4f5a3a7012616403ea0c9f4c8c23595e1aaef400565bd6db9d8d9",
      "35e036248ed993e5cb5a642c55462a3377ad07e5df912d90fd39436cd3a55953", 0),
+    (["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2", "--skip-oracle",
+      "--inject-off-shell", "--out", "v.json"],
+     "6700f1d4290141ede71be2050714fba75465a188ba98858cd509fe10657e91c7",
+     "5620b854892fe8f01395e058dc3ce811ec3d912adee5b2929ba03eb1a02fc62c", 3),
     (["jl", "--j-max", "3/2", "--n-max", "1"],
      "7ac0ddd1a33f2b61e368138463c746ead53c304b2e2f1a23ec5dd9a5a4be9952", None, 0),
     (["limit"],

@@ -1,7 +1,7 @@
 """Tower construction, ladder coefficients, ket normalization."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -160,6 +160,18 @@ class TestConstruction:
         assert z.is_zero
         assert ld.lower_state(z).is_zero
         assert ld.raise_state(z).is_zero
+        # the zero state stays at rung 0 and has no ket normalizer
+        assert z.n == 0 and z.ladder_norm == 0
+
+    def test_state_is_only_its_window(self):
+        # the float normalizer is derived, not stored
+        assert [f.name for f in fields(ld.LadderState)] == [
+            "spectral", "psi_plus", "psi_minus"]
+        for n in (0, 1, 4):
+            low = ld.lower_state(ld.build_state(CH_HEAVY, n + 1, 192))
+            top = ld.build_state(CH_HEAVY, n, 192)
+            assert low == top
+            assert low.ladder_norm == top.ladder_norm
 
 
 class TestLadderCoefficients:

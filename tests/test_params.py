@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dirac_su11.params import (
     DomainError,
     channel_grid,
+    channel_slots,
     make_channel,
     make_params,
     mu_from_energy,
@@ -173,3 +174,17 @@ def test_channel_grid():
     for j_max in (0, Fraction(1, 3), Fraction(-1, 2)):
         with pytest.raises(DomainError):
             channel_grid(params, j_max)
+
+
+def test_channel_slots():
+    params = make_params(Z=3)
+    slots = list(channel_slots(params, Fraction(3, 2), 2))
+    assert slots == [(ch, n) for ch in channel_grid(params, Fraction(3, 2))
+                     for n in range(3)]
+    assert [(ch, n) for ch, n in channel_slots(params, Fraction(1, 2), 0)] == [
+        (make_channel(params, "1/2", -1), 0), (make_channel(params, "1/2", 1), 0)]
+    # n_max is refused before j_max is read, with one message for every command
+    with pytest.raises(DomainError, match="n_max must be nonnegative"):
+        list(channel_slots(params, 0, -1))
+    with pytest.raises(DomainError, match="j_max must be at least 1/2"):
+        list(channel_slots(params, 0, 0))

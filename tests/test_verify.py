@@ -1,5 +1,6 @@
 """Residual checks, shooting oracle (dirac_su11.oracle), Gram matrix, report format."""
 
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import replace
@@ -416,6 +417,27 @@ class TestReport:
     def test_negative_n_max_refused(self):
         with pytest.raises(DomainError):
             vf.verification_report(P1, Fraction(1, 2), -2, 128)
+
+    def test_rows_need_no_float_scale(self, monkeypatch):
+        # the exact rows never assemble a pair, so 8 bits decide them, and
+        # a report embeds its magnitude only when it is read
+        assert [f.name for f in dataclasses.fields(vf.ResidualReport)] == [
+            "which", "residual_poly", "precision"]
+        monkeypatch.setattr(wf, "assemble", None)
+        rep = vf.verification_report(P1, Fraction(1, 2), 2, 8)
+        assert rep["all_exact"] is True
+        embedded = []
+        magnitude = vf.ResidualReport.max_abs_embedded
+
+        def counting(report):
+            embedded.append(report.which)
+            return magnitude.fget(report)
+
+        monkeypatch.setattr(vf.ResidualReport, "max_abs_embedded", property(counting))
+        det = vf.detuned_first_order(ld.build_state(CH, 2, 128))
+        assert not any(r.is_exact_zero for r in det) and embedded == []
+        assert all(r.max_abs_embedded > 0 for r in det)
+        assert embedded == ["radial-row-f-detuned", "radial-row-g-detuned"]
 
     def test_report_shape_and_flags(self):
         rep = vf.verification_report(P1, Fraction(3, 2), 2, 128)

@@ -106,15 +106,15 @@ class TestNormalization:
             s = CH.s.embed(HP)
             c2 = P1.c2_mp(HP)
             expect = mp.power(2, s) / mp.sqrt(mp.gamma(2 * s)) / mp.sqrt(2 * c2 * s)
-            assert abs(pair.state.norm_constant - expect) < mp.mpf(2) ** -230
+            assert abs(pair.norm_constant - expect) < mp.mpf(2) ** -230
 
     def test_norm_constant_recorded(self):
         pair = wf.normalize(pair_for(CH_HEAVY, 1))
-        assert pair.state.norm_constant is not None
+        assert pair.norm_constant is not None
         # the returned scales absorb exactly that constant
         raw = pair_for(CH_HEAVY, 1)
         with mp.workprec(256):
-            assert abs(pair.f_scale - raw.f_scale * pair.state.norm_constant) < mp.mpf(2) ** -200
+            assert abs(pair.f_scale - raw.f_scale * pair.norm_constant) < mp.mpf(2) ** -200
 
     def test_heavy_channel_unit_integral(self):
         pair = wf.normalize(pair_for(CH_HEAVY, 3))
