@@ -3,16 +3,20 @@
 The oracle knows nothing of ladders or Laguerre polynomials: it reads a
 channel's s, zeta and tau as floats, integrates the first-order radial
 system from both ends and finds the scaled momentum nu at which the two
-halves match. It runs any number of levels, and many trial values of nu
-per level, in lock-step: every (level, nu) lane's outward and inward half
-is one block of a single stacked DOP853 system (Hairer, Norsett & Wanner,
-Solving ODEs I). Since scipy's per-step overhead dominates, a solve of 224
-lanes costs less than twice one of 14, so each round samples every live
-bracket at many points at once: evenly at first, then geometrically about
-an inverse cubic estimate of the root. The 14 levels of j <= 3/2, n <= 3
-take five solves. Its eigenvalues confirm the closed-form spectrum to near
-machine accuracy (the binding energy is compared, since the total energy
-is dominated by the rest term c^2).
+halves match. The outward half starts at rho = 1e-2 from the regular
+Frobenius series of the system at the trial nu, and the inward half 28
+units beyond 2(n + s), near the outer classical turning point, so
+neither half integrates a stretch the match does not need. It runs any
+number of levels, and many trial values of nu per level, in lock-step:
+every (level, nu) lane's outward and inward half is one block of a single
+stacked DOP853 system (Hairer, Norsett & Wanner, Solving ODEs I). Since
+scipy's per-step overhead dominates, a solve of 224 lanes costs less than
+twice one of 14, so each round samples every live bracket at many points
+at once: evenly at first, then geometrically about an inverse cubic
+estimate of the root. The 14 levels of j <= 3/2, n <= 3 take four or five
+solves. Its eigenvalues confirm the closed-form spectrum to near machine
+accuracy (the binding energy is compared, since the total energy is
+dominated by the rest term c^2).
 
 This is the only module of the package that imports numpy and scipy, and
 nothing imports it until an oracle runs: `verify` without --skip-oracle,
@@ -33,7 +37,10 @@ from .params import Channel, DomainError, PhysicalParams, channel_slots, spectra
 ORACLE_N_CAP = 10
 ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
 
-_RHO0 = 1e-6             # where the outward series seed starts
+_RHO0 = 1e-2             # where the outward series seed is summed
+_SERIES_TERMS = 20       # terms of that series, with room to spare: on the validated
+                         # domain the ninth is already below float64 rounding
+_INWARD_DECAY = 28.0     # the inward halves start this far beyond 2(n + s)
 _XTOL, _RTOL = 1e-300, 8.9e-16   # converged bracket width, as brentq's
 _ROUND_CAP = 100         # root-finding rounds after the first solve; levels need 2-4
 _SAMPLES = 16            # trial nu per live level in each solve
@@ -72,15 +79,34 @@ def _shoot(s, zeta, tau, n, nu):
     """Wronskian mismatch of m (level, nu) pairs from one DOP853 solve.
 
     Every argument is a float array of length m. Each pair integrates
-    (F, G/nu) in x = ln rho outward from rho0 and inward from rho_inf to
-    rho_match = n + s + 1. Each half's x-interval is mapped onto t in
-    [0, 1] with dx/dt = L, its signed length, so all halves end at t = 1.
-    The state is [f_out, f_in, g_out, g_in], m components each; the
+    (F, G) in x = ln rho to rho_match = n + s + 1, outward from
+    rho0 = _RHO0 and inward from rho_inf = 2 (n + s) + _INWARD_DECAY.
+
+    The outward seed is the regular Frobenius solution
+    rho^s sum_k (a_k, b_k) rho^k of the same system at the trial nu,
+    summed to _SERIES_TERMS terms at rho0 (the positive factor rho0^s is
+    dropped: the mismatch is normalized). With zn = zeta nu and
+    zi = zeta / nu, a_0 = 1, b_0 = (s + tau) / zn and
+
+        a_k = ((s + k - tau) b_{k-1} + zn a_{k-1}) / (k (2s + k)),
+        b_k = ((s + k + tau) a_{k-1} - zi b_{k-1}) / (k (2s + k)).
+
+    The inward seed (1, -1) is the solution that decays as e^-rho plus
+    some of the one that grows as e^rho; that part shrinks only where the
+    motion is classically forbidden. At large rho the system gives
+    F'' = (1 - zeta (1/nu - nu) / rho) F up to O(rho^-2) terms, and
+    zeta (1/nu - nu) = 2 (n + s) at the closed-form nu, so the outer
+    turning point lies near 2 (n + s) and rho_inf a fixed distance beyond.
+
+    Only s, zeta, tau and nu enter. Each half's x-interval is mapped onto t
+    in [0, 1] with dx/dt = L, its signed length, so all halves end at
+    t = 1. The state is [f_out, f_in, g_out, g_in], m components each; the
     inward halves get atol 1e-300, that is pure relative error control.
     Returns the mismatches and the solve's RHS count.
     """
     m = len(nu)
-    x_start = np.concatenate((np.full(m, math.log(_RHO0)), np.log(40.0 + 10.0 * n)))
+    x_start = np.concatenate((np.full(m, math.log(_RHO0)),
+                              np.log(2.0 * (n + s) + _INWARD_DECAY)))
     L = np.tile(np.log(n + s + 1.0), 2) - x_start
     start, L = np.tile(x_start, 2), np.tile(L, 2)    # per state component
     zn, zi = zeta * nu, zeta / nu
@@ -92,13 +118,16 @@ def _shoot(s, zeta, tau, n, nu):
         # dF/dx = -tau F + (rho + zeta nu) G,  dG/dx = tau G + (rho - zeta/nu) F
         return diag * y + (L * np.exp(start + L * t) + coupling) * y[swap]
 
-    # two-term series seed (f0 = 1) keeps the outward solution on the
-    # regular branch
-    g0 = (s + tau) / zn
-    f1 = ((s + 1 - tau) * g0 + zn) / (2 * s + 1)
-    g1 = ((s + 1 + tau) - zi * g0) / (2 * s + 1)
+    # the series seed keeps the outward solution on the regular branch
+    a, b = np.ones(m), (s + tau) / zn
+    f, g, power = a, b, 1.0
+    for k in range(1, _SERIES_TERMS):
+        a, b = (((s + k - tau) * b + zn * a) / (k * (2 * s + k)),
+                ((s + k + tau) * a - zi * b) / (k * (2 * s + k)))
+        power *= _RHO0
+        f, g = f + a * power, g + b * power
     ones = np.ones(m)
-    y0 = np.concatenate((1.0 + f1 * _RHO0, ones, g0 + g1 * _RHO0, -ones))
+    y0 = np.concatenate((f, ones, g, -ones))
     atol = np.tile(np.concatenate((np.full(m, 1e-14), np.full(m, 1e-300))), 2)
     # the stepper solve_ivp drives, driven here without keeping the history
     # of every step: a wide solve would hold megabytes of it

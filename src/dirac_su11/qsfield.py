@@ -266,6 +266,8 @@ class Quadratic:
 
     def __mul__(self, other):
         if other.__class__ is not Quadratic or other.d is not self.d:
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
             pair = self._lift(other)
             if pair is None:
                 return NotImplemented
@@ -279,6 +281,15 @@ class Quadratic:
                            self._den * other._den * q, self)
 
     __rmul__ = __mul__
+
+    def _scale(self, r):
+        """self times the rational r, part by part: in the tower two Q(s)
+        parts scaled, not r lifted for a full product. The triple is the
+        one that product reduces to."""
+        if self._den is None:
+            return _pair(self._x._scale(r), self._y._scale(r), self.d)
+        num = r.numerator
+        return _qs_reduced(self._x * num, self._y * num, self._den * r.denominator, self)
 
     def conjugate(self) -> "Quadratic":
         if self._den is None:
@@ -603,7 +614,7 @@ def positive_root_count(p: QsPolynomial, precision: int = 256) -> int:
         return v
     points = _separating_points(p, v, precision)
     if points is not None:
-        at_points = [p.eval_exact(p.zero + x).sign() for x in points]
+        at_points = [p.eval_exact(x).sign() for x in points]
         at_zero_plus = next(s for s in signs if s)
         if _sign_variations([at_zero_plus, *at_points, signs[-1]]) == v:
             return v

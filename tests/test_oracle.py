@@ -1,11 +1,20 @@
-"""The oracle's boundary: loaded only when it runs, reached by its old names."""
+"""The shooting oracle: its boundary (loaded only when it runs, reached by
+its old names), its accuracy over the whole validated domain, and its
+mismatch function against an independent reference integration."""
 
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
 
 import dirac_su11
 from dirac_su11 import oracle, verify
+from dirac_su11.params import channel_slots, make_params
 
 REEXPORTED = ("BracketingError", "OracleResult", "shooting_oracle",
               "shooting_oracle_batch", "oracle_sweep", "oracle_binding_residual",
@@ -66,3 +75,90 @@ def test_numpy_and_scipy_load_only_with_the_oracle():
     assert report["after_exact_commands"] == []
     assert report["oracle_code"] == 0
     assert report["after_oracle"] == ["dirac_su11.oracle", "numpy", "scipy"]
+
+
+# -- the validated domain ---------------------------------------------------------
+
+
+def domain_levels(Zs):
+    """Every bound level with j <= 7/2 and n <= ORACLE_N_CAP at each Z."""
+    return [(ch, n) for Z in Zs
+            for ch, n in channel_slots(make_params(Z=Z), Fraction(7, 2), oracle.ORACLE_N_CAP)
+            if ch.is_bound(n)]
+
+
+def test_accuracy_over_the_validated_domain():
+    # both ends of the physical range, every j <= 7/2, both eps, every n up
+    # to the cap: 168 levels in one batch
+    levels = domain_levels((1, 118))
+    assert len(levels) == 168
+    worst = max(oracle.oracle_binding_residual(ch, n, res)
+                for (ch, n), res in zip(levels, oracle.shooting_oracle_batch(levels)))
+    assert worst <= 1e-12
+
+
+def test_every_empty_slot_of_the_domain_is_named():
+    empty = [(ch, 0) for Z in (1, 60, 118)
+             for ch, _ in channel_slots(make_params(Z=Z), Fraction(7, 2), 0)
+             if ch.eps == 1]
+    assert len(empty) == 12 and not any(ch.is_bound(n) for ch, n in empty)
+    with pytest.raises(oracle.BracketingError) as info:
+        oracle.shooting_oracle_batch(empty)
+    assert info.value.slots == tuple(empty)
+
+
+# -- the mismatch function against a reference ---------------------------------------
+
+
+def reference_mismatch(s, zeta, tau, n, nu):
+    """The normalized Wronskian mismatch of each (level, nu) lane, from
+    scipy's solve_ivp (DOP853, rtol 1e-13): (F, G) in x = ln rho, outward
+    from a two-term series at rho = 1e-6 and inward from (1, -1) at
+    rho = 40 + 10 n, both to rho = n + s + 1. Each half is one solve over
+    all lanes; t in [0, 1] maps onto each lane's interval."""
+    m = len(nu)
+    zn, zi = zeta * nu, zeta / nu
+    x_match = np.log(n + s + 1.0)
+
+    def half(x_start, y0, atol):
+        L = x_match - x_start
+
+        def rhs(t, y):
+            f, g = y[:m], y[m:]
+            rho = np.exp(x_start + L * t)
+            return np.concatenate((L * (-tau * f + (rho + zn) * g),
+                                   L * (tau * g + (rho - zi) * f)))
+
+        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13,
+                        atol=atol, t_eval=[1.0])
+        assert sol.success, sol.message
+        return sol.y[:m, -1], sol.y[m:, -1]
+
+    rho0 = 1e-6
+    g0 = (s + tau) / zn
+    f1 = ((s + 1 - tau) * g0 + zn) / (2 * s + 1)
+    g1 = ((s + 1 + tau) - zi * g0) / (2 * s + 1)
+    fo, go = half(np.full(m, math.log(rho0)),
+                  np.concatenate((1 + f1 * rho0, g0 + g1 * rho0)), 1e-14)
+    fi, gi = half(np.log(40.0 + 10.0 * n), np.concatenate((np.ones(m), -np.ones(m))),
+                  1e-300)
+    return (fo * gi - fi * go) / (np.hypot(fo, go) * np.hypot(fi, gi))
+
+
+def test_shoot_matches_the_reference_integration():
+    # five trial nu across each level's bracket, ends included, over 252
+    # levels; the mismatch lies in [-1, 1], so the bound is absolute
+    levels = domain_levels((1, 60, 118))
+    assert len(levels) == 252
+    s = np.array([float(ch.s.embed(64)) for ch, _ in levels])
+    zeta = np.array([float(ch.zeta) for ch, _ in levels])
+    tau = np.array([float(ch.tau) for ch, _ in levels])
+    n = np.array([float(k) for _, k in levels])
+    lo = oracle._nu_of_index(s, zeta, n + 0.5)
+    hi = oracle._nu_of_index(s, zeta, n - 0.5)
+    nu = (lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 5)).ravel()
+    lanes = [v.repeat(5) for v in (s, zeta, tau, n)]
+    got, nfev = oracle._shoot(*lanes, nu)
+    assert nfev > 0
+    want = reference_mismatch(*lanes, nu)
+    assert np.max(np.abs(got - want)) <= 1e-12

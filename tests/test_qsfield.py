@@ -57,6 +57,19 @@ def test_qs_ring_axioms(x, y, z):
 
 
 @settings(max_examples=50, deadline=None)
+@given(st.one_of(qs_numbers(), st.builds(lambda t: t[0], tower_triples())),
+       st.one_of(st.integers(-50, 50), rationals()))
+def test_rational_scalar_scales_the_parts(e, r):
+    # a rational factor scales the parts directly; what leaves the field is
+    # that of the product with r lifted into it
+    lifted = e * Quadratic.of(r, d=e.d)
+    for product in (e * r, r * e):
+        assert product == lifted and product.d is e.d
+        assert str(product) == str(lifted)
+        assert product.embed(256) == lifted.embed(256)
+
+
+@settings(max_examples=50, deadline=None)
 @given(qs_numbers(), qs_numbers())
 def test_qs_division_and_inverse(x, y):
     if not y.is_zero:
