@@ -30,6 +30,7 @@ from .params import (
     SCHEMA_TAG,
     DomainError,
     channel_slots,
+    check_tolerance,
     make_channel,
     make_params,
     mp_str,
@@ -184,11 +185,10 @@ def _spectrum_rows(ns):
         n_max = 5 if ns.n_max is None else ns.n_max
     rows = []
     for ch, n in channel_slots(params, j_max, n_max):
-        if not ch.is_bound(n):
+        if not ch.is_bound(n) or (ns.N_max is not None
+                                  and ch.j + Fraction(1, 2) + n > ns.N_max):
             continue
         pt = spectral_point(ch, n, ns.precision)
-        if ns.N_max is not None and pt.N > ns.N_max:
-            continue
         rows.append({
             "N": pt.N,
             "j": str(ch.j),
@@ -218,18 +218,18 @@ def run_spectrum(ns) -> int:
 
 def _state_checks(pair):
     """Identity cross-checks on an assembled bound state; bool-valued."""
-    precision = pair.state.spectral.precision
+    precision = pair.state.precision
     lag = None
     checks = {"first_order_exact": all(r.is_exact_zero for r in first_order_residual(pair))}
     with mp.workprec(precision):
         norm_err = abs(norm_integral(pair) - 1)
-        checks["normalization_ok"] = bool(norm_err < mp.mpf(2) ** -(precision - 16))
+        checks["normalization_ok"] = bool(norm_err < check_tolerance(precision))
     if pair.n >= 1:
         lag = laguerre_cross_check(pair.state)
         checks["laguerre_scalars_exact"] = (lag.rows_exact_zero
                                             and lag.det_on_shell_exact_zero)
         checks["elimination_ok"] = bool(
-            lag.eliminated_energy_residual < mp.mpf(2) ** -(precision // 2))
+            lag.eliminated_energy_residual < check_tolerance(precision))
     return checks, lag
 
 
@@ -256,8 +256,8 @@ def run_state(ns) -> int:
         "Z": ns.Z, "c": ns.c, "precision": ns.precision,
         "j": str(ns.j), "eps": ns.eps, "n": ns.n,
         "physical": pair.state.is_physical,
-        "E": mp_str(pair.state.spectral.E, ns.precision),
-        "binding": mp_str(pair.state.spectral.binding, ns.precision),
+        "E": mp_str(pair.level.E, ns.precision),
+        "binding": mp_str(pair.level.binding, ns.precision),
         "norm_constant": mp_str(pair.norm_constant, ns.precision),
         "f_nodes": count_f_nodes(pair),
         "checks": checks,

@@ -51,8 +51,7 @@ from .params import (
     _GUARD,
     Channel,
     DomainError,
-    SpectralPoint,
-    spectral_point,
+    check_level,
     tower_gap,
 )
 from .qsfield import QsPolynomial, Quadratic
@@ -70,17 +69,11 @@ class LadderState:
     """Rung n of a channel tower: the window (pi_n, pi_{n-1}), unnormalized
     over Q(s)."""
 
-    spectral: SpectralPoint
+    channel: Channel
+    n: int
+    precision: int
     psi_plus: QsPolynomial
     psi_minus: QsPolynomial
-
-    @property
-    def channel(self) -> Channel:
-        return self.spectral.channel
-
-    @property
-    def n(self) -> int:
-        return self.spectral.n
 
     @property
     def is_zero(self) -> bool:
@@ -88,14 +81,14 @@ class LadderState:
 
     @property
     def is_physical(self) -> bool:
-        return self.spectral.is_physical
+        return self.channel.is_bound(self.n)
 
     @property
     def ladder_norm(self) -> mp.mpf:
         """A_n, derived from the rung index; 0 for the zero state."""
         if self.is_zero:
             return mp.mpf(0)
-        return ladder_norms(self.channel, self.n, self.spectral.precision)[-1]
+        return ladder_norms(self.channel, self.n, self.precision)[-1]
 
     def plus_function(self) -> FamilyFunction:
         return FamilyFunction(self.channel, self.n, self.psi_plus)
@@ -160,8 +153,9 @@ def ground_state(channel: Channel, precision: int = DEFAULT_PRECISION) -> Ladder
 
 def _rung(channel: Channel, n: int, precision: int) -> LadderState:
     """The window (pi_n, pi_{n-1}) of rung n; pi_{-1} is zero."""
+    check_level(channel, n)
     return LadderState(
-        spectral=spectral_point(channel, n, precision),
+        channel=channel, n=n, precision=precision,
         psi_plus=tower_image(channel, n),
         psi_minus=(tower_image(channel, n - 1) if n
                    else QsPolynomial.zero_poly(Quadratic.zero(channel.s2))),
@@ -176,7 +170,7 @@ def raise_state(state: LadderState) -> LadderState:
     n = state.n
     if n + 1 > MAX_RUNG:
         raise DomainError(f"rung {n + 1} above the configured cap {MAX_RUNG}")
-    return _rung(state.channel, n + 1, state.spectral.precision)
+    return _rung(state.channel, n + 1, state.precision)
 
 
 def lower_state(state: LadderState) -> LadderState:
@@ -188,7 +182,7 @@ def lower_state(state: LadderState) -> LadderState:
         return state
     if state.n == 0:
         return replace(state, psi_plus=state.psi_minus)
-    return _rung(state.channel, state.n - 1, state.spectral.precision)
+    return _rung(state.channel, state.n - 1, state.precision)
 
 
 def climb(channel: Channel, n: int, precision: int = DEFAULT_PRECISION) -> list:
@@ -299,5 +293,5 @@ def tower_image(channel: Channel, n: int) -> QsPolynomial:
 def ket_norm_squared(state: LadderState) -> mp.mpf:
     """<psi_plus, psi_plus> under the phase-averaged inner product."""
     val = inner_product(state.plus_function(), state.plus_function(),
-                        state.spectral.precision)
+                        state.precision)
     return val if isinstance(val, mp.mpf) else mp.mpf(val)

@@ -193,6 +193,7 @@ def spectral_point(
 ) -> SpectralPoint:
     if not isinstance(n, int) or n < 0:
         raise DomainError("n must be a nonnegative integer")
+    check_level(channel, n)
     ch = channel
     mu = ch.lam + n
     N = int(ch.j + Fraction(1, 2)) + n
@@ -210,21 +211,27 @@ def spectral_point(
     with mp.workprec(precision):
         E, nu, binding, eps_j = +E, +nu, +binding, +eps_j
 
-    point = SpectralPoint(ch, n, precision, mu, N, E, nu, binding, eps_j)
-    _check_point(point)
-    return point
+    return SpectralPoint(ch, n, precision, mu, N, E, nu, binding, eps_j)
 
 
-def _check_point(p: SpectralPoint) -> None:
+def check_level(channel: Channel, n: int) -> None:
+    """Decide in Q(s) that rung n of the channel is a bound level."""
     # E = c^2 (s + n)/w with w > 0, so 0 < E < c^2 iff s + n > 0 and
     # (s + n)^2 < w^2: decided in Q(s), whatever precision embeds E
-    sn = p.channel.s + p.n
-    if sn.sign() <= 0 or (tower_w2(p.channel, p.n) - sn * sn).sign() <= 0:
+    sn = channel.s + n
+    if sn.sign() <= 0 or (tower_w2(channel, n) - sn * sn).sign() <= 0:
         raise AssertionError("bound-state energy left (0, c^2)")
     # representation bound 2 mu^2 >= xi, strict for bound modes
-    gap = 2 * p.mu * p.mu - p.channel.qs(p.channel.xi)
-    if gap.sign() <= 0:
+    mu = channel.lam + n
+    if (2 * mu * mu - channel.qs(channel.xi)).sign() <= 0:
         raise AssertionError("representation bound 2 mu^2 >= xi violated")
+
+
+def check_tolerance(precision: int) -> mp.mpf:
+    """Bound on a float check's error at a working precision:
+    2^-max(precision - 16, ceil(precision / 2)), below 1 at every precision
+    and 2^-(precision - 16) from 32 bits on."""
+    return mp.mpf(2) ** -max(precision - 16, -(-precision // 2))
 
 
 def mu_from_energy(
@@ -271,7 +278,8 @@ def nonrelativistic_limit_table(
 
     The difference is O(c^-2); the returned exponent is the least-squares
     slope of log |difference| against log c, which needs at least two
-    distinct values of c.
+    distinct values of c. The n = 0 rung of a tau > 0 channel is no bound
+    state, so it has no Bohr limit and raises DomainError.
     """
     if len({_frac(c) for c in c_schedule}) < 2:
         raise DomainError("c schedule needs at least two distinct values")
@@ -281,6 +289,8 @@ def nonrelativistic_limit_table(
         for c in c_schedule:
             params = make_params(c, Z)
             ch = make_channel(params, j, eps)
+            if not ch.is_bound(n):
+                raise DomainError("bottom rung with tau > 0 is not a bound state")
             pt = spectral_point(ch, n, precision)
             bohr = -mp.mpf(Z) ** 2 / (2 * mp.mpf(pt.N) ** 2)
             diff = pt.binding - bohr

@@ -38,6 +38,7 @@ from .params import (
     DomainError,
     PhysicalParams,
     channel_slots,
+    check_tolerance,
     exact_w,
     mp_str,
     tower_w2,
@@ -129,7 +130,7 @@ def first_order_residual(pair: RadialPair):
     """Both rows of the coupled system on a radial pair; exact zeros."""
     ch, n = pair.channel, pair.n
     rows = _system_rows(ch, n, pair.f_poly, pair.g_poly, exact_w(ch, n))
-    return _reports(("radial-row-f", "radial-row-g"), rows, pair.state.spectral.precision)
+    return _reports(("radial-row-f", "radial-row-g"), rows, pair.state.precision)
 
 
 def _window_rows(state: LadderState, w: Quadratic, suffix: str = ""):
@@ -137,7 +138,7 @@ def _window_rows(state: LadderState, w: Quadratic, suffix: str = ""):
     f, g = radial_parts(*tower_window(state, w.d, w))
     rows = _system_rows(state.channel, state.n, f, g, w)
     return _reports(("radial-row-f" + suffix, "radial-row-g" + suffix), rows,
-                    state.spectral.precision)
+                    state.precision)
 
 
 def detuned_first_order(state: LadderState):
@@ -189,7 +190,7 @@ def _second_order_rows(state: LadderState, radial):
     rows += [(row_f + row_g).scale(Fraction(1, 2)), (row_g - row_f).scale(Fraction(1, 2))]
     return _reports(("mode-equation-plus", "mode-equation-minus",
                      "ladder-split-lower", "ladder-split-raise"), rows,
-                    state.spectral.precision)
+                    state.precision)
 
 
 # -- Gram matrix and report ------------------------------------------------------
@@ -303,7 +304,7 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                      for b in range(size) if a != b)
         with mp.workprec(precision):
             diag_err = max(abs(gram[a][a] - 1) for a in range(size))
-            gram_ok = off_ok and diag_err < mp.mpf(2) ** -(precision - 16)
+            gram_ok = off_ok and diag_err < check_tolerance(precision)
         if not gram_ok:
             all_exact = False
         channels.append({"j": str(ch.j), "eps": ch.eps, "rows": rows,

@@ -9,7 +9,8 @@ tower polynomials (pi_n, pi_{n-1}) of the state's window:
 with psi_plus = pi_n and psi_minus = -(w + tau) pi_{n-1}, where
 w = sqrt((s+n)^2 + zeta^2) solves w^2 - tau^2 = n (n + 2s). The relative
 scalar lives in the quadratic tower Q(s)[w], so both polynomial parts stay
-exact; the only floating numbers are the overall scales sqrt(c^2 +- E).
+exact; the only floating numbers are the overall scales sqrt(c^2 +- E)
+and the level E they come from, both kept on the pair by `assemble`.
 
 For n = 0 the small combination collapses to -pi_0, giving the closed-form
 ratio G/F = -sqrt((c^2-E)/(c^2+E)) of the lowest physical state.
@@ -33,7 +34,8 @@ from typing import Optional
 import mpmath as mp
 
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
-                     DomainError, exact_w, mp_str, tower_gap, tower_w2)
+                     DomainError, SpectralPoint, exact_w, mp_str,
+                     spectral_point, tower_gap, tower_w2)
 from .qsfield import (_EMBED_GUARD_BITS, QsPolynomial, Quadratic, horner_mp,
                       positive_root_count)
 from .ladder import LadderState, tower_image
@@ -42,11 +44,12 @@ from .algebra import moment_sum
 
 @dataclass(frozen=True, slots=True)
 class RadialPair:
-    """Exact polynomial parts and floating overall scales of (F, G)."""
+    """Exact polynomial parts, float level and overall scales of (F, G)."""
 
     state: LadderState
     f_poly: QsPolynomial  # tower coefficients, weight rho^s e^{-rho} implied
     g_poly: QsPolynomial
+    level: SpectralPoint
     f_scale: mp.mpf
     g_scale: mp.mpf
     samples: Optional[tuple] = None
@@ -92,21 +95,22 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
     ch = state.channel
     n = state.n
     f, g = radial_parts(*tower_window(state, tower_w2(ch, n), exact_w(ch, n)))
-    prec = state.spectral.precision
+    prec = state.precision
+    level = spectral_point(ch, n, prec)
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
-        if state.spectral.E >= c2:
-            # 0 < E < c^2 is decided exactly in spectral_point; only the
+        if level.E >= c2:
+            # 0 < E < c^2 is decided exactly in params.check_level; only the
             # embedding can round E up to c^2
             raise DomainError(f"E rounds to c^2 or above at {prec} bits, "
                               "so sqrt(c^2 - E) needs a higher precision")
-        fs = mp.sqrt(c2 + state.spectral.E)
+        fs = mp.sqrt(c2 + level.E)
         # c^2 - E is -binding, which spectral_point computes without the
         # cancellation of subtracting E from c^2
-        gs = mp.sqrt(-state.spectral.binding)
+        gs = mp.sqrt(-level.binding)
     with mp.workprec(prec):
         fs, gs = +fs, +gs
-    return RadialPair(state=state, f_poly=f, g_poly=g, f_scale=fs, g_scale=gs)
+    return RadialPair(state, f, g, level, fs, gs)
 
 
 def normalize(pair: RadialPair) -> RadialPair:
@@ -115,7 +119,7 @@ def normalize(pair: RadialPair) -> RadialPair:
     Returns a pair whose scales carry the constant, which records it in
     norm_constant and keeps the moments of f^2 and g^2.
     """
-    prec = pair.state.spectral.precision
+    prec = pair.state.precision
     pair = replace(pair, moments=_square_moments(pair))
     total = norm_integral(pair)
     with mp.workprec(prec + _GUARD):
@@ -132,7 +136,7 @@ def normalize(pair: RadialPair) -> RadialPair:
 def _square_moments(pair: RadialPair) -> tuple:
     """(M[f^2], M[g^2]) under the radial measure d rho: each polynomial part
     squared exactly once."""
-    prec = pair.state.spectral.precision
+    prec = pair.state.precision
     return tuple(moment_sum(p * p, pair.channel, prec, shift=1)
                  for p in (pair.f_poly, pair.g_poly))
 
@@ -140,7 +144,7 @@ def _square_moments(pair: RadialPair) -> tuple:
 def norm_integral(pair: RadialPair) -> mp.mpf:
     """int (F^2 + G^2) d rho for the pair as scaled, carrying precision +
     guard bits; reuses the moments a normalized pair keeps."""
-    prec = pair.state.spectral.precision
+    prec = pair.state.precision
     ff, gg = _square_moments(pair) if pair.moments is None else pair.moments
     with mp.workprec(prec + _GUARD):
         return pair.f_scale ** 2 * ff + pair.g_scale ** 2 * gg
@@ -196,9 +200,10 @@ def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
 def laguerre_cross_check(state: LadderState) -> LaguerreReport:
     ch = state.channel
     n = state.n
-    prec = state.spectral.precision
+    prec = state.precision
     if n < 1:
         raise DomainError("cross check needs n >= 1 so both scalars exist")
+    E = spectral_point(ch, n, prec).E
     w2 = tower_w2(ch, n)
 
     # the scalars of psi_plus = n! L_n and psi_minus = -(w+tau)(n-1)! L_{n-1};
@@ -224,11 +229,11 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
         # eliminate: w^2 = tau^2 + n(n+2s) -> E = c^2 (s+n)/w
         w_elim = mp.sqrt(gap.embed(prec + _GUARD) + tau_emb ** 2)
         e_elim = c2 * (s_emb + n) / w_elim
-        e_resid = abs(e_elim - state.spectral.E) / c2
+        e_resid = abs(e_elim - E) / c2
         # off shell: w from a perturbed energy no longer satisfies the system;
         # detune the binding, not E itself, so E stays inside (0, c^2) even
         # when the level is much closer to the continuum than the detuning
-        e_off = c2 + (state.spectral.E - c2) * (1 + mp.mpf(10) ** -6)
+        e_off = c2 + (E - c2) * (1 + mp.mpf(10) ** -6)
         w_off = zeta * c2 / mp.sqrt((c2 - e_off) * (c2 + e_off))
         det_off = gap.embed(prec + _GUARD) - (w_off ** 2 - tau_emb ** 2)
         # Sonine scalar: the n-th iterate of the classical derivative formula
@@ -283,7 +288,7 @@ def sample(pair: RadialPair, count: int = 400) -> RadialPair:
     embedded once, as eval_mp would at every point."""
     if count < 2:
         raise DomainError("need at least two sample points")
-    prec = pair.state.spectral.precision
+    prec = pair.state.precision
     ch = pair.channel
     with mp.workprec(prec):
         top = 5 * (pair.n + ch.s.embed(prec) + 1)
@@ -308,4 +313,4 @@ def count_f_nodes(pair: RadialPair) -> int:
     """Distinct positive zeros of F, exactly; the weight rho^s e^{-rho}
     never vanishes. The float estimate that proposes the separating points
     runs at the state's precision."""
-    return positive_root_count(pair.f_poly, pair.state.spectral.precision)
+    return positive_root_count(pair.f_poly, pair.state.precision)

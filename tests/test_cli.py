@@ -295,6 +295,12 @@ class TestLimit:
         assert len(doc["rows"]) == 3
         assert abs(float(doc["fitted_exponent"]) + 2) < 0.1
 
+    def test_unphysical_slot_is_an_error(self, capsys):
+        assert main(["limit", "--j", "1/2", "--eps", "1", "--n", "0"] + FAST) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bottom rung with tau > 0 is not a bound state\n"
+
     def test_csv_format(self, capsys):
         code, out = run(capsys, ["limit", "--format", "csv",
                                  "--c-schedule", "1e2,1e3"] + FAST)
@@ -340,12 +346,16 @@ class TestExitCodes:
             assert "must be positive" in capsys.readouterr().err
 
     def test_failed_internal_check(self, capsys, monkeypatch):
-        # with w^2 = (s + n)^2 the exact energy window check must fail
+        # with w^2 = (s + n)^2 the exact energy window check must fail, on
+        # the float levels of spectrum and on the rungs of verify alike
         from dirac_su11 import params
         monkeypatch.setattr(params, "tower_w2", lambda ch, n: (ch.s + n) * (ch.s + n))
-        assert main(["spectrum", "--precision", "8"]) == 3
-        err = capsys.readouterr().err
-        assert err == "error: internal check failed: bound-state energy left (0, c^2)\n"
+        for argv in (["spectrum", "--precision", "8"],
+                     ["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "1",
+                      "--skip-oracle"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err == "error: internal check failed: bound-state energy left (0, c^2)\n"
 
     def test_failed_generator_relation(self, capsys, monkeypatch):
         # a wrong sign in the generator table fails the universal decision,
@@ -375,6 +385,15 @@ class TestExitCodes:
         assert main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2",
                      "--skip-oracle", "--precision", "8"]) == 0
         assert capsys.readouterr().out == "Z=1: residuals all exact\n"
+
+    def test_tolerance_below_one_at_one_bit(self, capsys):
+        # at 1 bit the Gram diagonal is off by 1.0, which a bound of
+        # 2^-(p - 16) = 2^15 would pass
+        assert main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2",
+                     "--skip-oracle", "--precision", "1"]) == 3
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "Z=1: residuals FAILED",
+            "  j=1/2 eps=-1: Gram matrix not the identity (max diagonal err 1.0)"]
 
     def test_empty_verify_grid(self, capsys):
         # j-max below 1/2 leaves nothing to check; that is not a pass
@@ -449,6 +468,40 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "spectrum"
+
+
+def count_levels(monkeypatch, capsys, argv):
+    """(exit code, stdout, calls of params.spectral_point) of one command,
+    with the function spied on in every package module that bound it."""
+    from dirac_su11 import params
+    original = params.spectral_point
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "dirac_su11"
+                and vars(module).get("spectral_point") is original):
+            monkeypatch.setattr(module, "spectral_point", spy)
+    code = main(argv)
+    return code, capsys.readouterr().out, len(calls)
+
+
+def test_float_levels_only_where_read(capsys, monkeypatch):
+    # a rung is exact data: verify reads no float level, state reads its
+    # own (for E and binding, and the elimination check), and spectrum
+    # computes only the levels it prints
+    code, _, calls = count_levels(monkeypatch, capsys, [
+        "verify", "--Z", "57", "--j-max", "5/2", "--n-max", "5", "--skip-oracle"] + FAST)
+    assert (code, calls) == (0, 0)
+    code, _, calls = count_levels(monkeypatch, capsys, [
+        "state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", "20",
+        "--samples", "2", "--format", "json"] + FAST)
+    assert code == 0 and calls <= 2
+    code, out, calls = count_levels(monkeypatch, capsys, ["spectrum", "--N-max", "4"] + FAST)
+    assert code == 0 and calls == len(json.loads(out)["rows"]) == 16
 
 
 # sha256 of (stdout, --out file or None) and the exit code of cheap

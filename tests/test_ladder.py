@@ -166,7 +166,7 @@ class TestConstruction:
     def test_state_is_only_its_window(self):
         # the float normalizer is derived, not stored
         assert [f.name for f in fields(ld.LadderState)] == [
-            "spectral", "psi_plus", "psi_minus"]
+            "channel", "n", "precision", "psi_plus", "psi_minus"]
         for n in (0, 1, 4):
             low = ld.lower_state(ld.build_state(CH_HEAVY, n + 1, 192))
             top = ld.build_state(CH_HEAVY, n, 192)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dirac_su11.params import (
     DomainError,
     channel_grid,
+    check_tolerance,
     channel_slots,
     make_channel,
     make_params,
@@ -159,6 +160,25 @@ def test_nonrelativistic_limit_exponent():
     table2 = nonrelativistic_limit_table("3/2", 1, 2, Z=3)
     with mp.workprec(HP):
         assert abs(table2.fitted_exponent + 2) < mp.mpf("0.01")
+
+
+
+def test_limit_refuses_the_unphysical_bottom_rung():
+    # the n = 0 rung of a tau > 0 channel is no bound state at any c
+    with pytest.raises(DomainError, match="not a bound state"):
+        nonrelativistic_limit_table("1/2", 1, 0)
+    assert len(nonrelativistic_limit_table("1/2", 1, 1).rows) == 3
+
+
+def test_check_tolerance():
+    # below 1 at every precision, never looser than 2^-(p - 16) or
+    # 2^-(p // 2), and 2^-(p - 16) itself from 32 bits on
+    for p in range(1, 300):
+        tol = check_tolerance(p)
+        assert tol < 1
+        assert tol <= mp.mpf(2) ** -(p - 16) and tol <= mp.mpf(2) ** -(p // 2)
+        if p >= 32:
+            assert tol == mp.mpf(2) ** -(p - 16)
 
 
 def test_channel_grid():

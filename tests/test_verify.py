@@ -53,7 +53,7 @@ class TestFirstOrder:
         # dG/dx = tau G + (rho nu - zeta) F with floating E, nu
         for n in (0, 2):
             pair = wf.assemble(ld.build_state(CH, n, 192))
-            pt = pair.state.spectral
+            pt = pair.level
             with mp.workprec(192):
                 s = CH.s.embed(192)
                 zeta = mp.mpf(CH.zeta.numerator) / CH.zeta.denominator
@@ -115,7 +115,7 @@ class TestSecondOrder:
         # halves, which must be the images of universal rungs n and n-1
         state = ld.build_state(CH_HEAVY, 3, 128)
         off = replace(CH_HEAVY, xi=CH_HEAVY.xi + Fraction(1, 100))
-        shifted = replace(state, spectral=replace(state.spectral, channel=off))
+        shifted = replace(state, channel=off)
         by_name = {r.which: r for r in vf.second_order_residual(shifted)}
         for tag, half in (("mode-equation-plus", state.psi_plus),
                           ("mode-equation-minus", state.psi_minus)):

@@ -65,7 +65,7 @@ class TestAssembly:
             f0 = pair.f_poly.coeff(0).embed(HP)
             g0 = pair.g_poly.coeff(0).embed(HP)
             ratio = (pair.g_scale * g0) / (pair.f_scale * f0)
-            assert abs(ratio + pair.state.spectral.nu) < mp.mpf(2) ** -240
+            assert abs(ratio + pair.level.nu) < mp.mpf(2) ** -240
 
     def test_polynomial_degrees(self):
         pair = pair_for(CH, 4)
@@ -74,7 +74,7 @@ class TestAssembly:
 
     def test_scales_squared(self):
         pair = pair_for(CH_HEAVY, 2)
-        pt = pair.state.spectral
+        pt = pair.level
         with mp.workprec(HP):
             c2 = CH_HEAVY.params.c2_mp(HP)
             assert abs(pair.f_scale ** 2 - (c2 + pt.E)) < mp.mpf(2) ** -220
