@@ -36,7 +36,9 @@ are I times it, and the caller tracks that factor.
 The inner product is the phase average times the x-integral,
 int dphi/2pi int dx; on the family the phi average kills any cross-mode
 pairing exactly and the x-integral reduces to Gamma moments
-int_0^inf rho^{2s+m} e^{-2rho} drho/rho = Gamma(2s+m)/2^{2s+m}.
+int_0^inf rho^{2s+m} e^{-2rho} drho/rho = Gamma(2s+m)/2^{2s+m}. Each is
+Gamma(2s)/2^{2s} times (2s)_m/2^m, an element of Q(s), so a moment is
+decided exactly in the field (`field_moment`) and embedded once.
 """
 
 from __future__ import annotations
@@ -226,44 +228,47 @@ def apply_casimir(f: FamilyFunction) -> ScaledFamilyFunction:
 
 # -- inner product ------------------------------------------------------------
 
-_MOMENT_CACHE: dict = {}
+_GAMMA_CACHE: dict = {}
 
 
-def gamma_weighted_moments(channel: Channel, count: int, precision: int) -> list:
-    """[Gamma(2s+m)/2^(2s+m) for m in range(count)], extended on demand.
+def gamma_factor(channel: Channel, precision: int) -> mp.mpf:
+    """Gamma(2s)/2^(2s), the moment of rho^0 under the inner product.
 
-    Values carry precision + guard bits; callers round at their own level.
-    They depend on s alone, so the cache is keyed by s^2, not by the
+    The value carries precision + guard bits; callers round at their own
+    level. It depends on s alone, so the cache is keyed by s^2, not by the
     channel's labels.
     """
     key = (channel.s2, precision)
-    cached = _MOMENT_CACHE.get(key)
-    if cached is None:
-        cached = []
-        _MOMENT_CACHE[key] = cached
-    if count > len(cached):
+    value = _GAMMA_CACHE.get(key)
+    if value is None:
         with mp.workprec(precision + 2 * _GUARD):
             two_s = channel.s.embed(precision + 2 * _GUARD) * 2
-            if not cached:
-                cached.append(mp.gamma(two_s) / mp.power(2, two_s))
-            while len(cached) < count:
-                m = len(cached) - 1
-                cached.append(cached[-1] * (two_s + m) / 2)
-    return cached[:count]
+            value = _GAMMA_CACHE[key] = mp.gamma(two_s) / mp.power(2, two_s)
+    return value
+
+
+def field_moment(poly: QsPolynomial, channel: Channel, shift: int = 0) -> Quadratic:
+    """sum_m c_m (2s)_(m+shift)/2^(m+shift) over the coefficients c_m of
+    poly, exact in poly's field: its moment over Gamma(2s)/2^(2s), since
+    Gamma(2s+m)/2^(2s+m) = Gamma(2s)/2^(2s) (2s)_m/2^m. Shift 0 is the
+    measure d rho/rho of the inner product, shift 1 the radial measure
+    d rho. A Horner pass: the ratio of adjacent moments is (2s+m)/2."""
+    acc = poly.zero
+    for m in range(poly.degree, -1, -1):
+        acc = acc * Quadratic.from_ints(m + shift, 2, 2, d=channel.s2) + poly.coeffs[m]
+    for m in range(shift):
+        acc = acc * Quadratic.from_ints(m, 2, 2, d=channel.s2)
+    return acc
 
 
 def moment_sum(poly: QsPolynomial, channel: Channel, precision: int,
                shift: int = 0) -> mp.mpf:
     """sum_m c_m Gamma(2s+m+shift)/2^(2s+m+shift) over the coefficients c_m
-    of poly; shift 0 is the measure d rho/rho of the inner product, shift 1
-    the radial measure d rho. Carries precision + guard bits."""
-    moments = gamma_weighted_moments(channel, poly.degree + 1 + shift, precision)
+    of poly: the exact field moment, embedded once, times the Gamma factor,
+    so nothing cancels in floats. Carries precision + guard bits."""
+    moment = field_moment(poly, channel, shift)
     with mp.workprec(precision + _GUARD):
-        acc = mp.mpf(0)
-        for c, moment in zip(poly.coeffs, moments[shift:]):
-            if not c.is_zero:
-                acc += c.embed(precision + _GUARD) * moment
-        return acc
+        return gamma_factor(channel, precision) * moment.embed(precision + _GUARD)
 
 
 def inner_product(f: FamilyFunction, g: FamilyFunction, precision: int = DEFAULT_PRECISION):

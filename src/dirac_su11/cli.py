@@ -23,8 +23,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
-
 from .params import (
     DEFAULT_PRECISION,
     SCHEMA_TAG,
@@ -42,8 +40,8 @@ from .wavefunctions import (
     assemble,
     count_f_nodes,
     laguerre_cross_check,
-    norm_integral,
     normalize,
+    orthogonality_exact,
     report_to_dict,
     sample,
 )
@@ -220,12 +218,10 @@ def _state_checks(pair):
     """Identity cross-checks on an assembled bound state; bool-valued."""
     precision = pair.state.precision
     lag = None
-    checks = {"first_order_exact": all(r.is_exact_zero for r in first_order_residual(pair))}
-    with mp.workprec(precision):
-        norm_err = abs(norm_integral(pair) - 1)
-        checks["normalization_ok"] = bool(norm_err < check_tolerance(precision))
+    checks = {"first_order_exact": all(r.is_exact_zero for r in first_order_residual(pair)),
+              "normalization_ok": orthogonality_exact(pair.state)}
     if pair.n >= 1:
-        lag = laguerre_cross_check(pair.state)
+        lag = laguerre_cross_check(pair.state, pair.level)
         checks["laguerre_scalars_exact"] = (lag.rows_exact_zero
                                             and lag.det_on_shell_exact_zero)
         checks["elimination_ok"] = bool(

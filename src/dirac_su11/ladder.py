@@ -85,10 +85,16 @@ class LadderState:
 
     @property
     def ladder_norm(self) -> mp.mpf:
-        """A_n, derived from the rung index; 0 for the zero state."""
+        """A_n = N_lam / sqrt(n!(2s+1)_n), derived from the rung index; 0
+        for the zero state."""
         if self.is_zero:
             return mp.mpf(0)
-        return ladder_norms(self.channel, self.n, self.precision)[-1]
+        work = self.precision + _GUARD
+        with mp.workprec(work):
+            norm = n_lambda_constant(self.channel, work) / mp.sqrt(
+                square_moment(self.channel, self.n).embed(work))
+        with mp.workprec(self.precision):
+            return +norm
 
     def plus_function(self) -> FamilyFunction:
         return FamilyFunction(self.channel, self.n, self.psi_plus)
@@ -130,16 +136,17 @@ def n_lambda_constant(channel: Channel, precision: int = DEFAULT_PRECISION) -> m
         return +val
 
 
-def ladder_norms(channel: Channel, n: int, precision: int) -> list:
-    """A_0..A_n: N_lam divided by sqrt(k(k+2s)) for k = 1..n, one guarded
-    step per rung."""
-    norms = [n_lambda_constant(channel, precision)]
+def square_moment(channel: Channel, n: int, shift: int = 0) -> Quadratic:
+    """The field moment of pi_n^2 (`algebra.field_moment`) by Laguerre
+    orthogonality under rho^(2s) e^(-2 rho) (DLMF 18.3): n!(2s+1)_n, the
+    product of the gaps k(k+2s) that the ket norms divide out, at shift 0;
+    n!(2s)_(n+1)/2 = s n!(2s+1)_n at shift 1."""
+    if shift not in (0, 1):
+        raise ValueError("the square moment of pi_n has a closed form at shift 0 or 1")
+    out = channel.s if shift else channel.qs(1)
     for k in range(1, n + 1):
-        with mp.workprec(precision + _GUARD):
-            norm = norms[-1] / mp.sqrt(tower_gap(channel, k).embed(precision + _GUARD))
-        with mp.workprec(precision):
-            norms.append(+norm)
-    return norms
+        out = out * tower_gap(channel, k)
+    return out
 
 
 def ground_state(channel: Channel, precision: int = DEFAULT_PRECISION) -> LadderState:

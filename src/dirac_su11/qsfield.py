@@ -37,10 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, round_nearest
 
 Rational = Union[int, Fraction]
 
@@ -489,6 +490,8 @@ class QsPolynomial:
             return self.scale(other)
         if self.is_zero or other.is_zero:
             return QsPolynomial.zero_poly(self.zero)
+        if self.zero._den is not None:
+            return _qs_product(self, other)
         out = [self.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             for j, cj in enumerate(other.coeffs):
@@ -529,14 +532,57 @@ class QsPolynomial:
         return " + ".join(f"({c})*rho^{k}" for k, c in enumerate(self.coeffs))
 
 
+def _over_one_denominator(coeffs):
+    """(xs, ys, den): Q(s) coefficients (xs[k] + ys[k] s)/den over one
+    denominator, the lcm of theirs."""
+    dens = {c._den for c in coeffs}
+    den = dens.pop() if len(dens) == 1 else lcm(*dens)
+    xs, ys = [], []
+    for c in coeffs:
+        m = den // c._den
+        xs.append(c._x * m)
+        ys.append(c._y * m)
+    return xs, ys, den
+
+
+def _qs_product(f: QsPolynomial, g: QsPolynomial) -> QsPolynomial:
+    """f g over Q(s) as one integer convolution: with s^2 = p/q,
+    (a + b s)(c + e s) = (q ac + p be + q(ae + bc) s)/q, so each product
+    coefficient is left over the one denominator q den_f den_g, with no gcd
+    inside."""
+    p, q = f.zero._pq
+    fx, fy, fd = _over_one_denominator(f.coeffs)
+    gx, gy, gd = _over_one_denominator(g.coeffs)
+    size = len(fx) + len(gx) - 1
+    xx, yy, xy = [0] * size, [0] * size, [0] * size
+    for i, (a, b) in enumerate(zip(fx, fy)):
+        for j, (c, e) in enumerate(zip(gx, gy)):
+            xx[i + j] += a * c
+            yy[i + j] += b * e
+            xy[i + j] += a * e + b * c
+    den = q * fd * gd
+    like = f.zero
+    out = [_qs(q * u + p * v, q * t, den, like) for u, v, t in zip(xx, yy, xy)]
+    while out and out[-1].is_zero:
+        out.pop()
+    return QsPolynomial(tuple(out), like)
+
+
 def horner_mp(embedded: Sequence, x, precision: int) -> mp.mpf:
-    """eval_mp on coefficients embedded at precision + _EMBED_GUARD_BITS."""
-    with mp.workprec(precision + _EMBED_GUARD_BITS):
-        acc = mp.mpf(0)
-        for c in reversed(embedded):
-            acc = acc * x + c
-    with mp.workprec(precision):
-        return +acc
+    """eval_mp on coefficients embedded at precision + _EMBED_GUARD_BITS.
+
+    The loop runs on mpmath's raw tuples with the calls mpf's * and + make
+    at that working precision, rounding to nearest, so every bit is the
+    one the mpf loop gives; an x that is no mpf is made one first."""
+    work = precision + _EMBED_GUARD_BITS
+    if not isinstance(x, mp.mpf):
+        with mp.workprec(work):
+            x = mp.mpf(x)
+    x = x._mpf_
+    acc = fzero
+    for c in reversed(embedded):
+        acc = mpf_add(mpf_mul(acc, x, work, round_nearest), c._mpf_, work, round_nearest)
+    return mp.make_mpf(mpf_pos(acc, precision, round_nearest))
 
 
 def polynomial_divmod(f: QsPolynomial, g: QsPolynomial):

@@ -38,15 +38,14 @@ from .params import (
     DomainError,
     PhysicalParams,
     channel_slots,
-    check_tolerance,
     exact_w,
     mp_str,
     tower_w2,
 )
 from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
-from .ladder import LadderState, build_state, climb, ladder_norms, tower_image  # noqa: F401
-from .algebra import inner_product, universal_images
+from .ladder import LadderState, build_state, climb, square_moment, tower_image  # noqa: F401
+from .algebra import field_moment, inner_product, universal_images
 from .wavefunctions import RadialPair, radial_parts, tower_window
 
 _DETUNE = Fraction(1, 1000)   # relative shift of w^2 in the detuned control
@@ -200,31 +199,31 @@ def orthonormality_matrix(channel: Channel, n_list, precision: int = DEFAULT_PRE
     """Gram matrix of unit tower kets under the phase-averaged inner product.
 
     Off-diagonal entries are exact integer zeros (distinct modes); diagonal
-    entries are 1 to within the working precision.
+    entries are the exact field ratios of `_gram_matrix`, embedded: 1 for
+    unit kets.
     """
     n_list = list(n_list)
     if min(n_list, default=0) < 0:
         raise DomainError("rung index must be a nonnegative integer")
-    return _gram_matrix(climb(channel, max(n_list, default=0), precision), n_list, precision)
+    gram = _gram_matrix(climb(channel, max(n_list, default=0), precision), n_list)
+    return [[x if isinstance(x, int) else x.embed(precision) for x in row] for row in gram]
 
 
-def _gram_matrix(rungs, n_list, precision: int):
-    """Gram entries of rungs[a], rungs[b] for a, b in n_list; the rungs are
-    one climb, so their ket normalizers come from one pass."""
-    norms = ladder_norms(rungs[0].channel, len(rungs) - 1, precision)
-    out = [[0] * len(n_list) for _ in n_list]
-    for i, a in enumerate(n_list):
-        for j, b in enumerate(n_list):
-            val = inner_product(rungs[a].plus_function(),
-                                rungs[b].plus_function(), precision)
-            if isinstance(val, int):
-                out[i][j] = val
-                continue
-            with mp.workprec(precision + _GUARD):
-                val = val * norms[a] * norms[b]
-            with mp.workprec(precision):
-                out[i][j] = +val
-    return out
+def _gram_matrix(rungs, n_list):
+    """Gram entries of the unit kets of rungs[a], rungs[b] for a, b in
+    n_list, exact. Distinct modes pair to the integer 0 under the phase
+    average. On the diagonal, Gamma(2s)/2^(2s) cancels against the ket
+    normalizer A_n = N_lam / sqrt(n!(2s+1)_n), leaving the shift-0 field
+    moment of pi_n^2 over n!(2s+1)_n: an element of Q(s), 1 iff the ket is
+    a unit."""
+    diagonal = {}
+    for a in set(n_list):
+        rung = rungs[a]
+        diagonal[a] = (field_moment(rung.psi_plus * rung.psi_plus, rung.channel)
+                       / square_moment(rung.channel, rung.n))
+    return [[diagonal[a] if a == b else inner_product(rungs[a].plus_function(),
+                                                       rungs[b].plus_function())
+             for b in n_list] for a in n_list]
 
 
 def negative_branch_divergence_note() -> str:
@@ -298,13 +297,14 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                 all_exact = False
                 entry["failed"] = bad
             rows.append(entry)
-        gram = _gram_matrix(rungs, range(min(n_max, 5) + 1), precision)
+        gram = _gram_matrix(rungs, range(min(n_max, 5) + 1))
         size = len(gram)
         off_ok = all(gram[a][b] == 0 for a in range(size)
                      for b in range(size) if a != b)
+        diagonal = [gram[a][a] - 1 for a in range(size)]
+        gram_ok = off_ok and all(d.is_zero for d in diagonal)
         with mp.workprec(precision):
-            diag_err = max(abs(gram[a][a] - 1) for a in range(size))
-            gram_ok = off_ok and diag_err < check_tolerance(precision)
+            diag_err = max(abs(d.embed(precision)) for d in diagonal)
         if not gram_ok:
             all_exact = False
         channels.append({"j": str(ch.j), "eps": ch.eps, "rows": rows,

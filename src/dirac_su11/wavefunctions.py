@@ -15,13 +15,20 @@ and the level E they come from, both kept on the pair by `assemble`.
 For n = 0 the small combination collapses to -pi_0, giving the closed-form
 ratio G/F = -sqrt((c^2-E)/(c^2+E)) of the lowest physical state.
 
-Normalization uses the radial measure d rho,
+Normalization uses the radial measure d rho, under which the weight of
+F^2 and G^2 is rho^{2s} e^{-2 rho}: the weight of the Laguerre polynomials
+L^{(2s)}(2 rho) (DLMF 18.3). Since f = m + p and g = m - p with p = pi_n
+and m = -(w + tau) pi_{n-1}, orthogonality kills the cross moment
+M[pi_n pi_{n-1}], and for scales a and b
 
-    int_0^inf rho^{2s+m} e^{-2 rho} d rho = Gamma(2s+1+m) / 2^{2s+1+m},
+    a^2 M[f^2] + b^2 M[g^2] = (a^2 + b^2) Gamma(2s)/2^{2s} B,
+    B = n!(2s)_{n+1}/2 + (w + tau)^2 (n-1)!(2s)_n/2,
 
-so that A^2 [ (c^2+E) M[f^2] + (c^2-E) M[g^2] ] = 1 fixes the physical
-constant; it is stored on the pair, separate from the ket normalizer of
-the phase-averaged product, which the state derives.
+with B one exact element of Q(s)[w] and every term positive, so nothing
+cancels. `normalize` embeds B once; the constant it finds is stored on the
+pair, separate from the ket normalizer of the phase-averaged product,
+which the state derives. `orthogonality_exact` decides the three moments
+this takes from orthogonality on the state's own window, in Q(s).
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      spectral_point, tower_gap, tower_w2)
 from .qsfield import (_EMBED_GUARD_BITS, QsPolynomial, Quadratic, horner_mp,
                       positive_root_count)
-from .ladder import LadderState, tower_image
-from .algebra import moment_sum
+from .ladder import LadderState, square_moment, tower_image
+from .algebra import field_moment, gamma_factor, moment_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +60,6 @@ class RadialPair:
     f_scale: mp.mpf
     g_scale: mp.mpf
     samples: Optional[tuple] = None
-    moments: Optional[tuple] = None  # (M[f^2], M[g^2]) of the parts, set by normalize
     norm_constant: Optional[mp.mpf] = None  # set by normalize
 
     @property
@@ -113,18 +119,30 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
     return RadialPair(state, f, g, level, fs, gs)
 
 
+def norm_bracket(channel: Channel, n: int) -> Quadratic:
+    """B = M[pi_n^2] + (w + tau)^2 M[pi_{n-1}^2] in Q(s)[w], with M the
+    shift-1 field moment: the field moment of f^2, and that of g^2."""
+    w = exact_w(channel, n)
+    out = Quadratic.of(square_moment(channel, n, 1), d=w.d)
+    if n:
+        lift = w + channel.qs(channel.tau)
+        out = out + lift * lift * square_moment(channel, n - 1, 1)
+    return out
+
+
 def normalize(pair: RadialPair) -> RadialPair:
     """Fix the overall constant so int (F^2 + G^2) d rho = 1.
 
-    Returns a pair whose scales carry the constant, which records it in
-    norm_constant and keeps the moments of f^2 and g^2.
+    The integral is (f_scale^2 + g_scale^2) Gamma(2s)/2^(2s) B, from the
+    closed form of the module docstring. Returns a pair whose scales carry
+    the constant, which records it in norm_constant.
     """
     prec = pair.state.precision
-    pair = replace(pair, moments=_square_moments(pair))
-    total = norm_integral(pair)
+    ch = pair.channel
+    bracket = norm_bracket(ch, pair.n)
     with mp.workprec(prec + _GUARD):
-        if total <= 0:
-            raise DomainError("normalization integral must be positive")
+        total = ((pair.f_scale ** 2 + pair.g_scale ** 2) * gamma_factor(ch, prec)
+                 * bracket.embed(prec + _GUARD))
         const = 1 / mp.sqrt(total)
     with mp.workprec(prec):
         const = +const
@@ -133,19 +151,24 @@ def normalize(pair: RadialPair) -> RadialPair:
                        g_scale=+(pair.g_scale * const))
 
 
-def _square_moments(pair: RadialPair) -> tuple:
-    """(M[f^2], M[g^2]) under the radial measure d rho: each polynomial part
-    squared exactly once."""
-    prec = pair.state.precision
-    return tuple(moment_sum(p * p, pair.channel, prec, shift=1)
-                 for p in (pair.f_poly, pair.g_poly))
+def orthogonality_exact(state: LadderState) -> bool:
+    """Decide in Q(s), on the state's window, the shift-1 field moments
+    that normalize takes from Laguerre orthogonality:
+    M[pi_n^2] = n!(2s)_{n+1}/2, the same at n - 1, and M[pi_n pi_{n-1}] = 0."""
+    ch, n, plus, minus = state.channel, state.n, state.psi_plus, state.psi_minus
+    squares = ((plus, n), (minus, n - 1)) if n else ((plus, n),)
+    return (all(field_moment(half * half, ch, 1) == square_moment(ch, k, 1)
+                for half, k in squares)
+            and field_moment(plus * minus, ch, 1).is_zero)
 
 
 def norm_integral(pair: RadialPair) -> mp.mpf:
     """int (F^2 + G^2) d rho for the pair as scaled, carrying precision +
-    guard bits; reuses the moments a normalized pair keeps."""
+    guard bits, by the route normalize skips: f and g squared in Q(s)[w],
+    their exact moments embedded once each."""
     prec = pair.state.precision
-    ff, gg = _square_moments(pair) if pair.moments is None else pair.moments
+    ff, gg = (moment_sum(p * p, pair.channel, prec, shift=1)
+              for p in (pair.f_poly, pair.g_poly))
     with mp.workprec(prec + _GUARD):
         return pair.f_scale ** 2 * ff + pair.g_scale ** 2 * gg
 
@@ -197,13 +220,18 @@ def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
     return row1, row2
 
 
-def laguerre_cross_check(state: LadderState) -> LaguerreReport:
+def laguerre_cross_check(state: LadderState,
+                         level: Optional[SpectralPoint] = None) -> LaguerreReport:
+    """The Laguerre report of a state; its float level is computed unless
+    the caller already holds it."""
     ch = state.channel
     n = state.n
     prec = state.precision
     if n < 1:
         raise DomainError("cross check needs n >= 1 so both scalars exist")
-    E = spectral_point(ch, n, prec).E
+    if level is None:
+        level = spectral_point(ch, n, prec)
+    E = level.E
     w2 = tower_w2(ch, n)
 
     # the scalars of psi_plus = n! L_n and psi_minus = -(w+tau)(n-1)! L_{n-1};
@@ -282,28 +310,68 @@ def report_to_dict(report: LaguerreReport, precision: int = DEFAULT_PRECISION) -
 # -- sampling and node counting -------------------------------------------------
 
 
+def _cancelled_bits(pair: RadialPair, embedded, top) -> float:
+    """About how many bits Horner's rule loses on f or g over (0, top],
+    from their embedded coefficients.
+
+    At rho the pass rounds at the scale of sum_k |c_k| rho^k, against a
+    largest value of p rho^s e^{-rho} that is smaller by the bits it
+    loses. Each weighted term |c_k| rho^(k+s) e^{-rho} peaks at
+    rho = k + s, and the largest value is about the root mean square over
+    (0, top], whose square is Gamma(2s)/2^(2s) B / top for f and for g
+    alike (module docstring), less a tail beyond top that is negligible.
+    On (80, 5/2, +1) it reads 36.6 bits at n = 20 and 106.5 at n = 64,
+    where the losses measured against 1024 bits are 33 and 103."""
+    ch = pair.channel
+    s = float(ch.s.embed(53))
+    scale = (_log2(gamma_factor(ch, pair.state.precision))
+             + _log2(norm_bracket(ch, pair.n).embed(53)) - math.log2(top)) / 2
+    lost = 0.0
+    for coeffs in embedded:
+        terms = [_log2(c) + (k + s) * (math.log2(k + s) - math.log2(math.e))
+                 for k, c in enumerate(coeffs) if c]
+        peak = max(terms)
+        lost = max(lost, peak + math.log2(sum(2 ** (t - peak) for t in terms)) - scale)
+    return lost
+
+
+def _log2(x: mp.mpf) -> float:
+    """log2 |x| of a nonzero mpf, to within one, whatever its exponent."""
+    man, exp = x.man_exp
+    return exp + abs(man).bit_length()
+
+
 def sample(pair: RadialPair, count: int = 400) -> RadialPair:
     """Evaluate (F, G) on a geometric grid from rho = 1/1000 to
     5 (n + s + 1); returns a pair carrying samples. Both polynomials are
-    embedded once, as eval_mp would at every point."""
+    embedded once, as eval_mp would at every point. Horner's rule has
+    precision + 40 bits; at deep rungs, where the coefficients cancel more
+    (`_cancelled_bits`), it gains the bits they take beyond that, so each
+    sample is good to the precision relative to the largest."""
     if count < 2:
         raise DomainError("need at least two sample points")
     prec = pair.state.precision
     ch = pair.channel
     with mp.workprec(prec):
         top = 5 * (pair.n + ch.s.embed(prec) + 1)
+    horner = prec + _GUARD
+    polys = (pair.f_poly, pair.g_poly)
+    embedded = [poly.embed_coeffs(horner + _EMBED_GUARD_BITS) for poly in polys]
+    extra = math.ceil(_cancelled_bits(pair, embedded, top)) - _GUARD - _EMBED_GUARD_BITS
+    if extra > 0:
+        horner += extra
+        embedded = [poly.embed_coeffs(horner + _EMBED_GUARD_BITS) for poly in polys]
+    f_emb, g_emb = embedded
     rows = []
     with mp.workprec(prec + _GUARD):
         lo = mp.mpf(1) / 1000
         ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
         s_emb = ch.s.embed(prec + _GUARD)
-        f_emb, g_emb = (poly.embed_coeffs(prec + _GUARD + _EMBED_GUARD_BITS)
-                        for poly in (pair.f_poly, pair.g_poly))
         for i in range(count):
             rho = lo * ratio ** i
             weight = mp.power(rho, s_emb) * mp.exp(-rho)
-            fv = pair.f_scale * weight * horner_mp(f_emb, rho, prec + _GUARD)
-            gv = pair.g_scale * weight * horner_mp(g_emb, rho, prec + _GUARD)
+            fv = pair.f_scale * weight * horner_mp(f_emb, rho, horner)
+            gv = pair.g_scale * weight * horner_mp(g_emb, rho, horner)
             with mp.workprec(prec):
                 rows.append((+rho, +fv, +gv))
     return replace(pair, samples=tuple(rows))

@@ -7,10 +7,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from dirac_su11 import qsfield
+from dirac_su11.qsfield import QsPolynomial
 from dirac_su11.cli import main
 
 FAST = ["--precision", "128"]
@@ -159,9 +161,11 @@ class TestState:
         assert doc["laguerre_report"] is None
         assert doc["checks"]["first_order_exact"] is True
 
-    def test_each_component_squared_once(self, capsys, monkeypatch):
-        # normalize squares f and g; the normalization check reuses them
-        from dirac_su11 import algebra, wavefunctions
+    def test_no_polynomial_squared_for_a_float_moment(self, capsys, monkeypatch):
+        # normalization is one Gamma factor times an exact element, and its
+        # check and the Gram diagonal are field moments: neither state nor
+        # verify embeds the moment of a squared polynomial
+        from dirac_su11 import algebra
         squared = []
         moment_sum = algebra.moment_sum
 
@@ -169,13 +173,36 @@ class TestState:
             squared.append(poly)
             return moment_sum(poly, *args, **kwargs)
 
-        monkeypatch.setattr(algebra, "moment_sum", counting)
-        monkeypatch.setattr(wavefunctions, "moment_sum", counting)
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "dirac_su11"
+                    and vars(module).get("moment_sum") is moment_sum):
+                monkeypatch.setattr(module, "moment_sum", counting)
         code, out = run(capsys, ["state", "--j", "1/2", "--eps", "-1", "--n", "3",
                                  "--samples", "3", "--format", "json"] + FAST)
         assert code == 0
         assert json.loads(out)["checks"]["normalization_ok"] is True
-        assert len(squared) == 2
+        assert main(["verify", "--Z", "1", "--j-max", "3/2", "--n-max", "3",
+                     "--skip-oracle"] + FAST) == 0
+        capsys.readouterr()
+        assert squared == []
+
+    def test_perturbed_window_fails_the_normalization_check(self, capsys, monkeypatch):
+        # one coefficient of pi_n off by 1: its square moment is off by
+        # M[1] = s, so the exact decision fails and state exits 3
+        from dirac_su11 import cli
+        build_state = cli.build_state
+
+        def perturbed(*args):
+            state = build_state(*args)
+            plus = state.psi_plus
+            return replace(state, psi_plus=QsPolynomial(
+                (plus.coeffs[0] + 1,) + plus.coeffs[1:], plus.zero))
+
+        monkeypatch.setattr(cli, "build_state", perturbed)
+        code, out = run(capsys, ["state", "--j", "1/2", "--eps", "-1", "--n", "3",
+                                 "--samples", "3", "--format", "json"] + FAST)
+        assert code == 3
+        assert json.loads(out)["checks"]["normalization_ok"] is False
 
     def test_unphysical_slot_is_an_error(self, capsys):
         code = main(["state", "--j", "1/2", "--eps", "1", "--n", "0"] + FAST)
@@ -386,14 +413,16 @@ class TestExitCodes:
                      "--skip-oracle", "--precision", "8"]) == 0
         assert capsys.readouterr().out == "Z=1: residuals all exact\n"
 
-    def test_tolerance_below_one_at_one_bit(self, capsys):
-        # at 1 bit the Gram diagonal is off by 1.0, which a bound of
-        # 2^-(p - 16) = 2^15 would pass
+    def test_gram_identity_decided_at_one_bit(self, capsys, tmp_path):
+        # the Gram diagonal is a field decision, not a float within
+        # check_tolerance: one bit decides it, and its error reads 0
+        out = tmp_path / "v.json"
         assert main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2",
-                     "--skip-oracle", "--precision", "1"]) == 3
-        assert capsys.readouterr().out.splitlines()[:2] == [
-            "Z=1: residuals FAILED",
-            "  j=1/2 eps=-1: Gram matrix not the identity (max diagonal err 1.0)"]
+                     "--skip-oracle", "--precision", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "Z=1: residuals all exact"
+        blocks = json.loads(out.read_text())["runs"][0]["channels"]
+        assert [(b["gram_identity_ok"], b["gram_diagonal_max_err"]) for b in blocks] == [
+            (True, "0.0"), (True, "0.0")]
 
     def test_empty_verify_grid(self, capsys):
         # j-max below 1/2 leaves nothing to check; that is not a pass
@@ -491,7 +520,7 @@ def count_levels(monkeypatch, capsys, argv):
 
 def test_float_levels_only_where_read(capsys, monkeypatch):
     # a rung is exact data: verify reads no float level, state reads its
-    # own (for E and binding, and the elimination check), and spectrum
+    # own once (for E and binding, and the elimination check), and spectrum
     # computes only the levels it prints
     code, _, calls = count_levels(monkeypatch, capsys, [
         "verify", "--Z", "57", "--j-max", "5/2", "--n-max", "5", "--skip-oracle"] + FAST)
@@ -499,7 +528,7 @@ def test_float_levels_only_where_read(capsys, monkeypatch):
     code, _, calls = count_levels(monkeypatch, capsys, [
         "state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", "20",
         "--samples", "2", "--format", "json"] + FAST)
-    assert code == 0 and calls <= 2
+    assert code == 0 and calls == 1
     code, out, calls = count_levels(monkeypatch, capsys, ["spectrum", "--N-max", "4"] + FAST)
     assert code == 0 and calls == len(json.loads(out)["rows"]) == 16
 
@@ -520,11 +549,11 @@ GOLDEN = [
     (["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2", "--skip-oracle",
       "--out", "v.json"],
      "e08bfe5aebc4f5a3a7012616403ea0c9f4c8c23595e1aaef400565bd6db9d8d9",
-     "35e036248ed993e5cb5a642c55462a3377ad07e5df912d90fd39436cd3a55953", 0),
+     "5c4eabbfcdaf5255aed47329fdc72e0aace17445189073bb9c3702e76759478a", 0),
     (["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2", "--skip-oracle",
       "--inject-off-shell", "--out", "v.json"],
      "6700f1d4290141ede71be2050714fba75465a188ba98858cd509fe10657e91c7",
-     "5620b854892fe8f01395e058dc3ce811ec3d912adee5b2929ba03eb1a02fc62c", 3),
+     "2c27dca58ff01c32b8716268e17bc78f5ff7a91d667cc416dc283aeca666acd8", 3),
     (["jl", "--j-max", "3/2", "--n-max", "1"],
      "7ac0ddd1a33f2b61e368138463c746ead53c304b2e2f1a23ec5dd9a5a4be9952", None, 0),
     (["limit"],

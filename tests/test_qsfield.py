@@ -252,6 +252,20 @@ def test_poly_product_rule(f, g):
 
 
 @settings(max_examples=30, deadline=None)
+@given(st.lists(qs_numbers(), max_size=5), st.lists(qs_numbers(), max_size=5))
+def test_qs_product_is_the_schoolbook_sum(f, g):
+    # over Q(s) the product is one integer convolution over a common
+    # denominator; each coefficient is the sum of the field products
+    zero = Quadratic.zero(S2)
+    fp, gp = (QsPolynomial.from_coeffs(c, zero) for c in (f, g))
+    expect = [zero] * max(len(fp.coeffs) + len(gp.coeffs) - 1, 0)
+    for i, a in enumerate(fp.coeffs):
+        for j, b in enumerate(gp.coeffs):
+            expect[i + j] = expect[i + j] + a * b
+    assert fp * gp == QsPolynomial.from_coeffs(expect, zero)
+
+
+@settings(max_examples=30, deadline=None)
 @given(qs_polys(), qs_polys(), qs_numbers())
 def test_poly_eval_is_homomorphism(f, g, x):
     assert (f * g).eval_exact(x) == f.eval_exact(x) * g.eval_exact(x)

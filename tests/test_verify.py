@@ -382,6 +382,33 @@ class TestGram:
         vf.orthonormality_matrix(CH, [3], 128)
         assert seen == Counter(dict.fromkeys(range(5), 1))
 
+    def test_diagonal_is_decided_one(self):
+        # the norm of each unit ket is an element of Q(s), exactly 1
+        for a, row in enumerate(vf._gram_matrix(ld.climb(CH_HEAVY, 4), range(5))):
+            assert row[a] == CH_HEAVY.qs(1)
+
+    def test_perturbed_rung_fails_the_gram_identity(self, monkeypatch, capsys):
+        # rung 2 with pi_2 scaled by 1 + 2^-300: its diagonal is off by
+        # about 2^-299, which a float test within 2^-(p - 16) = 2^-240
+        # would pass; the field decision does not
+        gram_matrix = vf._gram_matrix
+
+        def perturbed(rungs, n_list):
+            rungs = list(rungs)
+            bad = rungs[2]
+            rungs[2] = replace(bad, psi_plus=bad.psi_plus.scale(1 + Fraction(1, 2 ** 300)))
+            return gram_matrix(rungs, n_list)
+
+        monkeypatch.setattr(vf, "_gram_matrix", perturbed)
+        rep = vf.verification_report(P1, Fraction(1, 2), 3, 256)
+        assert [b["gram_identity_ok"] for b in rep["channels"]] == [False, False]
+        assert all(b["gram_offdiagonal_exact_zero"] for b in rep["channels"])
+        assert rep["all_exact"] is False
+        from dirac_su11.cli import main
+        assert main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "3",
+                     "--skip-oracle"]) == 3
+        assert "Gram matrix not the identity" in capsys.readouterr().out
+
     def test_negative_rung_refused(self):
         with pytest.raises(DomainError):
             vf.orthonormality_matrix(CH, [2, -1], 128)

@@ -13,6 +13,7 @@ from dirac_su11.qsfield import QsPolynomial, Quadratic, sturm_positive_roots
 from dirac_su11 import ladder as ld
 from dirac_su11 import qsfield
 from dirac_su11 import wavefunctions as wf
+from dirac_su11.algebra import field_moment
 
 P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
@@ -263,3 +264,76 @@ class TestSamplingAndNodes:
     def test_sample_count_guard(self):
         with pytest.raises(DomainError):
             wf.sample(pair_for(CH, 0, 64), count=1)
+
+
+class TestClosedFormNormalization:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_each_square_moment_is_the_bracket(self, n):
+        # M[f^2] = M[g^2] = B in Q(s)[w]: the squared-polynomial route
+        # normalize skips, decided against its closed form
+        for ch in (CH, CH_HEAVY):
+            pair = pair_for(ch, n)
+            f, g = pair.f_poly, pair.g_poly
+            bracket = wf.norm_bracket(ch, n)
+            assert field_moment(f * f, ch, 1) == bracket
+            assert field_moment(g * g, ch, 1) == bracket
+
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_constant_matches_the_squared_route(self, n):
+        pair = wf.normalize(pair_for(CH_DEEP[1], n))
+        with mp.workprec(256):
+            assert abs(wf.norm_integral(pair) - 1) < mp.mpf(2) ** -240
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 20])
+    def test_window_orthogonality_is_decided(self, n):
+        for ch in (CH, CH_DEEP[-1]):
+            assert wf.orthogonality_exact(ld.build_state(ch, n))
+
+    @pytest.mark.parametrize("half", ["psi_plus", "psi_minus"])
+    def test_perturbed_window_is_refused(self, half):
+        # one coefficient off by 1/3 changes a square moment by a nonzero
+        # multiple of M[1] = s or more
+        state = ld.build_state(CH_HEAVY, 3)
+        poly = getattr(state, half)
+        bumped = QsPolynomial((poly.coeffs[0] + Fraction(1, 3),) + poly.coeffs[1:], poly.zero)
+        assert not wf.orthogonality_exact(replace(state, **{half: bumped}))
+
+    def test_cross_moment_is_decided_too(self):
+        # pi_n + t rho^n with t = -2 M[pi_n rho^n] / M[rho^2n] keeps the
+        # square moment; only the cross moment with pi_{n-1} refuses it
+        n, state = 3, ld.build_state(CH_HEAVY, 3)
+        plus = state.psi_plus
+        mono = QsPolynomial.from_coeffs([0] * n + [1], plus.zero)
+        t = -(field_moment(plus * mono, CH_HEAVY, 1) * 2) / field_moment(mono * mono, CH_HEAVY, 1)
+        bumped = plus + mono.scale(t)
+        assert field_moment(bumped * bumped, CH_HEAVY, 1) == ld.square_moment(CH_HEAVY, n, 1)
+        assert not wf.orthogonality_exact(replace(state, psi_plus=bumped))
+
+    def test_square_moment_has_two_closed_forms(self):
+        with pytest.raises(ValueError):
+            ld.square_moment(CH, 2, 2)
+
+
+def test_raw_horner_matches_the_mpf_loop_bit_for_bit():
+    # horner_mp calls mpf_mul and mpf_add on raw tuples at the working
+    # precision, rounding to nearest, as mpf's * and + do: on the n = 20
+    # sample grids of three channels every value is the same bits
+    prec, count = 256, 400
+    work = prec + _GUARD
+    for ch in (CH, CH_HEAVY, CH_DEEP[1]):
+        pair = pair_for(ch, 20, prec)
+        with mp.workprec(prec):
+            top = 5 * (20 + ch.s.embed(prec) + 1)
+        for poly in (pair.f_poly, pair.g_poly):
+            emb = poly.embed_coeffs(work + qsfield._EMBED_GUARD_BITS)
+            with mp.workprec(work):
+                lo = mp.mpf(1) / 1000
+                ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
+                grid = [lo * ratio ** i for i in range(count)]
+            for rho in grid:
+                with mp.workprec(work + qsfield._EMBED_GUARD_BITS):
+                    acc = mp.mpf(0)
+                    for c in reversed(emb):
+                        acc = acc * rho + c
+                with mp.workprec(work):
+                    assert qsfield.horner_mp(emb, rho, work)._mpf_ == (+acc)._mpf_
