@@ -40,6 +40,7 @@ from .params import (
     exact_w,
     mp_str,
 )
+from .qsfield import embed_fraction
 
 _ORBITAL_LETTERS = "spdfghik"
 
@@ -64,8 +65,8 @@ def jl_fg_matrix(point: SpectralPoint) -> JLMatrix:
     ch = point.channel
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
-        zeta = mp.mpf(ch.zeta.numerator) / ch.zeta.denominator
-        tau = mp.mpf(ch.tau.numerator) / ch.tau.denominator
+        zeta = embed_fraction(ch.zeta, prec + _GUARD)
+        tau = embed_fraction(ch.tau, prec + _GUARD)
         m11 = mp.mpc(zeta, 0)
         m12 = mp.mpc(0, -tau * (c2 + point.E) / c2)
         m21 = mp.mpc(0, tau * (c2 - point.E) / c2)
@@ -104,8 +105,8 @@ def jl_eigencoefficients(channel: Channel, n: int,
     """(zeta(1 - tau/w), zeta(1 + tau/w)): the exact diagonal of the operator
     in the tower basis; the first multiplies psi_plus, the second psi_minus."""
     with mp.workprec(precision + _GUARD):
-        zeta = mp.mpf(channel.zeta.numerator) / channel.zeta.denominator
-        tau = mp.mpf(channel.tau.numerator) / channel.tau.denominator
+        zeta = embed_fraction(channel.zeta, precision + _GUARD)
+        tau = embed_fraction(channel.tau, precision + _GUARD)
         w = exact_w(channel, n).embed(precision + _GUARD)
         minus = zeta * (1 - tau / w)
         plus = zeta * (1 + tau / w)

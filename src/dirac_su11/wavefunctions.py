@@ -39,12 +39,13 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import (fone, fzero, mpf_mul, mpf_shift, mpf_sub,
+                          round_nearest)
 
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, SpectralPoint, exact_w, mp_str,
                      spectral_point, tower_gap, tower_w2)
-from .qsfield import (_EMBED_GUARD_BITS, QsPolynomial, Quadratic, horner_mp,
-                      positive_root_count)
+from .qsfield import QsPolynomial, Quadratic, embed_fraction, positive_root_count
 from .ladder import LadderState, square_moment, tower_image
 from .algebra import field_moment, gamma_factor, moment_sum
 
@@ -251,8 +252,8 @@ def laguerre_cross_check(state: LadderState,
 
     with mp.workprec(prec + _GUARD):
         c2 = ch.params.c2_mp(prec + _GUARD)
-        zeta = mp.mpf(ch.zeta.numerator) / ch.zeta.denominator
-        tau_emb = mp.mpf(tau.numerator) / tau.denominator
+        zeta = embed_fraction(ch.zeta, prec + _GUARD)
+        tau_emb = embed_fraction(tau, prec + _GUARD)
         s_emb = s.embed(prec + _GUARD)
         # eliminate: w^2 = tau^2 + n(n+2s) -> E = c^2 (s+n)/w
         w_elim = mp.sqrt(gap.embed(prec + _GUARD) + tau_emb ** 2)
@@ -310,68 +311,52 @@ def report_to_dict(report: LaguerreReport, precision: int = DEFAULT_PRECISION) -
 # -- sampling and node counting -------------------------------------------------
 
 
-def _cancelled_bits(pair: RadialPair, embedded, top) -> float:
-    """About how many bits Horner's rule loses on f or g over (0, top],
-    from their embedded coefficients.
-
-    At rho the pass rounds at the scale of sum_k |c_k| rho^k, against a
-    largest value of p rho^s e^{-rho} that is smaller by the bits it
-    loses. Each weighted term |c_k| rho^(k+s) e^{-rho} peaks at
-    rho = k + s, and the largest value is about the root mean square over
-    (0, top], whose square is Gamma(2s)/2^(2s) B / top for f and for g
-    alike (module docstring), less a tail beyond top that is negligible.
-    On (80, 5/2, +1) it reads 36.6 bits at n = 20 and 106.5 at n = 64,
-    where the losses measured against 1024 bits are 33 and 103."""
-    ch = pair.channel
-    s = float(ch.s.embed(53))
-    scale = (_log2(gamma_factor(ch, pair.state.precision))
-             + _log2(norm_bracket(ch, pair.n).embed(53)) - math.log2(top)) / 2
-    lost = 0.0
-    for coeffs in embedded:
-        terms = [_log2(c) + (k + s) * (math.log2(k + s) - math.log2(math.e))
-                 for k, c in enumerate(coeffs) if c]
-        peak = max(terms)
-        lost = max(lost, peak + math.log2(sum(2 ** (t - peak) for t in terms)) - scale)
-    return lost
-
-
-def _log2(x: mp.mpf) -> float:
-    """log2 |x| of a nonzero mpf, to within one, whatever its exponent."""
-    man, exp = x.man_exp
-    return exp + abs(man).bit_length()
+def _window_at(steps, rho: mp.mpf, work: int):
+    """(pi_n, pi_{n-1}) at rho, from one forward pass of
+    pi_{k+1} = (a_k - 2 rho) pi_k - b_k pi_{k-1} with pi_0 = 1, pi_{-1} = 0
+    over the embedded steps (a_k, b_k), on raw tuples at the working
+    precision, rounding to nearest."""
+    two_rho = mpf_shift(rho._mpf_, 1)
+    plus, minus = fone, fzero
+    for a, b in steps:
+        t = mpf_mul(mpf_sub(a, two_rho, work, round_nearest), plus, work, round_nearest)
+        plus, minus = mpf_sub(t, mpf_mul(b, minus, work, round_nearest),
+                              work, round_nearest), plus
+    return mp.make_mpf(plus), mp.make_mpf(minus)
 
 
 def sample(pair: RadialPair, count: int = 400) -> RadialPair:
     """Evaluate (F, G) on a geometric grid from rho = 1/1000 to
-    5 (n + s + 1); returns a pair carrying samples. Both polynomials are
-    embedded once, as eval_mp would at every point. Horner's rule has
-    precision + 40 bits; at deep rungs, where the coefficients cancel more
-    (`_cancelled_bits`), it gains the bits they take beyond that, so each
-    sample is good to the precision relative to the largest."""
+    5 (n + s + 1); returns a pair carrying samples. At each point the
+    three-term Laguerre recurrence the ladder decides per rung,
+
+        pi_{k+1} = (2k + 1 + 2s - 2 rho) pi_k - k(k + 2s) pi_{k-1},
+
+    gives (pi_n, pi_{n-1}) with precision + _GUARD bits; it is stable
+    forward on the whole grid, so the guard is fixed. The window halves
+    are then (pi_n, c pi_{n-1}) with c = -(w + tau) embedded once."""
     if count < 2:
         raise DomainError("need at least two sample points")
     prec = pair.state.precision
-    ch = pair.channel
+    ch, n = pair.channel, pair.n
+    work = prec + _GUARD
     with mp.workprec(prec):
-        top = 5 * (pair.n + ch.s.embed(prec) + 1)
-    horner = prec + _GUARD
-    polys = (pair.f_poly, pair.g_poly)
-    embedded = [poly.embed_coeffs(horner + _EMBED_GUARD_BITS) for poly in polys]
-    extra = math.ceil(_cancelled_bits(pair, embedded, top)) - _GUARD - _EMBED_GUARD_BITS
-    if extra > 0:
-        horner += extra
-        embedded = [poly.embed_coeffs(horner + _EMBED_GUARD_BITS) for poly in polys]
-    f_emb, g_emb = embedded
+        top = 5 * (n + ch.s.embed(prec) + 1)
     rows = []
-    with mp.workprec(prec + _GUARD):
+    with mp.workprec(work):
         lo = mp.mpf(1) / 1000
         ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
-        s_emb = ch.s.embed(prec + _GUARD)
+        s_emb = ch.s.embed(work)
+        steps = [((2 * s_emb + (2 * k + 1))._mpf_, (k * (2 * s_emb + k))._mpf_)
+                 for k in range(n)]
+        scalar = small_component_scalar(ch, n).embed(work)
         for i in range(count):
             rho = lo * ratio ** i
             weight = mp.power(rho, s_emb) * mp.exp(-rho)
-            fv = pair.f_scale * weight * horner_mp(f_emb, rho, horner)
-            gv = pair.g_scale * weight * horner_mp(g_emb, rho, horner)
+            plus, minus = _window_at(steps, rho, work)
+            f, g = radial_parts(plus, scalar * minus)
+            fv = pair.f_scale * weight * f
+            gv = pair.g_scale * weight * g
             with mp.workprec(prec):
                 rows.append((+rho, +fv, +gv))
     return replace(pair, samples=tuple(rows))

@@ -253,13 +253,49 @@ class TestSamplingAndNodes:
             assert abs(r0 - r1) < mp.mpf("1e-25")
 
     def test_sample_values_match_direct_evaluation(self):
-        pair = wf.sample(wf.normalize(pair_for(CH, 1, 192)), count=7)
-        with mp.workprec(192):
-            s = CH.s.embed(192)
-            for rho, fv, gv in pair.samples:
-                weight = mp.power(rho, s) * mp.exp(-rho)
-                f_direct = pair.f_scale * weight * pair.f_poly.eval_mp(rho, 192)
-                assert abs(fv - f_direct) < mp.mpf(2) ** -150
+        # n = 0 starts the recurrence with pi_{-1} = 0, so f = 1 and g = -1;
+        # on the tau > 0 bottom the scalar c = -(w + tau) is not 0 and must
+        # drop out
+        for ch, n in ((CH, 1), (CH, 0), (CH_P, 0)):
+            pair = wf.assemble(ld.build_state(ch, n, 192), allow_unphysical=True)
+            if n == 0:
+                one = QsPolynomial.from_coeffs([1], pair.f_poly.zero)
+                assert (pair.f_poly, pair.g_poly) == (one, -one)
+            pair = wf.sample(wf.normalize(pair), count=7)
+            with mp.workprec(192):
+                s = ch.s.embed(192)
+                for rho, fv, gv in pair.samples:
+                    weight = mp.power(rho, s) * mp.exp(-rho)
+                    f_direct = pair.f_scale * weight * pair.f_poly.eval_mp(rho, 192)
+                    g_direct = pair.g_scale * weight * pair.g_poly.eval_mp(rho, 192)
+                    assert abs(fv - f_direct) < mp.mpf(2) ** -150
+                    assert abs(gv - g_direct) < mp.mpf(2) ** -150
+
+    @pytest.mark.parametrize("prec, Z, j, eps, n, index, col", [
+        (256, 40, "7/2", -1, 30, 79, 1),
+        (256, 118, "3/2", 1, 30, 77, 1),
+        (256, 1, "5/2", -1, 64, 80, 2),
+        (64, 80, "3/2", 1, 64, 84, 2),
+        (64, 118, "5/2", -1, 30, 77, 2),
+    ])
+    def test_deep_samples_round_to_the_nearest(self, prec, Z, j, eps, n, index, col):
+        # values that a monomial Horner pass put one ulp off: each sample is
+        # scale * rho^s e^{-rho} * poly(rho) at 2048 bits, rounded once
+        ref_bits, count = 2048, 100
+        ch = make_channel(make_params(Z=Z), Fraction(j), eps)
+        pair = wf.normalize(pair_for(ch, n, prec))
+        got = wf.sample(pair, count=count).samples[index][col]
+        with mp.workprec(prec):
+            top = 5 * (n + ch.s.embed(prec) + 1)
+        with mp.workprec(prec + _GUARD):
+            lo = mp.mpf(1) / 1000
+            rho = lo * ((top / lo) ** (mp.mpf(1) / (count - 1))) ** index
+        poly, scale = (pair.f_poly, pair.f_scale) if col == 1 else (pair.g_poly, pair.g_scale)
+        with mp.workprec(ref_bits):
+            ref = (scale * mp.power(rho, ch.s.embed(ref_bits)) * mp.exp(-rho)
+                   * poly.eval_mp(rho, ref_bits))
+        with mp.workprec(prec):
+            assert got == +ref
 
     def test_sample_count_guard(self):
         with pytest.raises(DomainError):
