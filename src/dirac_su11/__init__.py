@@ -19,7 +19,7 @@ from .params import (
     nonrelativistic_limit_table,
     spectral_point,
 )
-from .qsfield import QsPolynomial, Quadratic, positive_root_count, sturm_positive_roots
+from .qsfield import QsPolynomial, Quadratic, sturm_positive_roots
 from .algebra import (
     FamilyFunction,
     ScaledFamilyFunction,
@@ -78,7 +78,7 @@ __all__ = [
     "Channel", "DomainError", "PhysicalParams", "SpectralPoint",
     "channel_grid", "make_channel", "make_params", "mu_from_energy",
     "nonrelativistic_limit_table", "spectral_point",
-    "QsPolynomial", "Quadratic", "positive_root_count", "sturm_positive_roots",
+    "QsPolynomial", "Quadratic", "sturm_positive_roots",
     "FamilyFunction", "ScaledFamilyFunction", "apply", "apply_casimir",
     "inner_product", "universal_images",
     "LadderState", "RepresentationBoundaryError", "build_state",

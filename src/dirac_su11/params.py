@@ -291,10 +291,14 @@ def nonrelativistic_limit_table(
             ch = make_channel(params, j, eps)
             if not ch.is_bound(n):
                 raise DomainError("bottom rung with tau > 0 is not a bound state")
-            pt = spectral_point(ch, n, precision)
+            # the difference cancels most of the binding's leading bits, so
+            # it is taken from the binding before that is rounded to precision
+            pt = spectral_point(ch, n, precision + _GUARD)
             bohr = -mp.mpf(Z) ** 2 / (2 * mp.mpf(pt.N) ** 2)
             diff = pt.binding - bohr
-            rows.append(LimitRow(params.c, pt.binding, bohr, diff))
+            with mp.workprec(precision):
+                binding = +pt.binding
+            rows.append(LimitRow(params.c, binding, bohr, diff))
             xs.append(mp.log(embed_fraction(params.c, precision)))
             ys.append(mp.log(abs(diff)))
         xbar = sum(xs) / len(xs)

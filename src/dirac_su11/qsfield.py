@@ -29,8 +29,7 @@ element is real: `sign` and `embed` hold for all of them.
 
 Signs of nonzero elements are decidable exactly (compare a^2 against b^2 d
 when a and b disagree in sign), so root counting over these fields decides
-with no floating point at all; a float estimate may only propose the points
-where exact signs are taken.
+with no floating point at all.
 """
 
 from __future__ import annotations
@@ -631,76 +630,3 @@ def _sign_variations(signs) -> int:
     signs = [s for s in signs if s]
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
-
-# The float estimate scans a geometric grid of this many points per degree,
-# with 32-bit abscissae: dyadic rationals small enough to evaluate exactly.
-_GRID_PER_DEGREE = 10
-_GRID_BITS = 32
-
-
-def positive_root_count(p: QsPolynomial, precision: int = 256) -> int:
-    """Count distinct real roots of p in (0, +inf), exactly: the number
-    sturm_positive_roots returns, without its chain when two bounds meet.
-
-    Upper bound (Descartes): the count with multiplicity is at most the
-    number V of sign variations of the coefficients, and has V's parity,
-    so V <= 1 decides it. Lower bound: exact signs of p at 0+ (its lowest
-    nonzero coefficient), at V - 1 increasing dyadic points and at +inf
-    (its leading coefficient) change at least once across each stretch
-    that holds a root. When they change V times, p has V simple positive
-    roots. The points come from a float estimate of p at `precision` bits
-    (Collins & Akritas, SYMSAC 1976); only exact signs decide, so the
-    estimate needs no trust. When the bounds differ, the Sturm chain does.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no well-defined root count")
-    signs = [c.sign() for c in p.coeffs]
-    v = _sign_variations(signs)
-    if v <= 1:
-        return v
-    points = _separating_points(p, v, precision)
-    if points is not None:
-        at_points = [p.eval_exact(x).sign() for x in points]
-        at_zero_plus = next(s for s in signs if s)
-        if _sign_variations([at_zero_plus, *at_points, signs[-1]]) == v:
-            return v
-    return sturm_positive_roots(p)
-
-
-def _root_bound(embedded: Sequence) -> mp.mpf:
-    """Fujiwara's bound 2 max_k |a_{d-k}/a_d|^(1/k) on the moduli of the
-    roots of sum a_k rho^k, from its embedded coefficients."""
-    lead = embedded[-1]
-    return 2 * max(abs(c / lead) ** (mp.mpf(1) / k)
-                   for k, c in enumerate(reversed(embedded[:-1]), 1))
-
-
-def _separating_points(p: QsPolynomial, v: int, precision: int):
-    """V - 1 increasing dyadic rationals, one inside each stretch between
-    adjacent sign changes of a float estimate of p, where the estimate is
-    largest; None unless the estimate changes sign exactly V times.
-
-    The grid runs geometrically between Fujiwara's bounds on the roots of
-    p / rho^m and of its reversal, so it spans every positive root.
-    """
-    embedded = p.embed_coeffs(precision + _EMBED_GUARD_BITS)
-    low = next(k for k, c in enumerate(p.coeffs) if not c.is_zero)
-    count = _GRID_PER_DEGREE * p.degree
-    with mp.workprec(_GRID_BITS):
-        bottom = 1 / _root_bound(embedded[low:][::-1])
-        ratio = (_root_bound(embedded[low:]) / bottom) ** (mp.mpf(1) / (count - 1))
-        grid = [bottom * ratio ** k for k in range(count)]
-    values = [horner_mp(embedded, x, precision) for x in grid]
-    runs = []  # grid indices of the estimate's runs of one sign
-    for k, y in enumerate(values):
-        if not y:
-            continue
-        if runs and (y > 0) == (values[runs[-1][-1]] > 0):
-            runs[-1].append(k)
-        else:
-            runs.append([k])
-    if len(runs) != v + 1:
-        return None
-    picks = (max(run, key=lambda k: abs(values[k])) for run in runs[1:-1])
-    return [Fraction(int(man)) * Fraction(2) ** exp
-            for man, exp in (grid[k].man_exp for k in picks)]

@@ -45,7 +45,7 @@ from mpmath.libmp import (fone, fzero, mpf_mul, mpf_shift, mpf_sub,
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, SpectralPoint, exact_w, mp_str,
                      spectral_point, tower_gap, tower_w2)
-from .qsfield import QsPolynomial, Quadratic, embed_fraction, positive_root_count
+from .qsfield import QsPolynomial, Quadratic, _sign_variations, embed_fraction
 from .ladder import LadderState, square_moment, tower_image
 from .algebra import field_moment, gamma_factor, moment_sum
 
@@ -364,6 +364,25 @@ def sample(pair: RadialPair, count: int = 400) -> RadialPair:
 
 def count_f_nodes(pair: RadialPair) -> int:
     """Distinct positive zeros of F, exactly; the weight rho^s e^{-rho}
-    never vanishes. The float estimate that proposes the separating points
-    runs at the state's precision."""
-    return positive_root_count(pair.f_poly, pair.state.precision)
+    never vanishes.
+
+    In y = 2 rho, p_k = (-1)^k pi_k is monic, and the ladder's recurrence
+    reads p_{k+1} = (y - a_k) p_k - b_k p_{k-1} with a_k = 2k + 1 + 2s and
+    b_k = k(k + 2s) > 0: p_k is the characteristic polynomial of the
+    leading k x k block of a Jacobi matrix J. A polynomial of degree n in
+    the span of pi_n and pi_{n-1}, as f is, is a multiple of
+    p_n + r p_{n-1}, the characteristic polynomial of J with its last
+    diagonal entry moved by -r; that one is monic, so its sign at 0 is the
+    sign of f(0) times that of f's leading coefficient. Its zeros are
+    simple, and the sign changes of p_0(0), ..., p_{n-1}(0) and that sign,
+    zeros skipped, count those in y > 0 (Wilkinson, The Algebraic
+    Eigenvalue Problem, 1965, 5.37-5.39). Every sign is decided in Q(s)
+    or its tower."""
+    ch, f = pair.channel, pair.f_poly
+    at_zero, below = ch.qs(1), ch.qs(0)  # pi_k(0) and pi_{k-1}(0)
+    signs = []
+    for k in range(pair.n):
+        signs.append((-1) ** k * at_zero.sign())
+        at_zero, below = ch.qs(2 * k + 1, 2) * at_zero - tower_gap(ch, k) * below, at_zero
+    signs.append(f.coeff(0).sign() * f.leading.sign())
+    return _sign_variations(signs)

@@ -557,9 +557,9 @@ GOLDEN = [
     (["jl", "--j-max", "3/2", "--n-max", "1"],
      "7ac0ddd1a33f2b61e368138463c746ead53c304b2e2f1a23ec5dd9a5a4be9952", None, 0),
     (["limit"],
-     "8d0cc4cbe2ac68d4261fb830880d914fb7f9446bd60570e9bb62db6fd0296716", None, 0),
+     "310ddd8f7880e592ac8daf07eeb344dc6c9e2b7787050cd5e9167d3f8f4c5644", None, 0),
     (["limit", "--format", "csv"],
-     "96a529079216299083f54e095ef75f941d79c00007ad5986b794b5bd48f7c11f", None, 0),
+     "05c3b492423c7e5007fa875c1bd1efec2285f7aff3841a16550c5dda61aa69c8", None, 0),
 ]
 
 

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_su11 import qsfield
 from dirac_su11.qsfield import (
     QsPolynomial,
     Quadratic,
     polynomial_divmod,
-    positive_root_count,
     sturm_positive_roots,
 )
 
@@ -329,91 +327,6 @@ def test_sturm_count_ignores_negative_scale(coeffs):
         return
     s = Quadratic.root(S2)
     assert sturm_positive_roots(p.scale(-s)) == sturm_positive_roots(p)
-
-
-# -- the node count: Descartes bound, exact sign certificate, Sturm fallback --
-
-
-@pytest.fixture
-def sturm_calls(monkeypatch):
-    """The polynomials positive_root_count hands to the Sturm chain."""
-    calls = []
-
-    def spy(p):
-        calls.append(p)
-        return sturm_positive_roots(p)
-
-    monkeypatch.setattr(qsfield, "sturm_positive_roots", spy)
-    return calls
-
-
-def test_root_count_falls_back_when_no_root_separates(sturm_calls):
-    # rho^2 - rho + 1: V = 2 and no real root, which only the chain can see
-    assert positive_root_count(poly([1, -1, 1])) == 0
-    assert len(sturm_calls) == 1
-
-
-def test_root_count_of_a_double_root_is_the_distinct_count(sturm_calls):
-    # (rho - 1)^2: V = 2, one double root; exact signs change at most once
-    # around it, so the certificate cannot claim 2, and the chain says 1
-    assert positive_root_count(poly([1, -2, 1])) == 1
-    assert len(sturm_calls) == 1
-
-
-def test_root_count_does_not_trust_the_estimate(sturm_calls, monkeypatch):
-    # points proposed by a wrong estimate: exact signs of rho^2 - rho + 1
-    # at 1/2 do not change, so the count still comes from the chain
-    monkeypatch.setattr(qsfield, "_separating_points",
-                        lambda p, v, precision: [Fraction(1, 2)])
-    assert positive_root_count(poly([1, -1, 1])) == 0
-    assert len(sturm_calls) == 1
-
-
-def test_root_count_with_a_zero_constant_term(sturm_calls):
-    # rho (rho - 1): the root at 0 is not positive
-    assert positive_root_count(poly([0, -1, 1])) == 1
-    assert sturm_calls == []
-
-
-def test_root_count_decides_v_at_most_one_without_evaluating(sturm_calls, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("V <= 1 needs no evaluation")
-
-    monkeypatch.setattr(QsPolynomial, "eval_exact", refuse)
-    monkeypatch.setattr(QsPolynomial, "embed_coeffs", refuse)
-    assert positive_root_count(poly([-6, 1, 1])) == 1  # (rho + 3)(rho - 2)
-    assert positive_root_count(poly([0, 2, 3, 1])) == 0  # rho (rho + 1)(rho + 2)
-    assert positive_root_count(poly([1, 0, 1])) == 0
-    assert positive_root_count(poly([5])) == 0
-    assert sturm_calls == []
-
-
-def test_root_count_certifies_roots_at_s_and_s_plus_one(sturm_calls):
-    s = Quadratic.root(S2)
-    one = Quadratic.one(S2)
-    zero = Quadratic.zero(S2)
-    p = (QsPolynomial.from_coeffs([-s, one], zero)
-         * QsPolynomial.from_coeffs([-s - 1, one], zero))
-    w2 = Quadratic.of(Fraction(13), 6, d=S2)  # tau^2 + n^2 + 2 n s at n = 3
-    over_tower = QsPolynomial.from_coeffs(p.coeffs, Quadratic.zero(w2))
-    assert positive_root_count(p) == 2
-    assert positive_root_count(p.scale(-s)) == 2
-    assert positive_root_count(over_tower.scale(Quadratic.root(w2))) == 2
-    assert sturm_calls == []
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(rationals(6, 3), max_size=4), st.integers(-2, 2),
-       st.integers(0, 3), qs_numbers())
-def test_root_count_agrees_with_the_distinct_roots(roots, b, c, scale):
-    # as test_sturm_counts_constructed_roots, with repeated roots and, at
-    # b = c = 0, a double root at 0; either path must give the distinct count
-    if scale.is_zero:
-        return
-    p = poly([b * b + c, b, 1]).scale(scale)
-    for r in roots:
-        p = p * poly([-r, 1])
-    assert positive_root_count(p) == len({r for r in roots if r > 0})
 
 
 # -- the integer representation against Fraction pairs -----------------------

@@ -189,6 +189,9 @@ class TestSamplingAndNodes:
     def test_node_count_matches_rung(self):
         for n in range(7):
             assert wf.count_f_nodes(pair_for(CH, n, 128)) == n
+        # the tau > 0 bottom, assembled anyway: f = pi_0 = 1
+        pair = wf.assemble(ld.build_state(CH_P, 0, 128), allow_unphysical=True)
+        assert wf.count_f_nodes(pair) == 0
 
     def test_node_count_heavy(self):
         for n in (0, 2, 4):
@@ -197,15 +200,16 @@ class TestSamplingAndNodes:
     @pytest.mark.parametrize("eps", [-1, 1])
     def test_deep_node_counts(self, eps):
         # F of an eps = +1 state has one node fewer than its rung index
-        rungs = ld.climb(CH_DEEP[eps], 20, 128)
-        for n in (5, 12, 20):
+        rungs = ld.climb(CH_DEEP[eps], 64, 128)
+        for n in (5, 12, 20, 64):
             nodes = wf.count_f_nodes(wf.assemble(rungs[n]))
             assert nodes == (n if eps == -1 else n - 1)
 
     @pytest.mark.parametrize("Z", [1, 80, 118])
     def test_physical_slots_certified_without_sturm(self, Z, monkeypatch):
-        # the Descartes bound and the exact sign certificate meet on every
-        # slot; Sturm, which costs 0.3 s a slot at n = 20, checks n <= 8
+        # the count is the Sturm sequence of the Laguerre recurrence at
+        # rho = 0, so no chain is built; Sturm, which costs 0.3 s a slot at
+        # n = 20, checks n <= 8
         fallbacks = []
         monkeypatch.setattr(qsfield, "sturm_positive_roots", fallbacks.append)
         params = make_params(Z=Z)
@@ -219,6 +223,32 @@ class TestSamplingAndNodes:
                     if n <= 8:
                         assert nodes == sturm_positive_roots(pair.f_poly)
         assert fallbacks == []
+
+    @pytest.mark.parametrize("eps", [-1, 1])
+    def test_count_holds_for_any_window_polynomial(self, eps):
+        # of f the count reads only the signs of its constant and leading
+        # coefficients, so it holds for every degree-n polynomial in the span
+        # of pi_n and pi_(n-1); +g, which leads with -(-2)^n, pins the
+        # leading-sign factor
+        ch = make_channel(make_params(Z=80), Fraction(3, 2), eps)
+        rungs = ld.climb(ch, 8, 128)
+        for n in range(1, 9):
+            pair = wf.assemble(rungs[n])
+            plus, below = ld.tower_image(ch, n), ld.tower_image(ch, n - 1)
+            for p in (-pair.g_poly, pair.g_poly, plus + below.scale(Fraction(-7, 3)),
+                      plus + below.scale(Fraction(1, 5))):
+                assert wf.count_f_nodes(replace(pair, f_poly=p)) == sturm_positive_roots(p)
+
+    def test_deep_count_does_no_float_work(self, monkeypatch):
+        pair = wf.assemble(ld.build_state(CH_DEEP[1], 64, 256))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the node count embedded or evaluated a polynomial")
+
+        monkeypatch.setattr(qsfield, "horner_mp", refuse)
+        monkeypatch.setattr(qsfield, "polynomial_divmod", refuse)
+        monkeypatch.setattr(QsPolynomial, "embed_coeffs", refuse)
+        assert wf.count_f_nodes(pair) == 63
 
     def test_deep_samples_equal_pointwise_eval_mp(self):
         prec, count = 128, 40
