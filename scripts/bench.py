@@ -7,17 +7,23 @@ default is this checkout's src, named "change". Give an older checkout's
 src as a second tree to time both in one run. The run is K rounds;
 each round starts one fresh interpreter per tree, one after the other,
 and reverses the order of the trees every other round, so load on the
-host lands on every tree alike. A worker times each row once, after one
-untimed call, so process-wide caches (the universal tower, the Gamma
-factor) are warm, as they are in a long-running process. A row is the
-median over the rounds, with its quartiles as the spread.
+host lands on every tree alike. A worker times a row after one untimed
+call, so process-wide caches (the universal tower, the Gamma factor, the
+argument parser) are warm, as they are in a long-running process, and
+takes the median of up to 25 calls: a row that has taken a second stops
+after three. A row is the median over the rounds, with its quartiles as
+the spread.
 
 Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
   - every stage of `state` at n = 20, 40 and 64: climb, assemble,
     normalize, the normalization check, sample (400 points), the node
     count, the Laguerre report, and the whole command in process;
   - the Gram block of `verify --Z 57 --j-max 5/2 --n-max 5`: the Gram
-    matrices of its six channels, and the whole report.
+    matrices of its six channels, and the whole report;
+  - the cheap commands in process, at Z = 57: `spectrum --N-max 1..4`,
+    `jl` and `limit`;
+  - the embedding edge: `embed_fraction(c^2)`, `s.embed(256)` and
+    `exact_w(channel, 3).embed(256)`.
 
 The host is recorded (cores, Python, mpmath and its backend). Each worker
 times the median of benchmark/gauge.py's reference slice before and after
@@ -44,14 +50,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STATE_NS = (20, 40, 64)
 GAUGE_SLICES = 7
+CALLS, ROW_SECONDS, MIN_CALLS = 25, 1.0, 3
 
 
 def timed(fn) -> float:
-    """Seconds of one call of fn, after one untimed call."""
+    """Median seconds of the calls of fn after one untimed call: CALLS of
+    them, or MIN_CALLS and then none once they add up to ROW_SECONDS."""
     fn()
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    runs = []
+    while len(runs) < CALLS and (len(runs) < MIN_CALLS or sum(runs) < ROW_SECONDS):
+        start = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - start)
+    return statistics.median(runs)
 
 
 def reference_slices(count: int) -> list:
@@ -65,8 +76,15 @@ def reference_slices(count: int) -> list:
     return runs
 
 
+def quiet_command(argv) -> None:
+    """One CLI command in process, its output dropped; it must succeed."""
+    from dirac_su11 import cli
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
 def state_rows(n: int) -> dict:
-    from dirac_su11 import cli, ladder, wavefunctions as wf
+    from dirac_su11 import ladder, wavefunctions as wf
     from dirac_su11.params import make_channel, make_params
     ch = make_channel(make_params(Z=80), Fraction(5, 2), 1)
     prec = 256
@@ -83,11 +101,6 @@ def state_rows(n: int) -> dict:
         laguerre = lambda: wf.laguerre_cross_check(state)               # noqa: E731
     argv = ["state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", str(n),
             "--format", "json"]
-
-    def command():
-        with redirect_stdout(io.StringIO()):
-            assert cli.main(argv) == 0
-
     stages = {
         "climb": lambda: ladder.build_state(ch, n, prec),
         "assemble": lambda: wf.assemble(state),
@@ -96,7 +109,7 @@ def state_rows(n: int) -> dict:
         "sample": lambda: wf.sample(pair, 400),
         "count_f_nodes": lambda: wf.count_f_nodes(pair),
         "laguerre_cross_check": laguerre,
-        "command": command,
+        "command": lambda: quiet_command(argv),
     }
     return {f"state_n{n}.{name}": timed(fn) for name, fn in stages.items()}
 
@@ -124,6 +137,25 @@ def verify_rows() -> dict:
     }
 
 
+def cli_rows() -> dict:
+    commands = {f"spectrum_N{k}": ["spectrum", "--N-max", str(k)] for k in range(1, 5)}
+    commands.update(jl=["jl"], limit=["limit"])
+    return {f"cli_Z57.{name}": timed(lambda: quiet_command(argv + ["--Z", "57"]))
+            for name, argv in commands.items()}
+
+
+def embed_rows() -> dict:
+    from dirac_su11.params import exact_w, make_channel, make_params
+    from dirac_su11.qsfield import embed_fraction
+    ch = make_channel(make_params(Z=80), Fraction(5, 2), 1)
+    w = exact_w(ch, 3)
+    return {
+        "embed.fraction_c2": timed(lambda: embed_fraction(ch.params.c2, 256)),
+        "embed.s": timed(lambda: ch.s.embed(256)),
+        "embed.exact_w3": timed(lambda: w.embed(256)),
+    }
+
+
 def worker() -> dict:
     """One round of the rows of the tree on sys.path, with the gauge
     around them."""
@@ -133,6 +165,8 @@ def worker() -> dict:
     for n in STATE_NS:
         rows.update(state_rows(n))
     rows.update(verify_rows())
+    rows.update(cli_rows())
+    rows.update(embed_rows())
     return {
         "mpmath": f"{mpmath.__version__} ({mpmath.libmp.BACKEND} backend)",
         "reference_slice_s": statistics.median(before + reference_slices(GAUGE_SLICES)),
@@ -168,7 +202,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tree", action="append", default=None, metavar="NAME=SRC",
                     help="a source directory to time, named; repeatable")
     ap.add_argument("--repeat", type=int, default=5,
-                    help="rounds: one worker per tree each, one timed call per row")
+                    help="rounds: one worker per tree each")
     ap.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     ns = ap.parse_args(argv)

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .params import (
@@ -70,6 +71,7 @@ def _c_schedule(text: str) -> tuple:
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
+@cache  # one parser per process: the run_* defaults are fixed, options parse afresh
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="dirac-su11",

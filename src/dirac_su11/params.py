@@ -19,7 +19,7 @@ but absent from the physical spectrum, and is flagged as such downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -78,15 +78,14 @@ class Channel:
     tau: Fraction
     s2: Fraction
     xi: Fraction
+    # s and lambda = s + 1/2, the Bargmann index of the discrete series,
+    # built once from s2; equality, hash and key() read the fields above
+    s: Quadratic = field(init=False, compare=False, repr=False)
+    lam: Quadratic = field(init=False, compare=False, repr=False)
 
-    @property
-    def s(self) -> Quadratic:
-        return Quadratic.root(self.s2)
-
-    @property
-    def lam(self) -> Quadratic:
-        """lambda = s + 1/2, the Bargmann index of the discrete series."""
-        return Quadratic.of(Fraction(1, 2), 1, d=self.s2)
+    def __post_init__(self):
+        object.__setattr__(self, "s", Quadratic.root(self.s2))
+        object.__setattr__(self, "lam", Quadratic.of(Fraction(1, 2), 1, d=self.s2))
 
     @property
     def zeta(self) -> Fraction:

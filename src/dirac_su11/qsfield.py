@@ -40,7 +40,8 @@ from math import gcd, lcm
 from typing import Sequence, Union
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, round_nearest
+from mpmath.libmp import (fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sqrt,
+                          round_nearest)
 
 Rational = Union[int, Fraction]
 
@@ -62,12 +63,27 @@ def _frac(x: Rational | str) -> Fraction:
 
 def embed_fraction(x: Fraction, precision: int) -> mp.mpf:
     """Round a rational to the nearest float at the given precision."""
-    with mp.workprec(precision):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    return mp.make_mpf(_embed_raw(x, precision))
 
 
-def _embed(x, precision: int) -> mp.mpf:
-    return x.embed(precision) if isinstance(x, Quadratic) else embed_fraction(x, precision)
+def _embed_raw(x, precision: int) -> tuple:
+    """x, a Fraction or a field element, rounded to nearest at `precision`
+    bits as a raw libmp tuple, by the libmp calls mpmath's operators make
+    under workprec. A Fraction is mpf(numerator) / mpf(denominator), each
+    int rounded before the division. a + b*sqrt(d) embeds its parts and d
+    at precision + _EMBED_GUARD_BITS, sums there and rounds once to
+    precision; a b that embeds to zero skips the root and the product, an
+    a that does skips the sum, and both shortcuts are exact."""
+    if not isinstance(x, Quadratic):
+        return mpf_div(from_int(x.numerator, precision, round_nearest),
+                       from_int(x.denominator, precision, round_nearest),
+                       precision, round_nearest)
+    g = precision + _EMBED_GUARD_BITS
+    val, b = _embed_raw(x.a, g), _embed_raw(x.b, g)
+    if b != fzero:
+        b = mpf_mul(b, mpf_sqrt(_embed_raw(x.d, g), g, round_nearest), g, round_nearest)
+        val = b if val == fzero else mpf_add(val, b, g, round_nearest)
+    return mpf_pos(val, precision, round_nearest)
 
 
 def _modulus(d):
@@ -406,12 +422,7 @@ class Quadratic:
 
     def embed(self, precision: int = 256) -> mp.mpf:
         """a + b*sqrt(d) rounded to `precision` bits (error within 1 ulp)."""
-        guarded = precision + _EMBED_GUARD_BITS
-        with mp.workprec(guarded):
-            val = _embed(self.a, guarded) + _embed(self.b, guarded) * mp.sqrt(
-                _embed(self.d, guarded))
-        with mp.workprec(precision):
-            return +val
+        return mp.make_mpf(_embed_raw(self, precision))
 
     def __str__(self) -> str:
         if isinstance(self.d, Quadratic):

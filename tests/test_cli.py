@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from dirac_su11 import qsfield
+from dirac_su11 import cli, qsfield
 from dirac_su11.qsfield import QsPolynomial
 from dirac_su11.cli import main
 
@@ -189,7 +189,6 @@ class TestState:
     def test_perturbed_window_fails_the_normalization_check(self, capsys, monkeypatch):
         # one coefficient of pi_n off by 1: its square moment is off by
         # M[1] = s, so the exact decision fails and state exits 3
-        from dirac_su11 import cli
         build_state = cli.build_state
 
         def perturbed(*args):
@@ -497,6 +496,55 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "spectrum"
+
+
+class TestParserCache:
+    # one parser per process: every parse starts from its defaults, and the
+    # run_* functions look up module names when they run
+    SEQUENCE = [
+        (["--help"], 0),
+        (["spectrum", "--frobnicate"], 2),
+        (["spectrum", "--N-max", "2", "--j-max", "3/2"], 2),
+        (["verify", "--Z", "1", "--skip-oracle"] + FAST, 0),
+        (["verify", "--Z", "1", "--skip-oracle"] + FAST, 0),
+        (["limit", "--c-schedule", "1e3,1e5"] + FAST, 0),
+        (["limit"] + FAST, 0),
+        (["spectrum", "--N-max", "2"] + FAST, 0),
+        (["spectrum"] + FAST, 0),
+    ]
+
+    def runs(self, capsys, fresh):
+        out = []
+        for argv, _ in self.SEQUENCE:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_cached_parser_parses_like_a_fresh_one(self, capsys):
+        cached = self.runs(capsys, fresh=False)
+        assert cached == self.runs(capsys, fresh=True)
+        assert [code for code, _, _ in cached] == [code for _, code in self.SEQUENCE]
+        # the appended --Z list starts empty on every parse
+        assert cached[3][1] == cached[4][1] == "Z=1: residuals all exact\n"
+        assert len(json.loads(cached[5][1])["rows"]) == 2
+        assert len(json.loads(cached[6][1])["rows"]) == 3
+        assert cached[7][1] != cached[8][1]
+
+    def test_patched_name_takes_effect_on_the_cached_parser(self, capsys, monkeypatch):
+        # as in test_perturbed_window_fails_the_normalization_check: a
+        # run_* function reads cli's names when it runs
+        assert run(capsys, ["jl"] + FAST)[1].startswith("diagonal bound states: 1s 2p 3d\n")
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "diagonality_scan", lambda *args: [])
+        code, out = run(capsys, ["jl"] + FAST)
+        assert cli.build_parser() is parser
+        assert (code, out.splitlines()[0]) == (0, "diagonal bound states: ")
 
 
 def count_levels(monkeypatch, capsys, argv):

@@ -1,5 +1,6 @@
 """Channel construction, closed-form spectrum, limits, serialization."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -20,6 +21,7 @@ from dirac_su11.params import (
     tower_gap,
     tower_w2,
 )
+from dirac_su11.qsfield import Quadratic
 
 C_DEFAULT = Fraction("137.035999084")
 
@@ -56,6 +58,18 @@ def test_channel_exact_relations():
     assert ch.xi == Fraction(3, 2) * Fraction(5, 2) - ch.zeta ** 2
     assert (ch.lam * (ch.lam - 1)).a == ch.xi
     assert (ch.s * ch.s).a == ch.s2
+
+
+def test_s_and_lambda_are_built_once():
+    # fields set at construction, outside equality, hash and key()
+    ch = chan("3/2", 1, Z=30)
+    assert ch.s is ch.s and ch.lam is ch.lam
+    assert ch.s == Quadratic.root(ch.s2)
+    assert ch.lam == ch.s + Fraction(1, 2)
+    twin = replace(ch)
+    assert twin == ch and hash(twin) == hash(ch) and twin.key() == ch.key()
+    assert twin.s == ch.s and twin.lam == ch.lam
+    assert ", s=" not in repr(ch) and ", lam=" not in repr(ch)
 
 
 def test_ground_binding_frozen_digits():

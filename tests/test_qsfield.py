@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dirac_su11.qsfield import (
     QsPolynomial,
     Quadratic,
+    embed_fraction,
     polynomial_divmod,
     sturm_positive_roots,
 )
@@ -528,3 +529,68 @@ def test_unreduced_twin_rounds_like_the_reduced_one(x, den, k, bits):
     twin = Quadratic.from_ints(k * x, 0, k * den, d=S2)
     assert twin.embed(bits) == q.embed(bits) == Ref(Fraction(x, den), Fraction(0), S2).embed(bits)
     assert str(twin) == str(q)
+
+
+# -- embeddings on raw libmp tuples -------------------------------------------
+# embed_fraction and Quadratic.embed make mpmath's libmp calls directly; the
+# bits must be those of the context formula that Ref.embed and _ref_embed
+# spell out, the one the package used before
+
+EMBED_BITS = (2, 8, 53, 64, 256, 1024)
+
+# numerators and denominators below and above every precision in EMBED_BITS,
+# so each int is rounded before the division at the small ones
+EMBED_FRACTIONS = [
+    Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(22, 7), Fraction(255, 256),
+    Fraction(10 ** 19 + 7, 10 ** 18 + 3), Fraction(-(2 ** 1100 + 1), 3),
+    Fraction(5, 2 ** 1100 - 1), Fraction(3 ** 700 + 1, 7 ** 400 - 2),
+    Fraction("137.035999084") ** 2,
+]
+
+
+def _as_ref(q):
+    """The Ref of a Quadratic, part by part."""
+    if isinstance(q.d, Quadratic):
+        return Ref(_as_ref(q.a), _as_ref(q.b), _as_ref(q.d))
+    return Ref(q.a, q.b, q.d)
+
+
+def _embedded_elements():
+    from dirac_su11.params import exact_w, make_channel, make_params, tower_w2
+    out = []
+    for Z, j, eps in ((1, "1/2", -1), (80, "5/2", 1), (118, "3/2", -1)):
+        ch = make_channel(make_params(Z=Z), j, eps)
+        out += [ch.s, ch.lam, ch.qs(0), ch.qs(Fraction(-7, 3)), ch.qs(0, Fraction(2, 9)),
+                ch.qs(10 ** 30 + 1, -(10 ** 29)) / 3, tower_w2(ch, 5)]
+        for n in (0, 1, 4):
+            w = exact_w(ch, n)   # a = 0 for n >= 1, b = 0 at n = 0
+            out += [w, w + ch.s, (w - 1) * ch.qs(Fraction(1, 3), 2), w * ch.zeta]
+        # the detuned control's root, off shell
+        out.append(Quadratic.root(tower_w2(ch, 3) * Fraction(1001, 1000)))
+    return out
+
+
+@pytest.mark.parametrize("bits", EMBED_BITS)
+def test_embed_fraction_has_the_bits_of_the_context_formula(bits):
+    for x in EMBED_FRACTIONS:
+        assert embed_fraction(x, bits) == _ref_embed(x, bits), x
+
+
+@pytest.mark.parametrize("bits", EMBED_BITS)
+def test_embed_has_the_bits_of_the_context_formula(bits):
+    for e in _embedded_elements():
+        assert e.embed(bits) == _as_ref(e).embed(bits), e
+
+
+def test_embedding_enters_no_precision_context(monkeypatch):
+    elements = _embedded_elements()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an embedding entered mp.workprec")
+
+    monkeypatch.setattr(mp, "workprec", refuse)
+    for bits in (8, 256):
+        for x in EMBED_FRACTIONS:
+            embed_fraction(x, bits)
+        for e in elements:
+            e.embed(bits)
