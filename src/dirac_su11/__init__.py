@@ -15,7 +15,6 @@ from .params import (
     channel_grid,
     make_channel,
     make_params,
-    mu_from_energy,
     nonrelativistic_limit_table,
     spectral_point,
 )
@@ -28,22 +27,13 @@ from .algebra import (
     inner_product,
     universal_images,
 )
-from .ladder import (
-    LadderState,
-    RepresentationBoundaryError,
-    build_state,
-    ground_state,
-    ladder_coefficient,
-    lower_state,
-    raise_state,
-)
+from .ladder import LadderState, build_state, ground_state, raise_state
 from .wavefunctions import (
     LaguerreReport,
     RadialPair,
     assemble,
     count_f_nodes,
     laguerre_cross_check,
-    laguerre_poly,
     normalize,
     sample,
 )
@@ -55,13 +45,7 @@ from .verify import (
     second_order_residual,
     verification_report,
 )
-from .jloperator import (
-    DiagonalityRecord,
-    JLMatrix,
-    diagonality_scan,
-    jl_fg_matrix,
-    spectroscopic_label,
-)
+from .jloperator import DiagonalityRecord, diagonality_scan, spectroscopic_label
 
 __version__ = "0.1.0"
 
@@ -76,20 +60,18 @@ def __getattr__(name):
 
 __all__ = [
     "Channel", "DomainError", "PhysicalParams", "SpectralPoint",
-    "channel_grid", "make_channel", "make_params", "mu_from_energy",
+    "channel_grid", "make_channel", "make_params",
     "nonrelativistic_limit_table", "spectral_point",
     "QsPolynomial", "Quadratic", "sturm_positive_roots",
     "FamilyFunction", "ScaledFamilyFunction", "apply", "apply_casimir",
     "inner_product", "universal_images",
-    "LadderState", "RepresentationBoundaryError", "build_state",
-    "ground_state", "ladder_coefficient", "lower_state", "raise_state",
+    "LadderState", "build_state", "ground_state", "raise_state",
     "LaguerreReport", "RadialPair", "assemble", "count_f_nodes",
-    "laguerre_cross_check", "laguerre_poly", "normalize", "sample",
+    "laguerre_cross_check", "normalize", "sample",
     "BracketingError", "OracleResult", "ResidualReport",
     "first_order_residual", "oracle_sweep", "orthonormality_matrix",
     "second_order_residual", "shooting_oracle", "shooting_oracle_batch",
     "verification_report",
-    "DiagonalityRecord", "JLMatrix", "diagonality_scan", "jl_fg_matrix",
-    "spectroscopic_label",
+    "DiagonalityRecord", "diagonality_scan", "spectroscopic_label",
     "__version__",
 ]

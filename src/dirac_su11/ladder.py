@@ -5,11 +5,12 @@ polynomial part 1 at mode lambda = s + 1/2, and each step up from mode
 lambda + n applies the real part of Xi+ there (`algebra.GENERATORS`),
 which generates pi_n = n! L_n^{(2s)}(2 rho) with leading coefficient
 (-2)^n. States are stored unnormalized with real polynomial parts (the
-phase i of each application is bookkept separately); `ladder_norm` derives
-the scalar that makes the state a unit ket for the phase-averaged inner
-product,
+phase i of each application is bookkept separately); the scalar that makes
+the state a unit ket for the phase-averaged inner product is
 
-    A_n = N_lam / sqrt(n! (2s+1)_n),    N_lam = 2^s / sqrt(Gamma(2s)).
+    A_n = N_lam / sqrt(n! (2s+1)_n),    N_lam = 2^s / sqrt(Gamma(2s)),
+
+and `verify` decides in Q(s) that it does (the Gram diagonal).
 
 A state holds the window (psi_plus, psi_minus) = (pi_n, pi_{n-1}): the pair
 of adjacent tower polynomials the physical radial solution is assembled
@@ -32,8 +33,8 @@ channel at once:
 
 A channel's rungs are the image of the universal ones under the ring map
 Z[s] -> Q(s), s^2 -> tau^2 - zeta^2. An identity in Z[s][rho] holds under
-every such map, so each is decided for all channels; raising and lowering
-a channel state only move its window along these images. Per channel there
+every such map, so each is decided for all channels; raising a channel
+state only moves its window along these images. Per channel there
 remains one rational test, xi = s^2 - 1/4, which ties the channel's
 Casimir value to the universal eigenvalue; everything that involves tau,
 zeta or w (verify, wavefunctions) is decided per channel.
@@ -41,27 +42,20 @@ zeta or w (verify, wavefunctions) is decided per channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from .params import (
     DEFAULT_PRECISION,
-    _GUARD,
     Channel,
     DomainError,
     check_level,
     tower_gap,
 )
 from .qsfield import QsPolynomial, Quadratic
-from .algebra import FamilyFunction, inner_product, universal_map
+from .algebra import FamilyFunction, universal_map
 
 MAX_RUNG = 64
-
-
-class RepresentationBoundaryError(DomainError):
-    """Requested ladder coefficient below the lowest weight."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,64 +70,14 @@ class LadderState:
     psi_minus: QsPolynomial
 
     @property
-    def is_zero(self) -> bool:
-        return self.psi_plus.is_zero and self.psi_minus.is_zero
-
-    @property
     def is_physical(self) -> bool:
         return self.channel.is_bound(self.n)
-
-    @property
-    def ladder_norm(self) -> mp.mpf:
-        """A_n = N_lam / sqrt(n!(2s+1)_n), derived from the rung index; 0
-        for the zero state."""
-        if self.is_zero:
-            return mp.mpf(0)
-        work = self.precision + _GUARD
-        with mp.workprec(work):
-            norm = n_lambda_constant(self.channel, work) / mp.sqrt(
-                square_moment(self.channel, self.n).embed(work))
-        with mp.workprec(self.precision):
-            return +norm
 
     def plus_function(self) -> FamilyFunction:
         return FamilyFunction(self.channel, self.n, self.psi_plus)
 
     def __str__(self) -> str:
         return f"|n={self.n}> on {self.channel}"
-
-
-def ladder_coefficient(lam: Quadratic, mu: Quadratic, direction: str,
-                       precision: int = DEFAULT_PRECISION) -> mp.mpf:
-    """C_mu^+- = +-sqrt(mu(mu+-1) - lambda(lambda-1)).
-
-    The radicand sign is decided exactly; a negative radicand means the
-    requested step leaves the representation. The returned sign follows the
-    stated convention; the tower code relies only on the magnitude, since
-    the unit kets of this realization carry a phase i per raising step that
-    makes <Xi+ Xi-> come out positive.
-    """
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
-    step = 1 if direction == "+" else -1
-    radicand = mu * (mu + step) - lam * (lam - 1)
-    sgn = radicand.sign()
-    if sgn < 0:
-        raise RepresentationBoundaryError(
-            "ladder coefficient radicand is negative: step leaves the tower")
-    with mp.workprec(precision + _GUARD):
-        root = mp.sqrt(radicand.embed(precision + _GUARD))
-    with mp.workprec(precision):
-        return +root if direction == "+" else -(+root)
-
-
-def n_lambda_constant(channel: Channel, precision: int = DEFAULT_PRECISION) -> mp.mpf:
-    """Bottom-rung ket normalizer 2^s / sqrt(Gamma(2s))."""
-    with mp.workprec(precision + _GUARD):
-        s = channel.s.embed(precision + _GUARD)
-        val = mp.power(2, s) / mp.sqrt(mp.gamma(2 * s))
-    with mp.workprec(precision):
-        return +val
 
 
 def square_moment(channel: Channel, n: int, shift: int = 0) -> Quadratic:
@@ -150,46 +94,26 @@ def square_moment(channel: Channel, n: int, shift: int = 0) -> Quadratic:
 
 
 def ground_state(channel: Channel, precision: int = DEFAULT_PRECISION) -> LadderState:
-    """Rung 0 of the channel tower; every tower of a channel starts here, so
-    here the channel's xi is tied to the universal Casimir eigenvalue."""
+    """Rung 0 of the channel tower, the window (pi_0, pi_(-1)) with pi_(-1)
+    zero; every tower of a channel starts here, so here the channel's xi is
+    tied to the universal Casimir eigenvalue."""
     if channel.xi != channel.s2 - Fraction(1, 4):
         raise AssertionError(
             f"{channel}: xi is not s^2 - 1/4, the universal Casimir eigenvalue")
-    return _rung(channel, 0, precision)
-
-
-def _rung(channel: Channel, n: int, precision: int) -> LadderState:
-    """The window (pi_n, pi_{n-1}) of rung n; pi_{-1} is zero."""
-    check_level(channel, n)
-    return LadderState(
-        channel=channel, n=n, precision=precision,
-        psi_plus=tower_image(channel, n),
-        psi_minus=(tower_image(channel, n - 1) if n
-                   else QsPolynomial.zero_poly(Quadratic.zero(channel.s2))),
-    )
+    check_level(channel, 0)
+    return LadderState(channel, 0, precision, tower_image(channel, 0),
+                       QsPolynomial.zero_poly(Quadratic.zero(channel.s2)))
 
 
 def raise_state(state: LadderState) -> LadderState:
-    """Rung n+1: the window shifts, and its new top half is the image of
-    universal rung n+1."""
-    if state.is_zero:
-        return state
-    n = state.n
-    if n + 1 > MAX_RUNG:
-        raise DomainError(f"rung {n + 1} above the configured cap {MAX_RUNG}")
-    return _rung(state.channel, n + 1, state.precision)
-
-
-def lower_state(state: LadderState) -> LadderState:
-    """Rung n-1: the window shifts down along the tower images. Lowering
-    pi_n returns -n(n+2s) pi_{n-1}, and pi_0 is annihilated; both are
-    decided on the universal rungs. The zero state stays at rung 0 with
-    both halves zero."""
-    if state.is_zero:
-        return state
-    if state.n == 0:
-        return replace(state, psi_plus=state.psi_minus)
-    return _rung(state.channel, state.n - 1, state.precision)
+    """Rung n+1: the window shifts, so the new psi_minus is the old
+    psi_plus, and the new psi_plus is the image of universal rung n+1."""
+    n = state.n + 1
+    if n > MAX_RUNG:
+        raise DomainError(f"rung {n} above the configured cap {MAX_RUNG}")
+    check_level(state.channel, n)
+    return LadderState(state.channel, n, state.precision,
+                       tower_image(state.channel, n), state.psi_plus)
 
 
 def climb(channel: Channel, n: int, precision: int = DEFAULT_PRECISION) -> list:
@@ -295,10 +219,3 @@ def tower_image(channel: Channel, n: int) -> QsPolynomial:
     # the leading coefficient (-2)^n is decided nonzero: no trailing zeros
     return QsPolynomial(tuple(Quadratic.from_ints(a, b, den, d=s2) for a, b in parts),
                         Quadratic.zero(s2))
-
-
-def ket_norm_squared(state: LadderState) -> mp.mpf:
-    """<psi_plus, psi_plus> under the phase-averaged inner product."""
-    val = inner_product(state.plus_function(), state.plus_function(),
-                        state.precision)
-    return val if isinstance(val, mp.mpf) else mp.mpf(val)

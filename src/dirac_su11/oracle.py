@@ -108,15 +108,16 @@ def _shoot(s, zeta, tau, n, nu):
     x_start = np.concatenate((np.full(m, math.log(_RHO0)),
                               np.log(2.0 * (n + s) + _INWARD_DECAY)))
     L = np.tile(np.log(n + s + 1.0), 2) - x_start
-    start, L = np.tile(x_start, 2), np.tile(L, 2)    # per state component
     zn, zi = zeta * nu, zeta / nu
-    diag = L * np.concatenate((-tau, -tau, tau, tau))
-    coupling = L * np.concatenate((zn, zn, -zi, -zi))
-    swap = np.roll(np.arange(4 * m), 2 * m)          # f <-> g
+    # rows f and g of the state, each [outward, inward]
+    diag = L * np.stack((np.tile(-tau, 2), np.tile(tau, 2)))
+    coupling = L * np.stack((np.tile(zn, 2), np.tile(-zi, 2)))
 
     def rhs(t, y):
-        # dF/dx = -tau F + (rho + zeta nu) G,  dG/dx = tau G + (rho - zeta/nu) F
-        return diag * y + (L * np.exp(start + L * t) + coupling) * y[swap]
+        # dF/dx = -tau F + (rho + zeta nu) G,  dG/dx = tau G + (rho - zeta/nu) F;
+        # f and g share rho, and reversing the rows swaps f and g
+        y = y.reshape(2, -1)
+        return (diag * y + (L * np.exp(x_start + L * t) + coupling) * y[::-1]).ravel()
 
     # the series seed keeps the outward solution on the regular branch
     a, b = np.ones(m), (s + tau) / zn

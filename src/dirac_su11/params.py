@@ -175,7 +175,6 @@ class SpectralPoint:
     channel: Channel
     n: int
     precision: int
-    mu: Quadratic         # lambda + n, exact
     N: int                # principal quantum number j + 1/2 + n
     E: mp.mpf
     nu: mp.mpf            # sqrt((c^2 - E) / (c^2 + E))
@@ -194,7 +193,6 @@ def spectral_point(
         raise DomainError("n must be a nonnegative integer")
     check_level(channel, n)
     ch = channel
-    mu = ch.lam + n
     N = int(ch.j + Fraction(1, 2)) + n
 
     with mp.workprec(precision + _GUARD):
@@ -210,7 +208,7 @@ def spectral_point(
     with mp.workprec(precision):
         E, nu, binding, eps_j = +E, +nu, +binding, +eps_j
 
-    return SpectralPoint(ch, n, precision, mu, N, E, nu, binding, eps_j)
+    return SpectralPoint(ch, n, precision, N, E, nu, binding, eps_j)
 
 
 def check_level(channel: Channel, n: int) -> None:
@@ -231,21 +229,6 @@ def check_tolerance(precision: int) -> mp.mpf:
     2^-max(precision - 16, ceil(precision / 2)), below 1 at every precision
     and 2^-(precision - 16) from 32 bits on."""
     return mp.mpf(2) ** -max(precision - 16, -(-precision // 2))
-
-
-def mu_from_energy(
-    params: PhysicalParams, E: mp.mpf, precision: int = DEFAULT_PRECISION
-) -> mp.mpf:
-    """Invert the energy formula: mu = zeta E / sqrt(c^4 - E^2) + 1/2."""
-    with mp.workprec(precision + _GUARD):
-        c2 = embed_fraction(params.c2, precision + _GUARD)
-        E = mp.mpf(E)
-        if not (0 < E < c2):
-            raise DomainError("energy must lie strictly between 0 and c^2")
-        zeta = embed_fraction(params.zeta, precision + _GUARD)
-        out = zeta * E / mp.sqrt((c2 - E) * (c2 + E)) + mp.mpf(1) / 2
-    with mp.workprec(precision):
-        return +out
 
 
 # -- nonrelativistic limit ---------------------------------------------------

@@ -307,11 +307,6 @@ class Quadratic:
         num = r.numerator
         return _qs_reduced(self._x * num, self._y * num, self._den * r.denominator, self)
 
-    def conjugate(self) -> "Quadratic":
-        if self._den is None:
-            return _pair(self._x, -self._y, self.d)
-        return _qs(self._x, -self._y, self._den, self)
-
     def norm(self):
         """Field norm a^2 - b^2 d, in the base field; zero iff the element is."""
         if self._den is None:
@@ -522,13 +517,6 @@ class QsPolynomial:
         return QsPolynomial.from_coeffs(
             [self.coeffs[k] * k for k in range(1, len(self.coeffs))], self.zero
         )
-
-    def eval_exact(self, x):
-        """Horner evaluation at a field element (or rational)."""
-        acc = self.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_mp(self, x, precision: int = 256) -> mp.mpf:
         return horner_mp(self.embed_coeffs(precision + _EMBED_GUARD_BITS), x, precision)

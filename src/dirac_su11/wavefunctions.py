@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
@@ -46,7 +45,7 @@ from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, SpectralPoint, exact_w, mp_str,
                      spectral_point, tower_gap, tower_w2)
 from .qsfield import QsPolynomial, Quadratic, _sign_variations, embed_fraction
-from .ladder import LadderState, square_moment, tower_image
+from .ladder import LadderState, square_moment
 from .algebra import field_moment, gamma_factor, moment_sum
 
 
@@ -175,14 +174,6 @@ def norm_integral(pair: RadialPair) -> mp.mpf:
 
 
 # -- Laguerre route ------------------------------------------------------------
-
-
-def laguerre_poly(channel: Channel, n: int) -> QsPolynomial:
-    """L_n^{(2s)}(2 rho) over Q(s): the image of universal rung n, which is
-    decided equal to n! L_n by the three-term recurrence, over n!."""
-    if n < 0:
-        raise DomainError("Laguerre degree must be nonnegative")
-    return tower_image(channel, n).scale(Fraction(1, math.factorial(n)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,12 +6,14 @@ run documents every guarantee in one screen. Budgets are wall-clock on the
 whole criterion and are asserted, not just reported.
 """
 
+import math
 import time
 from fractions import Fraction
 
 import mpmath as mp
 
 from dirac_su11.params import (
+    exact_w,
     make_params,
     make_channel,
     spectral_point,
@@ -166,7 +168,8 @@ def test_criterion_4_laguerre_equivalence(acceptance_log):
         ch = make_channel(make_params(Z=Z), Fraction(jnum, 2), eps)
         # bottom rung: the ladder polynomial is the 0th Laguerre polynomial
         state = ld.ground_state(ch, PREC)
-        if not (state.psi_plus - wf.laguerre_poly(ch, 0)).is_zero:
+        laguerre_0 = ld.tower_image(ch, 0).scale(Fraction(1, math.factorial(0)))
+        if not (state.psi_plus - laguerre_0).is_zero:
             bad.append((Z, jnum, eps, 0, "pi_0 != L_0"))
         for n in range(1, 21):
             state = ld.raise_state(state)
@@ -256,18 +259,27 @@ def test_criterion_7_grading_operator_diagonality(acceptance_log):
     worst = mp.mpf(0)
     bad = []
     for r in records:
-        pt = spectral_point(r.channel, r.n, PREC)
-        sim = jl.jl_similarity(pt)
-        (a, b), (c, d) = sim.entries
+        ch, n = r.channel, r.n
+        w = exact_w(ch, n)
+        # S^-1 M S is diagonal iff pq/c^2 = zeta/w: with u = E/c^2 = (s+n)/w,
+        # u^2 + (zeta/w)^2 = 1, decided in Q(s)[w]
+        u, zw = (ch.s + n) / w, w.inverse() * ch.zeta
+        if not (u * u + zw * zw - 1).is_zero:
+            bad.append((str(ch.j), ch.eps, n, "pq/c^2 != zeta/w"))
+        # each printed coefficient embeds the tower element zeta(1 -+ tau/w)
+        ratio = ch.qs(ch.tau) / w
+        exact = ((1 - ratio) * ch.zeta, (1 + ratio) * ch.zeta)
         with mp.workprec(PREC):
-            err = max(abs(b), abs(c), abs(a - r.coeff_minus), abs(d - r.coeff_plus))
+            err = max(abs(r.coeff_minus - exact[0].embed(PREC)),
+                      abs(r.coeff_plus - exact[1].embed(PREC)))
             worst = max(worst, err)
             if err > tol:
-                bad.append((str(r.channel.j), r.channel.eps, r.n))
+                bad.append((str(ch.j), ch.eps, n, "coefficient"))
     elapsed = time.perf_counter() - t0
     ok = labels == ["1s", "2p", "3d"] and not bad
     _finish(acceptance_log, 7, "invariant diagonal exactly on 1s, 2p, 3d", ok,
-            f"diagonal set {{{', '.join(labels)}}}, doublet-basis vs "
-            f"tower-basis agreement {mp.nstr(worst, 3)} <= 1e-60 over "
+            f"diagonal set {{{', '.join(labels)}}} decided on the windows, "
+            f"pq/c^2 = zeta/w decided and coefficients within "
+            f"{mp.nstr(worst, 3)} <= 1e-60 of the tower elements over "
             f"{len(records)} slots, {elapsed:.1f}s"
             + (f"; first failure {bad[0]}" if bad else ""))

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from dirac_su11.params import make_params, make_channel, spectral_point
-from dirac_su11 import wavefunctions as wf
+from dirac_su11.params import exact_w, make_params, make_channel, tower_gap, tower_w2
 from dirac_su11 import jloperator as jl
 
 P1 = make_params(Z=1)
@@ -17,78 +16,102 @@ def _zeta_mp(ch, prec):
     return mp.mpf(ch.zeta.numerator) / ch.zeta.denominator
 
 
+def tower_coefficients(ch, n):
+    """zeta(1 - tau/w) and zeta(1 + tau/w) as elements of Q(s)[w]: the
+    diagonal of the operator in the tower basis."""
+    ratio = ch.qs(ch.tau) / exact_w(ch, n)
+    return (1 - ratio) * ch.zeta, (1 + ratio) * ch.zeta
+
+
+def scan_slot(params, j, eps, n, prec=PREC):
+    return next(r for r in jl.diagonality_scan(params, j, n, prec)
+                if (r.channel.j, r.channel.eps, r.n) == (j, eps, n))
+
+
+def doublet_matrix(ch, n):
+    """M on the (F, iG) doublet as elements of Q(s)[w], each entry over its
+    power of i: [[zeta, -i tau (1 + u)], [i tau (1 - u), zeta]] with
+    u = E/c^2 = (s+n)/w."""
+    u = (ch.s + n) / exact_w(ch, n)
+    tau = ch.qs(ch.tau)
+    return (ch.zeta, -tau * (1 + u)), (tau * (1 - u), ch.zeta)
+
+
 class TestDoubletMatrix:
     def test_entry_structure(self):
-        ch = make_channel(P1, Fraction(1, 2), -1)
-        pt = spectral_point(ch, 2, PREC)
-        m = jl.jl_fg_matrix(pt)
-        (a, b), (c, d) = m.entries
-        with mp.workprec(PREC):
-            zeta = _zeta_mp(ch, PREC)
-            assert a == d
-            assert a.imag == 0 and abs(a.real - zeta) < mp.mpf(2) ** -(PREC - 8)
-            assert b.real == 0 and c.real == 0
-            # off-diagonal ratio carries (c^2+E)/(c^2-E), both antidiagonal
-            assert b.imag * c.imag < 0 or ch.tau == 0
+        # equal diagonal entries zeta, so the trace 2 zeta is the sum of the
+        # tower coefficients; the antidiagonal entries carry (c^2 +- E)/c^2
+        # with opposite signs
+        for params in (P1, P80):
+            ch = make_channel(params, Fraction(1, 2), -1)
+            for n in (0, 2):
+                (a, b), (c, d) = doublet_matrix(ch, n)
+                cm, cp = tower_coefficients(ch, n)
+                assert a == d == ch.zeta
+                assert (cm + cp - 2 * a).is_zero
+                assert b.sign() * c.sign() < 0
 
     def test_determinant_identity(self):
-        # det M = zeta^2 n (n+2s) / w^2, so the bottom rung is the only
-        # degenerate slot of each channel
+        # det M = zeta^2 - (-i tau(1+u))(i tau(1-u)) = zeta^2 n(n+2s)/w^2 is
+        # the product of the two tower coefficients, decided in Q(s)[w]; so
+        # the bottom rung is the only degenerate slot of each channel
         for params in (P1, P80):
             for j, eps in ((Fraction(1, 2), -1), (Fraction(3, 2), 1)):
                 ch = make_channel(params, j, eps)
                 for n in (0, 1, 3):
-                    pt = spectral_point(ch, n, PREC)
-                    det = jl.jl_fg_matrix(pt).determinant(PREC)
-                    expected_qs = (ch.qs(ch.zeta * ch.zeta)
-                                   * ch.qs(n * n, 2 * n)
-                                   * wf.tower_w2(ch, n).inverse())
-                    with mp.workprec(PREC):
-                        ref = expected_qs.embed(PREC)
-                        assert abs(det.imag) < mp.mpf(2) ** -(PREC - 16)
-                        assert abs(det.real - ref) < mp.mpf(2) ** -(PREC - 16)
+                    (a, b), (c, d) = doublet_matrix(ch, n)
+                    cm, cp = tower_coefficients(ch, n)
+                    expected = (tower_gap(ch, n) / tower_w2(ch, n)) * (ch.zeta * ch.zeta)
+                    assert (cm * cp - expected).is_zero
+                    assert (b * c + a * d - expected).is_zero
+                    assert (cm * cp).is_zero == (n == 0)
 
     def test_bottom_rung_determinant_vanishes(self):
-        ch = make_channel(P1, Fraction(1, 2), -1)
-        det = jl.jl_fg_matrix(spectral_point(ch, 0, PREC)).determinant(PREC)
-        with mp.workprec(PREC):
-            assert abs(det) < mp.mpf(2) ** -(PREC - 16)
+        # at the tau < 0 bottom w = -tau, so 1 + tau/w is exactly zero
+        for params in (P1, P80):
+            ch = make_channel(params, Fraction(1, 2), -1)
+            cm, cp = tower_coefficients(ch, 0)
+            assert cp.is_zero and (cm * cp).is_zero
+            assert (cm - 2 * ch.zeta).is_zero
 
 
 class TestSimilarity:
     def test_transform_is_diagonal_with_tower_eigenvalues(self):
+        # S^-1 M S is diagonal iff pq/c^2 = zeta/w, that is u^2 + (zeta/w)^2
+        # = 1 with u = E/c^2 = (s+n)/w; decided in Q(s)[w], and the scan's
+        # coefficients embed the tower elements zeta(1 -+ tau/w)
         for params, j, eps, n in ((P1, Fraction(1, 2), -1, 0),
                                   (P1, Fraction(3, 2), 1, 2),
-                                  (P80, Fraction(5, 2), -1, 1)):
-            ch = make_channel(params, j, eps)
-            pt = spectral_point(ch, n, PREC)
-            sim = jl.jl_similarity(pt)
-            cm, cp = jl.jl_eigencoefficients(ch, n, PREC)
-            (a, b), (c, d) = sim.entries
+                                  (P80, Fraction(5, 2), -1, 1),
+                                  (P80, Fraction(5, 2), 1, 7)):
+            r = scan_slot(params, j, eps, n)
+            w = exact_w(r.channel, n)
+            u, zw = (r.channel.s + n) / w, w.inverse() * r.channel.zeta
+            assert (u * u + zw * zw - 1).is_zero
+            assert not (u * u + zw * zw * 2 - 1).is_zero
+            cm, cp = tower_coefficients(r.channel, n)
             with mp.workprec(PREC):
                 tol = mp.mpf(2) ** -(PREC - 24)
-                assert abs(b) < tol and abs(c) < tol
-                assert abs(a - cm) < tol
-                assert abs(d - cp) < tol
+                assert abs(r.coeff_minus - cm.embed(PREC)) < tol
+                assert abs(r.coeff_plus - cp.embed(PREC)) < tol
 
     def test_ground_eigenvalue_is_twice_zeta(self):
         # tau < 0 bottom: w = -tau, so the surviving coefficient is exactly
         # 2 zeta = 2Z/c and the other one vanishes
         for params in (P1, P80):
-            ch = make_channel(params, Fraction(1, 2), -1)
-            cm, cp = jl.jl_eigencoefficients(ch, 0, PREC)
+            r = scan_slot(params, Fraction(1, 2), -1, 0)
             with mp.workprec(PREC):
-                assert cp == 0
-                assert abs(cm - 2 * _zeta_mp(ch, PREC)) < mp.mpf(2) ** -(PREC - 8)
+                assert r.coeff_plus == 0
+                assert abs(r.coeff_minus - 2 * _zeta_mp(r.channel, PREC)) < mp.mpf(2) ** -(PREC - 8)
 
     def test_excited_states_mix_both_halves(self):
         # strictly inside a tower both coefficients are nonzero and distinct
         ch = make_channel(P1, Fraction(1, 2), -1)
         for n in (1, 2, 3):
-            cm, cp = jl.jl_eigencoefficients(ch, n, PREC)
+            r = scan_slot(P1, ch.j, ch.eps, n)
             with mp.workprec(PREC):
-                assert cm != cp
-                assert cm != 0 and cp != 0
+                assert r.coeff_minus != r.coeff_plus
+                assert r.coeff_minus != 0 and r.coeff_plus != 0
 
 
 class TestScan:

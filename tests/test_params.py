@@ -15,7 +15,6 @@ from dirac_su11.params import (
     channel_slots,
     make_channel,
     make_params,
-    mu_from_energy,
     nonrelativistic_limit_table,
     spectral_point,
     tower_gap,
@@ -120,7 +119,6 @@ def test_unphysical_bottom_rung_flag():
 def test_mu_and_w2_exact_forms():
     ch = chan("3/2", -1, Z=20)
     pt = spectral_point(ch, 3)
-    assert pt.mu == ch.lam + 3
     assert pt.N == 5
     # w^2 = (s+n)^2 + zeta^2 and, on shell, tau^2 + n(n + 2s)
     lhs = tower_w2(ch, 3)
@@ -128,17 +126,6 @@ def test_mu_and_w2_exact_forms():
     assert lhs == (s + 3) * (s + 3) + ch.qs(ch.zeta ** 2)
     assert lhs == ch.qs(ch.tau ** 2) + tower_gap(ch, 3)
     assert tower_gap(ch, 3) == ch.qs(9, 6)
-
-
-def test_mu_from_energy_inverts():
-    ch = chan("1/2", -1, Z=47)
-    for n in (0, 1, 4):
-        pt = spectral_point(ch, n)
-        back = mu_from_energy(ch.params, pt.E, 256)
-        with mp.workprec(HP):
-            assert abs(back - pt.mu.embed(256)) < mp.mpf("1e-70")
-    with pytest.raises(DomainError):
-        mu_from_energy(ch.params, ch.params.c2_mp() * 2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,6 +16,7 @@ from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
 from dirac_su11 import verify as vf
 from dirac_su11 import oracle as orc
+from dirac_su11.algebra import field_moment
 
 P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
@@ -364,12 +365,14 @@ class TestGram:
                 assert abs(g[i][i] - 1) < mp.mpf(2) ** -150
 
     def test_unnormalized_diagonal_tracks_norm(self):
-        # before the ket normalizers, the diagonal is <pi_n, pi_n> = 1/A_n^2
-        with mp.workprec(192):
-            for i in range(4):
-                state = ld.build_state(CH, i, 192)
-                assert abs(ld.ket_norm_squared(state)
-                           - 1 / state.ladder_norm ** 2) < mp.mpf("1e-40")
+        # before the ket normalizers, the diagonal is <pi_n, pi_n> = 1/A_n^2:
+        # its field moment is n!(2s+1)_n, so the exact Gram diagonal is 1
+        rungs = ld.climb(CH, 3, 192)
+        gram = vf._gram_matrix(rungs, range(4))
+        for i in range(4):
+            pi = rungs[i].psi_plus
+            assert field_moment(pi * pi, CH) == ld.square_moment(CH, i)
+            assert gram[i][i] == CH.qs(1)
 
     def test_one_climb_checks_each_rung_once(self, monkeypatch):
         # each universal rung is decided once per process, however many
