@@ -30,6 +30,7 @@ from .qsfield import Quadratic, Rational, _frac, embed_fraction
 
 DEFAULT_PRECISION = 256
 _GUARD = 32
+DETUNE = Fraction(1, 1000)  # relative shift of w^2 in every off-shell control
 
 SCHEMA_TAG = "dirac-su11/1"
 
@@ -177,13 +178,8 @@ class SpectralPoint:
     precision: int
     N: int                # principal quantum number j + 1/2 + n
     E: mp.mpf
-    nu: mp.mpf            # sqrt((c^2 - E) / (c^2 + E))
     binding: mp.mpf       # E - c^2, computed cancellation-free
     eps_j: mp.mpf         # quantum defect j + 1/2 - s
-
-    @property
-    def is_physical(self) -> bool:
-        return self.channel.is_bound(self.n)
 
 
 def spectral_point(
@@ -201,14 +197,12 @@ def spectral_point(
         sn = ch.s.embed(precision + _GUARD) + n
         w = mp.sqrt(sn * sn + zeta * zeta)
         E = c2 * sn / w
-        k = c2 * zeta / w     # sqrt(c^4 - E^2)
-        nu = k / (c2 + E)
         binding = -c2 * zeta * zeta / (w * (sn + w))
         eps_j = embed_fraction(ch.j + Fraction(1, 2), precision + _GUARD) - (sn - n)
     with mp.workprec(precision):
-        E, nu, binding, eps_j = +E, +nu, +binding, +eps_j
+        E, binding, eps_j = +E, +binding, +eps_j
 
-    return SpectralPoint(ch, n, precision, N, E, nu, binding, eps_j)
+    return SpectralPoint(ch, n, precision, N, E, binding, eps_j)
 
 
 def check_level(channel: Channel, n: int) -> None:
@@ -222,13 +216,6 @@ def check_level(channel: Channel, n: int) -> None:
     mu = channel.lam + n
     if (2 * mu * mu - channel.qs(channel.xi)).sign() <= 0:
         raise AssertionError("representation bound 2 mu^2 >= xi violated")
-
-
-def check_tolerance(precision: int) -> mp.mpf:
-    """Bound on a float check's error at a working precision:
-    2^-max(precision - 16, ceil(precision / 2)), below 1 at every precision
-    and 2^-(precision - 16) from 32 bits on."""
-    return mp.mpf(2) ** -max(precision - 16, -(-precision // 2))
 
 
 # -- nonrelativistic limit ---------------------------------------------------

@@ -210,10 +210,6 @@ class Quadratic:
         return Quadratic.of(0, d=d)
 
     @staticmethod
-    def one(d) -> "Quadratic":
-        return Quadratic.of(1, d=d)
-
-    @staticmethod
     def root(d) -> "Quadratic":
         """The generator sqrt(d) itself: s or w."""
         return Quadratic.of(0, 1, d=d)

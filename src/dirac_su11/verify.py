@@ -30,6 +30,7 @@ from itertools import groupby
 
 import mpmath as mp
 
+from . import params  # params.DETUNE is read at call time
 from .params import (
     DEFAULT_PRECISION,
     _GUARD,
@@ -47,8 +48,6 @@ from .qsfield import QsPolynomial, Quadratic
 from .ladder import LadderState, build_state, climb, square_moment, tower_image  # noqa: F401
 from .algebra import field_moment, inner_product, universal_images
 from .wavefunctions import RadialPair, radial_parts, tower_window
-
-_DETUNE = Fraction(1, 1000)   # relative shift of w^2 in the detuned control
 
 _ORACLE_NAMES = frozenset({
     "BracketingError", "OracleResult", "ORACLE_N_CAP", "ORACLE_REL_TOL",
@@ -134,18 +133,18 @@ def first_order_residual(pair: RadialPair):
 
 def _window_rows(state: LadderState, w: Quadratic, suffix: str = ""):
     """The radial reports of the state's window lifted to w, with w^2 = w.d."""
-    f, g = radial_parts(*tower_window(state, w.d, w))
+    f, g = radial_parts(*tower_window(state, w))
     rows = _system_rows(state.channel, state.n, f, g, w)
     return _reports(("radial-row-f" + suffix, "radial-row-g" + suffix), rows,
                     state.precision)
 
 
 def detuned_first_order(state: LadderState):
-    """Negative control: scale w^2 by 1 + _DETUNE = 1001/1000 and redo the
-    first-order residuals. Off shell both rows must be exactly nonzero."""
+    """Negative control: scale w^2 by 1 + params.DETUNE = 1001/1000 and redo
+    the first-order residuals. Off shell both rows must be exactly nonzero."""
     if state.n < 1:
         raise DomainError("detuned control needs n >= 1")
-    w_off = Quadratic.root(tower_w2(state.channel, state.n) * (1 + _DETUNE))
+    w_off = Quadratic.root(tower_w2(state.channel, state.n) * (1 + params.DETUNE))
     return _window_rows(state, w_off, "-detuned")
 
 

@@ -41,10 +41,11 @@ import mpmath as mp
 from mpmath.libmp import (fone, fzero, mpf_mul, mpf_shift, mpf_sub,
                           round_nearest)
 
+from . import params  # params.DETUNE is read at call time
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, SpectralPoint, exact_w, mp_str,
                      spectral_point, tower_gap, tower_w2)
-from .qsfield import QsPolynomial, Quadratic, _sign_variations, embed_fraction
+from .qsfield import QsPolynomial, Quadratic, _sign_variations
 from .ladder import LadderState, square_moment
 from .algebra import field_moment, gamma_factor, moment_sum
 
@@ -76,10 +77,10 @@ def small_component_scalar(channel: Channel, n: int) -> Quadratic:
     return -(exact_w(channel, n) + channel.qs(channel.tau))
 
 
-def tower_window(state: LadderState, w2: Quadratic, w: Quadratic):
-    """(pi_n, -(w + tau) pi_{n-1}) lifted into Q(s)[w] with w^2 = w2; the
+def tower_window(state: LadderState, w: Quadratic):
+    """(pi_n, -(w + tau) pi_{n-1}) lifted into Q(s)[w] with w^2 = w.d; the
     minus half is zero at n = 0."""
-    zero = Quadratic.zero(w2)
+    zero = Quadratic.zero(w.d)
     tau = state.channel.qs(state.channel.tau)
     return (QsPolynomial.from_coeffs(state.psi_plus.coeffs, zero),
             QsPolynomial.from_coeffs(state.psi_minus.coeffs, zero).scale(-(w + tau)))
@@ -100,7 +101,7 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
             "pass allow_unphysical=True to assemble it anyway")
     ch = state.channel
     n = state.n
-    f, g = radial_parts(*tower_window(state, tower_w2(ch, n), exact_w(ch, n)))
+    f, g = radial_parts(*tower_window(state, exact_w(ch, n)))
     prec = state.precision
     level = spectral_point(ch, n, prec)
     with mp.workprec(prec + _GUARD):
@@ -191,9 +192,7 @@ class LaguerreReport:
     consistency_residual: mp.mpf    # coupling rows evaluated at (a, b)
     rows_exact_zero: bool
     det_on_shell_exact_zero: bool
-    eliminated_energy_residual: mp.mpf  # |E from elimination - E| / c^2
-    off_shell_det: mp.mpf           # det with binding detuned by 1e-6: nonzero
-    sonine_residual: mp.mpf         # Gamma(2s+n+1)/Gamma(2s+1) vs prod (2s+k)
+    off_shell_det_nonzero: bool     # det at w^2 scaled by 1 + DETUNE
 
 
 def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
@@ -212,72 +211,44 @@ def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
     return row1, row2
 
 
-def laguerre_cross_check(state: LadderState,
-                         level: Optional[SpectralPoint] = None) -> LaguerreReport:
-    """The Laguerre report of a state; its float level is computed unless
-    the caller already holds it."""
+def laguerre_cross_check(state: LadderState) -> LaguerreReport:
+    """The Laguerre report of a state, every verdict decided in Q(s) or its
+    tower. At a = n! and b = -(w + tau)(n-1)! row 2 is identically zero and
+    row 1 is (n-1)! times the determinant, so the determinant decides what
+    eliminating w from the system would give for E."""
     ch = state.channel
     n = state.n
     prec = state.precision
     if n < 1:
         raise DomainError("cross check needs n >= 1 so both scalars exist")
-    if level is None:
-        level = spectral_point(ch, n, prec)
-    E = level.E
     w2 = tower_w2(ch, n)
 
     # the scalars of psi_plus = n! L_n and psi_minus = -(w+tau)(n-1)! L_{n-1};
     # pi_n = n! L_n^{(2s)}(2 rho) is decided in ladder._decide_rung
     a_scalar = Quadratic.of(ch.qs(math.factorial(n)), d=w2)
-    b_scalar = small_component_scalar(ch, n) * math.factorial(n - 1)
+    ratio_minus = small_component_scalar(ch, n)
+    b_scalar = ratio_minus * math.factorial(n - 1)
 
     row1, row2 = _coupling_rows(ch, n, a_scalar, b_scalar)
-    rows_zero = row1.is_zero and row2.is_zero
     with mp.workprec(prec + _GUARD):
         resid = max(abs(row1.embed(prec + _GUARD)), abs(row2.embed(prec + _GUARD)))
-
-    # determinant: exact zero on shell, nonzero off shell
-    tau, s = ch.tau, ch.s
-    gap = tower_gap(ch, n)
-    det_zero = (gap - (w2 - ch.qs(tau * tau))).is_zero
-
-    with mp.workprec(prec + _GUARD):
-        c2 = ch.params.c2_mp(prec + _GUARD)
-        zeta = embed_fraction(ch.zeta, prec + _GUARD)
-        tau_emb = embed_fraction(tau, prec + _GUARD)
-        s_emb = s.embed(prec + _GUARD)
-        # eliminate: w^2 = tau^2 + n(n+2s) -> E = c^2 (s+n)/w
-        w_elim = mp.sqrt(gap.embed(prec + _GUARD) + tau_emb ** 2)
-        e_elim = c2 * (s_emb + n) / w_elim
-        e_resid = abs(e_elim - E) / c2
-        # off shell: w from a perturbed energy no longer satisfies the system;
-        # detune the binding, not E itself, so E stays inside (0, c^2) even
-        # when the level is much closer to the continuum than the detuning
-        e_off = c2 + (E - c2) * (1 + mp.mpf(10) ** -6)
-        w_off = zeta * c2 / mp.sqrt((c2 - e_off) * (c2 + e_off))
-        det_off = gap.embed(prec + _GUARD) - (w_off ** 2 - tau_emb ** 2)
-        # Sonine scalar: the n-th iterate of the classical derivative formula
-        sonine = mp.gamma(2 * s_emb + n + 1) / mp.gamma(2 * s_emb + 1)
-        prod = mp.mpf(1)
-        for k in range(1, n + 1):
-            prod *= 2 * s_emb + k
-        sonine_resid = abs(sonine - prod) / prod
-
     with mp.workprec(prec):
-        return LaguerreReport(
-            n=n,
-            alpha=str(ch.s * 2),
-            scalar_ratio_plus=str(math.factorial(n)),
-            scalar_ratio_minus=str(small_component_scalar(ch, n)),
-            a=str(a_scalar),
-            b=str(b_scalar),
-            consistency_residual=+resid,
-            rows_exact_zero=rows_zero,
-            det_on_shell_exact_zero=det_zero,
-            eliminated_energy_residual=+e_resid,
-            off_shell_det=+det_off,
-            sonine_residual=+sonine_resid,
-        )
+        resid = +resid
+
+    # the determinant n(n+2s) + tau^2 - w^2: zero on shell, nonzero detuned
+    shell = tower_gap(ch, n) + ch.tau * ch.tau
+    return LaguerreReport(
+        n=n,
+        alpha=str(ch.s * 2),
+        scalar_ratio_plus=str(math.factorial(n)),
+        scalar_ratio_minus=str(ratio_minus),
+        a=str(a_scalar),
+        b=str(b_scalar),
+        consistency_residual=resid,
+        rows_exact_zero=row1.is_zero and row2.is_zero,
+        det_on_shell_exact_zero=(shell - w2).is_zero,
+        off_shell_det_nonzero=not (shell - w2 * (1 + params.DETUNE)).is_zero,
+    )
 
 
 def report_to_dict(report: LaguerreReport, precision: int = DEFAULT_PRECISION) -> dict:
@@ -293,9 +264,7 @@ def report_to_dict(report: LaguerreReport, precision: int = DEFAULT_PRECISION) -
         "consistency_residual": mp_str(report.consistency_residual, precision),
         "rows_exact_zero": report.rows_exact_zero,
         "det_on_shell_exact_zero": report.det_on_shell_exact_zero,
-        "eliminated_energy_residual": mp_str(report.eliminated_energy_residual, precision),
-        "off_shell_det": mp_str(report.off_shell_det, precision),
-        "sonine_residual": mp_str(report.sonine_residual, precision),
+        "off_shell_det_nonzero": report.off_shell_det_nonzero,
     }
 
 

@@ -130,7 +130,7 @@ class TestState:
         assert doc["checks"] == {"first_order_exact": True,
                                  "normalization_ok": True,
                                  "laguerre_scalars_exact": True,
-                                 "elimination_ok": True}
+                                 "off_shell_det_nonzero": True}
         lag = doc["laguerre_report"]
         assert lag["rows_exact_zero"] is True
         assert lag["scalar_ratio_plus"] == "2"  # 2! for n = 2
@@ -294,6 +294,32 @@ class TestVerify:
         assert code == 3
         assert "Z=1: residuals FAILED" in out
         assert "radial-row" in out
+
+
+@pytest.mark.parametrize("detune", [None, 0], ids=["detuned", "zero"])
+def test_zero_detuning_fails_both_off_shell_controls(capsys, monkeypatch, tmp_path,
+                                                      detune):
+    # the control of the controls: at params.DETUNE both off-shell checks
+    # hold; with no detuning "off shell" is on shell, so state's determinant
+    # and verify's detuned rows vanish, and both commands exit 3 saying so
+    from dirac_su11 import params
+    if detune is not None:
+        monkeypatch.setattr(params, "DETUNE", detune)
+    detuned = detune is None
+    code, out = run(capsys, ["state", "--j", "1/2", "--eps", "-1", "--n", "2",
+                             "--samples", "3", "--format", "json"] + FAST)
+    doc = json.loads(out)
+    assert code == (0 if detuned else 3)
+    assert doc["checks"]["off_shell_det_nonzero"] is detuned
+    assert doc["laguerre_report"]["off_shell_det_nonzero"] is detuned
+    dest = tmp_path / "v.json"
+    code, out = run(capsys, ["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "2",
+                             "--skip-oracle", "--out", str(dest)] + FAST)
+    assert code == (0 if detuned else 3)
+    assert ("detuned control unexpectedly zero" in out) is not detuned
+    rows = [row for block in json.loads(dest.read_text())["runs"][0]["channels"]
+            for row in block["rows"] if row["n"] >= 1]
+    assert rows and all(row["detuned_nonzero"] is detuned for row in rows)
 
 
 class TestJl:
@@ -568,7 +594,7 @@ def count_levels(monkeypatch, capsys, argv):
 
 def test_float_levels_only_where_read(capsys, monkeypatch):
     # a rung is exact data: verify reads no float level, state reads its
-    # own once (for E and binding, and the elimination check), and spectrum
+    # own once (for E and binding), and spectrum
     # computes only the levels it prints
     code, _, calls = count_levels(monkeypatch, capsys, [
         "verify", "--Z", "57", "--j-max", "5/2", "--n-max", "5", "--skip-oracle"] + FAST)
@@ -590,7 +616,7 @@ GOLDEN = [
      "090518b55a0ac0b0de282d9ff8c8e87dcc3e1f18524febcf65c8b431e3bf2b03", None, 0),
     (["state", "--j", "1/2", "--eps", "-1", "--n", "3", "--samples", "20",
       "--format", "json"],
-     "755bd4adb4b8e95db0a8ba61f70e5bafc8ef0ef2c9806352dc4b1e22f09fba9c", None, 0),
+     "4eee09d277740a2bbd220164dd6aadeb4800b31899063f05b841a757a1b42549", None, 0),
     (["state", "--j", "1/2", "--eps", "-1", "--n", "3", "--samples", "20",
       "--format", "csv"],
      "6dae23a5938769d22aa4485f80ae637a1c2a7720075f2533f2aaf0543e597b81", None, 0),

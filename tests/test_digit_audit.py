@@ -3,7 +3,7 @@
 
 Deep rungs are where a cancelling float sum loses bits, so the audit runs
 `state` at n = 20 and n = 64 on a heavy eps = +1 channel and on the
-hydrogen ground channel. The bound is check_tolerance(256) = 2^-240,
+hydrogen ground channel. The bound is TOL = 2^-240 = 2^-(256 - 16),
 relative for the normalization constant and relative to the grid's
 largest |F| and |G| for the samples, which vanish at the nodes. `limit`'s
 difference from the Bohr value cancels all but about (Z/c)^2 of the
@@ -18,9 +18,9 @@ import mpmath as mp
 import pytest
 
 from dirac_su11.cli import main
-from dirac_su11.params import check_tolerance
 
 LOW, HIGH = 256, 1024
+TOL = mp.mpf(2) ** -(LOW - 16)
 SAMPLES = "60"
 
 
@@ -44,16 +44,15 @@ def bits(err, scale) -> str:
 def test_state_digits_hold_at_depth(capsys, Z, j, eps, n):
     low = state_doc(capsys, Z, j, eps, n, LOW)
     ref = state_doc(capsys, Z, j, eps, n, HIGH)
-    tol = check_tolerance(LOW)
     with mp.workprec(HIGH + 64):
         const, const_ref = mp.mpf(low["norm_constant"]), mp.mpf(ref["norm_constant"])
-        assert abs(const - const_ref) <= tol * const_ref, bits(const - const_ref, const_ref)
+        assert abs(const - const_ref) <= TOL * const_ref, bits(const - const_ref, const_ref)
         rows = [[mp.mpf(v) for v in row] for row in low["samples"]]
         rows_ref = [[mp.mpf(v) for v in row] for row in ref["samples"]]
         for col in (1, 2):
             scale = max(abs(row[col]) for row in rows_ref)
             worst = max(abs(a[col] - b[col]) for a, b in zip(rows, rows_ref))
-            assert worst <= tol * scale, (col, bits(worst, scale))
+            assert worst <= TOL * scale, (col, bits(worst, scale))
 
 
 @pytest.mark.parametrize("argv", [["limit"], ["limit", "--c-schedule", "1e3,1e5"]],
@@ -61,10 +60,9 @@ def test_state_digits_hold_at_depth(capsys, Z, j, eps, n):
 def test_limit_digits_hold(capsys, argv):
     low = json_doc(capsys, argv, LOW)["rows"]
     ref = json_doc(capsys, argv, HIGH)["rows"]
-    tol = check_tolerance(LOW)
     with mp.workprec(HIGH + 64):
         for row, row_ref in zip(low, ref, strict=True):
             for key in ("binding", "difference"):
                 got, want = mp.mpf(row[key]), mp.mpf(row_ref[key])
-                assert abs(got - want) <= tol * abs(want), (row["c"], key,
+                assert abs(got - want) <= TOL * abs(want), (row["c"], key,
                                                             bits(got - want, want))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dirac_su11.params import (
     DomainError,
     channel_grid,
-    check_tolerance,
     channel_slots,
     make_channel,
     make_params,
@@ -104,11 +103,7 @@ def test_high_z_binding():
 
 
 def test_unphysical_bottom_rung_flag():
-    assert not spectral_point(chan("1/2", 1), 0).is_physical
-    assert spectral_point(chan("1/2", 1), 1).is_physical
-    assert spectral_point(chan("1/2", -1), 0).is_physical
-    assert spectral_point(chan("5/2", 1), 0).is_physical is False
-    # the one rule behind the flag, on the channel itself
+    # the one rule: only the n = 0 rung of a tau > 0 channel is no bound state
     for j in ("1/2", "3/2", "5/2"):
         for eps in (-1, 1):
             ch = chan(j, eps)
@@ -169,17 +164,6 @@ def test_limit_refuses_the_unphysical_bottom_rung():
     with pytest.raises(DomainError, match="not a bound state"):
         nonrelativistic_limit_table("1/2", 1, 0)
     assert len(nonrelativistic_limit_table("1/2", 1, 1).rows) == 3
-
-
-def test_check_tolerance():
-    # below 1 at every precision, never looser than 2^-(p - 16) or
-    # 2^-(p // 2), and 2^-(p - 16) itself from 32 bits on
-    for p in range(1, 300):
-        tol = check_tolerance(p)
-        assert tol < 1
-        assert tol <= mp.mpf(2) ** -(p - 16) and tol <= mp.mpf(2) ** -(p // 2)
-        if p >= 32:
-            assert tol == mp.mpf(2) ** -(p - 16)
 
 
 def test_channel_grid():

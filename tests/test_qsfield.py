@@ -73,7 +73,7 @@ def test_rational_scalar_scales_the_parts(e, r):
 def test_qs_division_and_inverse(x, y):
     if not y.is_zero:
         assert (x / y) * y == x
-        assert y * y.inverse() == Quadratic.one(S2)
+        assert y * y.inverse() == Quadratic.of(1, d=S2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -302,7 +302,7 @@ def test_sturm_counts_known_roots():
     assert sturm_positive_roots(poly([1, 0, 1])) == 0
     # roots at s and s+1 with s = sqrt(3)/2: (x-s)(x-s-1)
     s = Quadratic.root(S2)
-    one = Quadratic.one(S2)
+    one = Quadratic.of(1, d=S2)
     x_minus_s = QsPolynomial.from_coeffs([-s, one], Quadratic.zero(S2))
     x_minus_s1 = QsPolynomial.from_coeffs([-s - 1, one], Quadratic.zero(S2))
     assert sturm_positive_roots(x_minus_s * x_minus_s1) == 2

@@ -2,7 +2,6 @@
 
 import ast
 import re
-from collections import defaultdict
 from pathlib import Path
 
 import dirac_su11
@@ -55,19 +54,38 @@ def test_precision_comes_from_the_state():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _names_used(path):
+    """The identifiers a file uses: its names, attributes and import
+    aliases, and the parts of its dotted string constants (the tracer names
+    what it wraps as ("qsfield", "QsPolynomial.eval_mp")). A word in a
+    comment or a docstring is no use."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            used.update(node.value.split("."))
+    return used
+
+
 def test_no_uncalled_helpers():
     # every module- or class-level def/class of the package (dunders
-    # aside) is named somewhere besides its own definition line: in the
-    # package, a script or the benchmark. The package's export lists do
-    # not count, and neither do tests: a helper only a test calls is dead
-    where = defaultdict(set)
+    # aside) is used by name somewhere: in the package, a script or the
+    # benchmark. The package's export lists do not count, and neither do
+    # tests: a helper only a test calls is dead
+    used = set()
     for top in ("src", "scripts", "benchmark"):
         for path in (ROOT / top).rglob("*.py"):
-            if path == SRC / "__init__.py":
-                continue
-            for lineno, text in enumerate(path.read_text().splitlines(), 1):
-                for word in re.findall(r"\w+", text):
-                    where[word].add((path, lineno))
+            if path != SRC / "__init__.py":
+                used |= _names_used(path)
     uncalled = []
     for path in sorted((ROOT / "src" / "dirac_su11").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -79,7 +97,7 @@ def test_no_uncalled_helpers():
                 name = node.name
                 if name.startswith("__") and name.endswith("__"):
                     continue
-                if not where[name] - {(path, node.lineno)}:
+                if name not in used:
                     uncalled.append(f"{path.name}:{node.lineno} {name}")
     assert uncalled == []
 
@@ -121,7 +139,7 @@ def test_only_the_oracle_imports_numpy_and_scipy():
 def test_quadratic_representation_is_private():
     # an element of Q(s) is an integer triple that only qsfield reads;
     # everything else goes through the parts a, b and d and builds elements
-    # through the named constructors (of, from_ints, zero, one, root)
+    # through the named constructors (of, from_ints, zero, root)
     private = {name for name in Quadratic.__slots__ if name.startswith("_")}
     found = []
     for top in ("src", "tests", "benchmark"):

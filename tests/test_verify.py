@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 
 from dirac_su11.params import (make_params, make_channel, channel_grid, spectral_point, tower_w2,
-                               DomainError)
+                               DomainError, DETUNE)
 from dirac_su11.qsfield import QsPolynomial, Quadratic
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
@@ -59,7 +59,7 @@ class TestFirstOrder:
                 s = CH.s.embed(192)
                 zeta = mp.mpf(CH.zeta.numerator) / CH.zeta.denominator
                 tau = mp.mpf(CH.tau.numerator) / CH.tau.denominator
-                nu = pt.nu
+                nu = mp.sqrt(-pt.binding / (CH.params.c2_mp(192) + pt.E))
                 for rho in (mp.mpf(1) / 7, mp.mpf(2), mp.mpf(11) / 2):
                     weight = mp.power(rho, s) * mp.exp(-rho)
                     fp = pair.f_poly
@@ -132,12 +132,12 @@ class TestSecondOrder:
         assert by_name["ladder-split-raise"].is_exact_zero
 
 
-def split_rows(state, w2, w):
+def split_rows(state, w):
     """The ladder-split residuals (lower, raise) written out by hand on the
-    window at w, w^2 = w2."""
-    ch, n = state.channel, state.n
+    window at w, w^2 = w.d."""
+    ch, n, w2 = state.channel, state.n, w.d
     tau = ch.qs(ch.tau)
-    plus, minus = wf.tower_window(state, w2, w)
+    plus, minus = wf.tower_window(state, w)
     lower = (plus.derivative().mul_rho() - plus.scale(Quadratic.of(ch.qs(n), d=w2))
              - minus.scale(w - tau))
     raise_ = (minus.derivative().mul_rho()
@@ -154,7 +154,7 @@ class TestRotation:
     @pytest.mark.parametrize("ch, n", CASES)
     def test_on_shell(self, ch, n):
         state = ld.build_state(ch, n, 128)
-        lower, raise_ = split_rows(state, tower_w2(ch, n), wf.exact_w(ch, n))
+        lower, raise_ = split_rows(state, wf.exact_w(ch, n))
         pair = wf.assemble(state, allow_unphysical=True)
         row_f, row_g = (r.residual_poly for r in vf.first_order_residual(pair))
         assert row_f == lower - raise_
@@ -171,8 +171,8 @@ class TestRotation:
     @pytest.mark.parametrize("ch, n", [c for c in CASES if c[1] >= 1])
     def test_detuned(self, ch, n):
         state = ld.build_state(ch, n, 128)
-        w2 = tower_w2(ch, n) * (1 + vf._DETUNE)
-        lower, raise_ = split_rows(state, w2, Quadratic.root(w2))
+        w2 = tower_w2(ch, n) * (1 + DETUNE)
+        lower, raise_ = split_rows(state, Quadratic.root(w2))
         detuned = vf.detuned_first_order(state)
         row_f, row_g = (r.residual_poly for r in detuned)
         assert row_f == lower - raise_
@@ -433,9 +433,9 @@ class TestReport:
         calls = []
         window = wf.tower_window
 
-        def counting(*args):
-            calls.append(args)
-            return window(*args)
+        def counting(state, w):
+            calls.append((state.n, w))
+            return window(state, w)
 
         monkeypatch.setattr(wf, "tower_window", counting)
         monkeypatch.setattr(vf, "tower_window", counting)
