@@ -1,4 +1,4 @@
-"""Warm layer timings of the exact core, written to BENCH_layers.json.
+"""Warm layer timings of the exact core and the oracle, written to BENCH_layers.json.
 
     python scripts/bench.py [--tree NAME=SRC ...] [--repeat K] [--out PATH]
 
@@ -23,7 +23,12 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
   - the cheap commands in process, at Z = 57: `spectrum --N-max 1..4`,
     `jl` and `limit`;
   - the embedding edge: `embed_fraction(c^2)`, `s.embed(256)` and
-    `exact_w(channel, 3).embed(256)`.
+    `exact_w(channel, 3).embed(256)`;
+  - the shooting oracle: `oracle_sweep` at Z = 40 and Z = 79 (j <= 3/2,
+    n <= 3), one level alone (Z = 80, 5/2, -1, n = 3) and the empty-slot
+    control (Z = 1, 1/2, +1, n = 0). For each, the solves it takes and
+    the RHS calls per solve go under counts, from one further call that
+    counts the calls to the integrator.
 
 The host is recorded (cores, Python, mpmath and its backend). Each worker
 times the median of benchmark/gauge.py's reference slice before and after
@@ -156,6 +161,45 @@ def embed_rows() -> dict:
     }
 
 
+def oracle_rows() -> tuple:
+    from dirac_su11 import oracle
+    from dirac_su11.params import make_channel, make_params
+    level = make_channel(make_params(Z=80), Fraction(5, 2), -1)
+    empty = make_channel(make_params(Z=1), Fraction(1, 2), 1)
+
+    def empty_slot():
+        try:
+            oracle.shooting_oracle(empty, 0)
+        except oracle.BracketingError:
+            return
+        raise AssertionError("the empty slot converged")
+
+    runs = {
+        "sweep_Z40": lambda: oracle.oracle_sweep(make_params(Z=40), Fraction(3, 2), 3),
+        "sweep_Z79": lambda: oracle.oracle_sweep(make_params(Z=79), Fraction(3, 2), 3),
+        "level_Z80": lambda: oracle.shooting_oracle(level, 3),
+        "empty_slot": empty_slot,
+    }
+    seconds = {f"oracle.{name}": timed(fn) for name, fn in runs.items()}
+    counts, shoot, nfevs = {}, oracle._shoot, []
+
+    def counted(*lanes):
+        mismatch, nfev = shoot(*lanes)
+        nfevs.append(nfev)
+        return mismatch, nfev
+
+    oracle._shoot = counted
+    try:
+        for name, fn in runs.items():
+            nfevs.clear()
+            fn()
+            counts[f"oracle.{name}.solves"] = len(nfevs)
+            counts[f"oracle.{name}.rhs_per_solve"] = sum(nfevs) / len(nfevs)
+    finally:
+        oracle._shoot = shoot
+    return seconds, counts
+
+
 def worker() -> dict:
     """One round of the rows of the tree on sys.path, with the gauge
     around them."""
@@ -167,10 +211,13 @@ def worker() -> dict:
     rows.update(verify_rows())
     rows.update(cli_rows())
     rows.update(embed_rows())
+    oracle_seconds, counts = oracle_rows()
+    rows.update(oracle_seconds)
     return {
         "mpmath": f"{mpmath.__version__} ({mpmath.libmp.BACKEND} backend)",
         "reference_slice_s": statistics.median(before + reference_slices(GAUGE_SLICES)),
         "seconds": rows,
+        "counts": counts,
     }
 
 
@@ -184,10 +231,13 @@ def quartiles(values: list) -> list:
 
 def summary(rounds: list) -> dict:
     """A tree's rows over its rounds: median seconds, their quartiles, and
-    the median of each round's seconds over that round's reference."""
+    the median of each round's seconds over that round's reference; and
+    the median of each count."""
     names = rounds[0]["seconds"]
     secs = {name: [r["seconds"][name] for r in rounds] for name in names}
     return {
+        "counts": {name: statistics.median(r["counts"][name] for r in rounds)
+                   for name in rounds[0]["counts"]},
         "mpmath": rounds[0]["mpmath"],
         "reference_slice_s": statistics.median(r["reference_slice_s"] for r in rounds),
         "seconds": {name: statistics.median(v) for name, v in secs.items()},

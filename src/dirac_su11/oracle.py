@@ -4,19 +4,20 @@ The oracle knows nothing of ladders or Laguerre polynomials: it reads a
 channel's s, zeta and tau as floats, integrates the first-order radial
 system from both ends and finds the scaled momentum nu at which the two
 halves match. The outward half starts at rho = 1e-2 from the regular
-Frobenius series of the system at the trial nu, and the inward half 28
-units beyond 2(n + s), near the outer classical turning point, so
-neither half integrates a stretch the match does not need. It runs any
+Frobenius series of the system at the trial nu, and the inward half 12
+units beyond 2(n + s), the outer classical turning point, from the
+asymptotic series of the decaying solution at the trial nu, so neither
+half integrates a stretch the match does not need. It runs any
 number of levels, and many trial values of nu per level, in lock-step:
 every (level, nu) lane's outward and inward half is one block of a single
 stacked DOP853 system (Hairer, Norsett & Wanner, Solving ODEs I). Since
 scipy's per-step overhead dominates, a solve of 224 lanes costs less than
 twice one of 14, so each round samples every live bracket at many points
-at once: evenly at first, then geometrically about an inverse cubic
-estimate of the root. The 14 levels of j <= 3/2, n <= 3 take four or five
-solves. Its eigenvalues confirm the closed-form spectrum to near machine
-accuracy (the binding energy is compared, since the total energy is
-dominated by the rest term c^2).
+at once: evenly at first, then about an inverse cubic estimate of the
+root. The 14 levels of j <= 3/2, n <= 3 take four or five solves. Its
+eigenvalues confirm the closed-form spectrum to near machine accuracy
+(the binding energy is compared, since the total energy is dominated by
+the rest term c^2).
 
 This is the only module of the package that imports numpy and scipy, and
 nothing imports it until an oracle runs: `verify` without --skip-oracle,
@@ -40,7 +41,9 @@ ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
 _RHO0 = 1e-2             # where the outward series seed is summed
 _SERIES_TERMS = 20       # terms of that series, with room to spare: on the validated
                          # domain the ninth is already below float64 rounding
-_INWARD_DECAY = 28.0     # the inward halves start this far beyond 2(n + s)
+_INWARD_DECAY = 12.0     # the inward halves start this far beyond 2(n + s)
+_ASYMPTOTIC_TERMS = 16   # terms of the series seed summed there: 8 leave
+                         # mismatch errors of 4e-8, 12 reach float64 rounding
 _XTOL, _RTOL = 1e-300, 8.9e-16   # converged bracket width, as brentq's
 _ROUND_CAP = 100         # root-finding rounds after the first solve; levels need 2-4
 _SAMPLES = 16            # trial nu per live level in each solve
@@ -75,6 +78,33 @@ def _nu_of_index(s, zeta, x):
     return zeta / (s + x + np.hypot(s + x, zeta))
 
 
+def _asymptotic_seed(zeta, tau, nu, rho):
+    """The sums sum_k (a_k, b_k) rho^-k, k < _ASYMPTOTIC_TERMS, of the
+    solution e^-rho rho^sigma sum_k (a_k, b_k) rho^-k of the system at nu
+    that decays at large rho. With zn = zeta nu and zi = zeta / nu,
+    sigma = (zi - zn) / 2, u = (zi + zn) / 2 - tau, a_0 = 1, b_0 = -1 and
+
+        s_k = (sigma - k + 1 + tau) a_{k-1} - zn b_{k-1},
+        a_k = -s_k (u - k) / (2k),   b_k = s_k (u + k) / (2k).
+
+    The order rho^(1-k) of either equation gives a_k + b_k = s_k, and
+    the next order's condition that both give the same sum splits s_k;
+    the two leading orders fix b_0 = -a_0 and sigma. Only zeta, tau and
+    nu enter. The truncated pair leaves the residual s_K rho^(1-K),
+    K = _ASYMPTOTIC_TERMS, in both equations: rho times the first
+    omitted terms."""
+    zn, zi = zeta * nu, zeta / nu
+    sigma, u = (zi - zn) / 2, (zi + zn) / 2 - tau
+    a, b = np.ones_like(nu), -np.ones_like(nu)
+    f, g, power = a, b, 1.0
+    for k in range(1, _ASYMPTOTIC_TERMS):
+        sk = (sigma - k + 1 + tau) * a - zn * b
+        a, b = -sk * (u - k) / (2 * k), sk * (u + k) / (2 * k)
+        power = power / rho
+        f, g = f + a * power, g + b * power
+    return f, g
+
+
 def _shoot(s, zeta, tau, n, nu):
     """Wronskian mismatch of m (level, nu) pairs from one DOP853 solve.
 
@@ -91,12 +121,21 @@ def _shoot(s, zeta, tau, n, nu):
         a_k = ((s + k - tau) b_{k-1} + zn a_{k-1}) / (k (2s + k)),
         b_k = ((s + k + tau) a_{k-1} - zi b_{k-1}) / (k (2s + k)).
 
-    The inward seed (1, -1) is the solution that decays as e^-rho plus
-    some of the one that grows as e^rho; that part shrinks only where the
-    motion is classically forbidden. At large rho the system gives
+    The inward seed is the asymptotic series of the solution that decays
+    as e^-rho at the same trial nu (_asymptotic_seed), summed to
+    _ASYMPTOTIC_TERMS terms at rho_inf (the positive factor
+    e^-rho rho^sigma is dropped). At large rho the system gives
     F'' = (1 - zeta (1/nu - nu) / rho) F up to O(rho^-2) terms, and
     zeta (1/nu - nu) = 2 (n + s) at the closed-form nu, so the outer
     turning point lies near 2 (n + s) and rho_inf a fixed distance beyond.
+    Any part of the growing solution that the seed carries shrinks by
+    e^-2d over d units of forbidden region. The leading term (1, -1) alone
+    is wrong at O(1/rho), which takes some 28 units to damp to float64
+    rounding; the summed seed solves the system to float64 rounding at
+    rho_inf, so 12 units suffice. They cost about 1% more RHS calls than
+    8 units, and from 12 units on the result no longer depends on whether
+    12 or 16 terms are summed: at 8 units, 12 terms are 2.6e-13 off an
+    independent integration.
 
     Only s, zeta, tau and nu enter. Each half's x-interval is mapped onto t
     in [0, 1] with dx/dt = L, its signed length, so all halves end at
@@ -105,8 +144,8 @@ def _shoot(s, zeta, tau, n, nu):
     Returns the mismatches and the solve's RHS count.
     """
     m = len(nu)
-    x_start = np.concatenate((np.full(m, math.log(_RHO0)),
-                              np.log(2.0 * (n + s) + _INWARD_DECAY)))
+    rho_inf = 2.0 * (n + s) + _INWARD_DECAY
+    x_start = np.concatenate((np.full(m, math.log(_RHO0)), np.log(rho_inf)))
     L = np.tile(np.log(n + s + 1.0), 2) - x_start
     zn, zi = zeta * nu, zeta / nu
     # rows f and g of the state, each [outward, inward]
@@ -127,8 +166,9 @@ def _shoot(s, zeta, tau, n, nu):
                 ((s + k + tau) * a - zi * b) / (k * (2 * s + k)))
         power *= _RHO0
         f, g = f + a * power, g + b * power
-    ones = np.ones(m)
-    y0 = np.concatenate((f, ones, g, -ones))
+    # the asymptotic seed keeps the inward solution on the decaying branch
+    fi, gi = _asymptotic_seed(zeta, tau, nu, rho_inf)
+    y0 = np.concatenate((f, fi, g, gi))
     atol = np.tile(np.concatenate((np.full(m, 1e-14), np.full(m, 1e-300))), 2)
     # the stepper solve_ivp drives, driven here without keeping the history
     # of every step: a wide solve would hold megabytes of it
@@ -181,10 +221,16 @@ def shooting_oracle_batch(levels) -> list:
     _XTOL + _RTOL |nu|; its nu is the end of the pair with the smaller
     mismatch. Otherwise inverse cubic interpolation through the four
     samples around the pair, or the pair's secant where the cubic leaves
-    it, estimates the root, and the next solve takes _SAMPLES points spaced
-    geometrically out from the estimate, from _HALF_TOL tolerances to the
-    ends of the pair. A level's ``steps`` counts the RHS evaluations of the
-    solves it took part in, and ``mismatch`` is that of its nu.
+    it, estimates the root, and the next solve takes _SAMPLES points about
+    it: one at h = _HALF_TOL tolerances either side, and the rest spaced
+    geometrically from 3h out to the ends of the pair. Each pair between
+    -3h and 3h is 2h wide, under a tolerance, so a root within 3h (about
+    a tolerance) of the estimate closes that round, however wide the pair.
+    That margin is needed: the mismatch at one nu differs by about 2e-14
+    between solves with different lanes, since DOP853's error norm spans
+    every lane, so the root moves by a few tolerances from one solve to
+    the next. A level's ``steps`` counts the RHS evaluations of the solves
+    it took part in, and ``mismatch`` is that of its nu.
     """
     for _, index in levels:
         if not isinstance(index, int) or index < 0:
@@ -247,15 +293,16 @@ def shooting_oracle_batch(levels) -> list:
         # on a root the estimate found (the pair is wider than a tolerance)
         h = _HALF_TOL * (_XTOL + _RTOL * np.abs(c))
         c = np.clip(c, a + h, b - h)
-        # distances h, h q, h q^2, ... growing towards each end of the pair
+        # distances h, then 3h, 3h q, 3h q^2, ... growing towards each end
+        # of the pair
         half = _SAMPLES // 2
-        pw = np.arange(half) / half
-        left = c[:, None] - h[:, None] * ((c - a) / h)[:, None] ** pw[::-1]
-        right = c[:, None] + h[:, None] * ((b - c) / h)[:, None] ** pw
+        pw = np.arange(half - 1) / (half - 1)
+        left = c[:, None] - 3 * h[:, None] * ((c - a) / (3 * h))[:, None] ** pw[::-1]
+        right = c[:, None] + 3 * h[:, None] * ((b - c) / (3 * h))[:, None] ** pw
         # a point that rounds onto an end of the pair takes that end's
         # sample, so no point is integrated twice
         lo, hi = a[:, None], b[:, None]
-        x = np.clip(np.column_stack((a, left, right, b)), lo, hi)
+        x = np.clip(np.column_stack((a, left, c - h, c + h, right, b)), lo, hi)
         m = np.where(x == lo, fa[:, None], fb[:, None])
         inner = np.nonzero((x != lo) & (x != hi))
         m[inner] = shoot(live[inner[0]], x[inner])

@@ -229,11 +229,14 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
     ratio_minus = small_component_scalar(ch, n)
     b_scalar = ratio_minus * math.factorial(n - 1)
 
-    row1, row2 = _coupling_rows(ch, n, a_scalar, b_scalar)
-    with mp.workprec(prec + _GUARD):
-        resid = max(abs(row1.embed(prec + _GUARD)), abs(row2.embed(prec + _GUARD)))
-    with mp.workprec(prec):
-        resid = +resid
+    # decided first: only a nonzero row is embedded for its magnitude
+    nonzero = [row for row in _coupling_rows(ch, n, a_scalar, b_scalar) if not row.is_zero]
+    resid = mp.mpf(0)
+    if nonzero:
+        with mp.workprec(prec + _GUARD):
+            resid = max(abs(row.embed(prec + _GUARD)) for row in nonzero)
+        with mp.workprec(prec):
+            resid = +resid
 
     # the determinant n(n+2s) + tau^2 - w^2: zero on shell, nonzero detuned
     shell = tower_gap(ch, n) + ch.tau * ch.tau
@@ -245,7 +248,7 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
         a=str(a_scalar),
         b=str(b_scalar),
         consistency_residual=resid,
-        rows_exact_zero=row1.is_zero and row2.is_zero,
+        rows_exact_zero=not nonzero,
         det_on_shell_exact_zero=(shell - w2).is_zero,
         off_shell_det_nonzero=not (shell - w2 * (1 + params.DETUNE)).is_zero,
     )

@@ -107,6 +107,54 @@ def test_every_empty_slot_of_the_domain_is_named():
     assert info.value.slots == tuple(empty)
 
 
+# -- the inward seed -----------------------------------------------------------------
+
+
+def seed_residuals(zeta, tau, nu, rho):
+    """Both equations of the system, rho F' = -tau F + (rho + zeta nu) G and
+    rho G' = tau G + (rho - zeta/nu) F, on F = e^-rho rho^sigma S_F and
+    G = e^-rho rho^sigma S_G with (S_F, S_G) the seed's sums at rho, each
+    divided by e^-rho rho^sigma; S' is taken by a complex step, so it is
+    exact to rounding. Returns both residuals and the sums."""
+    h = 1e-20
+    f, g = oracle._asymptotic_seed(zeta, tau, nu, rho + 1j * h)
+    df, dg = f.imag / h, g.imag / h
+    f, g = f.real, g.real
+    zn, zi = zeta * nu, zeta / nu
+    sigma = (zi - zn) / 2
+    return (rho * df + (sigma - rho + tau) * f - (rho + zn) * g,
+            rho * dg + (sigma - rho - tau) * g - (rho - zi) * f, f, g)
+
+
+def test_inward_seed_solves_the_system_to_its_first_omitted_term(monkeypatch):
+    # levels n = 1, 5, 10 of the domain at three Z, each at a trial nu a
+    # third of the way into its bracket, off the closed-form value
+    levels = [(ch, n) for ch, n in domain_levels((1, 60, 118)) if n in (1, 5, 10)]
+    assert len(levels) == 72
+    s = np.array([float(ch.s.embed(64)) for ch, _ in levels])
+    zeta = np.array([float(ch.zeta) for ch, _ in levels])
+    tau = np.array([float(ch.tau) for ch, _ in levels])
+    n = np.array([float(k) for _, k in levels])
+    lo = oracle._nu_of_index(s, zeta, n + 0.5)
+    nu = lo + 0.3 * (oracle._nu_of_index(s, zeta, n - 0.5) - lo)
+    # at rho = 2 the truncation stands far above rounding; one more term
+    # of each sum is the first one omitted
+    r1, r2, f, g = seed_residuals(zeta, tau, nu, 2.0)
+    monkeypatch.setattr(oracle, "_ASYMPTOTIC_TERMS", oracle._ASYMPTOTIC_TERMS + 1)
+    _, _, f_next, g_next = seed_residuals(zeta, tau, nu, 2.0)
+    monkeypatch.undo()
+    omitted = 2.0 * ((f_next - f) + (g_next - g))
+    assert np.all(omitted != 0)
+    assert np.max(np.abs(r1 / omitted - 1)) <= 1e-2
+    assert np.max(np.abs(r2 / omitted - 1)) <= 1e-2
+    # where the inward half starts, the seed solves both equations to
+    # float64 rounding
+    rho_inf = 2.0 * (n + s) + oracle._INWARD_DECAY
+    r1, r2, f, g = seed_residuals(zeta, tau, nu, rho_inf)
+    scale = rho_inf * np.hypot(f, g)
+    assert np.max(np.maximum(np.abs(r1), np.abs(r2)) / scale) <= 1e-13
+
+
 # -- the mismatch function against a reference ---------------------------------------
 
 

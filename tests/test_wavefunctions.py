@@ -175,6 +175,27 @@ class TestLaguerreEquivalence:
         on = wf.laguerre_cross_check(ld.build_state(CH_HEAVY, 3))
         assert on.rows_exact_zero and on.det_on_shell_exact_zero
 
+    def test_cross_check_embeds_only_nonzero_rows(self, monkeypatch):
+        # the rows are decided before any is embedded: on shell nothing is
+        # embedded and the residual is 0; off shell row 2 is still
+        # identically zero at the window's scalars, so row 1 alone is
+        delta = Fraction(1, 10 ** 6)
+        off = replace(CH_HEAVY, s2=CH_HEAVY.s2 + delta, xi=CH_HEAVY.xi + delta)
+        states = [ld.build_state(ch, 3) for ch in (CH_HEAVY, off)]
+        embedded = []
+        embed = Quadratic.embed
+
+        def spy(self, precision=256):
+            embedded.append(self)
+            return embed(self, precision)
+
+        monkeypatch.setattr(Quadratic, "embed", spy)
+        on = wf.laguerre_cross_check(states[0])
+        assert embedded == [] and on.consistency_residual == 0
+        rep = wf.laguerre_cross_check(states[1])
+        assert len(embedded) == 1 and not embedded[0].is_zero
+        assert rep.consistency_residual > 0
+
     def test_report_dict_roundtrip(self):
         rep = wf.laguerre_cross_check(ld.build_state(CH_HEAVY, 2))
         d = wf.report_to_dict(rep, 128)
