@@ -25,10 +25,12 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
   - the embedding edge: `embed_fraction(c^2)`, `s.embed(256)` and
     `exact_w(channel, 3).embed(256)`;
   - the shooting oracle: `oracle_sweep` at Z = 40 and Z = 79 (j <= 3/2,
-    n <= 3), one level alone (Z = 80, 5/2, -1, n = 3) and the empty-slot
-    control (Z = 1, 1/2, +1, n = 0). For each, the solves it takes and
-    the RHS calls per solve go under counts, from one further call that
-    counts the calls to the integrator.
+    n <= 3), one level alone (Z = 80, 5/2, -1, n = 3), the empty-slot
+    control (Z = 1, 1/2, +1, n = 0) and the validated domain (the
+    168-level batch of Z = 1 and 118, j <= 7/2, n <= 10). For each, the
+    solves it takes and the RHS calls per solve go under counts, from one
+    further call that counts the calls to the integrator; that call's
+    worst relative binding error on the domain goes there too.
 
 The host is recorded (cores, Python, mpmath and its backend). Each worker
 times the median of benchmark/gauge.py's reference slice before and after
@@ -163,9 +165,12 @@ def embed_rows() -> dict:
 
 def oracle_rows() -> tuple:
     from dirac_su11 import oracle
-    from dirac_su11.params import make_channel, make_params
+    from dirac_su11.params import channel_slots, make_channel, make_params
     level = make_channel(make_params(Z=80), Fraction(5, 2), -1)
     empty = make_channel(make_params(Z=1), Fraction(1, 2), 1)
+    domain = [(ch, n) for Z in (1, 118)
+              for ch, n in channel_slots(make_params(Z=Z), Fraction(7, 2), oracle.ORACLE_N_CAP)
+              if ch.is_bound(n)]
 
     def empty_slot():
         try:
@@ -179,9 +184,10 @@ def oracle_rows() -> tuple:
         "sweep_Z79": lambda: oracle.oracle_sweep(make_params(Z=79), Fraction(3, 2), 3),
         "level_Z80": lambda: oracle.shooting_oracle(level, 3),
         "empty_slot": empty_slot,
+        "domain": lambda: oracle.shooting_oracle_batch(domain),
     }
     seconds = {f"oracle.{name}": timed(fn) for name, fn in runs.items()}
-    counts, shoot, nfevs = {}, oracle._shoot, []
+    counts, results, shoot, nfevs = {}, {}, oracle._shoot, []
 
     def counted(*lanes):
         mismatch, nfev = shoot(*lanes)
@@ -192,11 +198,14 @@ def oracle_rows() -> tuple:
     try:
         for name, fn in runs.items():
             nfevs.clear()
-            fn()
+            results[name] = fn()
             counts[f"oracle.{name}.solves"] = len(nfevs)
             counts[f"oracle.{name}.rhs_per_solve"] = sum(nfevs) / len(nfevs)
     finally:
         oracle._shoot = shoot
+    counts["oracle.domain.worst_rel_error"] = max(
+        oracle.oracle_binding_residual(ch, n, res)
+        for (ch, n), res in zip(domain, results["domain"]))
     return seconds, counts
 
 

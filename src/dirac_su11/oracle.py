@@ -3,21 +3,22 @@
 The oracle knows nothing of ladders or Laguerre polynomials: it reads a
 channel's s, zeta and tau as floats, integrates the first-order radial
 system from both ends and finds the scaled momentum nu at which the two
-halves match. The outward half starts at rho = 1e-2 from the regular
-Frobenius series of the system at the trial nu, and the inward half 12
-units beyond 2(n + s), the outer classical turning point, from the
-asymptotic series of the decaying solution at the trial nu, so neither
-half integrates a stretch the match does not need. It runs any
-number of levels, and many trial values of nu per level, in lock-step:
-every (level, nu) lane's outward and inward half is one block of a single
-stacked DOP853 system (Hairer, Norsett & Wanner, Solving ODEs I). Since
-scipy's per-step overhead dominates, a solve of 224 lanes costs less than
-twice one of 14, so each round samples every live bracket at many points
-at once: evenly at first, then about an inverse cubic estimate of the
-root. The 14 levels of j <= 3/2, n <= 3 take four or five solves. Its
-eigenvalues confirm the closed-form spectrum to near machine accuracy
-(the binding energy is compared, since the total energy is dominated by
-the rest term c^2).
+halves match. The outward half starts at rho = 0.6 from the regular
+Frobenius series of the system at the trial nu, summed there to float64
+rounding (its first coefficient from the form of the indicial equation
+that does not cancel), and the inward half 12 units beyond 2(n + s), the
+outer classical turning point, from the asymptotic series of the
+decaying solution at the trial nu, so neither half integrates a stretch
+the match does not need. It runs any number of levels, and many trial
+values of nu per level, in lock-step: every (level, nu) lane's outward
+and inward half is one block of a single stacked DOP853 system (Hairer,
+Norsett & Wanner, Solving ODEs I). Since scipy's per-step overhead
+dominates, a solve of 224 lanes costs less than twice one of 14, so each
+round samples every live bracket at many points at once: evenly at
+first, then about an inverse cubic estimate of the root. The 14 levels
+of j <= 3/2, n <= 3 take four or five solves. Its eigenvalues confirm the
+closed-form spectrum to near machine accuracy (the binding energy is
+compared, since the total energy is dominated by the rest term c^2).
 
 This is the only module of the package that imports numpy and scipy, and
 nothing imports it until an oracle runs: `verify` without --skip-oracle,
@@ -38,9 +39,9 @@ from .params import Channel, DomainError, PhysicalParams, channel_slots, spectra
 ORACLE_N_CAP = 10
 ORACLE_REL_TOL = 1e-10   # pass mark on the relative binding error
 
-_RHO0 = 1e-2             # where the outward series seed is summed
-_SERIES_TERMS = 20       # terms of that series, with room to spare: on the validated
-                         # domain the ninth is already below float64 rounding
+_RHO0 = 0.6              # where the outward series seed is summed (see _shoot)
+_SERIES_TERMS = 30       # terms of that series: on the validated domain 20 leave
+                         # errors of 1e-11 at rho = 0.6, 25 reach float64 rounding
 _INWARD_DECAY = 12.0     # the inward halves start this far beyond 2(n + s)
 _ASYMPTOTIC_TERMS = 16   # terms of the series seed summed there: 8 leave
                          # mismatch errors of 4e-8, 12 reach float64 rounding
@@ -78,6 +79,31 @@ def _nu_of_index(s, zeta, x):
     return zeta / (s + x + np.hypot(s + x, zeta))
 
 
+def _regular_seed(s, zeta, tau, nu, rho):
+    """The sums sum_k (a_k, b_k) rho^k, k < _SERIES_TERMS, of the regular
+    Frobenius solution rho^s sum_k (a_k, b_k) rho^k of the system at nu.
+    With zn = zeta nu and zi = zeta / nu, a_0 = 1 and
+
+        a_k = ((s + k - tau) b_{k-1} + zn a_{k-1}) / (k (2s + k)),
+        b_k = ((s + k + tau) a_{k-1} - zi b_{k-1}) / (k (2s + k)).
+
+    The order rho^s of the two equations gives two forms of b_0,
+    (s + tau) / zn and -zi / (s - tau), equal since s^2 = tau^2 - zeta^2.
+    Each is taken where its sum does not cancel: when tau < 0,
+    s + tau = -zeta^2 / (s - tau) is about -zeta^2 / (2 |tau|), and the
+    first form loses up to 1.3e-11 relative at Z = 1."""
+    zn, zi = zeta * nu, zeta / nu
+    a = np.ones_like(nu)
+    b = np.where(tau > 0, (s + tau) / zn, -zi / (s - tau))
+    f, g, power = a, b, 1.0
+    for k in range(1, _SERIES_TERMS):
+        a, b = (((s + k - tau) * b + zn * a) / (k * (2 * s + k)),
+                ((s + k + tau) * a - zi * b) / (k * (2 * s + k)))
+        power = power * rho
+        f, g = f + a * power, g + b * power
+    return f, g
+
+
 def _asymptotic_seed(zeta, tau, nu, rho):
     """The sums sum_k (a_k, b_k) rho^-k, k < _ASYMPTOTIC_TERMS, of the
     solution e^-rho rho^sigma sum_k (a_k, b_k) rho^-k of the system at nu
@@ -113,13 +139,20 @@ def _shoot(s, zeta, tau, n, nu):
     rho0 = _RHO0 and inward from rho_inf = 2 (n + s) + _INWARD_DECAY.
 
     The outward seed is the regular Frobenius solution
-    rho^s sum_k (a_k, b_k) rho^k of the same system at the trial nu,
-    summed to _SERIES_TERMS terms at rho0 (the positive factor rho0^s is
-    dropped: the mismatch is normalized). With zn = zeta nu and
-    zi = zeta / nu, a_0 = 1, b_0 = (s + tau) / zn and
-
-        a_k = ((s + k - tau) b_{k-1} + zn a_{k-1}) / (k (2s + k)),
-        b_k = ((s + k + tau) a_{k-1} - zi b_{k-1}) / (k (2s + k)).
+    rho^s sum_k (a_k, b_k) rho^k of the same system at the trial nu
+    (_regular_seed), summed at rho0 (the positive factor rho0^s is
+    dropped: the mismatch is normalized). An error in the seed is an
+    admixture of the irregular solution, which the outward run shrinks by
+    (rho0 / rho_match)^2s. From rho0 = 1e-2 that hid b_0 = (s + tau) / zn
+    losing 1.3e-11 to cancellation on tau < 0 channels; with b_0 taken
+    from the form that does not cancel and _SERIES_TERMS terms, the seed
+    solves the system to rounding at rho0 = 0.6, so it needs no damping.
+    The outward x-length falls from ln(100 (n + s + 1)) to
+    ln((n + s + 1) / 0.6), and a solve of the j <= 3/2, n <= 3 batch takes
+    some 910 RHS calls instead of 1410. A later start saves a few more
+    steps, but a root then moves more between solves with different lanes
+    (the step controller is shared): from rho0 = 0.7 on, some batches take
+    a sixth solve.
 
     The inward seed is the asymptotic series of the solution that decays
     as e^-rho at the same trial nu (_asymptotic_seed), summed to
@@ -158,15 +191,9 @@ def _shoot(s, zeta, tau, n, nu):
         y = y.reshape(2, -1)
         return (diag * y + (L * np.exp(x_start + L * t) + coupling) * y[::-1]).ravel()
 
-    # the series seed keeps the outward solution on the regular branch
-    a, b = np.ones(m), (s + tau) / zn
-    f, g, power = a, b, 1.0
-    for k in range(1, _SERIES_TERMS):
-        a, b = (((s + k - tau) * b + zn * a) / (k * (2 * s + k)),
-                ((s + k + tau) * a - zi * b) / (k * (2 * s + k)))
-        power *= _RHO0
-        f, g = f + a * power, g + b * power
-    # the asymptotic seed keeps the inward solution on the decaying branch
+    # the series seeds keep the outward solution on the regular branch and
+    # the inward one on the decaying branch
+    f, g = _regular_seed(s, zeta, tau, nu, _RHO0)
     fi, gi = _asymptotic_seed(zeta, tau, nu, rho_inf)
     y0 = np.concatenate((f, fi, g, gi))
     atol = np.tile(np.concatenate((np.full(m, 1e-14), np.full(m, 1e-300))), 2)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -153,6 +154,85 @@ def test_inward_seed_solves_the_system_to_its_first_omitted_term(monkeypatch):
     r1, r2, f, g = seed_residuals(zeta, tau, nu, rho_inf)
     scale = rho_inf * np.hypot(f, g)
     assert np.max(np.maximum(np.abs(r1), np.abs(r2)) / scale) <= 1e-13
+
+
+# -- the outward seed ----------------------------------------------------------------
+
+
+def exact(x):
+    """A Fraction in the current mpmath precision."""
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def regular_seed_residuals(levels, nu, rho):
+    """Both equations of the system, rho F' = -tau F + (rho + zeta nu) G and
+    rho G' = tau G + (rho - zeta/nu) F, on F = rho^s S_F and G = rho^s S_G
+    with (S_F, S_G) the outward seed's sums at rho, each divided by rho^s.
+    The seed is summed in 40-digit arithmetic on each channel's exact s,
+    zeta and tau, so the residual is its truncation alone: in float64 the
+    inputs miss s^2 = tau^2 - zeta^2 by a rounding, and terms that cancel
+    cost the sums up to 8e-14 at n = 10. S' is taken by a complex step.
+    Returns the larger residual over rho |(S_F, S_G)| of each level, and
+    the sums."""
+    def column(values):
+        return np.array(list(values), dtype=object)
+
+    with mp.workdps(40):
+        h = mp.mpf(10) ** -30
+        s = column(ch.s.embed(160) for ch, _ in levels)
+        zeta = column(exact(ch.zeta) for ch, _ in levels)
+        tau = column(exact(ch.tau) for ch, _ in levels)
+        nu = column(mp.mpf(x) for x in nu)
+        f, g = oracle._regular_seed(s, zeta, tau, nu, mp.mpc(rho, h))
+        df, dg = (column(v.imag / h for v in w) for w in (f, g))
+        f, g = (column(v.real for v in w) for w in (f, g))
+        r1 = rho * df + (s + tau) * f - (rho + zeta * nu) * g
+        r2 = rho * dg + (s - tau) * g - (rho - zeta / nu) * f
+        scale = column(rho * mp.hypot(a, b) for a, b in zip(f, g))
+        worst = column(max(abs(a), abs(b)) for a, b in zip(r1, r2)) / scale
+        return worst, f, g
+
+
+def test_outward_seed_solves_the_system_where_the_outward_half_starts(monkeypatch):
+    # levels n = 1, 5, 10 of the domain at three Z, each at a trial nu a
+    # third of the way into its bracket, off the closed-form value
+    levels = [(ch, n) for ch, n in domain_levels((1, 60, 118)) if n in (1, 5, 10)]
+    assert len(levels) == 72
+    s = np.array([float(ch.s.embed(64)) for ch, _ in levels])
+    zeta = np.array([float(ch.zeta) for ch, _ in levels])
+    n = np.array([float(k) for _, k in levels])
+    lo = oracle._nu_of_index(s, zeta, n + 0.5)
+    nu = lo + 0.3 * (oracle._nu_of_index(s, zeta, n - 0.5) - lo)
+    worst, f, g = regular_seed_residuals(levels, nu, oracle._RHO0)
+    assert max(worst) <= 1e-13
+    # one more term moves the sums by less than a float64 rounding, so
+    # _SERIES_TERMS terms are enough at _RHO0
+    monkeypatch.setattr(oracle, "_SERIES_TERMS", oracle._SERIES_TERMS + 1)
+    _, f_next, g_next = regular_seed_residuals(levels, nu, oracle._RHO0)
+    moved = [mp.hypot(a - c, b - d) / mp.hypot(c, d)
+             for a, b, c, d in zip(f_next, g_next, f, g)]
+    assert max(moved) <= 2.0 ** -53
+
+
+def test_outward_seed_first_coefficient_does_not_cancel():
+    # on a tau < 0 channel s + tau is about -zeta^2 / (2 |tau|), so summed
+    # from float64 s the form (s + tau) / (zeta nu) of b_0 keeps few digits
+    # at small Z; the seed's b_0 (its sums at rho = 0) must match that form
+    # summed from the channel's 200-bit s
+    channels = [ch for Z in (1, 2, 10)
+                for ch, _ in channel_slots(make_params(Z=Z), Fraction(7, 2), 0)
+                if ch.tau < 0]
+    assert len(channels) == 12
+    s = np.array([float(ch.s.embed(64)) for ch in channels])
+    zeta = np.array([float(ch.zeta) for ch in channels])
+    tau = np.array([float(ch.tau) for ch in channels])
+    nu = oracle._nu_of_index(s, zeta, np.zeros(len(channels)))
+    f, b0 = oracle._regular_seed(s, zeta, tau, nu, 0.0)
+    assert np.all(f == 1)
+    with mp.workprec(200):
+        want = [(ch.s.embed(200) + exact(ch.tau)) / (exact(ch.zeta) * mp.mpf(x))
+                for ch, x in zip(channels, nu.tolist())]
+        assert max(abs((b - w) / w) for b, w in zip(b0.tolist(), want)) <= 1e-15
 
 
 # -- the mismatch function against a reference ---------------------------------------
