@@ -28,9 +28,11 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
     n <= 3), one level alone (Z = 80, 5/2, -1, n = 3), the empty-slot
     control (Z = 1, 1/2, +1, n = 0) and the validated domain (the
     168-level batch of Z = 1 and 118, j <= 7/2, n <= 10). For each, the
-    solves it takes and the RHS calls per solve go under counts, from one
-    further call that counts the calls to the integrator; that call's
-    worst relative binding error on the domain goes there too.
+    solves it takes and the work per solve go under counts, from one
+    further call that counts the calls to the integrator: vectorized
+    recurrence terms of the Taylor stepper (terms_per_solve), or RHS
+    calls in a tree from before it (rhs_per_solve). That call's worst
+    relative binding error on the domain goes there too.
 
 The host is recorded (cores, Python, mpmath and its backend). Each worker
 times the median of benchmark/gauge.py's reference slice before and after
@@ -187,20 +189,23 @@ def oracle_rows() -> tuple:
         "domain": lambda: oracle.shooting_oracle_batch(domain),
     }
     seconds = {f"oracle.{name}": timed(fn) for name, fn in runs.items()}
-    counts, results, shoot, nfevs = {}, {}, oracle._shoot, []
+    counts, results, shoot, work = {}, {}, oracle._shoot, []
+    # what a solve counts: recurrence terms summed by the Taylor stepper,
+    # or, in a tree from before it, DOP853's RHS calls
+    unit = "terms" if hasattr(oracle, "_taylor_steps") else "rhs"
 
     def counted(*lanes):
-        mismatch, nfev = shoot(*lanes)
-        nfevs.append(nfev)
-        return mismatch, nfev
+        mismatch, done = shoot(*lanes)
+        work.append(done)
+        return mismatch, done
 
     oracle._shoot = counted
     try:
         for name, fn in runs.items():
-            nfevs.clear()
+            work.clear()
             results[name] = fn()
-            counts[f"oracle.{name}.solves"] = len(nfevs)
-            counts[f"oracle.{name}.rhs_per_solve"] = sum(nfevs) / len(nfevs)
+            counts[f"oracle.{name}.solves"] = len(work)
+            counts[f"oracle.{name}.{unit}_per_solve"] = sum(work) / len(work)
     finally:
         oracle._shoot = shoot
     counts["oracle.domain.worst_rel_error"] = max(

@@ -265,7 +265,7 @@ def run_state(ns) -> int:
 
 def run_verify(ns) -> int:
     if not ns.skip_oracle:
-        # the oracle brings numpy and scipy; only this path loads them
+        # the oracle brings numpy; only this path loads it
         from . import oracle
     runs = []
     ok = True

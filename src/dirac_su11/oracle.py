@@ -4,35 +4,30 @@ The oracle knows nothing of ladders or Laguerre polynomials: it reads a
 channel's s, zeta and tau as floats, integrates the first-order radial
 system from both ends and finds the scaled momentum nu at which the two
 halves match. The outward half starts at rho = 0.6 from the regular
-Frobenius series of the system at the trial nu, summed there to float64
-rounding (its first coefficient from the form of the indicial equation
-that does not cancel), and the inward half 12 units beyond 2(n + s), the
-outer classical turning point, from the asymptotic series of the
-decaying solution at the trial nu, so neither half integrates a stretch
-the match does not need. It runs any number of levels, and many trial
-values of nu per level, in lock-step: every (level, nu) lane's outward
-and inward half is one block of a single stacked DOP853 system (Hairer,
-Norsett & Wanner, Solving ODEs I). Since scipy's per-step overhead
-dominates, a solve of 224 lanes costs less than twice one of 14, so each
-round samples every live bracket at many points at once: evenly at
-first, then about an inverse cubic estimate of the root. The 14 levels
-of j <= 3/2, n <= 3 take four or five solves. Its eigenvalues confirm the
-closed-form spectrum to near machine accuracy (the binding energy is
-compared, since the total energy is dominated by the rest term c^2).
+Frobenius series at the trial nu, the inward half 12 units beyond the
+outer turning point 2(n + s) from the asymptotic series of the decaying
+solution, each summed to float64 rounding, and both are carried to the
+match by Taylor series in rho (Corliss & Chang, ACM TOMS 8 (1982) 114).
+Any number of (level, nu) lanes run in lock-step, and a lane's result
+does not depend on the other lanes. A solve costs mostly numpy's
+per-call overhead, so each round samples every live bracket at many
+points at once: evenly at first, then about an inverse cubic estimate of
+the root. The 14 levels of j <= 3/2, n <= 3 take four or five solves.
+Its eigenvalues confirm the closed-form spectrum to near machine accuracy
+(the binding energy is compared, since the total energy is dominated by
+the rest term c^2).
 
-This is the only module of the package that imports numpy and scipy, and
-nothing imports it until an oracle runs: `verify` without --skip-oracle,
-or a first use of one of its names through `verify` or the package.
+This is the only module of the package that imports numpy, and nothing
+imports it until an oracle runs: `verify` without --skip-oracle, or a
+first use of one of its names through `verify` or the package.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .params import Channel, DomainError, PhysicalParams, channel_slots, spectral_point
 
@@ -45,6 +40,8 @@ _SERIES_TERMS = 30       # terms of that series: on the validated domain 20 leav
 _INWARD_DECAY = 12.0     # the inward halves start this far beyond 2(n + s)
 _ASYMPTOTIC_TERMS = 16   # terms of the series seed summed there: 8 leave
                          # mismatch errors of 4e-8, 12 reach float64 rounding
+_STEP_FRACTION, _STEP_MAX = 0.25, 2.0   # Taylor steps: |h| <= rc/4, |h| <= 2
+_TERM_TOL, _TERM_CAP = 2.0 ** -60, 60    # series end, term cap; the domain needs 34
 _XTOL, _RTOL = 1e-300, 8.9e-16   # converged bracket width, as brentq's
 _ROUND_CAP = 100         # root-finding rounds after the first solve; levels need 2-4
 _SAMPLES = 16            # trial nu per live level in each solve
@@ -71,7 +68,7 @@ class OracleResult:
     binding_oracle: float
     nu_oracle: float
     bracket: tuple
-    steps: int
+    steps: int           # vectorized recurrence terms of its solves
     mismatch: float
 
 
@@ -131,82 +128,87 @@ def _asymptotic_seed(zeta, tau, nu, rho):
     return f, g
 
 
+def _taylor_steps(f, g, rho0, rho1, zn, zi, tau):
+    """(F, G) at rho1 of the solution of rho F' = -tau F + (rho + zn) G,
+    rho G' = tau G + (rho - zi) F with (F, G) = (f, g) at rho0, and the
+    number of terms summed; every argument has one entry per lane.
+
+    Each lane steps geometrically from rho0 to rho1, in as few steps as
+    keep every step h from its centre rc within |h| <= rc/4, so that the
+    one singular point rho = 0 lies four steps away and the parts
+    rho^(+-s) converge at least as 4^-k, and within |h| <= 2, which bounds
+    the entire part's terms, |h|^k / k!, and their cancellation. With
+    u = h / rc, (p_0, q_0) = (F, G)(rc) and p_{-1} = q_{-1} = 0,
+
+        p_{k+1} = u ((-tau - k) p_k + (rc + zn) q_k + h q_{k-1}) / (k + 1),
+        q_{k+1} = u ((tau - k) q_k + (rc - zi) p_k + h p_{k-1}) / (k + 1)
+
+    are the Taylor coefficients in t = (rho - rc) / h, and (F, G)(rc + h) =
+    sum_k (p_k, q_k). Checked every other term, a lane's series ends once
+    its last two terms are below _TERM_TOL of its sums, and its later terms
+    are zeroed; a lane with fewer steps takes steps of length 0 at rho1,
+    which add exact zeros. So no lane's result depends on the others. A
+    series that is not done in _TERM_CAP terms raises AssertionError."""
+    span = np.log(rho1 / rho0)
+    # |h| / rc <= 1 - exp(-|log step|) for the widest step (ending at rho1
+    # outward, starting at rho0 inward), and |h| <= rc/4 if that is <= 1/5
+    shrink = np.minimum(_STEP_FRACTION / (1 + _STEP_FRACTION),
+                        _STEP_MAX / np.maximum(rho0, rho1))
+    steps = np.ceil(np.abs(span) / -np.log1p(-shrink)).astype(int)
+    i = np.minimum(np.arange(steps.max() + 1)[:, None], steps)
+    rho = np.where(i == steps, rho1, rho0 * np.exp(span / steps * i))
+    y, sign, terms = np.stack((f, g)), np.stack((-tau, tau)), 0
+    for rc, h in zip(rho[:-1], np.diff(rho, axis=0)):
+        # rows p and q; reversing the rows swaps them
+        u = h / rc
+        diag, coupling, uh = u * sign, u * np.stack((rc + zn, rc - zi)), u * h
+        prev, term, total = np.zeros_like(y), y, y.copy()
+        for k in range(_TERM_CAP):
+            prev, term = term, ((diag - k * u) * term + coupling * term[::-1]
+                                + uh * prev[::-1]) / (k + 1)
+            total += term
+            if k % 2:
+                live = (np.abs(term) + np.abs(prev)).sum(0) > _TERM_TOL * np.abs(total).sum(0)
+                if not live.any():
+                    break
+                term, prev = term * live, prev * live
+        else:
+            raise AssertionError(f"oracle Taylor series did not converge in {_TERM_CAP} terms")
+        terms += k + 1
+        y = total
+    return y[0], y[1], terms
+
+
 def _shoot(s, zeta, tau, n, nu):
-    """Wronskian mismatch of m (level, nu) pairs from one DOP853 solve.
+    """Wronskian mismatch of m (level, nu) pairs from one solve, and the
+    number of vectorized recurrence terms it summed.
 
-    Every argument is a float array of length m. Each pair integrates
-    (F, G) in x = ln rho to rho_match = n + s + 1, outward from
-    rho0 = _RHO0 and inward from rho_inf = 2 (n + s) + _INWARD_DECAY.
+    Every argument is a float array of length m. One _taylor_steps call
+    carries both halves of every pair to rho_match = n + s + 1: outward
+    from rho0 = _RHO0 and the regular Frobenius solution at the trial nu
+    (_regular_seed), inward from rho_inf = 2 (n + s) + _INWARD_DECAY and
+    the solution that decays as e^-rho (_asymptotic_seed), each without
+    its positive factor (rho0^s, e^-rho rho^sigma): the mismatch is
+    normalized.
 
-    The outward seed is the regular Frobenius solution
-    rho^s sum_k (a_k, b_k) rho^k of the same system at the trial nu
-    (_regular_seed), summed at rho0 (the positive factor rho0^s is
-    dropped: the mismatch is normalized). An error in the seed is an
-    admixture of the irregular solution, which the outward run shrinks by
-    (rho0 / rho_match)^2s. From rho0 = 1e-2 that hid b_0 = (s + tau) / zn
-    losing 1.3e-11 to cancellation on tau < 0 channels; with b_0 taken
-    from the form that does not cancel and _SERIES_TERMS terms, the seed
-    solves the system to rounding at rho0 = 0.6, so it needs no damping.
-    The outward x-length falls from ln(100 (n + s + 1)) to
-    ln((n + s + 1) / 0.6), and a solve of the j <= 3/2, n <= 3 batch takes
-    some 910 RHS calls instead of 1410. A later start saves a few more
-    steps, but a root then moves more between solves with different lanes
-    (the step controller is shared): from rho0 = 0.7 on, some batches take
-    a sixth solve.
-
-    The inward seed is the asymptotic series of the solution that decays
-    as e^-rho at the same trial nu (_asymptotic_seed), summed to
-    _ASYMPTOTIC_TERMS terms at rho_inf (the positive factor
-    e^-rho rho^sigma is dropped). At large rho the system gives
-    F'' = (1 - zeta (1/nu - nu) / rho) F up to O(rho^-2) terms, and
-    zeta (1/nu - nu) = 2 (n + s) at the closed-form nu, so the outer
-    turning point lies near 2 (n + s) and rho_inf a fixed distance beyond.
-    Any part of the growing solution that the seed carries shrinks by
-    e^-2d over d units of forbidden region. The leading term (1, -1) alone
-    is wrong at O(1/rho), which takes some 28 units to damp to float64
-    rounding; the summed seed solves the system to float64 rounding at
-    rho_inf, so 12 units suffice. They cost about 1% more RHS calls than
-    8 units, and from 12 units on the result no longer depends on whether
-    12 or 16 terms are summed: at 8 units, 12 terms are 2.6e-13 off an
-    independent integration.
-
-    Only s, zeta, tau and nu enter. Each half's x-interval is mapped onto t
-    in [0, 1] with dx/dt = L, its signed length, so all halves end at
-    t = 1. The state is [f_out, f_in, g_out, g_in], m components each; the
-    inward halves get atol 1e-300, that is pure relative error control.
-    Returns the mismatches and the solve's RHS count.
+    An error in the outward seed is an admixture of the irregular
+    solution, which the outward run shrinks only by (rho0/rho_match)^2s,
+    so the seed is summed to rounding at rho0. Past the outer turning
+    point 2 (n + s), any part of the growing solution in the inward seed
+    shrinks by e^-2d over d units: (1, -1) alone, wrong at O(1/rho),
+    would need some 28 units; the summed seed is exact to rounding at
+    rho_inf, and from 12 units on 12 and 16 terms give the same result.
     """
     m = len(nu)
     rho_inf = 2.0 * (n + s) + _INWARD_DECAY
-    x_start = np.concatenate((np.full(m, math.log(_RHO0)), np.log(rho_inf)))
-    L = np.tile(np.log(n + s + 1.0), 2) - x_start
-    zn, zi = zeta * nu, zeta / nu
-    # rows f and g of the state, each [outward, inward]
-    diag = L * np.stack((np.tile(-tau, 2), np.tile(tau, 2)))
-    coupling = L * np.stack((np.tile(zn, 2), np.tile(-zi, 2)))
-
-    def rhs(t, y):
-        # dF/dx = -tau F + (rho + zeta nu) G,  dG/dx = tau G + (rho - zeta/nu) F;
-        # f and g share rho, and reversing the rows swaps f and g
-        y = y.reshape(2, -1)
-        return (diag * y + (L * np.exp(x_start + L * t) + coupling) * y[::-1]).ravel()
-
-    # the series seeds keep the outward solution on the regular branch and
-    # the inward one on the decaying branch
     f, g = _regular_seed(s, zeta, tau, nu, _RHO0)
     fi, gi = _asymptotic_seed(zeta, tau, nu, rho_inf)
-    y0 = np.concatenate((f, fi, g, gi))
-    atol = np.tile(np.concatenate((np.full(m, 1e-14), np.full(m, 1e-300))), 2)
-    # the stepper solve_ivp drives, driven here without keeping the history
-    # of every step: a wide solve would hold megabytes of it
-    solver = DOP853(rhs, 0.0, y0, 1.0, rtol=1e-13, atol=atol)
-    message = None
-    while solver.status == "running":
-        message = solver.step()
-    if solver.status != "finished":
-        raise AssertionError(f"oracle integration failed: {message}")
-    fo, fi, go, gi = solver.y.reshape(4, m)
-    return (fo * gi - fi * go) / (np.hypot(fo, go) * np.hypot(fi, gi)), solver.nfev
+    F, G, terms = _taylor_steps(
+        np.concatenate((f, fi)), np.concatenate((g, gi)),
+        np.concatenate((np.full(m, _RHO0), rho_inf)), np.tile(n + s + 1.0, 2),
+        np.tile(zeta * nu, 2), np.tile(zeta / nu, 2), np.tile(tau, 2))
+    fo, fi, go, gi = F[:m], F[m:], G[:m], G[m:]
+    return (fo * gi - fi * go) / (np.hypot(fo, go) * np.hypot(fi, gi)), terms
 
 
 def _root_estimate(x, m, i, a, b, fa, fb):
@@ -233,14 +235,13 @@ def _root_estimate(x, m, i, a, b, fa, fb):
 def shooting_oracle_batch(levels) -> list:
     """Two-sided float64 shooting for a list of (channel, n) levels at once.
 
-    Every level is integrated in one stacked DOP853 system (see _shoot), so
-    the levels share one step controller, and every trial nu of every live
-    level goes into the same solve. The root of each level's normalized
-    Wronskian mismatch in nu is bracketed by the closed-form values at the
-    half-integer indices n -+ 1/2. The first solve samples each bracket at
-    _SAMPLES evenly spaced points, ends included; a level with no sign
-    change between its ends (no bound state at the slot) raises
-    BracketingError naming every empty slot before any root finding.
+    Every trial nu of every live level goes into the same solve (see
+    _shoot). The root of each level's normalized Wronskian mismatch in nu
+    is bracketed by the closed-form values at the half-integer indices
+    n -+ 1/2. The first solve samples each bracket at _SAMPLES evenly
+    spaced points, ends included; a level with no sign change between its
+    ends (no bound state at the slot) raises BracketingError naming every
+    empty slot before any root finding.
 
     Then, for every live level, the narrowest adjacent pair of samples whose
     mismatch changes sign (zero counts as positive) is kept. A level is
@@ -253,11 +254,11 @@ def shooting_oracle_batch(levels) -> list:
     geometrically from 3h out to the ends of the pair. Each pair between
     -3h and 3h is 2h wide, under a tolerance, so a root within 3h (about
     a tolerance) of the estimate closes that round, however wide the pair.
-    That margin is needed: the mismatch at one nu differs by about 2e-14
-    between solves with different lanes, since DOP853's error norm spans
-    every lane, so the root moves by a few tolerances from one solve to
-    the next. A level's ``steps`` counts the RHS evaluations of the solves
-    it took part in, and ``mismatch`` is that of its nu.
+    A lane's mismatch does not depend on the other lanes of its solve (alone
+    and together at the 14 closed-form nu of Z = 40, it differs by 0.0), so
+    a level's root is the same alone as in a batch. ``steps`` counts the
+    vectorized recurrence terms of the solves a level took part in, and
+    ``mismatch`` is that of its nu.
     """
     for _, index in levels:
         if not isinstance(index, int) or index < 0:

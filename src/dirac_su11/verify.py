@@ -17,9 +17,8 @@ system in the (plus, minus) basis, so they are read off its rows as
 polynomials: row_f = lower - raise and row_g = lower + raise, that is
 lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
 
-The float64 shooting oracle lives in `oracle`, which alone imports numpy
-and scipy. Its public names still resolve here; the first use of one
-imports it.
+The float64 shooting oracle lives in `oracle`, which alone imports numpy.
+Its public names still resolve here; the first use of one imports it.
 """
 
 from __future__ import annotations

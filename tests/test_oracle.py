@@ -1,6 +1,8 @@
 """The shooting oracle: its boundary (loaded only when it runs, reached by
-its old names), its accuracy over the whole validated domain, and its
-mismatch function against an independent reference integration."""
+its old names), its accuracy over the whole validated domain, its seeds,
+its Taylor stepper against the regular series and on steps it must
+refuse, and its mismatch function against an independent reference
+integration (scipy's solve_ivp, the one use of scipy)."""
 
 import json
 import math
@@ -14,7 +16,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import dirac_su11
-from dirac_su11 import oracle, verify
+from dirac_su11 import cli, oracle, verify
 from dirac_su11.params import channel_slots, make_params
 
 REEXPORTED = ("BracketingError", "OracleResult", "shooting_oracle",
@@ -75,7 +77,7 @@ def test_numpy_and_scipy_load_only_with_the_oracle():
     assert report["codes"] == [0] * 5
     assert report["after_exact_commands"] == []
     assert report["oracle_code"] == 0
-    assert report["after_oracle"] == ["dirac_su11.oracle", "numpy", "scipy"]
+    assert report["after_oracle"] == ["dirac_su11.oracle", "numpy"]
 
 
 # -- the validated domain ---------------------------------------------------------
@@ -233,6 +235,99 @@ def test_outward_seed_first_coefficient_does_not_cancel():
         want = [(ch.s.embed(200) + exact(ch.tau)) / (exact(ch.zeta) * mp.mpf(x))
                 for ch, x in zip(channels, nu.tolist())]
         assert max(abs((b - w) / w) for b, w in zip(b0.tolist(), want)) <= 1e-15
+
+
+# -- the Taylor stepper --------------------------------------------------------------
+
+
+def float_lanes(levels):
+    """s, zeta, tau and n of each level as float arrays."""
+    return (np.array([float(ch.s.embed(64)) for ch, _ in levels]),
+            np.array([float(ch.zeta) for ch, _ in levels]),
+            np.array([float(ch.tau) for ch, _ in levels]),
+            np.array([float(k) for _, k in levels]))
+
+
+def sweep_lanes(Z):
+    """The 14 bound levels of j <= 3/2, n <= 3 at Z, as float arrays."""
+    return float_lanes([(ch, n) for ch, n in channel_slots(make_params(Z=Z), Fraction(3, 2), 3)
+                        if ch.is_bound(n)])
+
+
+def test_outward_steps_match_the_regular_series_at_the_match_point(monkeypatch):
+    # the regular solution is rho^s times an entire series, so that series
+    # summed at rho_match in 40 digits, on each channel's exact s, zeta and
+    # tau, is a reference for the outward half; the same 72 levels and
+    # trial nu as the seed tests. The steps start from the 40-digit sums at
+    # _RHO0 rounded to float64, so only the stepper is measured: the
+    # float64 seed's own sums are off by up to 8e-14 at n = 10
+    levels = [(ch, n) for ch, n in domain_levels((1, 60, 118)) if n in (1, 5, 10)]
+    assert len(levels) == 72
+    s, zeta, tau, n = float_lanes(levels)
+    lo = oracle._nu_of_index(s, zeta, n + 0.5)
+    nu = lo + 0.3 * (oracle._nu_of_index(s, zeta, n - 0.5) - lo)
+    # at rho_match <= 15 the sums settle to 40 digits well before 200 terms
+    monkeypatch.setattr(oracle, "_SERIES_TERMS", 200)
+    with mp.workdps(40):
+        def column(values):
+            return np.array(list(values), dtype=object)
+
+        s_mp = column(ch.s.embed(160) for ch, _ in levels)
+        exact_lanes = (s_mp, column(exact(ch.zeta) for ch, _ in levels),
+                       column(exact(ch.tau) for ch, _ in levels),
+                       column(mp.mpf(x) for x in nu.tolist()))
+        f0, g0 = oracle._regular_seed(*exact_lanes, mp.mpf(oracle._RHO0))
+        rho_match = column(k + x + 1 for k, x in zip(n.tolist(), s_mp))
+        fr, gr = oracle._regular_seed(*exact_lanes, rho_match)
+        # both sums drop the factor rho^s
+        scale = column((r / oracle._RHO0) ** x for r, x in zip(rho_match, s_mp))
+        fr, gr = fr * scale, gr * scale
+    f0, g0 = (np.array([float(x) for x in v]) for v in (f0, g0))
+    F, G, terms = oracle._taylor_steps(f0, g0, np.full(len(levels), oracle._RHO0),
+                                       n + s + 1.0, zeta * nu, zeta / nu, tau)
+    assert terms > 0
+    worst = max(mp.hypot(a - c, b - d) / mp.hypot(c, d)
+                for a, b, c, d in zip(F.tolist(), G.tolist(), fr, gr))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("fraction, rho1", [(1.5, 1.2), (3.0, 1.8)])
+def test_a_step_past_the_radius_raises(monkeypatch, fraction, rho1):
+    # with |h| <= 3/2 rc or 3 rc allowed, 0.6 -> rho1 is one step of
+    # h = rc or 2 rc: the singular point rho = 0 lies on or inside the
+    # series' circle, and the stepper must raise, not return
+    s, zeta, tau, n = sweep_lanes(40)
+    nu = oracle._nu_of_index(s, zeta, n)
+    monkeypatch.setattr(oracle, "_STEP_FRACTION", fraction)
+    ones = np.ones(len(nu))
+    with pytest.raises(AssertionError, match="did not converge in 60 terms"):
+        oracle._taylor_steps(ones, 0 * ones, 0.6 * ones, rho1 * ones, zeta * nu, zeta / nu, tau)
+
+
+def test_a_capped_series_raises(monkeypatch, capsys):
+    # four terms leave every series far from done: the oracle raises, and
+    # verify exits 3 instead of printing an unconverged level
+    monkeypatch.setattr(oracle, "_TERM_CAP", 4)
+    ch, n = domain_levels((1,))[0]
+    with pytest.raises(AssertionError, match="did not converge in 4 terms"):
+        oracle.shooting_oracle(ch, n)
+    assert cli.main(["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "1"]) == 3
+    assert "did not converge in 4 terms" in capsys.readouterr().err
+
+
+def test_a_lane_does_not_depend_on_the_others():
+    # the 28 levels of j <= 3/2, n <= 3 at Z = 1 and 118, each at 8 trial
+    # nu a few tolerances about its closed-form root, where the mismatch is
+    # near zero and a trace of a longer series would show; each level shot
+    # alone and inside the 224-lane solve gives the same mismatches,
+    # although its lanes take other step and term counts than the solve's
+    s, zeta, tau, n = (np.concatenate(v) for v in zip(sweep_lanes(1), sweep_lanes(118)))
+    nu = oracle._nu_of_index(s, zeta, n)[:, None] * (1 + 2e-15 * np.arange(-4, 4))
+    together, _ = oracle._shoot(*(v.repeat(8) for v in (s, zeta, tau, n)), nu.ravel())
+    assert together.size == 224
+    for i, row in enumerate(together.reshape(nu.shape)):
+        alone, _ = oracle._shoot(*(np.full(8, v[i]) for v in (s, zeta, tau, n)), nu[i])
+        assert np.array_equal(alone, row), i
 
 
 # -- the mismatch function against a reference ---------------------------------------
