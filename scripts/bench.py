@@ -17,9 +17,12 @@ the spread.
 Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
   - every stage of `state` at n = 20, 40 and 64: climb, assemble,
     normalize, the normalization check, sample (400 points), the node
-    count, the Laguerre report, and the whole command in process;
-  - the Gram block of `verify --Z 57 --j-max 5/2 --n-max 5`: the Gram
-    matrices of its six channels, and the whole report;
+    count, the Laguerre report with its printed dict, and the whole
+    command in process;
+  - on the grid of `verify --Z 57 --j-max 5/2 --n-max 5`: the radial
+    rows of every rung on shell (`_window_rows`) and of every physical
+    rung n >= 1 detuned (`detuned_first_order`), the Gram matrices of its
+    six channels, and the whole report;
   - the cheap commands in process, at Z = 57: `spectrum --N-max 1..4`,
     `jl` and `limit`;
   - the embedding edge: `embed_fraction(c^2)`, `s.embed(256)` and
@@ -28,11 +31,10 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
     n <= 3), one level alone (Z = 80, 5/2, -1, n = 3), the empty-slot
     control (Z = 1, 1/2, +1, n = 0) and the validated domain (the
     168-level batch of Z = 1 and 118, j <= 7/2, n <= 10). For each, the
-    solves it takes and the work per solve go under counts, from one
-    further call that counts the calls to the integrator: vectorized
-    recurrence terms of the Taylor stepper (terms_per_solve), or RHS
-    calls in a tree from before it (rhs_per_solve). That call's worst
-    relative binding error on the domain goes there too.
+    solves it takes and the vectorized recurrence terms per solve go under
+    counts, from one further call that counts the calls to the Taylor
+    stepper. That call's worst relative binding error on the domain goes
+    there too.
 
 The host is recorded (cores, Python, mpmath and its backend). Each worker
 times the median of benchmark/gauge.py's reference slice before and after
@@ -43,7 +45,6 @@ seconds over that round's reference.
 from __future__ import annotations
 
 import argparse
-import inspect
 import io
 import json
 import os
@@ -100,24 +101,17 @@ def state_rows(n: int) -> dict:
     state = ladder.build_state(ch, n, prec)
     raw = wf.assemble(state)
     pair = wf.normalize(raw)
-    if hasattr(wf, "orthogonality_exact"):
-        check = lambda: wf.orthogonality_exact(state)          # noqa: E731
-    else:   # a tree whose check re-sums the moments normalize stored
-        check = lambda: wf.norm_integral(pair)                 # noqa: E731
-    if len(inspect.signature(wf.laguerre_cross_check).parameters) > 1:
-        laguerre = lambda: wf.laguerre_cross_check(state, pair.level)   # noqa: E731
-    else:
-        laguerre = lambda: wf.laguerre_cross_check(state)               # noqa: E731
     argv = ["state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", str(n),
             "--format", "json"]
     stages = {
         "climb": lambda: ladder.build_state(ch, n, prec),
         "assemble": lambda: wf.assemble(state),
         "normalize": lambda: wf.normalize(raw),
-        "normalization_check": check,
+        "normalization_check": lambda: wf.orthogonality_exact(state),
         "sample": lambda: wf.sample(pair, 400),
         "count_f_nodes": lambda: wf.count_f_nodes(pair),
-        "laguerre_cross_check": laguerre,
+        # the report embeds nothing; the dict that prints it does
+        "laguerre_cross_check": lambda: wf.report_to_dict(wf.laguerre_cross_check(state), prec),
         "command": lambda: quiet_command(argv),
     }
     return {f"state_n{n}.{name}": timed(fn) for name, fn in stages.items()}
@@ -126,20 +120,28 @@ def state_rows(n: int) -> dict:
 def verify_rows() -> dict:
     from dirac_su11 import verify
     from dirac_su11.ladder import climb
-    from dirac_su11.params import channel_grid, make_params
+    from dirac_su11.params import channel_grid, exact_w, make_params
     params = make_params(Z=57)
     prec, n_max = 256, 5
     climbs = [climb(ch, n_max, prec) for ch in channel_grid(params, Fraction(5, 2))]
-    takes_precision = len(inspect.signature(verify._gram_matrix).parameters) > 2
+    rungs = [state for states in climbs for state in states]
+
+    def window_rows():
+        for state in rungs:
+            verify._window_rows(state, exact_w(state.channel, state.n))
+
+    def detuned():
+        for state in rungs:
+            if state.is_physical and state.n >= 1:
+                verify.detuned_first_order(state)
 
     def gram_block():
-        for rungs in climbs:
-            if takes_precision:
-                verify._gram_matrix(rungs, range(n_max + 1), prec)
-            else:
-                verify._gram_matrix(rungs, range(n_max + 1))
+        for states in climbs:
+            verify._gram_matrix(states, range(n_max + 1))
 
     return {
+        "verify_Z57.window_rows": timed(window_rows),
+        "verify_Z57.detuned": timed(detuned),
         "verify_Z57.gram_block": timed(gram_block),
         "verify_Z57.report": timed(lambda: verify.verification_report(
             params, Fraction(5, 2), n_max, prec)),
@@ -190,9 +192,6 @@ def oracle_rows() -> tuple:
     }
     seconds = {f"oracle.{name}": timed(fn) for name, fn in runs.items()}
     counts, results, shoot, work = {}, {}, oracle._shoot, []
-    # what a solve counts: recurrence terms summed by the Taylor stepper,
-    # or, in a tree from before it, DOP853's RHS calls
-    unit = "terms" if hasattr(oracle, "_taylor_steps") else "rhs"
 
     def counted(*lanes):
         mismatch, done = shoot(*lanes)
@@ -205,7 +204,7 @@ def oracle_rows() -> tuple:
             work.clear()
             results[name] = fn()
             counts[f"oracle.{name}.solves"] = len(work)
-            counts[f"oracle.{name}.{unit}_per_solve"] = sum(work) / len(work)
+            counts[f"oracle.{name}.terms_per_solve"] = sum(work) / len(work)
     finally:
         oracle._shoot = shoot
     counts["oracle.domain.worst_rel_error"] = max(

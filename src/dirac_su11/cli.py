@@ -89,19 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="bound levels over a channel grid")
     common(p, run_spectrum)
-    # --N-max replaces the (j, n) grid, so it excludes --j-max and --n-max,
-    # which go together; argparse has no public call to put one option in
-    # two exclusive groups. It counts an option as given only when its value
-    # `is not` the default, and int("5") is the cached 5: so the grid
-    # defaults are None here and filled in by _spectrum_rows
-    by_j = p.add_mutually_exclusive_group()
-    shells = by_j.add_argument("--N-max", dest="N_max", type=int, default=None,
-                               help="enumerate whole shells N <= N-max instead "
-                                    "of the (j, n) grid; N = j + 1/2 + n")
-    by_j.add_argument("--j-max", type=_fraction, default=None)
-    by_n = p.add_mutually_exclusive_group()
-    by_n._group_actions.append(shells)
-    by_n.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--N-max", dest="N_max", type=int, default=None,
+                   help="enumerate whole shells N <= N-max instead of the (j, n) "
+                        "grid (--j-max, --n-max); N = j + 1/2 + n")
+    p.add_argument("--j-max", type=_fraction, default=None)
+    p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("state", help="assemble and sample one radial state")
@@ -119,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Z", type=int, action="append", dest="z_list", default=None,
                    help="repeatable; default 1 and 80")
     p.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--n-max", type=int, default=5,
+                   help="highest rung; the Gram block stops at 5 and the "
+                        "oracle at its validated cap, 10")
     p.add_argument("--skip-oracle", action="store_true",
                    help="exact residuals only, skip the float64 shooting oracle")
     p.add_argument("--inject-off-shell", action="store_true",
@@ -173,6 +167,9 @@ _SPECTRUM_FIELDS = ("N", "j", "eps", "n", "label", "E", "binding", "quantum_defe
 
 
 def _spectrum_rows(ns):
+    # the grid defaults are None, so a grid option is given iff it is set
+    if ns.N_max is not None and (ns.j_max is not None or ns.n_max is not None):
+        raise DomainError("--j-max and --n-max are not allowed with --N-max")
     params = make_params(ns.c, ns.Z)
     if ns.N_max is not None:
         if ns.N_max < 1:

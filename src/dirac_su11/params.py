@@ -285,3 +285,16 @@ def nonrelativistic_limit_table(
 def mp_str(x: mp.mpf, precision: int) -> str:
     """Deterministic decimal form carrying the full precision."""
     return mp.nstr(x, prec_to_dps(precision), strip_zeros=True)
+
+
+def max_abs_embedded(elements, precision: int) -> mp.mpf:
+    """The largest |x| over field elements, embedded at precision + _GUARD
+    and rounded once to precision. A decided zero is never embedded, so
+    all-zero elements give 0 without touching mpmath's embedding."""
+    nonzero = [x for x in elements if not x.is_zero]
+    if not nonzero:
+        return mp.mpf(0)
+    with mp.workprec(precision + _GUARD):
+        mx = max(abs(x.embed(precision + _GUARD)) for x in nonzero)
+    with mp.workprec(precision):
+        return +mx

@@ -8,7 +8,8 @@ needs the float scales sqrt(c^2 +- E). The identities
     zeta / nu = w + s + n,      zeta nu = w - s - n,      w^2 = tau^2 + n(n+2s)
 
 replace every energy-dependent coefficient by an element of Q(s)[w]; a
-detuned w (off shell) must and does leave a nonzero residual.
+detuned w (off shell) must and does leave a nonzero residual. A report
+holds only its exact row; `params.max_abs_embedded` embeds what is printed.
 
 The first-order system is transcribed once, in _system_rows, on the pair
 (f, g) = (minus + plus, minus - plus) of the window halves
@@ -27,18 +28,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
 
-import mpmath as mp
-
 from . import params  # params.DETUNE is read at call time
 from .params import (
     DEFAULT_PRECISION,
-    _GUARD,
     SCHEMA_TAG,
     Channel,
     DomainError,
     PhysicalParams,
     channel_slots,
     exact_w,
+    max_abs_embedded,  # by name: verification_report's argument shadows params
     mp_str,
     tower_w2,
 )
@@ -67,31 +66,15 @@ def __getattr__(name):
 
 @dataclass(frozen=True, slots=True)
 class ResidualReport:
-    """One residual row, exact in the tower; its magnitude is embedded only
-    when read."""
+    """One residual row, exact in the tower; only the report that prints it
+    embeds its magnitude (`params.max_abs_embedded`)."""
 
     which: str
     residual_poly: QsPolynomial
-    precision: int
 
     @property
     def is_exact_zero(self) -> bool:
         return self.residual_poly.is_zero
-
-    @property
-    def max_abs_embedded(self) -> mp.mpf:
-        """The largest |coefficient| of the row at the report's precision."""
-        if self.is_exact_zero:
-            return mp.mpf(0)
-        prec = self.precision
-        with mp.workprec(prec + _GUARD):
-            mx = max(abs(c.embed(prec + _GUARD)) for c in self.residual_poly.coeffs)
-        with mp.workprec(prec):
-            return +mx
-
-    def __str__(self) -> str:
-        tag = "exact 0" if self.is_exact_zero else f"nonzero ({mp.nstr(self.max_abs_embedded, 5)})"
-        return f"[{self.which}] {tag}"
 
 
 def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
@@ -119,23 +102,22 @@ def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
     return row_f, row_g
 
 
-def _reports(tags, rows, precision: int) -> tuple:
-    return tuple(ResidualReport(tag, row, precision) for tag, row in zip(tags, rows))
+def _reports(tags, rows) -> tuple:
+    return tuple(ResidualReport(tag, row) for tag, row in zip(tags, rows))
 
 
 def first_order_residual(pair: RadialPair):
     """Both rows of the coupled system on a radial pair; exact zeros."""
     ch, n = pair.channel, pair.n
     rows = _system_rows(ch, n, pair.f_poly, pair.g_poly, exact_w(ch, n))
-    return _reports(("radial-row-f", "radial-row-g"), rows, pair.state.precision)
+    return _reports(("radial-row-f", "radial-row-g"), rows)
 
 
 def _window_rows(state: LadderState, w: Quadratic, suffix: str = ""):
     """The radial reports of the state's window lifted to w, with w^2 = w.d."""
     f, g = radial_parts(*tower_window(state, w))
     rows = _system_rows(state.channel, state.n, f, g, w)
-    return _reports(("radial-row-f" + suffix, "radial-row-g" + suffix), rows,
-                    state.precision)
+    return _reports(("radial-row-f" + suffix, "radial-row-g" + suffix), rows)
 
 
 def detuned_first_order(state: LadderState):
@@ -186,8 +168,7 @@ def _second_order_rows(state: LadderState, radial):
     row_f, row_g = (rep.residual_poly for rep in radial)
     rows += [(row_f + row_g).scale(Fraction(1, 2)), (row_g - row_f).scale(Fraction(1, 2))]
     return _reports(("mode-equation-plus", "mode-equation-minus",
-                     "ladder-split-lower", "ladder-split-raise"), rows,
-                    state.precision)
+                     "ladder-split-lower", "ladder-split-raise"), rows)
 
 
 # -- Gram matrix and report ------------------------------------------------------
@@ -242,12 +223,12 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
 
     One climb per channel serves the residual rows and the Gram matrix.
     Each rung's window is lifted to w once, and its split rows are read off
-    its radial rows; no row embeds E, so any precision decides them. The
-    su(1,1) structure relations and the two Casimir routes are not sampled
-    here: they are decided once per process on a generic family member
-    (`algebra.universal_images`), which covers every channel, mode and
-    degree, so `commutators_exact` and `casimir_routes_agree` report that
-    decision.
+    its radial rows; no row embeds E, so any precision decides them, and a
+    printed max_abs embeds no decided zero. The su(1,1) structure relations
+    and the two Casimir routes are not sampled here: they are decided once
+    per process on a generic family member (`algebra.universal_images`),
+    which covers every channel, mode and degree, so `commutators_exact` and
+    `casimir_routes_agree` report that decision.
 
     inject_off_shell deliberately swaps one state's first-order residuals
     for their detuned counterparts, so a healthy reporting path must flag
@@ -288,7 +269,8 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                     all_exact = False
             entry["residuals"] = {
                 r.which: {"exact_zero": r.is_exact_zero,
-                          "max_abs": mp_str(r.max_abs_embedded, 32)}
+                          "max_abs": mp_str(max_abs_embedded(r.residual_poly.coeffs,
+                                                             precision), 32)}
                 for r in reports}
             bad = [r.which for r in expected_zero if not r.is_exact_zero]
             if bad:
@@ -301,13 +283,12 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                      for b in range(size) if a != b)
         diagonal = [gram[a][a] - 1 for a in range(size)]
         gram_ok = off_ok and all(d.is_zero for d in diagonal)
-        with mp.workprec(precision):
-            diag_err = max(abs(d.embed(precision)) for d in diagonal)
         if not gram_ok:
             all_exact = False
         channels.append({"j": str(ch.j), "eps": ch.eps, "rows": rows,
                          "gram_offdiagonal_exact_zero": off_ok,
-                         "gram_diagonal_max_err": mp_str(diag_err, 32),
+                         "gram_diagonal_max_err": mp_str(
+                             max_abs_embedded(diagonal, precision), 32),
                          "gram_identity_ok": gram_ok})
     # the climbs above stand on the decided generator images: a structure
     # relation or Casimir route that fails raises AssertionError, naming it

@@ -43,11 +43,11 @@ from mpmath.libmp import (fone, fzero, mpf_mul, mpf_shift, mpf_sub,
 
 from . import params  # params.DETUNE is read at call time
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
-                     DomainError, SpectralPoint, exact_w, mp_str,
-                     spectral_point, tower_gap, tower_w2)
+                     DomainError, SpectralPoint, exact_w, max_abs_embedded,
+                     mp_str, spectral_point, tower_gap, tower_w2)
 from .qsfield import QsPolynomial, Quadratic, _sign_variations
 from .ladder import LadderState, square_moment
-from .algebra import field_moment, gamma_factor, moment_sum
+from .algebra import field_moment, gamma_factor
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,25 +163,14 @@ def orthogonality_exact(state: LadderState) -> bool:
             and field_moment(plus * minus, ch, 1).is_zero)
 
 
-def norm_integral(pair: RadialPair) -> mp.mpf:
-    """int (F^2 + G^2) d rho for the pair as scaled, carrying precision +
-    guard bits, by the route normalize skips: f and g squared in Q(s)[w],
-    their exact moments embedded once each."""
-    prec = pair.state.precision
-    ff, gg = (moment_sum(p * p, pair.channel, prec, shift=1)
-              for p in (pair.f_poly, pair.g_poly))
-    with mp.workprec(prec + _GUARD):
-        return pair.f_scale ** 2 * ff + pair.g_scale ** 2 * gg
-
-
 # -- Laguerre route ------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
 class LaguerreReport:
     """The Laguerre scalars of the two window halves and the coupled linear
-    system tying them; pi_n = n! L_n^{(2s)}(2 rho) itself is decided once
-    per rung in ladder."""
+    system tying them, all exact; pi_n = n! L_n^{(2s)}(2 rho) itself is
+    decided once per rung in ladder."""
 
     n: int
     alpha: str                      # 2s as an exact field element, printed
@@ -189,10 +178,13 @@ class LaguerreReport:
     scalar_ratio_minus: str         # psi_minus / L_{n-1} in the tower
     a: str                          # Laguerre scalar of psi_plus
     b: str                          # Laguerre scalar of psi_minus
-    consistency_residual: mp.mpf    # coupling rows evaluated at (a, b)
-    rows_exact_zero: bool
+    coupling_rows: tuple            # both rows at (a, b), in Q(s)[w]
     det_on_shell_exact_zero: bool
     off_shell_det_nonzero: bool     # det at w^2 scaled by 1 + DETUNE
+
+    @property
+    def rows_exact_zero(self) -> bool:
+        return all(row.is_zero for row in self.coupling_rows)
 
 
 def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
@@ -215,10 +207,10 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
     """The Laguerre report of a state, every verdict decided in Q(s) or its
     tower. At a = n! and b = -(w + tau)(n-1)! row 2 is identically zero and
     row 1 is (n-1)! times the determinant, so the determinant decides what
-    eliminating w from the system would give for E."""
+    eliminating w from the system would give for E. Nothing is embedded
+    here: `report_to_dict` prints the rows' magnitude."""
     ch = state.channel
     n = state.n
-    prec = state.precision
     if n < 1:
         raise DomainError("cross check needs n >= 1 so both scalars exist")
     w2 = tower_w2(ch, n)
@@ -229,15 +221,6 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
     ratio_minus = small_component_scalar(ch, n)
     b_scalar = ratio_minus * math.factorial(n - 1)
 
-    # decided first: only a nonzero row is embedded for its magnitude
-    nonzero = [row for row in _coupling_rows(ch, n, a_scalar, b_scalar) if not row.is_zero]
-    resid = mp.mpf(0)
-    if nonzero:
-        with mp.workprec(prec + _GUARD):
-            resid = max(abs(row.embed(prec + _GUARD)) for row in nonzero)
-        with mp.workprec(prec):
-            resid = +resid
-
     # the determinant n(n+2s) + tau^2 - w^2: zero on shell, nonzero detuned
     shell = tower_gap(ch, n) + ch.tau * ch.tau
     return LaguerreReport(
@@ -247,8 +230,7 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
         scalar_ratio_minus=str(ratio_minus),
         a=str(a_scalar),
         b=str(b_scalar),
-        consistency_residual=resid,
-        rows_exact_zero=not nonzero,
+        coupling_rows=_coupling_rows(ch, n, a_scalar, b_scalar),
         det_on_shell_exact_zero=(shell - w2).is_zero,
         off_shell_det_nonzero=not (shell - w2 * (1 + params.DETUNE)).is_zero,
     )
@@ -264,7 +246,8 @@ def report_to_dict(report: LaguerreReport, precision: int = DEFAULT_PRECISION) -
         "scalar_ratio_minus": report.scalar_ratio_minus,
         "a": report.a,
         "b": report.b,
-        "consistency_residual": mp_str(report.consistency_residual, precision),
+        "consistency_residual": mp_str(max_abs_embedded(report.coupling_rows, precision),
+                                       precision),
         "rows_exact_zero": report.rows_exact_zero,
         "det_on_shell_exact_zero": report.det_on_shell_exact_zero,
         "off_shell_det_nonzero": report.off_shell_det_nonzero,

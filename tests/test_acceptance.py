@@ -27,6 +27,7 @@ from dirac_su11 import oracle as orc
 from dirac_su11 import jloperator as jl
 
 from channel_images import REAL_RELATIONS, member, residual
+from reference import norm_integral
 
 PREC = 256
 
@@ -205,7 +206,7 @@ def test_criterion_5_normalization_and_gram(acceptance_log):
         for n in range(start, 11):
             pair = wf.normalize(wf.assemble(ld.build_state(ch, n, PREC)))
             with mp.workprec(PREC):
-                err = abs(wf.norm_integral(pair) - 1)
+                err = abs(norm_integral(pair) - 1)
                 worst_norm = max(worst_norm, err)
                 if err > tol:
                     bad.append((Z, str(j), eps, n, "norm"))

@@ -367,6 +367,12 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    def test_verify_help_names_the_oracle_cap(self, capsys):
+        from dirac_su11 import oracle
+        assert main(["verify", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"the oracle at its validated cap, {oracle.ORACLE_N_CAP}" in out
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -472,7 +478,7 @@ class TestExitCodes:
             assert main(["spectrum", "--N-max", "1"] + extra + FAST) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "not allowed with argument --N-max" in captured.err
+            assert "not allowed with --N-max" in captured.err
         assert main(["spectrum", "--j-max", "1/2", "--n-max", "0"] + FAST) == 0
         capsys.readouterr()
 

@@ -136,6 +136,19 @@ def test_only_the_oracle_imports_numpy_and_scipy():
     assert found == []
 
 
+def test_one_door_out_of_the_field():
+    # the ladder and the residual suite hold only field data, and a printed
+    # magnitude is embedded by one helper in params, next to mp_str
+    found = [f"{name}: {mod}" for name in ("ladder.py", "verify.py")
+             for mod in sorted(_imported_modules(SRC / name))
+             if mod.split(".")[0] == "mpmath"]
+    assert found == []
+    maxima = [path.name for path in sorted(SRC.glob("*.py"))
+              for line in path.read_text().splitlines()
+              if re.search(r"max\(abs\(.*\.embed\(", line)]
+    assert maxima == ["params.py"]
+
+
 def test_quadratic_representation_is_private():
     # an element of Q(s) is an integer triple that only qsfield reads;
     # everything else goes through the parts a, b and d and builds elements

@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 
 from dirac_su11.params import (make_params, make_channel, channel_grid, spectral_point, tower_w2,
-                               DomainError, DETUNE)
+                               DomainError, DETUNE, max_abs_embedded)
 from dirac_su11.qsfield import QsPolynomial, Quadratic
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
@@ -22,6 +22,19 @@ P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
 CH_P = make_channel(P1, Fraction(1, 2), 1)
 CH_HEAVY = make_channel(make_params(Z=80), Fraction(5, 2), -1)
+
+
+def spy_on_embed(monkeypatch) -> list:
+    """Record every element that Quadratic.embed is called on."""
+    embedded = []
+    embed = Quadratic.embed
+
+    def spy(self, precision=256):
+        embedded.append(self)
+        return embed(self, precision)
+
+    monkeypatch.setattr(Quadratic, "embed", spy)
+    return embedded
 
 
 def count_rung_checks(monkeypatch) -> Counter:
@@ -46,7 +59,7 @@ class TestFirstOrder:
                 pair = wf.assemble(ld.build_state(ch, n, 128))
                 for rep in vf.first_order_residual(pair):
                     assert rep.is_exact_zero
-                    assert rep.max_abs_embedded == 0
+                    assert max_abs_embedded(rep.residual_poly.coeffs, 128) == 0
 
     def test_numeric_match_with_the_differential_system(self):
         # independent route: evaluate F, G and their log-derivatives on a
@@ -84,7 +97,7 @@ class TestFirstOrder:
             reports = vf.detuned_first_order(ld.build_state(CH, n, 128))
             for rep in reports:
                 assert not rep.is_exact_zero
-                assert rep.max_abs_embedded > mp.mpf("1e-10")
+                assert max_abs_embedded(rep.residual_poly.coeffs, 128) > mp.mpf("1e-10")
 
     def test_detuned_needs_excited_state(self):
         with pytest.raises(DomainError):
@@ -362,6 +375,16 @@ class TestOracleBatch:
             ("3/2", -1, 0), ("3/2", -1, 1), ("3/2", 1, 1)]
         assert worst < 1e-10
 
+    def test_sweep_follows_n_max_to_the_cap(self):
+        # the oracle is validated for n <= ORACLE_N_CAP, and the sweep
+        # goes that deep when n_max asks for it
+        rows, worst = orc.oracle_sweep(P1, Fraction(1, 2), 7)
+        assert [(r["eps"], r["n"]) for r in rows] == (
+            [(-1, n) for n in range(8)] + [(1, n) for n in range(1, 8)])
+        assert worst < 1e-10
+        rows, _ = orc.oracle_sweep(P1, Fraction(1, 2), orc.ORACLE_N_CAP + 3)
+        assert max(r["n"] for r in rows) == orc.ORACLE_N_CAP
+
 
 class TestGram:
     def test_offdiagonal_exact_integer_zero(self):
@@ -464,24 +487,32 @@ class TestReport:
 
     def test_rows_need_no_float_scale(self, monkeypatch):
         # the exact rows never assemble a pair, so 8 bits decide them, and
-        # a report embeds its magnitude only when it is read
+        # a row is embedded only when its magnitude is read
         assert [f.name for f in dataclasses.fields(vf.ResidualReport)] == [
-            "which", "residual_poly", "precision"]
+            "which", "residual_poly"]
         monkeypatch.setattr(wf, "assemble", None)
         rep = vf.verification_report(P1, Fraction(1, 2), 2, 8)
         assert rep["all_exact"] is True
-        embedded = []
-        magnitude = vf.ResidualReport.max_abs_embedded
-
-        def counting(report):
-            embedded.append(report.which)
-            return magnitude.fget(report)
-
-        monkeypatch.setattr(vf.ResidualReport, "max_abs_embedded", property(counting))
+        embedded = spy_on_embed(monkeypatch)
         det = vf.detuned_first_order(ld.build_state(CH, 2, 128))
         assert not any(r.is_exact_zero for r in det) and embedded == []
-        assert all(r.max_abs_embedded > 0 for r in det)
-        assert embedded == ["radial-row-f-detuned", "radial-row-g-detuned"]
+        assert all(max_abs_embedded(r.residual_poly.coeffs, 128) > 0 for r in det)
+        nonzero = [c for r in det for c in r.residual_poly.coeffs if not c.is_zero]
+        assert embedded == nonzero
+
+    def test_all_exact_report_embeds_only_the_witnesses(self, monkeypatch):
+        # a decided zero is never embedded: of an all-exact report over
+        # j <= 5/2, n <= 5 only the raise witnesses of the three tau > 0
+        # bottom rungs are, and no Gram diagonal
+        embedded = spy_on_embed(monkeypatch)
+        rep = vf.verification_report(make_params(Z=57))
+        assert rep["all_exact"] is True
+        assert len(embedded) == 3 and not any(x.is_zero for x in embedded)
+        witnesses = [row["residuals"]["ladder-split-raise"]["max_abs"]
+                     for block in rep["channels"] for row in block["rows"]
+                     if not row["physical"]]
+        assert len(witnesses) == 3 and all(float(m) > 0 for m in witnesses)
+        assert all(block["gram_diagonal_max_err"] == "0.0" for block in rep["channels"])
 
     def test_report_shape_and_flags(self):
         rep = vf.verification_report(P1, Fraction(3, 2), 2, 128)

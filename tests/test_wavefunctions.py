@@ -8,12 +8,15 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_su11.params import _GUARD, make_params, make_channel, spectral_point, DomainError
+from dirac_su11.params import (_GUARD, make_params, make_channel, max_abs_embedded,
+                               spectral_point, DomainError)
 from dirac_su11.qsfield import QsPolynomial, Quadratic, sturm_positive_roots
 from dirac_su11 import ladder as ld
 from dirac_su11 import qsfield
 from dirac_su11 import wavefunctions as wf
 from dirac_su11.algebra import field_moment
+
+from reference import norm_integral
 
 P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
@@ -99,7 +102,7 @@ class TestNormalization:
     def test_unit_integral(self, n):
         pair = wf.normalize(pair_for(CH, n))
         with mp.workprec(256):
-            assert abs(wf.norm_integral(pair) - 1) < mp.mpf(2) ** -200
+            assert abs(norm_integral(pair) - 1) < mp.mpf(2) ** -200
 
     def test_ground_constant_closed_form(self):
         # constant = [2^s/sqrt(Gamma(2s))] / sqrt(2 c^2 s)
@@ -121,7 +124,7 @@ class TestNormalization:
     def test_heavy_channel_unit_integral(self):
         pair = wf.normalize(pair_for(CH_HEAVY, 3))
         with mp.workprec(256):
-            assert abs(wf.norm_integral(pair) - 1) < mp.mpf(2) ** -200
+            assert abs(norm_integral(pair) - 1) < mp.mpf(2) ** -200
 
 
 class TestLaguerreEquivalence:
@@ -156,7 +159,7 @@ class TestLaguerreEquivalence:
             rep = wf.laguerre_cross_check(ld.build_state(CH, n))
             assert rep.rows_exact_zero
             assert rep.det_on_shell_exact_zero
-            assert rep.consistency_residual == 0
+            assert max_abs_embedded(rep.coupling_rows, 256) == 0
             assert rep.off_shell_det_nonzero is True
 
     def test_cross_check_needs_excited_state(self):
@@ -176,9 +179,10 @@ class TestLaguerreEquivalence:
         assert on.rows_exact_zero and on.det_on_shell_exact_zero
 
     def test_cross_check_embeds_only_nonzero_rows(self, monkeypatch):
-        # the rows are decided before any is embedded: on shell nothing is
-        # embedded and the residual is 0; off shell row 2 is still
-        # identically zero at the window's scalars, so row 1 alone is
+        # the report holds the exact rows and embeds nothing; printing it
+        # embeds only a nonzero row: on shell nothing, and the residual is
+        # 0; off shell row 2 is still identically zero at the window's
+        # scalars, so row 1 alone
         delta = Fraction(1, 10 ** 6)
         off = replace(CH_HEAVY, s2=CH_HEAVY.s2 + delta, xi=CH_HEAVY.xi + delta)
         states = [ld.build_state(ch, 3) for ch in (CH_HEAVY, off)]
@@ -190,11 +194,12 @@ class TestLaguerreEquivalence:
             return embed(self, precision)
 
         monkeypatch.setattr(Quadratic, "embed", spy)
-        on = wf.laguerre_cross_check(states[0])
-        assert embedded == [] and on.consistency_residual == 0
-        rep = wf.laguerre_cross_check(states[1])
+        on, rep = (wf.laguerre_cross_check(state) for state in states)
+        assert embedded == []
+        assert wf.report_to_dict(on)["consistency_residual"] == "0.0"
+        assert embedded == []
+        assert mp.mpf(wf.report_to_dict(rep)["consistency_residual"]) > 0
         assert len(embedded) == 1 and not embedded[0].is_zero
-        assert rep.consistency_residual > 0
 
     def test_report_dict_roundtrip(self):
         rep = wf.laguerre_cross_check(ld.build_state(CH_HEAVY, 2))
@@ -367,7 +372,7 @@ class TestClosedFormNormalization:
     def test_constant_matches_the_squared_route(self, n):
         pair = wf.normalize(pair_for(CH_DEEP[1], n))
         with mp.workprec(256):
-            assert abs(wf.norm_integral(pair) - 1) < mp.mpf(2) ** -240
+            assert abs(norm_integral(pair) - 1) < mp.mpf(2) ** -240
 
     @pytest.mark.parametrize("n", [0, 1, 3, 20])
     def test_window_orthogonality_is_decided(self, n):
