@@ -120,10 +120,10 @@ def state_rows(n: int) -> dict:
 def verify_rows() -> dict:
     from dirac_su11 import verify
     from dirac_su11.ladder import climb
-    from dirac_su11.params import channel_grid, exact_w, make_params
+    from dirac_su11.params import channel_slots, exact_w, make_params
     params = make_params(Z=57)
     prec, n_max = 256, 5
-    climbs = [climb(ch, n_max, prec) for ch in channel_grid(params, Fraction(5, 2))]
+    climbs = [climb(ch, n_max, prec) for ch, _ in channel_slots(params, Fraction(5, 2), n_max)]
     rungs = [state for states in climbs for state in states]
 
     def window_rows():
@@ -173,8 +173,8 @@ def oracle_rows() -> tuple:
     level = make_channel(make_params(Z=80), Fraction(5, 2), -1)
     empty = make_channel(make_params(Z=1), Fraction(1, 2), 1)
     domain = [(ch, n) for Z in (1, 118)
-              for ch, n in channel_slots(make_params(Z=Z), Fraction(7, 2), oracle.ORACLE_N_CAP)
-              if ch.is_bound(n)]
+              for ch, rungs in channel_slots(make_params(Z=Z), Fraction(7, 2), oracle.ORACLE_N_CAP)
+              for n in rungs if ch.is_bound(n)]
 
     def empty_slot():
         try:

@@ -7,71 +7,40 @@ quadratic tower; floating point appears only in final embeddings and in
 the independent numeric checks.
 """
 
-from .params import (
-    Channel,
-    DomainError,
-    PhysicalParams,
-    SpectralPoint,
-    channel_grid,
-    make_channel,
-    make_params,
-    nonrelativistic_limit_table,
-    spectral_point,
-)
-from .qsfield import QsPolynomial, Quadratic, sturm_positive_roots
-from .algebra import (
-    FamilyFunction,
-    ScaledFamilyFunction,
-    apply,
-    apply_casimir,
-    inner_product,
-    universal_images,
-)
-from .ladder import LadderState, build_state, ground_state, raise_state
-from .wavefunctions import (
-    LaguerreReport,
-    RadialPair,
-    assemble,
-    count_f_nodes,
-    laguerre_cross_check,
-    normalize,
-    sample,
-)
-from . import verify
-from .verify import (
-    ResidualReport,
-    first_order_residual,
-    orthonormality_matrix,
-    second_order_residual,
-    verification_report,
-)
-from .jloperator import DiagonalityRecord, diagonality_scan, spectroscopic_label
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+# every exported name, keyed by the module that defines it; the module is
+# imported when the name is first read (PEP 562), so a bare import loads no
+# submodule, and only an oracle name loads the oracle and numpy
+_EXPORTS = {
+    "params": ("Channel", "DomainError", "PhysicalParams", "SpectralPoint",
+               "make_channel", "make_params", "nonrelativistic_limit_table",
+               "spectral_point"),
+    "qsfield": ("QsPolynomial", "Quadratic", "sturm_positive_roots"),
+    "algebra": ("FamilyFunction", "ScaledFamilyFunction", "apply", "apply_casimir",
+                "inner_product", "universal_images"),
+    "ladder": ("LadderState", "build_state", "ground_state", "raise_state"),
+    "wavefunctions": ("LaguerreReport", "RadialPair", "assemble", "count_f_nodes",
+                      "laguerre_cross_check", "normalize", "sample"),
+    "verify": ("ResidualReport", "first_order_residual", "orthonormality_matrix",
+               "second_order_residual", "verification_report"),
+    "oracle": ("BracketingError", "ORACLE_N_CAP", "ORACLE_REL_TOL", "OracleResult",
+               "oracle_binding_residual", "oracle_sweep", "shooting_oracle",
+               "shooting_oracle_batch"),
+    "jloperator": ("DiagonalityRecord", "diagonality_scan", "spectroscopic_label"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
 
 def __getattr__(name):
-    # the oracle's names (BracketingError, shooting_oracle, ...) resolve
-    # through verify, which imports the oracle and numpy on first use
-    if name not in verify._ORACLE_NAMES:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(verify, name)
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
 
 
-__all__ = [
-    "Channel", "DomainError", "PhysicalParams", "SpectralPoint",
-    "channel_grid", "make_channel", "make_params",
-    "nonrelativistic_limit_table", "spectral_point",
-    "QsPolynomial", "Quadratic", "sturm_positive_roots",
-    "FamilyFunction", "ScaledFamilyFunction", "apply", "apply_casimir",
-    "inner_product", "universal_images",
-    "LadderState", "build_state", "ground_state", "raise_state",
-    "LaguerreReport", "RadialPair", "assemble", "count_f_nodes",
-    "laguerre_cross_check", "normalize", "sample",
-    "BracketingError", "OracleResult", "ResidualReport",
-    "first_order_residual", "oracle_sweep", "orthonormality_matrix",
-    "second_order_residual", "shooting_oracle", "shooting_oracle_batch",
-    "verification_report",
-    "DiagonalityRecord", "diagonality_scan", "spectroscopic_label",
-    "__version__",
-]
+def __dir__():
+    return __all__

@@ -179,11 +179,10 @@ def _spectrum_rows(ns):
     else:
         j_max = Fraction(5, 2) if ns.j_max is None else ns.j_max
         n_max = 5 if ns.n_max is None else ns.n_max
+    levels = [(ch, n) for ch, slots in channel_slots(params, j_max, n_max) for n in slots
+              if ch.is_bound(n) and (ns.N_max is None or ch.j + Fraction(1, 2) + n <= ns.N_max)]
     rows = []
-    for ch, n in channel_slots(params, j_max, n_max):
-        if not ch.is_bound(n) or (ns.N_max is not None
-                                  and ch.j + Fraction(1, 2) + n > ns.N_max):
-            continue
+    for ch, n in levels:
         pt = spectral_point(ch, n, ns.precision)
         rows.append({
             "N": pt.N,
@@ -273,6 +272,8 @@ def run_verify(ns) -> int:
         line = f"Z={z}: residuals {'all exact' if rep['all_exact'] else 'FAILED'}"
         unbracketed = []
         if not ns.skip_oracle:
+            if ns.n_max > oracle.ORACLE_N_CAP:
+                rep["oracle_n_max"] = oracle.ORACLE_N_CAP
             try:
                 rep["oracle"], worst = oracle.oracle_sweep(params, ns.j_max, ns.n_max)
             except oracle.BracketingError as exc:
@@ -291,7 +292,8 @@ def run_verify(ns) -> int:
         if not rep["all_exact"]:
             ok = False
         runs.append(rep)
-        print(line)
+        cut = [f"{key}={rep[key]}" for key in ("gram_n_max", "oracle_n_max") if key in rep]
+        print(line + (f" (cut at {', '.join(cut)})" if cut else ""))
         for slot in unbracketed:
             print(f"  j={slot['j']} eps={slot['eps']:+d} n={slot['n']}: "
                   "oracle mismatch has no sign change over the bracket")
@@ -300,6 +302,8 @@ def run_verify(ns) -> int:
                 failed = row.get("failed", [])
                 if row.get("detuned_nonzero") is False:
                     failed = failed + ["detuned control unexpectedly zero"]
+                if row.get("bottom_rung_witness_nonzero") is False:
+                    failed = failed + ["bottom-rung witness unexpectedly zero"]
                 if failed:
                     print(f"  j={block['j']} eps={block['eps']:+d} n={row['n']}: "
                           + ", ".join(failed))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 import mpmath as mp
 
@@ -81,10 +80,10 @@ def diagonality_scan(params: PhysicalParams, j_max: Fraction = Fraction(5, 2),
     """
     work = precision + _GUARD
     records = []
-    for ch, slots in groupby(channel_slots(params, j_max, n_max), key=lambda slot: slot[0]):
+    for ch, slots in channel_slots(params, j_max, n_max):
         tau = ch.qs(ch.tau)
         zeta_mp, tau_mp = embed_fraction(ch.zeta, work), embed_fraction(ch.tau, work)
-        for _, n in slots:
+        for n in slots:
             w = exact_w(ch, n)
             with mp.workprec(work):
                 ratio = tau_mp / w.embed(work)

@@ -370,8 +370,8 @@ def oracle_sweep(params: PhysicalParams, j_max: Fraction, n_max: int):
     """The oracle on every bound slot with j <= j_max and n <= min(n_max,
     ORACLE_N_CAP), its validated depth, as one batch. Returns the JSON rows,
     in (j, eps, n) order, and the worst relative binding error."""
-    levels = [(ch, n) for ch, n in channel_slots(params, j_max, min(n_max, ORACLE_N_CAP))
-              if ch.is_bound(n)]
+    levels = [(ch, n) for ch, slots in channel_slots(params, j_max, min(n_max, ORACLE_N_CAP))
+              for n in slots if ch.is_bound(n)]
     rows, worst = [], 0.0
     for (ch, n), res in zip(levels, shooting_oracle_batch(levels)):
         rel = oracle_binding_residual(ch, n, res)

@@ -56,9 +56,6 @@ class PhysicalParams:
     def c2(self) -> Fraction:
         return self.c * self.c
 
-    def c2_mp(self, precision: int = DEFAULT_PRECISION) -> mp.mpf:
-        return embed_fraction(self.c2, precision)
-
 
 def make_params(c: Rational | str = "137.035999084", Z: int = 1) -> PhysicalParams:
     c = _frac(c)
@@ -123,22 +120,16 @@ def make_channel(params: PhysicalParams, j: Rational | str, eps: int) -> Channel
     return Channel(params, j, eps, tau, s2, xi)
 
 
-def channel_grid(params: PhysicalParams, j_max: Rational) -> list:
-    """The channels with j = 1/2, 3/2, ... <= j_max, eps = -1 before +1."""
-    if j_max < Fraction(1, 2):
-        raise DomainError("j_max must be at least 1/2")
-    return [make_channel(params, Fraction(twice_j, 2), eps)
-            for twice_j in range(1, int(2 * j_max) + 1, 2) for eps in (-1, 1)]
-
-
 def channel_slots(params: PhysicalParams, j_max: Rational, n_max: int):
-    """Yield (channel, n) for the channels of channel_grid(params, j_max)
-    and n = 0..n_max, channel by channel; n_max is checked first."""
+    """Yield (channel, range(n_max + 1)) for j = 1/2, 3/2, ... <= j_max,
+    eps = -1 before +1: the one channel walk. n_max is checked before j_max."""
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    for ch in channel_grid(params, j_max):
-        for n in range(n_max + 1):
-            yield ch, n
+    if j_max < Fraction(1, 2):
+        raise DomainError("j_max must be at least 1/2")
+    for twice_j in range(1, int(2 * j_max) + 1, 2):
+        for eps in (-1, 1):
+            yield make_channel(params, Fraction(twice_j, 2), eps), range(n_max + 1)
 
 
 def tower_gap(channel: Channel, n: int) -> Quadratic:
@@ -154,6 +145,12 @@ def tower_w2(channel: Channel, n: int) -> Quadratic:
     """
     sn = channel.s + n
     return sn * sn + channel.zeta * channel.zeta
+
+
+def off_shell_w2(channel: Channel, n: int) -> Quadratic:
+    """w^2 scaled by 1 + DETUNE, read at call time: the one off-shell point
+    of every negative control."""
+    return tower_w2(channel, n) * (1 + DETUNE)
 
 
 def exact_w(channel: Channel, n: int) -> Quadratic:

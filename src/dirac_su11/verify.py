@@ -24,11 +24,10 @@ Its public names still resolve here; the first use of one imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
-from . import params  # params.DETUNE is read at call time
+from . import _EXPORTS
 from .params import (
     DEFAULT_PRECISION,
     SCHEMA_TAG,
@@ -37,9 +36,9 @@ from .params import (
     PhysicalParams,
     channel_slots,
     exact_w,
-    max_abs_embedded,  # by name: verification_report's argument shadows params
+    max_abs_embedded,
     mp_str,
-    tower_w2,
+    off_shell_w2,
 )
 from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
@@ -47,17 +46,13 @@ from .ladder import LadderState, build_state, climb, square_moment, tower_image 
 from .algebra import field_moment, inner_product, universal_images
 from .wavefunctions import RadialPair, radial_parts, tower_window
 
-_ORACLE_NAMES = frozenset({
-    "BracketingError", "OracleResult", "ORACLE_N_CAP", "ORACLE_REL_TOL",
-    "oracle_binding_residual", "oracle_sweep", "shooting_oracle",
-    "shooting_oracle_batch",
-})
+GRAM_N_CAP = 5  # a Gram matrix of 65 rungs takes seconds per channel
 
 
 def __getattr__(name):
     # PEP 562: an oracle name loads the oracle on first use and is then
     # bound here, as an import at the top would have bound it
-    if name not in _ORACLE_NAMES:
+    if name not in _EXPORTS["oracle"]:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle
     value = globals()[name] = getattr(oracle, name)
@@ -113,20 +108,19 @@ def first_order_residual(pair: RadialPair):
     return _reports(("radial-row-f", "radial-row-g"), rows)
 
 
-def _window_rows(state: LadderState, w: Quadratic, suffix: str = ""):
+def _window_rows(state: LadderState, w: Quadratic):
     """The radial reports of the state's window lifted to w, with w^2 = w.d."""
     f, g = radial_parts(*tower_window(state, w))
     rows = _system_rows(state.channel, state.n, f, g, w)
-    return _reports(("radial-row-f" + suffix, "radial-row-g" + suffix), rows)
+    return _reports(("radial-row-f", "radial-row-g"), rows)
 
 
 def detuned_first_order(state: LadderState):
-    """Negative control: scale w^2 by 1 + params.DETUNE = 1001/1000 and redo
-    the first-order residuals. Off shell both rows must be exactly nonzero."""
+    """Negative control: the first-order rows, on-shell names kept, at
+    `params.off_shell_w2`; off shell both must be exactly nonzero."""
     if state.n < 1:
         raise DomainError("detuned control needs n >= 1")
-    w_off = Quadratic.root(tower_w2(state.channel, state.n) * (1 + params.DETUNE))
-    return _window_rows(state, w_off, "-detuned")
+    return _window_rows(state, Quadratic.root(off_shell_w2(state.channel, state.n)))
 
 
 def second_order_residual(state: LadderState):
@@ -221,7 +215,8 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                         inject_off_shell: bool = False) -> dict:
     """Run the exact residual suite over a channel grid; JSON-friendly.
 
-    One climb per channel serves the residual rows and the Gram matrix.
+    One climb per channel serves the residual rows and the Gram matrix,
+    which stops at GRAM_N_CAP; a deeper grid names that as gram_n_max.
     Each rung's window is lifted to w once, and its split rows are read off
     its radial rows; no row embeds E, so any precision decides them, and a
     printed max_abs embeds no decided zero. The su(1,1) structure relations
@@ -236,11 +231,10 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
     """
     channels = []
     all_exact = True
-    injected = False
-    for ch, slots in groupby(channel_slots(params, j_max, n_max), key=lambda slot: slot[0]):
+    for ch, slots in channel_slots(params, j_max, n_max):
         rungs = climb(ch, n_max, precision)
         rows = []
-        for _, n in slots:
+        for n in slots:
             state = rungs[n]
             entry = {"n": n, "physical": state.is_physical}
             radial = _window_rows(state, exact_w(ch, n))
@@ -252,11 +246,10 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                         not r.is_exact_zero for r in det)
                     if not entry["detuned_nonzero"]:
                         all_exact = False
-                    if inject_off_shell and not injected:
-                        injected = True
+                    if inject_off_shell:
+                        inject_off_shell = False  # one state only
                         entry["injected_off_shell"] = True
-                        radial = [replace(rep, which=rep.which.replace("-detuned", ""))
-                                  for rep in det]
+                        radial = det
                 reports.extend(radial)
                 expected_zero = reports
             else:
@@ -277,7 +270,7 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                 all_exact = False
                 entry["failed"] = bad
             rows.append(entry)
-        gram = _gram_matrix(rungs, range(min(n_max, 5) + 1))
+        gram = _gram_matrix(rungs, range(min(n_max, GRAM_N_CAP) + 1))
         size = len(gram)
         off_ok = all(gram[a][b] == 0 for a in range(size)
                      for b in range(size) if a != b)
@@ -306,4 +299,5 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
         "channels": channels,
         "all_exact": all_exact,
         "descending_tower": negative_branch_divergence_note(),
+        **({"gram_n_max": GRAM_N_CAP} if n_max > GRAM_N_CAP else {}),
     }

@@ -41,11 +41,10 @@ import mpmath as mp
 from mpmath.libmp import (fone, fzero, mpf_mul, mpf_shift, mpf_sub,
                           round_nearest)
 
-from . import params  # params.DETUNE is read at call time
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, SpectralPoint, exact_w, max_abs_embedded,
-                     mp_str, spectral_point, tower_gap, tower_w2)
-from .qsfield import QsPolynomial, Quadratic, _sign_variations
+                     mp_str, off_shell_w2, spectral_point, tower_gap, tower_w2)
+from .qsfield import QsPolynomial, Quadratic, _sign_variations, embed_fraction
 from .ladder import LadderState, square_moment
 from .algebra import field_moment, gamma_factor
 
@@ -105,7 +104,7 @@ def assemble(state: LadderState, allow_unphysical: bool = False) -> RadialPair:
     prec = state.precision
     level = spectral_point(ch, n, prec)
     with mp.workprec(prec + _GUARD):
-        c2 = ch.params.c2_mp(prec + _GUARD)
+        c2 = embed_fraction(ch.params.c2, prec + _GUARD)
         if level.E >= c2:
             # 0 < E < c^2 is decided exactly in params.check_level; only the
             # embedding can round E up to c^2
@@ -180,7 +179,7 @@ class LaguerreReport:
     b: str                          # Laguerre scalar of psi_minus
     coupling_rows: tuple            # both rows at (a, b), in Q(s)[w]
     det_on_shell_exact_zero: bool
-    off_shell_det_nonzero: bool     # det at w^2 scaled by 1 + DETUNE
+    off_shell_det_nonzero: bool     # det at params.off_shell_w2
 
     @property
     def rows_exact_zero(self) -> bool:
@@ -232,7 +231,7 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
         b=str(b_scalar),
         coupling_rows=_coupling_rows(ch, n, a_scalar, b_scalar),
         det_on_shell_exact_zero=(shell - w2).is_zero,
-        off_shell_det_nonzero=not (shell - w2 * (1 + params.DETUNE)).is_zero,
+        off_shell_det_nonzero=not (shell - off_shell_w2(ch, n)).is_zero,
     )
 
 

@@ -287,6 +287,47 @@ class TestVerify:
         assert run_doc["oracle_unbracketed"] == [{"j": "1/2", "eps": -1, "n": 1}]
         assert "oracle" not in run_doc
 
+    def test_zero_witness_is_named(self, capsys, monkeypatch):
+        # a tau > 0 bottom rung whose raise witness is decided zero fails
+        # the run, and a line names the slot, as for a failed row
+        from dirac_su11 import verify
+        second_order_rows = verify._second_order_rows
+
+        def zero_witness(state, radial):
+            *rows, witness = second_order_rows(state, radial)
+            zero = QsPolynomial.zero_poly(witness.residual_poly.zero)
+            return (*rows, replace(witness, residual_poly=zero))
+
+        monkeypatch.setattr(verify, "_second_order_rows", zero_witness)
+        code, out = run(capsys, ["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "1",
+                                 "--skip-oracle"] + FAST)
+        assert code == 3
+        assert out.splitlines() == [
+            "Z=1: residuals FAILED",
+            "  j=1/2 eps=+1 n=0: bottom-rung witness unexpectedly zero"]
+
+    @pytest.mark.parametrize("n_max, oracle, caps", [
+        (12, True, {"gram_n_max": 5, "oracle_n_max": 10}),
+        (12, False, {"gram_n_max": 5}),
+        (5, True, {})])
+    def test_caps_that_cut_the_grid_are_named(self, capsys, tmp_path, n_max, oracle, caps):
+        # the Gram block stops at n = 5 and the oracle at ORACLE_N_CAP; a
+        # deeper grid names each cap in the JSON and on the stdout line
+        dest = tmp_path / "v.json"
+        code, out = run(capsys, ["verify", "--Z", "1", "--j-max", "1/2", "--n-max", str(n_max),
+                                 "--out", str(dest)] + ([] if oracle else ["--skip-oracle"])
+                        + FAST)
+        assert code == 0
+        run_doc = json.loads(dest.read_text())["runs"][0]
+        assert {key: run_doc[key] for key in ("gram_n_max", "oracle_n_max")
+                if key in run_doc} == caps
+        line = out.splitlines()[0]
+        note = ", ".join(f"{key}={value}" for key, value in caps.items())
+        assert line.endswith(f" (cut at {note})") if caps else "cut at" not in line
+        assert max(row["n"] for row in run_doc["channels"][0]["rows"]) == n_max
+        if oracle:
+            assert max(row["n"] for row in run_doc["oracle"]) == min(n_max, 10)
+
     def test_injected_failure_is_reported(self, capsys):
         code, out = run(capsys, ["verify", "--Z", "1", "--j-max", "1/2",
                                  "--n-max", "1", "--skip-oracle",

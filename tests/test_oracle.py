@@ -86,8 +86,8 @@ def test_numpy_and_scipy_load_only_with_the_oracle():
 def domain_levels(Zs):
     """Every bound level with j <= 7/2 and n <= ORACLE_N_CAP at each Z."""
     return [(ch, n) for Z in Zs
-            for ch, n in channel_slots(make_params(Z=Z), Fraction(7, 2), oracle.ORACLE_N_CAP)
-            if ch.is_bound(n)]
+            for ch, rungs in channel_slots(make_params(Z=Z), Fraction(7, 2), oracle.ORACLE_N_CAP)
+            for n in rungs if ch.is_bound(n)]
 
 
 def test_accuracy_over_the_validated_domain():
@@ -250,8 +250,8 @@ def float_lanes(levels):
 
 def sweep_lanes(Z):
     """The 14 bound levels of j <= 3/2, n <= 3 at Z, as float arrays."""
-    return float_lanes([(ch, n) for ch, n in channel_slots(make_params(Z=Z), Fraction(3, 2), 3)
-                        if ch.is_bound(n)])
+    return float_lanes([(ch, n) for ch, rungs in channel_slots(make_params(Z=Z), Fraction(3, 2), 3)
+                        for n in rungs if ch.is_bound(n)])
 
 
 def test_outward_steps_match_the_regular_series_at_the_match_point(monkeypatch):

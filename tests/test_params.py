@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dirac_su11.params import (
     DomainError,
-    channel_grid,
     channel_slots,
     make_channel,
     make_params,
@@ -19,7 +18,7 @@ from dirac_su11.params import (
     tower_gap,
     tower_w2,
 )
-from dirac_su11.qsfield import Quadratic
+from dirac_su11.qsfield import Quadratic, embed_fraction
 
 C_DEFAULT = Fraction("137.035999084")
 
@@ -135,7 +134,7 @@ def test_spectrum_invariants(j, eps, n, Z):
     ch = make_channel(params, j, eps)
     pt = spectral_point(ch, n, 128)
     with mp.workprec(160):
-        c2 = params.c2_mp(160)
+        c2 = embed_fraction(params.c2, 160)
         assert 0 < pt.E < c2
         assert pt.binding < 0
         assert abs((pt.E - c2) - pt.binding) < abs(pt.binding) * mp.mpf("1e-30")
@@ -166,27 +165,35 @@ def test_limit_refuses_the_unphysical_bottom_rung():
     assert len(nonrelativistic_limit_table("1/2", 1, 1).rows) == 3
 
 
+def _channels(params, j_max):
+    return [ch for ch, _ in channel_slots(params, j_max, 0)]
+
+
 def test_channel_grid():
     params = make_params(Z=3)
-    grid = channel_grid(params, Fraction(5, 2))
+    grid = _channels(params, Fraction(5, 2))
     assert [(ch.j, ch.eps) for ch in grid] == [
         (Fraction(j, 2), eps) for j in (1, 3, 5) for eps in (-1, 1)]
     assert grid[3] == make_channel(params, "3/2", 1)
     # j_max need not be a half-odd integer itself
-    assert len(channel_grid(params, Fraction(7, 3))) == 4
-    assert len(channel_grid(params, 2)) == 4
+    assert len(_channels(params, Fraction(7, 3))) == 4
+    assert len(_channels(params, 2)) == 4
     # an empty grid is refused, not returned
     for j_max in (0, Fraction(1, 3), Fraction(-1, 2)):
         with pytest.raises(DomainError):
-            channel_grid(params, j_max)
+            _channels(params, j_max)
 
 
 def test_channel_slots():
     params = make_params(Z=3)
-    slots = list(channel_slots(params, Fraction(3, 2), 2))
-    assert slots == [(ch, n) for ch in channel_grid(params, Fraction(3, 2))
-                     for n in range(3)]
-    assert [(ch, n) for ch, n in channel_slots(params, Fraction(1, 2), 0)] == [
+    # one (channel, rungs) pair per channel, channel by channel
+    walk = list(channel_slots(params, Fraction(3, 2), 2))
+    assert walk == [(ch, range(3)) for ch in _channels(params, Fraction(3, 2))]
+    slots = [(ch, n) for ch, rungs in walk for n in rungs]
+    assert slots == [(make_channel(params, Fraction(j, 2), eps), n)
+                     for j in (1, 3) for eps in (-1, 1) for n in range(3)]
+    assert [(ch, n) for ch, rungs in channel_slots(params, Fraction(1, 2), 0)
+            for n in rungs] == [
         (make_channel(params, "1/2", -1), 0), (make_channel(params, "1/2", 1), 0)]
     # n_max is refused before j_max is read, with one message for every command
     with pytest.raises(DomainError, match="n_max must be nonnegative"):

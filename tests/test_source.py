@@ -1,7 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dirac_su11
@@ -26,6 +29,18 @@ def test_all_names_resolve():
     missing = [name for name in dirac_su11.__all__ if not hasattr(dirac_su11, name)]
     assert missing == []
     assert len(set(dirac_su11.__all__)) == len(dirac_su11.__all__)
+
+
+def test_bare_import_loads_no_module():
+    # every export resolves on first use, so importing the package loads
+    # none of its modules and no mpmath; dir() lists the exports all the same
+    code = ("import json, sys, dirac_su11; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.startswith('dirac_su11.') or m == 'mpmath'),"
+            " sorted(set(dirac_su11.__all__) - set(dir(dirac_su11)))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 STATE_TYPES = {"LadderState", "RadialPair", "SpectralPoint"}
@@ -147,6 +162,17 @@ def test_one_door_out_of_the_field():
               for line in path.read_text().splitlines()
               if re.search(r"max\(abs\(.*\.embed\(", line)]
     assert maxima == ["params.py"]
+
+
+def test_one_detuning():
+    # every off-shell control reads DETUNE through params.off_shell_w2, so
+    # one patch of params.DETUNE reaches them all
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "params.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if "DETUNE" in (getattr(node, "id", None), getattr(node, "attr", None),
+                             getattr(node, "name", None))]
+    assert found == []
 
 
 def test_quadratic_representation_is_private():

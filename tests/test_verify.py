@@ -9,9 +9,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from dirac_su11.params import (make_params, make_channel, channel_grid, spectral_point, tower_w2,
+from dirac_su11.params import (make_params, make_channel, channel_slots, spectral_point, tower_w2,
                                DomainError, DETUNE, max_abs_embedded)
-from dirac_su11.qsfield import QsPolynomial, Quadratic
+from dirac_su11.qsfield import QsPolynomial, Quadratic, embed_fraction
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
 from dirac_su11 import verify as vf
@@ -72,7 +72,7 @@ class TestFirstOrder:
                 s = CH.s.embed(192)
                 zeta = mp.mpf(CH.zeta.numerator) / CH.zeta.denominator
                 tau = mp.mpf(CH.tau.numerator) / CH.tau.denominator
-                nu = mp.sqrt(-pt.binding / (CH.params.c2_mp(192) + pt.E))
+                nu = mp.sqrt(-pt.binding / (embed_fraction(CH.params.c2, 192) + pt.E))
                 for rho in (mp.mpf(1) / 7, mp.mpf(2), mp.mpf(11) / 2):
                     weight = mp.power(rho, s) * mp.exp(-rho)
                     fp = pair.f_poly
@@ -290,8 +290,8 @@ def spy_on_shoot(monkeypatch):
 
 def sweep_levels(Z):
     """The bound levels with j <= 3/2, n <= 3 at one Z: 14 levels."""
-    return [(ch, n) for ch in channel_grid(make_params(Z=Z), Fraction(3, 2))
-            for n in range(4) if ch.is_bound(n)]
+    return [(ch, n) for ch, rungs in channel_slots(make_params(Z=Z), Fraction(3, 2), 3)
+            for n in rungs if ch.is_bound(n)]
 
 
 class TestOracleBatch:

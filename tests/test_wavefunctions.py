@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dirac_su11.params import (_GUARD, make_params, make_channel, max_abs_embedded,
                                spectral_point, DomainError)
-from dirac_su11.qsfield import QsPolynomial, Quadratic, sturm_positive_roots
+from dirac_su11.qsfield import QsPolynomial, Quadratic, embed_fraction, sturm_positive_roots
 from dirac_su11 import ladder as ld
 from dirac_su11 import qsfield
 from dirac_su11 import wavefunctions as wf
@@ -69,7 +69,7 @@ class TestAssembly:
             f0 = pair.f_poly.coeff(0).embed(HP)
             g0 = pair.g_poly.coeff(0).embed(HP)
             ratio = (pair.g_scale * g0) / (pair.f_scale * f0)
-            nu = mp.sqrt(-pair.level.binding / (CH.params.c2_mp(HP) + pair.level.E))
+            nu = mp.sqrt(-pair.level.binding / (embed_fraction(CH.params.c2, HP) + pair.level.E))
             assert abs(ratio + nu) < mp.mpf(2) ** -240
 
     def test_polynomial_degrees(self):
@@ -81,7 +81,7 @@ class TestAssembly:
         pair = pair_for(CH_HEAVY, 2)
         pt = pair.level
         with mp.workprec(HP):
-            c2 = CH_HEAVY.params.c2_mp(HP)
+            c2 = embed_fraction(CH_HEAVY.params.c2, HP)
             assert abs(pair.f_scale ** 2 - (c2 + pt.E)) < mp.mpf(2) ** -220
             assert abs(pair.g_scale ** 2 - (c2 - pt.E)) < mp.mpf(2) ** -220
 
@@ -109,7 +109,7 @@ class TestNormalization:
         pair = wf.normalize(pair_for(CH, 0))
         with mp.workprec(HP):
             s = CH.s.embed(HP)
-            c2 = P1.c2_mp(HP)
+            c2 = embed_fraction(P1.c2, HP)
             expect = mp.power(2, s) / mp.sqrt(mp.gamma(2 * s)) / mp.sqrt(2 * c2 * s)
             assert abs(pair.norm_constant - expect) < mp.mpf(2) ** -230
 
