@@ -20,9 +20,10 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
     count, the Laguerre report with its printed dict, and the whole
     command in process;
   - on the grid of `verify --Z 57 --j-max 5/2 --n-max 5`: the radial
-    rows of every rung on shell (`_window_rows`) and of every physical
-    rung n >= 1 detuned (`detuned_first_order`), the Gram matrices of its
-    six channels, and the whole report;
+    rows of every rung on shell (`first_order_residual`) and of every
+    physical rung n >= 1 detuned (`detuned_first_order`), the Gram
+    matrices of its six channels (`orthonormality_matrix`), and the whole
+    report, which decides through these same functions;
   - the cheap commands in process, at Z = 57: `spectrum --N-max 1..4`,
     `jl` and `limit`;
   - the embedding edge: `embed_fraction(c^2)`, `s.embed(256)` and
@@ -120,7 +121,7 @@ def state_rows(n: int) -> dict:
 def verify_rows() -> dict:
     from dirac_su11 import verify
     from dirac_su11.ladder import climb
-    from dirac_su11.params import channel_slots, exact_w, make_params
+    from dirac_su11.params import channel_slots, make_params
     params = make_params(Z=57)
     prec, n_max = 256, 5
     climbs = [climb(ch, n_max, prec) for ch, _ in channel_slots(params, Fraction(5, 2), n_max)]
@@ -128,7 +129,7 @@ def verify_rows() -> dict:
 
     def window_rows():
         for state in rungs:
-            verify._window_rows(state, exact_w(state.channel, state.n))
+            verify.first_order_residual(state)
 
     def detuned():
         for state in rungs:
@@ -137,7 +138,7 @@ def verify_rows() -> dict:
 
     def gram_block():
         for states in climbs:
-            verify._gram_matrix(states, range(n_max + 1))
+            verify.orthonormality_matrix(states, range(n_max + 1))
 
     return {
         "verify_Z57.window_rows": timed(window_rows),

@@ -25,7 +25,7 @@ _EXPORTS = {
     "wavefunctions": ("LaguerreReport", "RadialPair", "assemble", "count_f_nodes",
                       "laguerre_cross_check", "normalize", "sample"),
     "verify": ("ResidualReport", "first_order_residual", "orthonormality_matrix",
-               "second_order_residual", "verification_report"),
+               "row_failures", "second_order_residual", "verification_report"),
     "oracle": ("BracketingError", "ORACLE_N_CAP", "ORACLE_REL_TOL", "OracleResult",
                "oracle_binding_residual", "oracle_sweep", "shooting_oracle",
                "shooting_oracle_batch"),

@@ -45,7 +45,7 @@ from .wavefunctions import (
     report_to_dict,
     sample,
 )
-from .verify import first_order_residual, verification_report
+from .verify import GRAM_N_CAP, first_order_residual, row_failures, verification_report
 from .jloperator import diagonality_scan, scan_to_dict, spectroscopic_label
 
 
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; default 1 and 80")
     p.add_argument("--j-max", type=_fraction, default=Fraction(5, 2))
     p.add_argument("--n-max", type=int, default=5,
-                   help="highest rung; the Gram block stops at 5 and the "
-                        "oracle at its validated cap, 10")
+                   help=f"highest rung; the Gram block stops at {GRAM_N_CAP} and "
+                        "the oracle at its validated cap, 10")
     p.add_argument("--skip-oracle", action="store_true",
                    help="exact residuals only, skip the float64 shooting oracle")
     p.add_argument("--inject-off-shell", action="store_true",
@@ -214,7 +214,7 @@ def run_spectrum(ns) -> int:
 def _state_checks(pair):
     """Identity cross-checks on an assembled bound state; bool-valued."""
     lag = None
-    checks = {"first_order_exact": all(r.is_exact_zero for r in first_order_residual(pair)),
+    checks = {"first_order_exact": all(r.is_exact_zero for r in first_order_residual(pair.state)),
               "normalization_ok": orthogonality_exact(pair.state)}
     if pair.n >= 1:
         lag = laguerre_cross_check(pair.state)
@@ -299,11 +299,7 @@ def run_verify(ns) -> int:
                   "oracle mismatch has no sign change over the bracket")
         for block in rep["channels"]:
             for row in block["rows"]:
-                failed = row.get("failed", [])
-                if row.get("detuned_nonzero") is False:
-                    failed = failed + ["detuned control unexpectedly zero"]
-                if row.get("bottom_rung_witness_nonzero") is False:
-                    failed = failed + ["bottom-rung witness unexpectedly zero"]
+                failed = row_failures(row)
                 if failed:
                     print(f"  j={block['j']} eps={block['eps']:+d} n={row['n']}: "
                           + ", ".join(failed))

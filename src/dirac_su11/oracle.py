@@ -64,7 +64,6 @@ class BracketingError(DomainError):
 
 @dataclass(frozen=True, slots=True)
 class OracleResult:
-    E_oracle: float
     binding_oracle: float
     nu_oracle: float
     bracket: tuple
@@ -341,7 +340,6 @@ def shooting_oracle_batch(levels) -> list:
                                            root_mis.tolist()):
         c2 = float(ch.params.c * ch.params.c)
         out.append(OracleResult(
-            E_oracle=c2 * (1 - nu ** 2) / (1 + nu ** 2),
             binding_oracle=-2 * c2 * nu ** 2 / (1 + nu ** 2),
             nu_oracle=nu,
             bracket=(lo, hi),

@@ -18,6 +18,9 @@ system in the (plus, minus) basis, so they are read off its rows as
 polynomials: row_f = lower - raise and row_g = lower + raise, that is
 lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
 
+`verification_report` decides every rung and Gram block through the public
+functions below, and `row_failures` names what fails one of its rows.
+
 The float64 shooting oracle lives in `oracle`, which alone imports numpy.
 Its public names still resolve here; the first use of one imports it.
 """
@@ -44,7 +47,7 @@ from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
 from .ladder import LadderState, build_state, climb, square_moment, tower_image  # noqa: F401
 from .algebra import field_moment, inner_product, universal_images
-from .wavefunctions import RadialPair, radial_parts, tower_window
+from .wavefunctions import radial_parts, tower_window
 
 GRAM_N_CAP = 5  # a Gram matrix of 65 rungs takes seconds per channel
 
@@ -101,18 +104,17 @@ def _reports(tags, rows) -> tuple:
     return tuple(ResidualReport(tag, row) for tag, row in zip(tags, rows))
 
 
-def first_order_residual(pair: RadialPair):
-    """Both rows of the coupled system on a radial pair; exact zeros."""
-    ch, n = pair.channel, pair.n
-    rows = _system_rows(ch, n, pair.f_poly, pair.g_poly, exact_w(ch, n))
-    return _reports(("radial-row-f", "radial-row-g"), rows)
-
-
 def _window_rows(state: LadderState, w: Quadratic):
     """The radial reports of the state's window lifted to w, with w^2 = w.d."""
     f, g = radial_parts(*tower_window(state, w))
     rows = _system_rows(state.channel, state.n, f, g, w)
     return _reports(("radial-row-f", "radial-row-g"), rows)
+
+
+def first_order_residual(state: LadderState):
+    """Both rows of the coupled system on the state's window, on shell;
+    exact zeros."""
+    return _window_rows(state, exact_w(state.channel, state.n))
 
 
 def detuned_first_order(state: LadderState):
@@ -123,8 +125,10 @@ def detuned_first_order(state: LadderState):
     return _window_rows(state, Quadratic.root(off_shell_w2(state.channel, state.n)))
 
 
-def second_order_residual(state: LadderState):
-    """Decoupled mode equations and the ladder-split relations, all exact.
+def second_order_residual(state: LadderState, radial):
+    """Decoupled mode equations and the ladder-split relations, all exact,
+    the split rows read off the radial rows (row_f, row_g) of the same
+    state: on shell (`first_order_residual`) or detuned.
 
     mode-equation-plus/minus: each window half satisfies its own
     second-order equation, i.e. the explicit Casimir action returns
@@ -138,18 +142,11 @@ def second_order_residual(state: LadderState):
                          = -(w + tau) psi_plus
 
     These are the first-order system in the (plus, minus) basis: their
-    residuals are lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2
-    on the rows of first_order_residual. The raise relation is the
-    unphysical-bottom detector: at n = 0 its residual is (w + tau) psi_plus,
-    which vanishes exactly when tau < 0 (w = -tau) and equals 2 tau at a
-    tau > 0 bottom rung.
+    residuals are lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
+    The raise relation is the unphysical-bottom detector: at n = 0 its
+    residual is (w + tau) psi_plus, which vanishes exactly when tau < 0
+    (w = -tau) and equals 2 tau at a tau > 0 bottom rung.
     """
-    return _second_order_rows(state, _window_rows(state, exact_w(state.channel, state.n)))
-
-
-def _second_order_rows(state: LadderState, radial):
-    """The four reports of second_order_residual, the split rows read off
-    the radial rows (row_f, row_g) of the same state."""
     ch = state.channel
     n = state.n
     link = ch.qs(ch.s2 - Fraction(1, 4) - ch.xi)
@@ -168,27 +165,16 @@ def _second_order_rows(state: LadderState, radial):
 # -- Gram matrix and report ------------------------------------------------------
 
 
-def orthonormality_matrix(channel: Channel, n_list, precision: int = DEFAULT_PRECISION):
-    """Gram matrix of unit tower kets under the phase-averaged inner product.
-
-    Off-diagonal entries are exact integer zeros (distinct modes); diagonal
-    entries are the exact field ratios of `_gram_matrix`, embedded: 1 for
-    unit kets.
-    """
+def orthonormality_matrix(rungs, n_list):
+    """Gram entries of the unit kets of rungs[a], rungs[b] for a, b in
+    n_list, exact; rungs is a climb, rung n at index n. Distinct modes pair
+    to the integer 0 under the phase average. On the diagonal,
+    Gamma(2s)/2^(2s) cancels against the ket normalizer
+    A_n = N_lam / sqrt(n!(2s+1)_n), leaving the shift-0 field moment of
+    pi_n^2 over n!(2s+1)_n: an element of Q(s), 1 iff the ket is a unit."""
     n_list = list(n_list)
     if min(n_list, default=0) < 0:
         raise DomainError("rung index must be a nonnegative integer")
-    gram = _gram_matrix(climb(channel, max(n_list, default=0), precision), n_list)
-    return [[x if isinstance(x, int) else x.embed(precision) for x in row] for row in gram]
-
-
-def _gram_matrix(rungs, n_list):
-    """Gram entries of the unit kets of rungs[a], rungs[b] for a, b in
-    n_list, exact. Distinct modes pair to the integer 0 under the phase
-    average. On the diagonal, Gamma(2s)/2^(2s) cancels against the ket
-    normalizer A_n = N_lam / sqrt(n!(2s+1)_n), leaving the shift-0 field
-    moment of pi_n^2 over n!(2s+1)_n: an element of Q(s), 1 iff the ket is
-    a unit."""
     diagonal = {}
     for a in set(n_list):
         rung = rungs[a]
@@ -210,42 +196,50 @@ def negative_branch_divergence_note() -> str:
     )
 
 
+def row_failures(row: dict) -> list:
+    """What fails a `verification_report` row: the residuals it expects to
+    be exact zeros that are not, a detuned control decided zero, and a
+    bottom-rung witness decided zero."""
+    return (row.get("failed", [])
+            + ["detuned control unexpectedly zero"] * (row.get("detuned_nonzero") is False)
+            + ["bottom-rung witness unexpectedly zero"]
+            * (row.get("bottom_rung_witness_nonzero") is False))
+
+
 def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2),
                         n_max: int = 5, precision: int = DEFAULT_PRECISION,
                         inject_off_shell: bool = False) -> dict:
     """Run the exact residual suite over a channel grid; JSON-friendly.
 
-    One climb per channel serves the residual rows and the Gram matrix,
-    which stops at GRAM_N_CAP; a deeper grid names that as gram_n_max.
-    Each rung's window is lifted to w once, and its split rows are read off
-    its radial rows; no row embeds E, so any precision decides them, and a
-    printed max_abs embeds no decided zero. The su(1,1) structure relations
-    and the two Casimir routes are not sampled here: they are decided once
-    per process on a generic family member (`algebra.universal_images`),
-    which covers every channel, mode and degree, so `commutators_exact` and
-    `casimir_routes_agree` report that decision.
+    One climb per channel serves the residual rows and the Gram matrix
+    (`orthonormality_matrix`), which stops at GRAM_N_CAP; a deeper grid
+    names that as gram_n_max. Each rung's window is lifted to w once
+    (`first_order_residual`), and its split rows are read off its radial
+    rows (`second_order_residual`); no row embeds E, so any precision
+    decides them, and a printed max_abs embeds no decided zero. The su(1,1)
+    structure relations and the two Casimir routes are not sampled here:
+    they are decided once per process on a generic family member
+    (`algebra.universal_images`), which covers every channel, mode and
+    degree, so `commutators_exact` and `casimir_routes_agree` report that
+    decision.
 
     inject_off_shell deliberately swaps one state's first-order residuals
     for their detuned counterparts, so a healthy reporting path must flag
     the run as failed.
     """
     channels = []
-    all_exact = True
     for ch, slots in channel_slots(params, j_max, n_max):
         rungs = climb(ch, n_max, precision)
         rows = []
         for n in slots:
             state = rungs[n]
             entry = {"n": n, "physical": state.is_physical}
-            radial = _window_rows(state, exact_w(ch, n))
-            reports = list(_second_order_rows(state, radial))
+            radial = first_order_residual(state)
+            reports = list(second_order_residual(state, radial))
             if state.is_physical:
                 if n >= 1:
                     det = detuned_first_order(state)
-                    entry["detuned_nonzero"] = all(
-                        not r.is_exact_zero for r in det)
-                    if not entry["detuned_nonzero"]:
-                        all_exact = False
+                    entry["detuned_nonzero"] = all(not r.is_exact_zero for r in det)
                     if inject_off_shell:
                         inject_off_shell = False  # one state only
                         entry["injected_off_shell"] = True
@@ -258,8 +252,6 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                 # state sits here
                 *expected_zero, witness = reports
                 entry["bottom_rung_witness_nonzero"] = not witness.is_exact_zero
-                if witness.is_exact_zero:
-                    all_exact = False
             entry["residuals"] = {
                 r.which: {"exact_zero": r.is_exact_zero,
                           "max_abs": mp_str(max_abs_embedded(r.residual_poly.coeffs,
@@ -267,22 +259,20 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
                 for r in reports}
             bad = [r.which for r in expected_zero if not r.is_exact_zero]
             if bad:
-                all_exact = False
                 entry["failed"] = bad
             rows.append(entry)
-        gram = _gram_matrix(rungs, range(min(n_max, GRAM_N_CAP) + 1))
+        gram = orthonormality_matrix(rungs, range(min(n_max, GRAM_N_CAP) + 1))
         size = len(gram)
         off_ok = all(gram[a][b] == 0 for a in range(size)
                      for b in range(size) if a != b)
         diagonal = [gram[a][a] - 1 for a in range(size)]
-        gram_ok = off_ok and all(d.is_zero for d in diagonal)
-        if not gram_ok:
-            all_exact = False
         channels.append({"j": str(ch.j), "eps": ch.eps, "rows": rows,
                          "gram_offdiagonal_exact_zero": off_ok,
                          "gram_diagonal_max_err": mp_str(
                              max_abs_embedded(diagonal, precision), 32),
-                         "gram_identity_ok": gram_ok})
+                         "gram_identity_ok": off_ok and all(d.is_zero for d in diagonal)})
+    all_exact = all(block["gram_identity_ok"] and not any(map(row_failures, block["rows"]))
+                    for block in channels)
     # the climbs above stand on the decided generator images: a structure
     # relation or Casimir route that fails raises AssertionError, naming it
     universal_images()

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
@@ -43,7 +44,7 @@ from mpmath.libmp import (fone, fzero, mpf_mul, mpf_shift, mpf_sub,
 
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, SpectralPoint, exact_w, max_abs_embedded,
-                     mp_str, off_shell_w2, spectral_point, tower_gap, tower_w2)
+                     mp_str, off_shell_w2, spectral_point, tower_gap)
 from .qsfield import QsPolynomial, Quadratic, _sign_variations, embed_fraction
 from .ladder import LadderState, square_moment
 from .algebra import field_moment, gamma_factor
@@ -186,7 +187,7 @@ class LaguerreReport:
         return all(row.is_zero for row in self.coupling_rows)
 
 
-def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
+def _coupling_rows(channel: Channel, n: int, w: Quadratic, a: Quadratic, b: Quadratic):
     """Rows of the linear system relating the two Laguerre scalars:
 
         (n + 2s) a + (w - tau) b = 0
@@ -194,7 +195,6 @@ def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
 
     Its determinant n(n+2s) - (w^2 - tau^2) vanishes identically on shell.
     """
-    w = exact_w(channel, n)
     tau = channel.qs(channel.tau)
     two_s = channel.s * 2
     row1 = a * channel.qs(n) + a * two_s + (w - tau) * b
@@ -204,21 +204,21 @@ def _coupling_rows(channel: Channel, n: int, a: Quadratic, b: Quadratic):
 
 def laguerre_cross_check(state: LadderState) -> LaguerreReport:
     """The Laguerre report of a state, every verdict decided in Q(s) or its
-    tower. At a = n! and b = -(w + tau)(n-1)! row 2 is identically zero and
-    row 1 is (n-1)! times the determinant, so the determinant decides what
+    tower. The scalars are read off the window lifted to w (`tower_window`):
+    a and b are its halves' leading coefficients over that of
+    L_k^(2s)(2 rho), (-2)^k/k!, at k = n and n - 1. On a bound state's
+    window a = n! and b = -(w + tau)(n-1)!, so row 2 is identically zero
+    and row 1 is (n-1)! times the determinant, which decides what
     eliminating w from the system would give for E. Nothing is embedded
     here: `report_to_dict` prints the rows' magnitude."""
     ch = state.channel
     n = state.n
     if n < 1:
         raise DomainError("cross check needs n >= 1 so both scalars exist")
-    w2 = tower_w2(ch, n)
-
-    # the scalars of psi_plus = n! L_n and psi_minus = -(w+tau)(n-1)! L_{n-1};
+    w = exact_w(ch, n)
     # pi_n = n! L_n^{(2s)}(2 rho) is decided in ladder._decide_rung
-    a_scalar = Quadratic.of(ch.qs(math.factorial(n)), d=w2)
-    ratio_minus = small_component_scalar(ch, n)
-    b_scalar = ratio_minus * math.factorial(n - 1)
+    a_scalar, b_scalar = (half.leading * Fraction(math.factorial(k), (-2) ** k)
+                          for half, k in zip(tower_window(state, w), (n, n - 1)))
 
     # the determinant n(n+2s) + tau^2 - w^2: zero on shell, nonzero detuned
     shell = tower_gap(ch, n) + ch.tau * ch.tau
@@ -226,11 +226,11 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
         n=n,
         alpha=str(ch.s * 2),
         scalar_ratio_plus=str(math.factorial(n)),
-        scalar_ratio_minus=str(ratio_minus),
+        scalar_ratio_minus=str(small_component_scalar(ch, n)),
         a=str(a_scalar),
         b=str(b_scalar),
-        coupling_rows=_coupling_rows(ch, n, a_scalar, b_scalar),
-        det_on_shell_exact_zero=(shell - w2).is_zero,
+        coupling_rows=_coupling_rows(ch, n, w, a_scalar, b_scalar),
+        det_on_shell_exact_zero=(shell - w.d).is_zero,
         off_shell_det_nonzero=not (shell - off_shell_w2(ch, n)).is_zero,
     )
 

@@ -2,7 +2,8 @@
 
 `norm_integral` is the route `wavefunctions.normalize` skips: it squares
 the polynomial parts, where normalize takes the integral from Laguerre
-orthogonality.
+orthogonality. `embedded_gram` turns the exact Gram entries of
+`verify.orthonormality_matrix` into numbers for a float comparison.
 """
 
 import mpmath as mp
@@ -20,3 +21,9 @@ def norm_integral(pair) -> mp.mpf:
               for p in (pair.f_poly, pair.g_poly))
     with mp.workprec(prec + _GUARD):
         return pair.f_scale ** 2 * ff + pair.g_scale ** 2 * gg
+
+
+def embedded_gram(gram, precision: int) -> list:
+    """The Gram entries with each field element embedded at precision bits;
+    the integer zeros off the diagonal stay integers."""
+    return [[x if isinstance(x, int) else x.embed(precision) for x in row] for row in gram]

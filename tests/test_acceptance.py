@@ -27,7 +27,7 @@ from dirac_su11 import oracle as orc
 from dirac_su11 import jloperator as jl
 
 from channel_images import REAL_RELATIONS, member, residual
-from reference import norm_integral
+from reference import embedded_gram, norm_integral
 
 PREC = 256
 
@@ -77,7 +77,8 @@ def test_criterion_2_exact_residual_suite(acceptance_log):
                 ch = make_channel(params, Fraction(jnum, 2), eps)
                 state = ld.ground_state(ch, PREC)
                 for n in range(21):
-                    for rep in vf.second_order_residual(state):
+                    radial = vf.first_order_residual(state)
+                    for rep in vf.second_order_residual(state, radial):
                         if n == 0 and ch.tau > 0 and rep.which == "ladder-split-raise":
                             # unphysical bottom: this residual is the witness
                             if rep.is_exact_zero:
@@ -90,8 +91,7 @@ def test_criterion_2_exact_residual_suite(acceptance_log):
                         else:
                             failures.append((Z, jnum, eps, n, rep.which))
                     if state.is_physical:
-                        pair = wf.assemble(state)
-                        for rep in vf.first_order_residual(pair):
+                        for rep in radial:
                             if rep.is_exact_zero:
                                 exact += 1
                             else:
@@ -210,7 +210,7 @@ def test_criterion_5_normalization_and_gram(acceptance_log):
                 worst_norm = max(worst_norm, err)
                 if err > tol:
                     bad.append((Z, str(j), eps, n, "norm"))
-        gram = vf.orthonormality_matrix(ch, range(6), PREC)
+        gram = embedded_gram(vf.orthonormality_matrix(ld.climb(ch, 5, PREC), range(6)), PREC)
         with mp.workprec(PREC):
             for a in range(6):
                 for b in range(6):

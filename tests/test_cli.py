@@ -291,14 +291,14 @@ class TestVerify:
         # a tau > 0 bottom rung whose raise witness is decided zero fails
         # the run, and a line names the slot, as for a failed row
         from dirac_su11 import verify
-        second_order_rows = verify._second_order_rows
+        second_order_residual = verify.second_order_residual
 
         def zero_witness(state, radial):
-            *rows, witness = second_order_rows(state, radial)
+            *rows, witness = second_order_residual(state, radial)
             zero = QsPolynomial.zero_poly(witness.residual_poly.zero)
             return (*rows, replace(witness, residual_poly=zero))
 
-        monkeypatch.setattr(verify, "_second_order_rows", zero_witness)
+        monkeypatch.setattr(verify, "second_order_residual", zero_witness)
         code, out = run(capsys, ["verify", "--Z", "1", "--j-max", "1/2", "--n-max", "1",
                                  "--skip-oracle"] + FAST)
         assert code == 3
@@ -409,10 +409,13 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_verify_help_names_the_oracle_cap(self, capsys):
+        # the help names both caps, so a changed cap cannot leave it stale
         from dirac_su11 import oracle
+        from dirac_su11.verify import GRAM_N_CAP
         assert main(["verify", "--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         assert f"the oracle at its validated cap, {oracle.ORACLE_N_CAP}" in out
+        assert f"the Gram block stops at {GRAM_N_CAP} and" in out
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -188,7 +188,7 @@ class TestKetNormalization:
     def test_unit_kets_up_the_tower(self):
         # the Gram diagonal of the unit kets is decided exactly 1 in Q(s)
         rungs = ld.climb(CH, 5, 192)
-        gram = vf._gram_matrix(rungs, (0, 1, 2, 5))
+        gram = vf.orthonormality_matrix(rungs, (0, 1, 2, 5))
         assert all(gram[a][a] == CH.qs(1) for a in range(4))
 
     def test_norm_scalar_closed_form(self):

@@ -17,6 +17,7 @@ from dirac_su11 import wavefunctions as wf
 from dirac_su11 import verify as vf
 from dirac_su11 import oracle as orc
 from dirac_su11.algebra import field_moment
+from reference import embedded_gram
 
 P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
@@ -35,6 +36,12 @@ def spy_on_embed(monkeypatch) -> list:
 
     monkeypatch.setattr(Quadratic, "embed", spy)
     return embedded
+
+
+def second_order(state):
+    """second_order_residual with the split rows read off the state's
+    on-shell radial rows."""
+    return vf.second_order_residual(state, vf.first_order_residual(state))
 
 
 def count_rung_checks(monkeypatch) -> Counter:
@@ -56,8 +63,7 @@ class TestFirstOrder:
     def test_exact_zero_rows(self):
         for ch in (CH, CH_HEAVY):
             for n in (0, 1, 3):
-                pair = wf.assemble(ld.build_state(ch, n, 128))
-                for rep in vf.first_order_residual(pair):
+                for rep in vf.first_order_residual(ld.build_state(ch, n, 128)):
                     assert rep.is_exact_zero
                     assert max_abs_embedded(rep.residual_poly.coeffs, 128) == 0
 
@@ -109,13 +115,13 @@ class TestSecondOrder:
         for ch in (CH, CH_HEAVY):
             for n in range(9):
                 state = ld.build_state(ch, n, 128)
-                for rep in vf.second_order_residual(state):
+                for rep in second_order(state):
                     assert rep.is_exact_zero, (ch.key(), n, rep.which)
 
     def test_bottom_rung_witness(self):
         # tau > 0 bottom: the raise-split residual equals 2 tau, exactly
         state = ld.build_state(CH_P, 0, 128)
-        by_name = {r.which: r for r in vf.second_order_residual(state)}
+        by_name = {r.which: r for r in second_order(state)}
         witness = by_name["ladder-split-raise"]
         assert not witness.is_exact_zero
         assert (witness.residual_poly.coeff(0) - CH_P.qs(2 * CH_P.tau)).is_zero
@@ -130,18 +136,18 @@ class TestSecondOrder:
         state = ld.build_state(CH_HEAVY, 3, 128)
         off = replace(CH_HEAVY, xi=CH_HEAVY.xi + Fraction(1, 100))
         shifted = replace(state, channel=off)
-        by_name = {r.which: r for r in vf.second_order_residual(shifted)}
+        by_name = {r.which: r for r in second_order(shifted)}
         for tag, half in (("mode-equation-plus", state.psi_plus),
                           ("mode-equation-minus", state.psi_minus)):
             assert (by_name[tag].residual_poly - half.scale(Fraction(-1, 100))).is_zero
         assert by_name["ladder-split-lower"].is_exact_zero
         corrupt = replace(state, psi_plus=state.psi_plus.scale(CH_HEAVY.qs(3)))
         with pytest.raises(AssertionError, match="not the image of the universal tower"):
-            vf.second_order_residual(corrupt)
+            second_order(corrupt)
 
     def test_physical_bottom_has_no_witness(self):
         state = ld.build_state(CH, 0, 128)
-        by_name = {r.which: r for r in vf.second_order_residual(state)}
+        by_name = {r.which: r for r in second_order(state)}
         assert by_name["ladder-split-raise"].is_exact_zero
 
 
@@ -168,11 +174,10 @@ class TestRotation:
     def test_on_shell(self, ch, n):
         state = ld.build_state(ch, n, 128)
         lower, raise_ = split_rows(state, wf.exact_w(ch, n))
-        pair = wf.assemble(state, allow_unphysical=True)
-        row_f, row_g = (r.residual_poly for r in vf.first_order_residual(pair))
+        row_f, row_g = (r.residual_poly for r in vf.first_order_residual(state))
         assert row_f == lower - raise_
         assert row_g == lower + raise_
-        by_name = {r.which: r.residual_poly for r in vf.second_order_residual(state)}
+        by_name = {r.which: r.residual_poly for r in second_order(state)}
         assert by_name["ladder-split-lower"] == lower
         assert by_name["ladder-split-raise"] == raise_
         assert lower.is_zero
@@ -192,7 +197,7 @@ class TestRotation:
         assert row_g == lower + raise_
         # the split rows read off the detuned rows are the detuned split
         by_name = {r.which: r.residual_poly
-                   for r in vf._second_order_rows(state, detuned)}
+                   for r in vf.second_order_residual(state, detuned)}
         assert by_name["ladder-split-lower"] == lower
         assert by_name["ladder-split-raise"] == raise_
         # off shell the lowering relation fails; raising holds for any w
@@ -217,8 +222,8 @@ class TestRepresentation:
         # universal image with !=; coefficients that differ only in the
         # triple that stores them are equal
         state = ld.build_state(CH_HEAVY, 3, 128)
-        radial = vf.first_order_residual(wf.assemble(state))
-        expected = [r.residual_poly for r in vf._second_order_rows(state, radial)]
+        radial = vf.first_order_residual(state)
+        expected = [r.residual_poly for r in vf.second_order_residual(state, radial)]
         for k in (1, 7):
             plus, minus = rerepresent(state.psi_plus, k), rerepresent(state.psi_minus, k)
             assert plus == state.psi_plus and not plus != state.psi_plus
@@ -226,7 +231,7 @@ class TestRepresentation:
             assert hash(plus) == hash(state.psi_plus)
             assert str(plus) == str(state.psi_plus)
             twin = replace(state, psi_plus=plus, psi_minus=minus)
-            rows = vf._second_order_rows(twin, radial)
+            rows = vf.second_order_residual(twin, radial)
             assert [r.residual_poly for r in rows] == expected
 
 
@@ -388,7 +393,7 @@ class TestOracleBatch:
 
 class TestGram:
     def test_offdiagonal_exact_integer_zero(self):
-        g = vf.orthonormality_matrix(CH, range(5), 128)
+        g = vf.orthonormality_matrix(ld.climb(CH, 4, 128), range(5))
         for i in range(5):
             for j in range(5):
                 if i != j:
@@ -396,7 +401,7 @@ class TestGram:
                     assert g[i][j] == 0
 
     def test_normalized_diagonal_is_one(self):
-        g = vf.orthonormality_matrix(CH, range(5), 192)
+        g = embedded_gram(vf.orthonormality_matrix(ld.climb(CH, 4, 192), range(5)), 192)
         with mp.workprec(192):
             for i in range(5):
                 assert abs(g[i][i] - 1) < mp.mpf(2) ** -150
@@ -405,7 +410,7 @@ class TestGram:
         # before the ket normalizers, the diagonal is <pi_n, pi_n> = 1/A_n^2:
         # its field moment is n!(2s+1)_n, so the exact Gram diagonal is 1
         rungs = ld.climb(CH, 3, 192)
-        gram = vf._gram_matrix(rungs, range(4))
+        gram = vf.orthonormality_matrix(rungs, range(4))
         for i in range(4):
             pi = rungs[i].psi_plus
             assert field_moment(pi * pi, CH) == ld.square_moment(CH, i)
@@ -415,23 +420,23 @@ class TestGram:
         # each universal rung is decided once per process, however many
         # channels climb it
         seen = count_rung_checks(monkeypatch)
-        g = vf.orthonormality_matrix(CH, [4, 0, 2], 128)
+        g = vf.orthonormality_matrix(ld.climb(CH, 4, 128), [4, 0, 2])
         assert seen == Counter(dict.fromkeys(range(5), 1))
         assert g[0][1] == g[1][2] == 0
-        vf.orthonormality_matrix(CH_HEAVY, range(5), 128)
-        vf.orthonormality_matrix(CH, [3], 128)
+        vf.orthonormality_matrix(ld.climb(CH_HEAVY, 4, 128), range(5))
+        vf.orthonormality_matrix(ld.climb(CH, 3, 128), [3])
         assert seen == Counter(dict.fromkeys(range(5), 1))
 
     def test_diagonal_is_decided_one(self):
         # the norm of each unit ket is an element of Q(s), exactly 1
-        for a, row in enumerate(vf._gram_matrix(ld.climb(CH_HEAVY, 4), range(5))):
+        for a, row in enumerate(vf.orthonormality_matrix(ld.climb(CH_HEAVY, 4), range(5))):
             assert row[a] == CH_HEAVY.qs(1)
 
     def test_perturbed_rung_fails_the_gram_identity(self, monkeypatch, capsys):
         # rung 2 with pi_2 scaled by 1 + 2^-300: its diagonal is off by
         # about 2^-299, which a float test within 2^-(p - 16) = 2^-240
         # would pass; the field decision does not
-        gram_matrix = vf._gram_matrix
+        gram_matrix = vf.orthonormality_matrix
 
         def perturbed(rungs, n_list):
             rungs = list(rungs)
@@ -439,7 +444,7 @@ class TestGram:
             rungs[2] = replace(bad, psi_plus=bad.psi_plus.scale(1 + Fraction(1, 2 ** 300)))
             return gram_matrix(rungs, n_list)
 
-        monkeypatch.setattr(vf, "_gram_matrix", perturbed)
+        monkeypatch.setattr(vf, "orthonormality_matrix", perturbed)
         rep = vf.verification_report(P1, Fraction(1, 2), 3, 256)
         assert [b["gram_identity_ok"] for b in rep["channels"]] == [False, False]
         assert all(b["gram_offdiagonal_exact_zero"] for b in rep["channels"])
@@ -451,7 +456,7 @@ class TestGram:
 
     def test_negative_rung_refused(self):
         with pytest.raises(DomainError):
-            vf.orthonormality_matrix(CH, [2, -1], 128)
+            vf.orthonormality_matrix(ld.climb(CH, 2, 128), [2, -1])
 
 
 class TestReport:
@@ -480,6 +485,24 @@ class TestReport:
         rows = [row for block in rep["channels"] for row in block["rows"]]
         assert len(rows) == 36
         assert len(calls) == len(rows) + sum("detuned_nonzero" in row for row in rows)
+
+    def test_one_door_per_decision(self, monkeypatch):
+        # the report decides each rung through first_order_residual and
+        # second_order_residual, and each channel's Gram block through
+        # orthonormality_matrix: the functions these tests check
+        calls = Counter()
+        for name in ("first_order_residual", "second_order_residual",
+                     "orthonormality_matrix"):
+            def counting(*args, _fn=getattr(vf, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(vf, name, counting)
+        rep = vf.verification_report(P1, Fraction(3, 2), 3, 128)
+        assert rep["all_exact"] is True
+        rows = sum(len(block["rows"]) for block in rep["channels"])
+        assert rows == 16
+        assert calls == Counter(first_order_residual=rows, second_order_residual=rows,
+                                orthonormality_matrix=len(rep["channels"]))
 
     def test_negative_n_max_refused(self):
         with pytest.raises(DomainError):

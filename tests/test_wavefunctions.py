@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirac_su11.params import (_GUARD, make_params, make_channel, max_abs_embedded,
-                               spectral_point, DomainError)
+                               spectral_point, tower_w2, DomainError)
 from dirac_su11.qsfield import QsPolynomial, Quadratic, embed_fraction, sturm_positive_roots
 from dirac_su11 import ladder as ld
 from dirac_su11 import qsfield
 from dirac_su11 import wavefunctions as wf
+from dirac_su11 import verify as vf
 from dirac_su11.algebra import field_moment
 
 from reference import norm_integral
@@ -34,7 +35,7 @@ def pair_for(ch, n, prec=256):
 class TestTowerScalars:
     def test_w_squared_value(self):
         # w^2 = tau^2 + n^2 + 2ns: components checked directly
-        w2 = wf.tower_w2(CH, 3)
+        w2 = tower_w2(CH, 3)
         assert w2.a == Fraction(1) + 9
         assert w2.b == 6
 
@@ -46,7 +47,7 @@ class TestTowerScalars:
     def test_w_squares_to_w2(self):
         for n in (0, 1, 4):
             w = wf.exact_w(CH_HEAVY, n)
-            w2 = wf.tower_w2(CH_HEAVY, n)
+            w2 = tower_w2(CH_HEAVY, n)
             assert (w * w - Quadratic.of(w2, d=w2)).is_zero
 
     def test_small_component_scalar_vanishes_only_at_physical_bottom(self):
@@ -177,6 +178,20 @@ class TestLaguerreEquivalence:
         assert rep.det_on_shell_exact_zero is False
         on = wf.laguerre_cross_check(ld.build_state(CH_HEAVY, 3))
         assert on.rows_exact_zero and on.det_on_shell_exact_zero
+
+    def test_cross_check_reads_the_window(self):
+        # the scalars come off the state's own window: with psi_minus
+        # scaled by 2, b doubles and both coupling rows are nonzero, as the
+        # first-order rows and the normalization moments also say
+        state = ld.build_state(CH_HEAVY, 3)
+        bad = replace(state, psi_minus=state.psi_minus.scale(2))
+        rep = wf.laguerre_cross_check(bad)
+        assert rep.rows_exact_zero is False
+        assert not any(row.is_zero for row in rep.coupling_rows)
+        assert rep.det_on_shell_exact_zero is True
+        assert rep.b != wf.laguerre_cross_check(state).b
+        assert not all(r.is_exact_zero for r in vf.first_order_residual(bad))
+        assert wf.orthogonality_exact(bad) is False
 
     def test_cross_check_embeds_only_nonzero_rows(self, monkeypatch):
         # the report holds the exact rows and embeds nothing; printing it
