@@ -15,10 +15,10 @@ after three. A row is the median over the rounds, with its quartiles as
 the spread.
 
 Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
-  - every stage of `state` at n = 20, 40 and 64: climb, assemble,
-    normalize, the normalization check, sample (400 points), the node
-    count, the Laguerre report with its printed dict, and the whole
-    command in process;
+  - every stage of `state` at n = 20, 40 and 64: climb, the last rung's
+    `raise_state` alone, assemble, normalize, the normalization check,
+    sample (400 points), the node count, the Laguerre report with its
+    printed dict, and the whole command in process;
   - on the grid of `verify --Z 57 --j-max 5/2 --n-max 5`: the radial
     rows of every rung on shell (`first_order_residual`) and of every
     physical rung n >= 1 detuned (`detuned_first_order`), the Gram
@@ -99,13 +99,15 @@ def state_rows(n: int) -> dict:
     from dirac_su11.params import make_channel, make_params
     ch = make_channel(make_params(Z=80), Fraction(5, 2), 1)
     prec = 256
-    state = ladder.build_state(ch, n, prec)
+    below = ladder.build_state(ch, n - 1, prec)
+    state = ladder.raise_state(below)
     raw = wf.assemble(state)
     pair = wf.normalize(raw)
     argv = ["state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", str(n),
             "--format", "json"]
     stages = {
         "climb": lambda: ladder.build_state(ch, n, prec),
+        "raise_state": lambda: ladder.raise_state(below),
         "assemble": lambda: wf.assemble(state),
         "normalize": lambda: wf.normalize(raw),
         "normalization_check": lambda: wf.orthogonality_exact(state),

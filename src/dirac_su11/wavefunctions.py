@@ -29,6 +29,9 @@ cancels. `normalize` embeds B once; the constant it finds is stored on the
 pair, separate from the ket normalizer of the phase-averaged product,
 which the state derives. `orthogonality_exact` decides the three moments
 this takes from orthogonality on the state's own window, in Q(s).
+
+`sample` runs the Laguerre recurrence on Python ints in fixed point and
+weights each grid point with one exp; its docstring bounds the error.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpf_mul, mpf_shift, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import from_man_exp, mpf_shift, round_nearest, to_int
 
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, SpectralPoint, exact_w, max_abs_embedded,
@@ -174,8 +176,8 @@ class LaguerreReport:
 
     n: int
     alpha: str                      # 2s as an exact field element, printed
-    scalar_ratio_plus: str          # psi_plus / L_n, exact (integer n!)
-    scalar_ratio_minus: str         # psi_minus / L_{n-1} in the tower
+    scalar_ratio_plus: str          # a, psi_plus / L_n: n! on a bound state
+    scalar_ratio_minus: str         # b/(n-1)!: -(w + tau) on a bound state
     a: str                          # Laguerre scalar of psi_plus
     b: str                          # Laguerre scalar of psi_minus
     coupling_rows: tuple            # both rows at (a, b), in Q(s)[w]
@@ -206,11 +208,12 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
     """The Laguerre report of a state, every verdict decided in Q(s) or its
     tower. The scalars are read off the window lifted to w (`tower_window`):
     a and b are its halves' leading coefficients over that of
-    L_k^(2s)(2 rho), (-2)^k/k!, at k = n and n - 1. On a bound state's
-    window a = n! and b = -(w + tau)(n-1)!, so row 2 is identically zero
-    and row 1 is (n-1)! times the determinant, which decides what
-    eliminating w from the system would give for E. Nothing is embedded
-    here: `report_to_dict` prints the rows' magnitude."""
+    L_k^(2s)(2 rho), (-2)^k/k!, at k = n and n - 1, and the ratio strings
+    are a (its rational part if that is all of it) and b/(n-1)!. On a
+    bound state's window a = n! and b = -(w + tau)(n-1)!, so row 2 is
+    identically zero and row 1 is (n-1)! times the determinant, which
+    decides what eliminating w from the system would give for E. Nothing
+    is embedded here: `report_to_dict` prints the rows' magnitude."""
     ch = state.channel
     n = state.n
     if n < 1:
@@ -225,8 +228,9 @@ def laguerre_cross_check(state: LadderState) -> LaguerreReport:
     return LaguerreReport(
         n=n,
         alpha=str(ch.s * 2),
-        scalar_ratio_plus=str(math.factorial(n)),
-        scalar_ratio_minus=str(small_component_scalar(ch, n)),
+        scalar_ratio_plus=str(a_scalar.a.a if a_scalar.b.is_zero and a_scalar.a.b == 0
+                              else a_scalar),
+        scalar_ratio_minus=str(b_scalar * Fraction(1, math.factorial(n - 1))),
         a=str(a_scalar),
         b=str(b_scalar),
         coupling_rows=_coupling_rows(ch, n, w, a_scalar, b_scalar),
@@ -256,35 +260,33 @@ def report_to_dict(report: LaguerreReport, precision: int = DEFAULT_PRECISION) -
 # -- sampling and node counting -------------------------------------------------
 
 
-def _window_at(steps, rho: mp.mpf, work: int):
-    """(pi_n, pi_{n-1}) at rho, from one forward pass of
-    pi_{k+1} = (a_k - 2 rho) pi_k - b_k pi_{k-1} with pi_0 = 1, pi_{-1} = 0
-    over the embedded steps (a_k, b_k), on raw tuples at the working
-    precision, rounding to nearest."""
-    two_rho = mpf_shift(rho._mpf_, 1)
-    plus, minus = fone, fzero
-    for a, b in steps:
-        t = mpf_mul(mpf_sub(a, two_rho, work, round_nearest), plus, work, round_nearest)
-        plus, minus = mpf_sub(t, mpf_mul(b, minus, work, round_nearest),
-                              work, round_nearest), plus
-    return mp.make_mpf(plus), mp.make_mpf(minus)
-
-
 def sample(pair: RadialPair, count: int = 400) -> RadialPair:
     """Evaluate (F, G) on a geometric grid from rho = 1/1000 to
-    5 (n + s + 1); returns a pair carrying samples. At each point the
-    three-term Laguerre recurrence the ladder decides per rung,
+    5 (n + s + 1); returns a pair carrying samples. Being geometric, the
+    grid gives the weight rho^s e^{-rho} as one exp of s log rho - rho,
+    with log rho_i = log lo + i log ratio. At each point the Laguerre
+    recurrence the ladder decides per rung, stable forward on the grid,
 
         pi_{k+1} = (2k + 1 + 2s - 2 rho) pi_k - k(k + 2s) pi_{k-1},
 
-    gives (pi_n, pi_{n-1}) with precision + _GUARD bits; it is stable
-    forward on the whole grid, so the guard is fixed. The window halves
-    are then (pi_n, c pi_{n-1}) with c = -(w + tau) embedded once."""
+    runs on Python ints. With work = precision + _GUARD, a_k, b_k and
+    2 rho are ints A_k, B_k, R at F = work + 16 fractional bits (2s is
+    rounded once: within 1/2, k/2 and 1/2 units), and (pi_k, pi_{k-1}) =
+    (P, Q) 2^e; a step is P, Q = ((A_k - R) P - B_k Q) >> F, P, and when P
+    outgrows W = work + 8 bits both are floored to W bits. A unit 2^e is
+    then at most 2^(1-W) of the largest |pi_j| so far, and a step errs by
+    under 1 + (2 + k) 2^(W-F-1) < 2 units (k < 64), a rescale by 1 more:
+    2^-(work+5) of that value. The mpf pass at work bits that this
+    replaced rounded four times a step, relative to products up to
+    b_k |pi_{k-1}|, so _GUARD covers this pass as it covered that one.
+    (P, Q) is rounded once to work bits, and the window halves are
+    (pi_n, c pi_{n-1}) with c = -(w + tau) embedded once."""
     if count < 2:
         raise DomainError("need at least two sample points")
     prec = pair.state.precision
     ch, n = pair.channel, pair.n
     work = prec + _GUARD
+    width, frac = work + 8, work + 16
     with mp.workprec(prec):
         top = 5 * (n + ch.s.embed(prec) + 1)
     rows = []
@@ -292,13 +294,22 @@ def sample(pair: RadialPair, count: int = 400) -> RadialPair:
         lo = mp.mpf(1) / 1000
         ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
         s_emb = ch.s.embed(work)
-        steps = [((2 * s_emb + (2 * k + 1))._mpf_, (k * (2 * s_emb + k))._mpf_)
+        log_lo, log_ratio = mp.log(lo), mp.log(ratio)
+        two_s = to_int(mpf_shift(ch.s.embed(frac + 16)._mpf_, frac + 1), round_nearest)
+        steps = [(((2 * k + 1) << frac) + two_s, ((k * k) << frac) + k * two_s)
                  for k in range(n)]
         scalar = small_component_scalar(ch, n).embed(work)
         for i in range(count):
             rho = lo * ratio ** i
-            weight = mp.power(rho, s_emb) * mp.exp(-rho)
-            plus, minus = _window_at(steps, rho, work)
+            weight = mp.exp(s_emb * (log_lo + i * log_ratio) - rho)
+            r = to_int(mpf_shift(rho._mpf_, frac + 1), round_nearest)
+            p, q, e = 1 << (width - 1), 0, 1 - width
+            for a, b in steps:
+                p, q = ((a - r) * p - b * q) >> frac, p
+                excess = p.bit_length() - width
+                if excess > 0:
+                    p, q, e = p >> excess, q >> excess, e + excess
+            plus, minus = (mp.make_mpf(from_man_exp(x, e, work, round_nearest)) for x in (p, q))
             f, g = radial_parts(plus, scalar * minus)
             fv = pair.f_scale * weight * f
             gv = pair.g_scale * weight * g

@@ -1,6 +1,7 @@
 """Assembly, normalization, Laguerre equivalence, sampling, node counts."""
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -193,6 +194,22 @@ class TestLaguerreEquivalence:
         assert not all(r.is_exact_zero for r in vf.first_order_residual(bad))
         assert wf.orthogonality_exact(bad) is False
 
+    def test_ratio_strings_read_the_window(self):
+        # a correct window prints n! and -(w + tau); psi_minus scaled by 2
+        # doubles b/(n-1)!, psi_plus scaled by 2 prints a = 12, and an a
+        # with an s-part prints whole
+        state = ld.build_state(CH_HEAVY, 3)
+        minus = wf.small_component_scalar(CH_HEAVY, 3)
+        good = wf.laguerre_cross_check(state)
+        assert (good.scalar_ratio_plus, good.scalar_ratio_minus) == ("6", str(minus))
+        bad = wf.laguerre_cross_check(replace(state, psi_minus=state.psi_minus.scale(2)))
+        assert (bad.scalar_ratio_plus, bad.scalar_ratio_minus) == ("6", str(minus * 2))
+        big = wf.laguerre_cross_check(replace(state, psi_plus=state.psi_plus.scale(2)))
+        assert (big.scalar_ratio_plus, big.scalar_ratio_minus) == ("12", str(minus))
+        tilted = replace(state, psi_plus=state.psi_plus.scale(CH_HEAVY.qs(1, 1)))
+        rep = wf.laguerre_cross_check(tilted)
+        assert rep.scalar_ratio_plus == rep.a != "6"
+
     def test_cross_check_embeds_only_nonzero_rows(self, monkeypatch):
         # the report holds the exact rows and embeds nothing; printing it
         # embeds only a nonzero row: on shell nothing, and the residual is
@@ -290,23 +307,30 @@ class TestSamplingAndNodes:
         assert wf.count_f_nodes(pair) == 63
 
     def test_deep_samples_equal_pointwise_eval_mp(self):
-        prec, count = 128, 40
-        pair = wf.normalize(pair_for(CH_HEAVY, 20, prec))
-        got = wf.sample(pair, count=count).samples
-        work = prec + _GUARD
-        with mp.workprec(prec):
-            top = 5 * (20 + CH_HEAVY.s.embed(prec) + 1)
-        with mp.workprec(work):
-            lo = mp.mpf(1) / 1000
-            ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
-            s = CH_HEAVY.s.embed(work)
+        # at the far end pi_64 ~ (2 rho)^64 is some 2^600 times pi_0, so the
+        # integer pass's kept width rescales over and over; there, and at
+        # 53 bits, eval_mp's monomial Horner pass loses more bits to
+        # cancellation than the guard holds and gets `extra` bits more
+        count = 40
+        for ch, n, prec, extra in ((CH_HEAVY, 20, 128, 0), (CH_DEEP[1], 64, 256, 256),
+                                   (CH_DEEP[-1], 20, 53, 64)):
+            pair = wf.normalize(pair_for(ch, n, prec))
+            got = wf.sample(pair, count=count).samples
+            work = prec + _GUARD
+            with mp.workprec(prec):
+                top = 5 * (n + ch.s.embed(prec) + 1)
+            with mp.workprec(work):
+                lo = mp.mpf(1) / 1000
+                ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
             for i, (rho_s, fv, gv) in enumerate(got):
-                rho = lo * ratio ** i
-                weight = mp.power(rho, s) * mp.exp(-rho)
-                f_ref = pair.f_scale * weight * pair.f_poly.eval_mp(rho, work)
-                g_ref = pair.g_scale * weight * pair.g_poly.eval_mp(rho, work)
+                with mp.workprec(work):
+                    rho = lo * ratio ** i
+                with mp.workprec(work + extra):
+                    weight = mp.power(rho, ch.s.embed(work + extra)) * mp.exp(-rho)
+                    f_ref = pair.f_scale * weight * pair.f_poly.eval_mp(rho, work + extra)
+                    g_ref = pair.g_scale * weight * pair.g_poly.eval_mp(rho, work + extra)
                 with mp.workprec(prec):
-                    assert (rho_s, fv, gv) == (+rho, +f_ref, +g_ref)
+                    assert (rho_s, fv, gv) == (+rho, +f_ref, +g_ref), (ch, n, prec, i)
 
     def test_sample_grid_geometry(self):
         pair = wf.sample(pair_for(CH, 2, 128), count=50)
@@ -365,6 +389,37 @@ class TestSamplingAndNodes:
                    * poly.eval_mp(rho, ref_bits))
         with mp.workprec(prec):
             assert got == +ref
+
+    def test_random_windows_round_once_from_2048_bits(self):
+        # random windows of j <= 5/2 at Z = 1, 57 and 118, with the tau > 0
+        # bottom rung assembled anyway: a few points of each, at 53 and 256
+        # bits, are the value at 2048 bits rounded once
+        rng = random.Random(2029)
+        ref_bits, count = 2048, 60
+        for prec in (53, 256):
+            for Z in (1, 57, 118):
+                params = make_params(Z=Z)
+                js = [Fraction(rng.choice((1, 3, 5)), 2) for _ in range(5)]
+                windows = [(make_channel(params, js[0], 1), 0)] + [
+                    (make_channel(params, j, rng.choice((-1, 1))), n)
+                    for j, n in zip(js[1:], (0, 1, 5, 20))]
+                for ch, n in windows:
+                    pair = wf.normalize(wf.assemble(ld.build_state(ch, n, prec),
+                                                    allow_unphysical=True))
+                    got = wf.sample(pair, count=count).samples
+                    with mp.workprec(prec):
+                        top = 5 * (n + ch.s.embed(prec) + 1)
+                    for index in rng.sample(range(count), 3):
+                        with mp.workprec(prec + _GUARD):
+                            lo = mp.mpf(1) / 1000
+                            rho = lo * ((top / lo) ** (mp.mpf(1) / (count - 1))) ** index
+                        with mp.workprec(ref_bits):
+                            weight = mp.power(rho, ch.s.embed(ref_bits)) * mp.exp(-rho)
+                            ref = [scale * weight * poly.eval_mp(rho, ref_bits)
+                                   for poly, scale in ((pair.f_poly, pair.f_scale),
+                                                       (pair.g_poly, pair.g_scale))]
+                        with mp.workprec(prec):
+                            assert got[index] == (+rho, +ref[0], +ref[1]), (prec, ch, n, index)
 
     def test_sample_count_guard(self):
         with pytest.raises(DomainError):
