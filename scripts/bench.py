@@ -1,4 +1,5 @@
-"""Warm layer timings of the exact core and the oracle, written to BENCH_layers.json.
+"""Layer timings of the exact core and the oracle, warm in process, and whole
+commands in fresh processes, written to BENCH_layers.json.
 
     python scripts/bench.py [--tree NAME=SRC ...] [--repeat K] [--out PATH]
 
@@ -24,6 +25,10 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
     physical rung n >= 1 detuned (`detuned_first_order`), the Gram
     matrices of its six channels (`orthonormality_matrix`), and the whole
     report, which decides through these same functions;
+  - the first-order rows of one rung at n = 5, 20 and 64: decided once on
+    the universal window, uncached (`universal`; a tree without that
+    decision has no such row), and on the channel's lifted window, the
+    direct route the universal rows replace on shell (`direct`);
   - the cheap commands in process, at Z = 57: `spectrum --N-max 1..4`,
     `jl` and `limit`;
   - the embedding edge: `embed_fraction(c^2)`, `s.embed(256)` and
@@ -41,6 +46,11 @@ The host is recorded (cores, Python, mpmath and its backend). Each worker
 times the median of benchmark/gauge.py's reference slice before and after
 its rows; every row is also given in refs, the median over the rounds of
 seconds over that round's reference.
+
+After the rounds, each tree runs FRESH_RUNS fresh processes of each
+command in FRESH_COMMANDS, the trees interleaved as above; these rows are
+wall seconds of the whole process, import included, given as their median
+and [min, max] under fresh.
 """
 
 from __future__ import annotations
@@ -60,6 +70,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STATE_NS = (20, 40, 64)
+UNIVERSAL_NS = (5, 20, 64)
+FRESH_RUNS = 3
+FRESH_COMMANDS = {
+    "state_n64": ["state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", "64",
+                  "--format", "json"],
+    "verify_Z80": ["verify", "--Z", "80", "--skip-oracle"],
+}
 GAUGE_SLICES = 7
 CALLS, ROW_SECONDS, MIN_CALLS = 25, 1.0, 3
 
@@ -151,6 +168,19 @@ def verify_rows() -> dict:
     }
 
 
+def universal_rows() -> dict:
+    from dirac_su11 import ladder, verify
+    from dirac_su11.params import exact_w, make_channel, make_params
+    ch = make_channel(make_params(Z=80), Fraction(5, 2), 1)
+    rows = {}
+    for n in UNIVERSAL_NS:
+        state, w = ladder.build_state(ch, n), exact_w(ch, n)
+        if hasattr(verify, "_decide_universal_rows"):
+            rows[f"rows_n{n}.universal"] = timed(lambda: verify._decide_universal_rows(n))
+        rows[f"rows_n{n}.direct"] = timed(lambda: verify._window_rows(state, w))
+    return rows
+
+
 def cli_rows() -> dict:
     commands = {f"spectrum_N{k}": ["spectrum", "--N-max", str(k)] for k in range(1, 5)}
     commands.update(jl=["jl"], limit=["limit"])
@@ -225,6 +255,7 @@ def worker() -> dict:
     for n in STATE_NS:
         rows.update(state_rows(n))
     rows.update(verify_rows())
+    rows.update(universal_rows())
     rows.update(cli_rows())
     rows.update(embed_rows())
     oracle_seconds, counts = oracle_rows()
@@ -263,6 +294,28 @@ def summary(rounds: list) -> dict:
     }
 
 
+def interleaved(trees: dict, rounds: int):
+    """(name, src) of each tree in each round, the order of the trees
+    reversed every other round."""
+    for k in range(rounds):
+        for name in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
+            yield name, trees[name]
+
+
+def fresh_rows(trees: dict) -> dict:
+    """Wall seconds of each FRESH_COMMANDS process, per tree:
+    {name: {row: [seconds, ...]}}; every command must exit 0."""
+    out = {name: {row: [] for row in FRESH_COMMANDS} for name in trees}
+    for name, src in interleaved(trees, FRESH_RUNS):
+        env = {**os.environ, "PYTHONPATH": src}
+        for row, argv in FRESH_COMMANDS.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "dirac_su11.cli", *argv], env=env,
+                           stdout=subprocess.DEVNULL, check=True)
+            out[name][row].append(time.perf_counter() - start)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", default=None, metavar="NAME=SRC",
@@ -284,20 +337,21 @@ def main(argv=None) -> int:
         trees[name] = str(Path(src).resolve())
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     rounds = {name: [] for name in trees}
-    for k in range(ns.repeat):
-        for name in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
-            src = trees[name]
-            env = {**os.environ, "PYTHONPATH": src}
-            proc = subprocess.run([sys.executable, __file__, "--worker", src],
-                                  capture_output=True, text=True, env=env, check=True)
-            rounds[name].append(json.loads(proc.stdout))
+    for name, src in interleaved(trees, ns.repeat):
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, __file__, "--worker", src],
+                              capture_output=True, text=True, env=env, check=True)
+        rounds[name].append(json.loads(proc.stdout))
+    fresh = fresh_rows(trees)
     payload = {
         "kind": "bench-layers",
         "started": started,
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform(), "processor": platform.machine()},
         "repeat": ns.repeat,
-        "trees": {name: summary(runs) for name, runs in rounds.items()},
+        "trees": {name: {**summary(runs), "fresh": {
+            row: {"median": statistics.median(v), "range": [min(v), max(v)]}
+            for row, v in fresh[name].items()}} for name, runs in rounds.items()},
     }
     with open(ns.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

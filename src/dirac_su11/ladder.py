@@ -36,8 +36,12 @@ Z[s] -> Q(s), s^2 -> tau^2 - zeta^2. An identity in Z[s][rho] holds under
 every such map, so each is decided for all channels; raising a channel
 state only moves its window along these images. Per channel there
 remains one rational test, xi = s^2 - 1/4, which ties the channel's
-Casimir value to the universal eigenvalue; everything that involves tau,
-zeta or w (verify, wavefunctions) is decided per channel.
+Casimir value to the universal eigenvalue. The first-order radial rows,
+which involve tau and w, are decided the same way, once per rung on the
+universal window in Z[s, tau][w] (`verify.universal_rows`); a channel
+decides only the image of w's relation. The rest that involves tau, zeta
+or w (the detuned controls, the Gram diagonal, wavefunctions) is decided
+per channel.
 """
 
 from __future__ import annotations

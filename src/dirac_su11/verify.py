@@ -11,11 +11,19 @@ replace every energy-dependent coefficient by an element of Q(s)[w]; a
 detuned w (off shell) must and does leave a nonzero residual. A report
 holds only its exact row; `params.max_abs_embedded` embeds what is printed.
 
-The first-order system is transcribed once, in _system_rows, on the pair
-(f, g) = (minus + plus, minus - plus) of the window halves
-(`wavefunctions.radial_parts`). The ladder-split relations are the same
-system in the (plus, minus) basis, so they are read off its rows as
-polynomials: row_f = lower - raise and row_g = lower + raise, that is
+The first-order system is transcribed once, in the table _SYSTEM, on the
+pair (f, g) = (minus + plus, minus - plus) of the window halves
+(`wavefunctions.radial_parts`). Its coefficients involve tau, s, w and n
+only, so on the universal window (pi_n, -(w + tau) pi_(n-1)) its rows live
+in Z[s, tau][w][rho] modulo w^2 - tau^2 - n(n + 2s), and `universal_rows`
+decides them there once per rung and process, for every channel: zero for
+n >= 1, the raise witness at n = 0. On shell a channel then decides one
+relation in Q(s), and its rows are the image of the universal ones
+(`first_order_residual`). Off shell the same table is read on the channel's
+window lifted to w (`_system_rows`): the detuned control and
+--inject-off-shell. The ladder-split relations are the same system in the
+(plus, minus) basis, so they are read off its rows as polynomials:
+row_f = lower - raise and row_g = lower + raise, that is
 lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
 
 `verification_report` decides every rung and Gram block through the public
@@ -42,10 +50,12 @@ from .params import (
     max_abs_embedded,
     mp_str,
     off_shell_w2,
+    tower_gap,
 )
 from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
-from .ladder import LadderState, build_state, climb, square_moment, tower_image  # noqa: F401
+from .ladder import (LadderState, build_state, climb, square_moment,  # noqa: F401
+                     tower_image, universal_rung)
 from .algebra import field_moment, inner_product, universal_images
 from .wavefunctions import radial_parts, tower_window
 
@@ -75,29 +85,45 @@ class ResidualReport:
         return self.residual_poly.is_zero
 
 
+# -- the first-order system, transcribed once ----------------------------------
+#
+# With F = sqrt(c^2+E) f rho^s e^{-rho} and G = sqrt(c^2-E) g rho^s e^{-rho},
+# the radial equations reduce to
+#
+#     row_f = (tau - s) g + rho g - rho g' + rho f - (w + s + n) f
+#     row_g = (tau + s) f + rho f' - rho f - rho g - (w - s - n) g
+#
+# where w + s + n = zeta/nu and w - s - n = zeta nu carry the whole energy
+# dependence. A row is its terms (part, power of rho, coefficient), the
+# coefficient a linear form {symbol: int} over 1, n, tau, s and w. Both
+# routes read this table: `_system_rows` over a channel's Q(s)(w), and
+# `universal_rows` once per rung over Z[s, tau][w].
+_SYSTEM = (
+    ("radial-row-f", (("g", 0, {"tau": 1, "s": -1}), ("g", 1, {"1": 1}),
+                      ("g'", 1, {"1": -1}), ("f", 1, {"1": 1}),
+                      ("f", 0, {"w": -1, "s": -1, "n": -1}))),
+    ("radial-row-g", (("f", 0, {"tau": 1, "s": 1}), ("f'", 1, {"1": 1}),
+                      ("f", 1, {"1": -1}), ("g", 1, {"1": -1}),
+                      ("g", 0, {"w": -1, "s": 1, "n": 1}))),
+)
+_TAGS = tuple(tag for tag, _ in _SYSTEM)
+
+
 def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
                  w: Quadratic):
-    """Rows of the coupled first-order system on the polynomial parts.
-
-    With F = sqrt(c^2+E) f rho^s e^{-rho} and G = sqrt(c^2-E) g rho^s e^{-rho},
-    the radial equations reduce to
-
-        row_f = (tau - s) g + rho (g - g') + rho f - (w + s + n) f
-        row_g = (tau + s) f + rho (f' - f) - rho g - (w - s - n) g
-
-    where w + s + n = zeta/nu and w - s - n = zeta nu carry the whole
-    energy dependence.
-    """
-    ch = channel
-    tau = ch.qs(ch.tau)
-    s = ch.s
-    zi = w + (s + n)       # zeta / nu
-    zn = w - (s + n)       # zeta nu
-    row_f = (g.scale(tau - s) + (g - g.derivative()).mul_rho()
-             + f.mul_rho() - f.scale(zi))
-    row_g = (f.scale(tau + s) + (f.derivative() - f).mul_rho()
-             - g.mul_rho() - g.scale(zn))
-    return row_f, row_g
+    """The rows of `_SYSTEM` on the polynomial parts (f, g) over Q(s)(w)."""
+    values = {"1": 1, "n": n, "tau": channel.qs(channel.tau), "s": channel.s, "w": w}
+    parts = {"f": f, "g": g, "f'": f.derivative(), "g'": g.derivative()}
+    rows = []
+    for _, terms in _SYSTEM:
+        row = None
+        for part, power, form in terms:
+            c = sum(a * values[x] for x, a in form.items())
+            term = parts[part].mul_rho(power) if power else parts[part]
+            term = term if c == 1 else -term if c == -1 else term.scale(c)
+            row = term if row is None else row + term
+        rows.append(row)
+    return rows
 
 
 def _reports(tags, rows) -> tuple:
@@ -105,16 +131,124 @@ def _reports(tags, rows) -> tuple:
 
 
 def _window_rows(state: LadderState, w: Quadratic):
-    """The radial reports of the state's window lifted to w, with w^2 = w.d."""
+    """The radial reports of the state's window lifted to w, with w^2 = w.d:
+    the direct route, for any w."""
     f, g = radial_parts(*tower_window(state, w))
-    rows = _system_rows(state.channel, state.n, f, g, w)
-    return _reports(("radial-row-f", "radial-row-g"), rows)
+    return _reports(_TAGS, _system_rows(state.channel, state.n, f, g, w))
+
+
+# -- the rows on the universal window --------------------------------------------
+#
+# An element of Z[s, tau][w][rho] is a dict {(k, t, e): [c_0, c_1, ...]}: the
+# coefficient of s^k tau^t w^e, a dense list of ints in rho.
+
+_ROWS: dict = {}   # rung n -> its decided rows; never built at import
+
+
+def _add_into(acc: dict, key: tuple, a: int, coeffs: list) -> None:
+    """acc[key] += a * coeffs, as lists in rho."""
+    old = acc.setdefault(key, [])
+    if len(old) < len(coeffs):
+        old.extend([0] * (len(coeffs) - len(old)))
+    for i, c in enumerate(coeffs):
+        old[i] += a * c
+
+
+def _grouped(n: int) -> dict:
+    """Universal rung n (`ladder.universal_rung`) as {(k, 0, 0): list in rho}."""
+    out: dict = {}
+    for (i, k), c in universal_rung(n).items():
+        coeffs = out.setdefault((k, 0, 0), [])
+        coeffs.extend([0] * (i + 1 - len(coeffs)))
+        coeffs[i] = c
+    return out
+
+
+def _decide_universal_rows(n: int) -> tuple:
+    """Both rows of `_SYSTEM` on the universal window
+    (pi_n, -(w + tau) pi_(n-1)), reduced modulo w^2 - tau^2 - n(n + 2s)."""
+    plus, f, g = _grouped(n), {}, {}
+    for (k, t, e), coeffs in (_grouped(n - 1) if n else {}).items():
+        for key in ((k, t, e + 1), (k, t + 1, e)):   # -(w + tau) pi_(n-1)
+            _add_into(f, key, -1, coeffs)
+            _add_into(g, key, -1, coeffs)
+    for key, coeffs in plus.items():
+        _add_into(f, key, 1, coeffs)
+        _add_into(g, key, -1, coeffs)
+    # a symbol of `_SYSTEM` is an int factor and a move of the key (k, t, e)
+    values = {"1": (1, 0, 0, 0), "n": (n, 0, 0, 0), "tau": (1, 0, 1, 0),
+              "s": (1, 1, 0, 0), "w": (1, 0, 0, 1)}
+    parts = {"f": f, "g": g}
+    for name, part in (("f'", f), ("g'", g)):
+        parts[name] = {key: [i * c for i, c in enumerate(coeffs)][1:]
+                       for key, coeffs in part.items()}
+    rows = []
+    for _, terms in _SYSTEM:
+        row: dict = {}
+        for part, power, form in terms:
+            for (k, t, e), coeffs in parts[part].items():
+                shifted = [0] * power + coeffs
+                for x, a in form.items():
+                    factor, dk, dt, de = values[x]
+                    _add_into(row, (k + dk, t + dt, e + de), a * factor, shifted)
+        reduced: dict = {}
+        for (k, t, e), coeffs in row.items():
+            if e < 2:
+                _add_into(reduced, (k, t, e), 1, coeffs)
+            else:   # w^2 = tau^2 + n^2 + 2n s
+                _add_into(reduced, (k, t + 2, e - 2), 1, coeffs)
+                _add_into(reduced, (k, t, e - 2), n * n, coeffs)
+                _add_into(reduced, (k + 1, t, e - 2), 2 * n, coeffs)
+        rows.append({key: coeffs for key, coeffs in reduced.items() if any(coeffs)})
+    return tuple(rows)
+
+
+def universal_rows(n: int) -> tuple:
+    """The first-order rows on universal rung n's window, in
+    Z[s, tau][w][rho] modulo w^2 - tau^2 - n(n + 2s); decided on first use,
+    once per process. Zero for n >= 1; at n = 0, (-(tau + w), tau + w), the
+    raise witness."""
+    if n not in _ROWS:
+        _ROWS[n] = _decide_universal_rows(n)
+    return _ROWS[n]
+
+
+def _channel_image(row: dict, channel: Channel, w: Quadratic, zero: Quadratic) -> QsPolynomial:
+    """A universal row under s, tau, w -> the channel's s, tau and w; zero is
+    that of w's field."""
+    out = []
+    for (k, t, e), coeffs in row.items():
+        unit = channel.s ** k * channel.tau ** t * w ** e
+        out.extend(zero for _ in range(len(coeffs) - len(out)))
+        for i, c in enumerate(coeffs):
+            out[i] = out[i] + unit * c
+    return QsPolynomial.from_coeffs(out, zero)
+
+
+def _holds_universal_window(state: LadderState) -> bool:
+    """Whether the state's window is the image of universal rungs n and n-1."""
+    ch, n = state.channel, state.n
+    below = tower_image(ch, n - 1) if n else QsPolynomial.zero_poly(state.psi_minus.zero)
+    return state.psi_plus == tower_image(ch, n) and state.psi_minus == below
 
 
 def first_order_residual(state: LadderState):
     """Both rows of the coupled system on the state's window, on shell;
-    exact zeros."""
-    return _window_rows(state, exact_w(state.channel, state.n))
+    exact zeros.
+
+    A channel decides one relation in Q(s): w^2 = tau^2 + n(n + 2s), read
+    off the modulus of `exact_w`, is the image of the universal relation.
+    Then, on a window that is the image of the universal one, the rows are
+    the image of `universal_rows(n)`: zero for n >= 1, and at n = 0
+    (-(tau + |tau|), tau + |tau|). Otherwise the window is lifted to w and
+    the rows are decided here (`_window_rows`)."""
+    ch, n = state.channel, state.n
+    w = exact_w(ch, n)
+    on_relation = (w.d - ch.qs(ch.tau * ch.tau) - tower_gap(ch, n)).is_zero
+    if on_relation and _holds_universal_window(state):
+        zero = Quadratic.zero(w.d)
+        return _reports(_TAGS, (_channel_image(row, ch, w, zero) for row in universal_rows(n)))
+    return _window_rows(state, w)
 
 
 def detuned_first_order(state: LadderState):
@@ -148,14 +282,10 @@ def second_order_residual(state: LadderState, radial):
     (w = -tau) and equals 2 tau at a tau > 0 bottom rung.
     """
     ch = state.channel
-    n = state.n
+    if not _holds_universal_window(state):
+        raise AssertionError(f"rung {state.n} window is not the image of the universal tower")
     link = ch.qs(ch.s2 - Fraction(1, 4) - ch.xi)
-    rows = []
-    for half, k in ((state.psi_plus, n), (state.psi_minus, n - 1)):
-        rung = tower_image(ch, k) if k >= 0 else QsPolynomial.zero_poly(half.zero)
-        if half != rung:
-            raise AssertionError(f"rung {n} window is not the image of the universal tower")
-        rows.append(half.scale(link))
+    rows = [state.psi_plus.scale(link), state.psi_minus.scale(link)]
     row_f, row_g = (rep.residual_poly for rep in radial)
     rows += [(row_f + row_g).scale(Fraction(1, 2)), (row_g - row_f).scale(Fraction(1, 2))]
     return _reports(("mode-equation-plus", "mode-equation-minus",
@@ -213,9 +343,10 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
 
     One climb per channel serves the residual rows and the Gram matrix
     (`orthonormality_matrix`), which stops at GRAM_N_CAP; a deeper grid
-    names that as gram_n_max. Each rung's window is lifted to w once
-    (`first_order_residual`), and its split rows are read off its radial
-    rows (`second_order_residual`); no row embeds E, so any precision
+    names that as gram_n_max. Each rung's radial rows are the image of the
+    universal rows (`first_order_residual`), its split rows are read off
+    them (`second_order_residual`), and only the detuned control lifts the
+    window, off shell; no row embeds E, so any precision
     decides them, and a printed max_abs embeds no decided zero. The su(1,1)
     structure relations and the two Casimir routes are not sampled here:
     they are decided once per process on a generic family member

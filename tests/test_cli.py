@@ -678,6 +678,16 @@ GOLDEN = [
       "--inject-off-shell", "--out", "v.json"],
      "6700f1d4290141ede71be2050714fba75465a188ba98858cd509fe10657e91c7",
      "2c27dca58ff01c32b8716268e17bc78f5ff7a91d667cc416dc283aeca666acd8", 3),
+    (["verify", "--Z", "118", "--skip-oracle", "--out", "v.json"],
+     "a1b2765f1764ab876f81c85cdd2293251ddb053c342abc3191c1b17a0f74e23d",
+     "ada9abf8b9323a1a8dabd3db53f4c9739058392755f3852fa192f9fec9a5f6c0", 0),
+    (["verify", "--Z", "80", "--skip-oracle", "--inject-off-shell", "--out", "v.json"],
+     "5f1fbc0dcdf5f88feb0c7a6f5ee1b18fdb483f53552be41a687fded5d62b4264",
+     "ec21708f42e1402ae9355b4737fcb710dc5eb6546a18c9976ec8adbc389aa328", 3),
+    (["verify", "--Z", "57", "--skip-oracle", "--j-max", "1/2", "--n-max", "12",
+      "--out", "v.json"],
+     "4bf7a4458561154679d4477ad29fb8a9cce67d27823fe00e753998cdbb2d3a40",
+     "c33b5590f245023a336f72d3e216bf1d212d7ff9aa8377dfe472b0778cdfe67c", 0),
     (["jl", "--j-max", "3/2", "--n-max", "1"],
      "7ac0ddd1a33f2b61e368138463c746ead53c304b2e2f1a23ec5dd9a5a4be9952", None, 0),
     (["limit"],

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,8 +11,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from dirac_su11 import params as pm
 from dirac_su11.params import (make_params, make_channel, channel_slots, spectral_point, tower_w2,
-                               DomainError, DETUNE, max_abs_embedded)
+                               DomainError, DETUNE, exact_w, max_abs_embedded, off_shell_w2)
 from dirac_su11.qsfield import QsPolynomial, Quadratic, embed_fraction
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
@@ -108,6 +111,93 @@ class TestFirstOrder:
     def test_detuned_needs_excited_state(self):
         with pytest.raises(DomainError):
             vf.detuned_first_order(ld.build_state(CH, 0, 128))
+
+
+def at_w(row, sign):
+    """A universal row at w = sign tau: {(k, t): list in rho}, zeros dropped."""
+    out = {}
+    for (k, t, e), coeffs in row.items():
+        acc = out.setdefault((k, t + e), [0] * len(coeffs))
+        for i, c in enumerate(coeffs):
+            acc[i] += sign ** e * c
+    return {key: coeffs for key, coeffs in out.items() if any(coeffs)}
+
+
+def forbid_lifts(monkeypatch):
+    """Fail any window lift made through verify."""
+    def lift(state, w):
+        raise AssertionError(f"rung {state.n} lifted its window")
+    monkeypatch.setattr(vf, "tower_window", lift)
+
+
+class TestUniversalRows:
+    def test_image_equals_the_direct_rows(self, monkeypatch):
+        # polynomial for polynomial, tau > 0 bottom rungs included; the
+        # on-shell route lifts no window, so it reads the universal rows
+        states = [state for Z in (1, 57, 80, 118)
+                  for ch, _ in channel_slots(make_params(Z=Z), Fraction(5, 2), 8)
+                  for state in ld.climb(ch, 8, 128)]
+        assert len(states) == 216
+        direct = [[r.residual_poly for r in vf._window_rows(st, exact_w(st.channel, st.n))]
+                  for st in states]
+        forbid_lifts(monkeypatch)
+        for state, rows in zip(states, direct):
+            reports = vf.first_order_residual(state)
+            assert [r.which for r in reports] == ["radial-row-f", "radial-row-g"]
+            assert [r.residual_poly for r in reports] == rows, (str(state.channel), state.n)
+            assert all(r.is_exact_zero for r in reports) == state.is_physical
+
+    def test_decided_zero_through_the_top_rung(self, monkeypatch):
+        monkeypatch.setattr(vf, "_ROWS", {})
+        for n in range(1, ld.MAX_RUNG + 1):
+            assert vf.universal_rows(n) == ({}, {}), n
+        assert vf.universal_rows(ld.MAX_RUNG) is vf._ROWS[ld.MAX_RUNG]
+
+    def test_bottom_remainder_is_the_raise_witness(self, monkeypatch):
+        # at n = 0 the rows leave (-(tau + w), tau + w): zero at w = -tau
+        # (tau < 0, a bound bottom), nonzero at w = +tau
+        monkeypatch.setattr(vf, "_ROWS", {})
+        row_f, row_g = vf.universal_rows(0)
+        assert row_f == {(0, 1, 0): [-1], (0, 0, 1): [-1]}
+        assert row_g == {(0, 1, 0): [1], (0, 0, 1): [1]}
+        for row in (row_f, row_g):
+            assert at_w(row, -1) == {}
+            assert at_w(row, 1) != {}
+
+    def test_off_shell_relation_falls_back(self, monkeypatch):
+        # w^2 off its relation: the rows are decided on the lifted window,
+        # at that w, and are nonzero
+        states = [ld.build_state(ch, n, 128) for ch in (CH, CH_HEAVY) for n in (1, 3)]
+        lifts = []
+        lift = vf.tower_window
+
+        def counting(state, w):
+            lifts.append(state.n)
+            return lift(state, w)
+
+        monkeypatch.setattr(vf, "tower_window", counting)
+        monkeypatch.setattr(pm, "tower_w2", lambda ch, n: tower_w2(ch, n) * (1 + DETUNE))
+        for state in states:
+            reports = vf.first_order_residual(state)
+            assert not any(r.is_exact_zero for r in reports)
+        assert lifts == [1, 3, 1, 3]
+
+    def test_foreign_window_falls_back(self, monkeypatch):
+        # a window that is not the universal one is decided as it stands
+        state = ld.build_state(CH_HEAVY, 3, 128)
+        bad = replace(state, psi_minus=state.psi_minus.scale(2))
+        forbid_lifts(monkeypatch)
+        assert all(r.is_exact_zero for r in vf.first_order_residual(state))
+        with pytest.raises(AssertionError, match="rung 3 lifted its window"):
+            vf.first_order_residual(bad)
+
+    def test_import_decides_nothing(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import dirac_su11.cli, dirac_su11.verify as vf; print(len(vf._ROWS))"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
 
 
 class TestSecondOrder:
@@ -471,20 +561,25 @@ class TestReport:
         assert seen == Counter(dict.fromkeys(range(n_max + 1), 1))
 
     def test_each_rung_assembled_once(self, monkeypatch):
-        # one window lift per rung, plus one per detuned control
+        # the on-shell rows are images of the universal rows and lift no
+        # window; each detuned control lifts exactly one, off shell
         calls = []
         window = wf.tower_window
 
         def counting(state, w):
-            calls.append((state.n, w))
+            calls.append((state.channel, state.n, w))
             return window(state, w)
 
         monkeypatch.setattr(wf, "tower_window", counting)
         monkeypatch.setattr(vf, "tower_window", counting)
         rep = vf.verification_report(make_params(Z=80))
-        rows = [row for block in rep["channels"] for row in block["rows"]]
+        rows = [(block["j"], block["eps"], row) for block in rep["channels"]
+                for row in block["rows"]]
         assert len(rows) == 36
-        assert len(calls) == len(rows) + sum("detuned_nonzero" in row for row in rows)
+        detuned = sorted((j, eps, row["n"]) for j, eps, row in rows if "detuned_nonzero" in row)
+        assert len(detuned) == 30
+        assert sorted((str(ch.j), ch.eps, n) for ch, n, _ in calls) == detuned
+        assert all(w.d == off_shell_w2(ch, n) for ch, n, w in calls)
 
     def test_one_door_per_decision(self, monkeypatch):
         # the report decides each rung through first_order_residual and
