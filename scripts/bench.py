@@ -25,6 +25,8 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
     physical rung n >= 1 detuned (`detuned_first_order`), the Gram
     matrices of its six channels (`orthonormality_matrix`), and the whole
     report, which decides through these same functions;
+  - the detuned control of one deep rung, n = 64 (`detuned_n64`), with the
+    universal rows of that rung warm;
   - the first-order rows of one rung at n = 5, 20 and 64: decided once on
     the universal window, uncached (`universal`; a tree without that
     decision has no such row), and on the channel's lifted window, the
@@ -140,11 +142,12 @@ def state_rows(n: int) -> dict:
 def verify_rows() -> dict:
     from dirac_su11 import verify
     from dirac_su11.ladder import climb
-    from dirac_su11.params import channel_slots, make_params
+    from dirac_su11.params import channel_slots, make_channel, make_params
     params = make_params(Z=57)
     prec, n_max = 256, 5
     climbs = [climb(ch, n_max, prec) for ch, _ in channel_slots(params, Fraction(5, 2), n_max)]
     rungs = [state for states in climbs for state in states]
+    deep = climb(make_channel(make_params(Z=80), Fraction(5, 2), 1), 64, prec)[-1]
 
     def window_rows():
         for state in rungs:
@@ -162,6 +165,7 @@ def verify_rows() -> dict:
     return {
         "verify_Z57.window_rows": timed(window_rows),
         "verify_Z57.detuned": timed(detuned),
+        "detuned_n64": timed(lambda: verify.detuned_first_order(deep)),
         "verify_Z57.gram_block": timed(gram_block),
         "verify_Z57.report": timed(lambda: verify.verification_report(
             params, Fraction(5, 2), n_max, prec)),

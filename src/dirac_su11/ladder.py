@@ -39,9 +39,12 @@ remains one rational test, xi = s^2 - 1/4, which ties the channel's
 Casimir value to the universal eigenvalue. The first-order radial rows,
 which involve tau and w, are decided the same way, once per rung on the
 universal window in Z[s, tau][w] (`verify.universal_rows`); a channel
-decides only the image of w's relation. The rest that involves tau, zeta
-or w (the detuned controls, the Gram diagonal, wavefunctions) is decided
-per channel.
+decides only the image of w's relation. The detuned controls are read off
+the same rows: on a channel's ladder window each is its minus half times
+DETUNE w^2. The rest that involves tau, zeta or w (the Gram diagonal,
+wavefunctions) is decided per channel. The images of the last channel's
+rungs are kept (`tower_image`), so a check that compares a window with
+them finds the very objects the climb built.
 """
 
 from __future__ import annotations
@@ -205,6 +208,13 @@ def universal_rung(n: int) -> dict:
     return _TOWER[n]
 
 
+# the images of one channel's tower, the last channel asked for: each is
+# kept with the universal rung it came from and served only while that rung
+# is the one in _TOWER, so a state from the ladder holds the very image
+# that `tower_image` returns again
+_IMAGES: dict = {"channel": None, "rungs": {}}
+
+
 def tower_image(channel: Channel, n: int) -> QsPolynomial:
     """Universal rung n under s^2 -> s2: the channel's pi_n over Q(s).
 
@@ -212,6 +222,11 @@ def tower_image(channel: Channel, n: int) -> QsPolynomial:
     (sum_k c_k p^(k//2) q^(top - k//2)) / q^top in the part of s^(k%2),
     handed to Q(s) as that integer triple, with no gcd."""
     poly = universal_rung(n)
+    if _IMAGES["channel"] != channel:
+        _IMAGES["channel"], _IMAGES["rungs"] = channel, {}
+    kept = _IMAGES["rungs"].get(n)
+    if kept is not None and kept[0] is poly:
+        return kept[1]
     s2 = channel.s2
     p, q = s2.numerator, s2.denominator
     top = max(k for _, k in poly) // 2
@@ -221,5 +236,7 @@ def tower_image(channel: Channel, n: int) -> QsPolynomial:
         parts[i][k & 1] += c * weight[k >> 1]
     den = q ** top
     # the leading coefficient (-2)^n is decided nonzero: no trailing zeros
-    return QsPolynomial(tuple(Quadratic.from_ints(a, b, den, d=s2) for a, b in parts),
-                        Quadratic.zero(s2))
+    image = QsPolynomial(tuple(Quadratic.from_ints(a, b, den, d=s2) for a, b in parts),
+                         Quadratic.zero(s2))
+    _IMAGES["rungs"][n] = (poly, image)
+    return image

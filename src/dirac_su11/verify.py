@@ -19,9 +19,14 @@ in Z[s, tau][w][rho] modulo w^2 - tau^2 - n(n + 2s), and `universal_rows`
 decides them there once per rung and process, for every channel: zero for
 n >= 1, the raise witness at n = 0. On shell a channel then decides one
 relation in Q(s), and its rows are the image of the universal ones
-(`first_order_residual`). Off shell the same table is read on the channel's
-window lifted to w (`_system_rows`): the detuned control and
---inject-off-shell. The ladder-split relations are the same system in the
+(`first_order_residual`). The same decision keeps each row's w^2 part,
+decided to be pi_(n-1), so a row that reduces to zero is
+pi_(n-1) (w^2 - tau^2 - n(n + 2s)) at every w. The detuned control (also
+what --inject-off-shell prints) reads that off a ladder window: its
+verdict is DETUNE w^2 != 0 together with pi_(n-1) != 0
+(`detuned_first_order`). Only a window that is not a universal image has
+the table read on it lifted to w (`_system_rows`), on shell or off. The
+ladder-split relations are the same system in the
 (plus, minus) basis, so they are read off its rows as polynomials:
 row_f = lower - raise and row_g = lower + raise, that is
 lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
@@ -164,11 +169,29 @@ def _grouped(n: int) -> dict:
     return out
 
 
+def _w_part(row: dict, e: int) -> dict:
+    """The w^e part of a universal element, {(k, t): list in rho}, with no
+    trailing zeros in a list and no all-zero list."""
+    out = {}
+    for (k, t, ee), coeffs in row.items():
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        if ee == e and end:
+            out[k, t] = coeffs[:end]
+    return out
+
+
 def _decide_universal_rows(n: int) -> tuple:
     """Both rows of `_SYSTEM` on the universal window
-    (pi_n, -(w + tau) pi_(n-1)), reduced modulo w^2 - tau^2 - n(n + 2s)."""
+    (pi_n, -(w + tau) pi_(n-1)), reduced modulo w^2 - tau^2 - n(n + 2s).
+
+    Before the reduction each row is A + B w + C w^2; decided here: no
+    higher power of w, and C = pi_(n-1). So a row that reduces to zero is
+    pi_(n-1) (w^2 - tau^2 - n(n + 2s)) at every w (`detuned_first_order`)."""
+    below = _grouped(n - 1) if n else {}
     plus, f, g = _grouped(n), {}, {}
-    for (k, t, e), coeffs in (_grouped(n - 1) if n else {}).items():
+    for (k, t, e), coeffs in below.items():
         for key in ((k, t, e + 1), (k, t + 1, e)):   # -(w + tau) pi_(n-1)
             _add_into(f, key, -1, coeffs)
             _add_into(g, key, -1, coeffs)
@@ -183,7 +206,7 @@ def _decide_universal_rows(n: int) -> tuple:
         parts[name] = {key: [i * c for i, c in enumerate(coeffs)][1:]
                        for key, coeffs in part.items()}
     rows = []
-    for _, terms in _SYSTEM:
+    for tag, terms in _SYSTEM:
         row: dict = {}
         for part, power, form in terms:
             for (k, t, e), coeffs in parts[part].items():
@@ -191,6 +214,10 @@ def _decide_universal_rows(n: int) -> tuple:
                 for x, a in form.items():
                     factor, dk, dt, de = values[x]
                     _add_into(row, (k + dk, t + dt, e + de), a * factor, shifted)
+        if any(any(coeffs) for (_, _, e), coeffs in row.items() if e > 2):
+            raise AssertionError(f"universal rung {n}: {tag} has a power of w above 2")
+        if _w_part(row, 2) != _w_part(below, 0):
+            raise AssertionError(f"universal rung {n}: the w^2 part of {tag} is not pi_(n-1)")
         reduced: dict = {}
         for (k, t, e), coeffs in row.items():
             if e < 2:
@@ -206,8 +233,9 @@ def _decide_universal_rows(n: int) -> tuple:
 def universal_rows(n: int) -> tuple:
     """The first-order rows on universal rung n's window, in
     Z[s, tau][w][rho] modulo w^2 - tau^2 - n(n + 2s); decided on first use,
-    once per process. Zero for n >= 1; at n = 0, (-(tau + w), tau + w), the
-    raise witness."""
+    once per process, with each row's w^2 part before the reduction
+    decided to be pi_(n-1). Zero for n >= 1; at n = 0, (-(tau + w), tau + w),
+    the raise witness."""
     if n not in _ROWS:
         _ROWS[n] = _decide_universal_rows(n)
     return _ROWS[n]
@@ -253,10 +281,24 @@ def first_order_residual(state: LadderState):
 
 def detuned_first_order(state: LadderState):
     """Negative control: the first-order rows, on-shell names kept, at
-    `params.off_shell_w2`; off shell both must be exactly nonzero."""
-    if state.n < 1:
+    w^2 = W = `params.off_shell_w2`; off shell both must be exactly nonzero.
+
+    On a window that is the image of the universal one, `universal_rows(n)`
+    has decided that both rows are pi_(n-1) (w^2 - tau^2 - n(n + 2s)) before
+    reduction, so each is psi_minus times W - tau^2 - n(n + 2s), an element
+    of Q(s), lifted into Q(s)(w). Its verdict there is DETUNE w^2 != 0
+    together with pi_(n-1) != 0. Any other window is lifted to w and its
+    rows are decided here (`_window_rows`)."""
+    ch, n = state.channel, state.n
+    if n < 1:
         raise DomainError("detuned control needs n >= 1")
-    return _window_rows(state, Quadratic.root(off_shell_w2(state.channel, state.n)))
+    w2 = off_shell_w2(ch, n)
+    if universal_rows(n) == ({}, {}) and _holds_universal_window(state):
+        gap = w2 - ch.qs(ch.tau * ch.tau) - tower_gap(ch, n)
+        row = QsPolynomial.from_coeffs([c * gap for c in state.psi_minus.coeffs],
+                                       Quadratic.zero(w2))
+        return _reports(_TAGS, (row, row))
+    return _window_rows(state, Quadratic.root(w2))
 
 
 def second_order_residual(state: LadderState, radial):
@@ -345,9 +387,9 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
     (`orthonormality_matrix`), which stops at GRAM_N_CAP; a deeper grid
     names that as gram_n_max. Each rung's radial rows are the image of the
     universal rows (`first_order_residual`), its split rows are read off
-    them (`second_order_residual`), and only the detuned control lifts the
-    window, off shell; no row embeds E, so any precision
-    decides them, and a printed max_abs embeds no decided zero. The su(1,1)
+    them (`second_order_residual`), and so is the detuned control
+    (`detuned_first_order`): no row lifts the window or embeds E, so any
+    precision decides them, and a printed max_abs embeds no decided zero. The su(1,1)
     structure relations and the two Casimir routes are not sampled here:
     they are decided once per process on a generic family member
     (`algebra.universal_images`), which covers every channel, mode and

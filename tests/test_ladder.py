@@ -93,6 +93,22 @@ class TestConstruction:
         assert climbed == [0, 1]
         assert len(ld._TOWER) == 2
 
+    def test_images_are_kept_for_one_channel(self, monkeypatch):
+        # a state from the ladder holds the very image that tower_image
+        # returns again; the kept images are one channel's, and a new
+        # universal tower has its images built afresh
+        monkeypatch.setattr(ld, "_IMAGES", {"channel": None, "rungs": {}})
+        state = ld.build_state(CH, 3)
+        assert ld.tower_image(CH, 3) is state.psi_plus
+        assert ld.tower_image(CH, 2) is state.psi_minus
+        ld.tower_image(CH_HEAVY, 1)
+        assert ld._IMAGES["channel"] is CH_HEAVY and list(ld._IMAGES["rungs"]) == [1]
+        again = ld.tower_image(CH, 3)
+        assert again is not state.psi_plus and again == state.psi_plus
+        monkeypatch.setattr(ld, "_TOWER", [])
+        fresh = ld.tower_image(CH, 3)
+        assert fresh is not again and fresh == again
+
     def test_wrong_mode_fails_the_eigenvalue(self):
         # pi_2 is a Casimir eigenfunction at mode lambda + 2 only; at
         # lambda + 3 both routes still agree, but the value is not

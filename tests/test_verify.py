@@ -13,7 +13,8 @@ import pytest
 
 from dirac_su11 import params as pm
 from dirac_su11.params import (make_params, make_channel, channel_slots, spectral_point, tower_w2,
-                               DomainError, DETUNE, exact_w, max_abs_embedded, off_shell_w2)
+                               DomainError, DETUNE, exact_w, max_abs_embedded, mp_str,
+                               off_shell_w2)
 from dirac_su11.qsfield import QsPolynomial, Quadratic, embed_fraction
 from dirac_su11 import ladder as ld
 from dirac_su11 import wavefunctions as wf
@@ -190,6 +191,68 @@ class TestUniversalRows:
         assert all(r.is_exact_zero for r in vf.first_order_residual(state))
         with pytest.raises(AssertionError, match="rung 3 lifted its window"):
             vf.first_order_residual(bad)
+
+    def test_detuned_rows_are_read_off_the_universal_rows(self, monkeypatch):
+        # on every ladder window the detuned rows equal the lifted rows at
+        # w^2 = off_shell_w2, polynomial for polynomial and in every
+        # printed digit, and lift no window
+        states = [state for Z in (1, 57, 80, 118)
+                  for ch, _ in channel_slots(make_params(Z=Z), Fraction(5, 2), 8)
+                  for state in ld.climb(ch, 8, 128)[1:]]
+        states.append(ld.build_state(make_channel(make_params(Z=80), Fraction(5, 2), 1), 64))
+        assert len(states) == 193
+        lifted = [[r.residual_poly for r in vf._window_rows(
+            st, Quadratic.root(off_shell_w2(st.channel, st.n)))] for st in states]
+        forbid_lifts(monkeypatch)
+        for state, rows in zip(states, lifted):
+            got = [r.residual_poly for r in vf.detuned_first_order(state)]
+            assert got == rows, (str(state.channel), state.n)
+            for bits in (53, 256):
+                assert ([mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in got]
+                        == [mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in rows])
+
+    def test_corrupt_rows_fail_their_rung(self, monkeypatch):
+        # the w^2 part of each row is decided to be pi_(n-1), and no higher
+        # power of w is allowed: a table whose w term is doubled, or a rung
+        # that carries w^2, fails universal_rows with its own message
+        monkeypatch.setattr(vf, "_ROWS", {})
+        (tag_f, terms_f), row_g = vf._SYSTEM
+        doubled = tuple((part, power, {x: 2 * a if x == "w" else a for x, a in form.items()})
+                        for part, power, form in terms_f)
+        monkeypatch.setattr(vf, "_SYSTEM", ((tag_f, doubled), row_g))
+        message = r"universal rung 3: the w\^2 part of radial-row-f is not pi_\(n-1\)"
+        with pytest.raises(AssertionError, match=message):
+            vf.universal_rows(3)
+        with pytest.raises(AssertionError, match=message):
+            vf.detuned_first_order(ld.build_state(CH_HEAVY, 3, 128))
+        monkeypatch.setattr(vf, "_SYSTEM", ((tag_f, terms_f), row_g))
+        grouped = vf._grouped
+        monkeypatch.setattr(vf, "_grouped", lambda n: {
+            (k, t, e + 2 * (n == 4)): c for (k, t, e), c in grouped(n).items()})
+        with pytest.raises(AssertionError, match="universal rung 4: radial-row-f has a "
+                                                 "power of w above 2"):
+            vf.universal_rows(4)
+        assert 3 not in vf._ROWS and 4 not in vf._ROWS
+
+    def test_foreign_window_takes_the_lifted_route(self, monkeypatch):
+        # a window that is not the universal one is detuned as it stands:
+        # lifted once, at off_shell_w2
+        state = ld.build_state(CH_HEAVY, 3, 128)
+        bad = replace(state, psi_minus=state.psi_minus.scale(2))
+        w = Quadratic.root(off_shell_w2(CH_HEAVY, 3))
+        expected = [r.residual_poly for r in vf._window_rows(bad, w)]
+        lifts = []
+        lift = vf.tower_window
+
+        def counting(st, w):
+            lifts.append((st.n, w.d))
+            return lift(st, w)
+
+        monkeypatch.setattr(vf, "tower_window", counting)
+        vf.detuned_first_order(state)
+        assert lifts == []
+        assert [r.residual_poly for r in vf.detuned_first_order(bad)] == expected
+        assert lifts == [(3, w.d)] and not any(p.is_zero for p in expected)
 
     def test_import_decides_nothing(self):
         proc = subprocess.run(
@@ -561,25 +624,27 @@ class TestReport:
         assert seen == Counter(dict.fromkeys(range(n_max + 1), 1))
 
     def test_each_rung_assembled_once(self, monkeypatch):
-        # the on-shell rows are images of the universal rows and lift no
-        # window; each detuned control lifts exactly one, off shell
+        # no row of the report lifts a window: the on-shell rows are images
+        # of the universal rows, and each of the 30 detuned controls is read
+        # off them, from one detuned_first_order call, and nonzero
         calls = []
-        window = wf.tower_window
+        detuned = vf.detuned_first_order
 
-        def counting(state, w):
-            calls.append((state.channel, state.n, w))
-            return window(state, w)
+        def counting(state):
+            calls.append((str(state.channel.j), state.channel.eps, state.n))
+            return detuned(state)
 
-        monkeypatch.setattr(wf, "tower_window", counting)
-        monkeypatch.setattr(vf, "tower_window", counting)
+        forbid_lifts(monkeypatch)
+        monkeypatch.setattr(wf, "tower_window", vf.tower_window)
+        monkeypatch.setattr(vf, "detuned_first_order", counting)
         rep = vf.verification_report(make_params(Z=80))
         rows = [(block["j"], block["eps"], row) for block in rep["channels"]
                 for row in block["rows"]]
         assert len(rows) == 36
-        detuned = sorted((j, eps, row["n"]) for j, eps, row in rows if "detuned_nonzero" in row)
-        assert len(detuned) == 30
-        assert sorted((str(ch.j), ch.eps, n) for ch, n, _ in calls) == detuned
-        assert all(w.d == off_shell_w2(ch, n) for ch, n, w in calls)
+        detuned_rows = sorted((j, eps, row["n"]) for j, eps, row in rows
+                              if "detuned_nonzero" in row)
+        assert len(detuned_rows) == 30 and sorted(calls) == detuned_rows
+        assert all(row["detuned_nonzero"] for _, _, row in rows if "detuned_nonzero" in row)
 
     def test_one_door_per_decision(self, monkeypatch):
         # the report decides each rung through first_order_residual and
