@@ -28,9 +28,11 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
   - the detuned control of one deep rung, n = 64 (`detuned_n64`), with the
     universal rows of that rung warm;
   - the first-order rows of one rung at n = 5, 20 and 64: decided once on
-    the universal window, uncached (`universal`; a tree without that
-    decision has no such row), and on the channel's lifted window, the
-    direct route the universal rows replace on shell (`direct`);
+    the universal window, uncached (`universal`), read off them for the
+    channel by `first_order_residual`, warm (`route`), and on the
+    channel's lifted window (`direct`), the route the universal rows
+    replaced; a tree without that decision or that lifted route has no
+    such row;
   - the cheap commands in process, at Z = 57: `spectrum --N-max 1..4`,
     `jl` and `limit`;
   - the embedding edge: `embed_fraction(c^2)`, `s.embed(256)` and
@@ -181,7 +183,9 @@ def universal_rows() -> dict:
         state, w = ladder.build_state(ch, n), exact_w(ch, n)
         if hasattr(verify, "_decide_universal_rows"):
             rows[f"rows_n{n}.universal"] = timed(lambda: verify._decide_universal_rows(n))
-        rows[f"rows_n{n}.direct"] = timed(lambda: verify._window_rows(state, w))
+        rows[f"rows_n{n}.route"] = timed(lambda: verify.first_order_residual(state))
+        if hasattr(verify, "_window_rows"):
+            rows[f"rows_n{n}.direct"] = timed(lambda: verify._window_rows(state, w))
     return rows
 
 

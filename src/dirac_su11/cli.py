@@ -45,7 +45,8 @@ from .wavefunctions import (
     report_to_dict,
     sample,
 )
-from .verify import GRAM_N_CAP, first_order_residual, row_failures, verification_report
+from .verify import (GRAM_N_CAP, first_order_residual, holds_universal_window, row_failures,
+                     verification_report)
 from .jloperator import diagonality_scan, scan_to_dict, spectroscopic_label
 
 
@@ -214,7 +215,9 @@ def run_spectrum(ns) -> int:
 def _state_checks(pair):
     """Identity cross-checks on an assembled bound state; bool-valued."""
     lag = None
-    checks = {"first_order_exact": all(r.is_exact_zero for r in first_order_residual(pair.state)),
+    # the rows refuse a window that is not the universal one: not exact
+    checks = {"first_order_exact": holds_universal_window(pair.state) and all(
+                  r.is_exact_zero for r in first_order_residual(pair.state)),
               "normalization_ok": orthogonality_exact(pair.state)}
     if pair.n >= 1:
         lag = laguerre_cross_check(pair.state)

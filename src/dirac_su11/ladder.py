@@ -38,11 +38,12 @@ state only moves its window along these images. Per channel there
 remains one rational test, xi = s^2 - 1/4, which ties the channel's
 Casimir value to the universal eigenvalue. The first-order radial rows,
 which involve tau and w, are decided the same way, once per rung on the
-universal window in Z[s, tau][w] (`verify.universal_rows`); a channel
-decides only the image of w's relation. The detuned controls are read off
-the same rows: on a channel's ladder window each is its minus half times
-DETUNE w^2. The rest that involves tau, zeta or w (the Gram diagonal,
-wavefunctions) is decided per channel. The images of the last channel's
+universal window in Z[s, tau][w] (`verify.universal_rows`), and a
+channel's rows at any w are read off them: on shell a channel decides
+only the image of w's relation, and detuned each row is the window's
+minus half times DETUNE w^2. A window that is not the image of the
+universal one is refused. The rest that involves tau, zeta or w (the Gram
+diagonal, wavefunctions) is decided per channel. The images of the last channel's
 rungs are kept (`tower_image`), so a check that compares a window with
 them finds the very objects the climb built.
 """

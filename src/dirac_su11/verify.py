@@ -12,23 +12,21 @@ detuned w (off shell) must and does leave a nonzero residual. A report
 holds only its exact row; `params.max_abs_embedded` embeds what is printed.
 
 The first-order system is transcribed once, in the table _SYSTEM, on the
-pair (f, g) = (minus + plus, minus - plus) of the window halves
-(`wavefunctions.radial_parts`). Its coefficients involve tau, s, w and n
-only, so on the universal window (pi_n, -(w + tau) pi_(n-1)) its rows live
-in Z[s, tau][w][rho] modulo w^2 - tau^2 - n(n + 2s), and `universal_rows`
-decides them there once per rung and process, for every channel: zero for
-n >= 1, the raise witness at n = 0. On shell a channel then decides one
-relation in Q(s), and its rows are the image of the universal ones
-(`first_order_residual`). The same decision keeps each row's w^2 part,
-decided to be pi_(n-1), so a row that reduces to zero is
-pi_(n-1) (w^2 - tau^2 - n(n + 2s)) at every w. The detuned control (also
-what --inject-off-shell prints) reads that off a ladder window: its
-verdict is DETUNE w^2 != 0 together with pi_(n-1) != 0
-(`detuned_first_order`). Only a window that is not a universal image has
-the table read on it lifted to w (`_system_rows`), on shell or off. The
-ladder-split relations are the same system in the
-(plus, minus) basis, so they are read off its rows as polynomials:
-row_f = lower - raise and row_g = lower + raise, that is
+pair (f, g) = (minus + plus, minus - plus) of the window halves. Its
+coefficients involve tau, s, w and n only, so on the universal window
+(pi_n, -(w + tau) pi_(n-1)) its rows live in Z[s, tau][w][rho], and
+`universal_rows` decides them there once per rung and process, for every
+channel: each row is A + B w + C w^2 with C = pi_(n-1), and modulo
+w^2 - tau^2 - n(n + 2s) it is zero for n >= 1 and the raise witness at
+n = 0. So at any w a row on a ladder window is the image of the reduced
+row plus psi_minus (w^2 - tau^2 - n(n + 2s)) (`_rows_at`). On shell
+(`first_order_residual`) the second term is the one relation a channel
+decides in Q(s); detuned (`detuned_first_order`, also what
+--inject-off-shell prints) its verdict is DETUNE w^2 != 0 together with
+pi_(n-1) != 0. A window that is not the image of the universal one is
+refused, by every row function. The ladder-split relations are the same
+system in the (plus, minus) basis, so they are read off its rows as
+polynomials: row_f = lower - raise and row_g = lower + raise, that is
 lower = (row_f + row_g)/2 and raise = (row_g - row_f)/2.
 
 `verification_report` decides every rung and Gram block through the public
@@ -62,7 +60,6 @@ from .qsfield import QsPolynomial, Quadratic
 from .ladder import (LadderState, build_state, climb, square_moment,  # noqa: F401
                      tower_image, universal_rung)
 from .algebra import field_moment, inner_product, universal_images
-from .wavefunctions import radial_parts, tower_window
 
 GRAM_N_CAP = 5  # a Gram matrix of 65 rungs takes seconds per channel
 
@@ -100,9 +97,9 @@ class ResidualReport:
 #
 # where w + s + n = zeta/nu and w - s - n = zeta nu carry the whole energy
 # dependence. A row is its terms (part, power of rho, coefficient), the
-# coefficient a linear form {symbol: int} over 1, n, tau, s and w. Both
-# routes read this table: `_system_rows` over a channel's Q(s)(w), and
-# `universal_rows` once per rung over Z[s, tau][w].
+# coefficient a linear form {symbol: int} over 1, n, tau, s and w.
+# `universal_rows` reads this table once per rung over Z[s, tau][w]; the
+# tests read it again over a channel's Q(s)(w) (`tests/reference.py`).
 _SYSTEM = (
     ("radial-row-f", (("g", 0, {"tau": 1, "s": -1}), ("g", 1, {"1": 1}),
                       ("g'", 1, {"1": -1}), ("f", 1, {"1": 1}),
@@ -114,32 +111,8 @@ _SYSTEM = (
 _TAGS = tuple(tag for tag, _ in _SYSTEM)
 
 
-def _system_rows(channel: Channel, n: int, f: QsPolynomial, g: QsPolynomial,
-                 w: Quadratic):
-    """The rows of `_SYSTEM` on the polynomial parts (f, g) over Q(s)(w)."""
-    values = {"1": 1, "n": n, "tau": channel.qs(channel.tau), "s": channel.s, "w": w}
-    parts = {"f": f, "g": g, "f'": f.derivative(), "g'": g.derivative()}
-    rows = []
-    for _, terms in _SYSTEM:
-        row = None
-        for part, power, form in terms:
-            c = sum(a * values[x] for x, a in form.items())
-            term = parts[part].mul_rho(power) if power else parts[part]
-            term = term if c == 1 else -term if c == -1 else term.scale(c)
-            row = term if row is None else row + term
-        rows.append(row)
-    return rows
-
-
 def _reports(tags, rows) -> tuple:
     return tuple(ResidualReport(tag, row) for tag, row in zip(tags, rows))
-
-
-def _window_rows(state: LadderState, w: Quadratic):
-    """The radial reports of the state's window lifted to w, with w^2 = w.d:
-    the direct route, for any w."""
-    f, g = radial_parts(*tower_window(state, w))
-    return _reports(_TAGS, _system_rows(state.channel, state.n, f, g, w))
 
 
 # -- the rows on the universal window --------------------------------------------
@@ -187,8 +160,8 @@ def _decide_universal_rows(n: int) -> tuple:
     (pi_n, -(w + tau) pi_(n-1)), reduced modulo w^2 - tau^2 - n(n + 2s).
 
     Before the reduction each row is A + B w + C w^2; decided here: no
-    higher power of w, and C = pi_(n-1). So a row that reduces to zero is
-    pi_(n-1) (w^2 - tau^2 - n(n + 2s)) at every w (`detuned_first_order`)."""
+    higher power of w, and C = pi_(n-1). So at any w a row is its reduced
+    form plus pi_(n-1) (w^2 - tau^2 - n(n + 2s)) (`_rows_at`)."""
     below = _grouped(n - 1) if n else {}
     plus, f, g = _grouped(n), {}, {}
     for (k, t, e), coeffs in below.items():
@@ -253,11 +226,35 @@ def _channel_image(row: dict, channel: Channel, w: Quadratic, zero: Quadratic) -
     return QsPolynomial.from_coeffs(out, zero)
 
 
-def _holds_universal_window(state: LadderState) -> bool:
+def holds_universal_window(state: LadderState) -> bool:
     """Whether the state's window is the image of universal rungs n and n-1."""
     ch, n = state.channel, state.n
     below = tower_image(ch, n - 1) if n else QsPolynomial.zero_poly(state.psi_minus.zero)
     return state.psi_plus == tower_image(ch, n) and state.psi_minus == below
+
+
+def _refuse_foreign_window(state: LadderState) -> None:
+    """The one guard of every row function: any other window is refused."""
+    if not holds_universal_window(state):
+        raise AssertionError(f"rung {state.n} window is not the image of the universal tower")
+
+
+def _rows_at(state: LadderState, w: Quadratic):
+    """Both radial rows of a ladder window at w, with w^2 = w.d, on shell
+    or off.
+
+    Before reduction a row is A + B w + C w^2, `universal_rows(n)` holds
+    A + B w + C W0 with W0 = tau^2 + n(n + 2s), and C is decided to be
+    pi_(n-1), whose image is psi_minus. So at w the row is the image of
+    the universal row plus psi_minus (w^2 - W0), lifted into Q(s)(w)."""
+    _refuse_foreign_window(state)
+    ch, n = state.channel, state.n
+    zero = w * 0   # the zero of w's field, its modulus decided when w was built
+    gap = w.d - tower_gap(ch, n) - ch.tau * ch.tau
+    minus = () if gap.is_zero else [c * gap for c in state.psi_minus.coeffs]
+    lift = QsPolynomial.from_coeffs(minus, zero)
+    return _reports(_TAGS, [_channel_image(row, ch, w, zero) + lift if row else lift
+                            for row in universal_rows(n)])
 
 
 def first_order_residual(state: LadderState):
@@ -266,39 +263,22 @@ def first_order_residual(state: LadderState):
 
     A channel decides one relation in Q(s): w^2 = tau^2 + n(n + 2s), read
     off the modulus of `exact_w`, is the image of the universal relation.
-    Then, on a window that is the image of the universal one, the rows are
-    the image of `universal_rows(n)`: zero for n >= 1, and at n = 0
-    (-(tau + |tau|), tau + |tau|). Otherwise the window is lifted to w and
-    the rows are decided here (`_window_rows`)."""
-    ch, n = state.channel, state.n
-    w = exact_w(ch, n)
-    on_relation = (w.d - ch.qs(ch.tau * ch.tau) - tower_gap(ch, n)).is_zero
-    if on_relation and _holds_universal_window(state):
-        zero = Quadratic.zero(w.d)
-        return _reports(_TAGS, (_channel_image(row, ch, w, zero) for row in universal_rows(n)))
-    return _window_rows(state, w)
+    Then the rows are the image of `universal_rows(n)` (`_rows_at`): zero
+    for n >= 1, and at n = 0 (-(tau + |tau|), tau + |tau|)."""
+    return _rows_at(state, exact_w(state.channel, state.n))
 
 
 def detuned_first_order(state: LadderState):
     """Negative control: the first-order rows, on-shell names kept, at
     w^2 = W = `params.off_shell_w2`; off shell both must be exactly nonzero.
 
-    On a window that is the image of the universal one, `universal_rows(n)`
-    has decided that both rows are pi_(n-1) (w^2 - tau^2 - n(n + 2s)) before
-    reduction, so each is psi_minus times W - tau^2 - n(n + 2s), an element
-    of Q(s), lifted into Q(s)(w). Its verdict there is DETUNE w^2 != 0
-    together with pi_(n-1) != 0. Any other window is lifted to w and its
-    rows are decided here (`_window_rows`)."""
-    ch, n = state.channel, state.n
-    if n < 1:
+    `universal_rows(n)` is zero for n >= 1, so each row is psi_minus times
+    W - tau^2 - n(n + 2s), an element of Q(s), lifted into Q(s)(w)
+    (`_rows_at`). Its verdict is DETUNE w^2 != 0 together with
+    pi_(n-1) != 0."""
+    if state.n < 1:
         raise DomainError("detuned control needs n >= 1")
-    w2 = off_shell_w2(ch, n)
-    if universal_rows(n) == ({}, {}) and _holds_universal_window(state):
-        gap = w2 - ch.qs(ch.tau * ch.tau) - tower_gap(ch, n)
-        row = QsPolynomial.from_coeffs([c * gap for c in state.psi_minus.coeffs],
-                                       Quadratic.zero(w2))
-        return _reports(_TAGS, (row, row))
-    return _window_rows(state, Quadratic.root(w2))
+    return _rows_at(state, Quadratic.root(off_shell_w2(state.channel, state.n)))
 
 
 def second_order_residual(state: LadderState, radial):
@@ -324,8 +304,7 @@ def second_order_residual(state: LadderState, radial):
     (w = -tau) and equals 2 tau at a tau > 0 bottom rung.
     """
     ch = state.channel
-    if not _holds_universal_window(state):
-        raise AssertionError(f"rung {state.n} window is not the image of the universal tower")
+    _refuse_foreign_window(state)
     link = ch.qs(ch.s2 - Fraction(1, 4) - ch.xi)
     rows = [state.psi_plus.scale(link), state.psi_minus.scale(link)]
     row_f, row_g = (rep.residual_poly for rep in radial)
@@ -398,8 +377,11 @@ def verification_report(params: PhysicalParams, j_max: Fraction = Fraction(5, 2)
 
     inject_off_shell deliberately swaps one state's first-order residuals
     for their detuned counterparts, so a healthy reporting path must flag
-    the run as failed.
+    the run as failed; with n_max < 1 there is no such state to swap.
     """
+    if inject_off_shell and n_max < 1:
+        raise DomainError("inject_off_shell needs n_max >= 1: no rung below 1 "
+                          "has a detuned control")
     channels = []
     for ch, slots in channel_slots(params, j_max, n_max):
         rungs = climb(ch, n_max, precision)

@@ -506,6 +506,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: j_max must be at least 1/2")
 
+    def test_injection_needs_an_excited_rung(self, capsys):
+        # with --n-max 0 there is no detuned control to swap in: a self-test
+        # that injects nothing is a usage error, not a pass
+        assert main(["verify", "--Z", "1", "--skip-oracle", "--n-max", "0",
+                     "--inject-off-shell"] + FAST) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: inject_off_shell needs n_max >= 1: no rung "
+                                "below 1 has a detuned control\n")
+        assert main(["verify", "--Z", "1", "--skip-oracle", "--n-max", "0"] + FAST) == 0
+        capsys.readouterr()
+
     def test_empty_spectrum_j_grid(self, capsys):
         assert main(["spectrum", "--j-max", "0"] + FAST) == 2
         assert capsys.readouterr().err.startswith("error: j_max must be at least 1/2")

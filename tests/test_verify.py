@@ -21,7 +21,7 @@ from dirac_su11 import wavefunctions as wf
 from dirac_su11 import verify as vf
 from dirac_su11 import oracle as orc
 from dirac_su11.algebra import field_moment
-from reference import embedded_gram
+from reference import embedded_gram, window_rows
 
 P1 = make_params(Z=1)
 CH = make_channel(P1, Fraction(1, 2), -1)
@@ -125,28 +125,66 @@ def at_w(row, sign):
 
 
 def forbid_lifts(monkeypatch):
-    """Fail any window lift made through verify."""
+    """Fail any window lift made through the package."""
     def lift(state, w):
         raise AssertionError(f"rung {state.n} lifted its window")
-    monkeypatch.setattr(vf, "tower_window", lift)
+    monkeypatch.setattr(wf, "tower_window", lift)
+
+
+def route_and_reference(states):
+    """For each state, the rows of verify and of `reference.window_rows` at
+    exact_w, and at off_shell_w2 for n >= 1: [(route, reference), ...]."""
+    pairs = []
+    for st in states:
+        ch, n = st.channel, st.n
+        pairs.append((vf.first_order_residual(st), window_rows(st, exact_w(ch, n))))
+        if n >= 1:
+            pairs.append((vf.detuned_first_order(st),
+                          window_rows(st, Quadratic.root(off_shell_w2(ch, n)))))
+    return [([r.residual_poly for r in reports], rows) for reports, rows in pairs]
 
 
 class TestUniversalRows:
-    def test_image_equals_the_direct_rows(self, monkeypatch):
-        # polynomial for polynomial, tau > 0 bottom rungs included; the
-        # on-shell route lifts no window, so it reads the universal rows
+    def test_route_equals_the_reference(self, monkeypatch):
+        # polynomial for polynomial and in every printed digit, on shell
+        # (tau > 0 bottom rungs included) and detuned: the rows read off
+        # the universal rows equal the table read on the lifted window
         states = [state for Z in (1, 57, 80, 118)
                   for ch, _ in channel_slots(make_params(Z=Z), Fraction(5, 2), 8)
                   for state in ld.climb(ch, 8, 128)]
-        assert len(states) == 216
-        direct = [[r.residual_poly for r in vf._window_rows(st, exact_w(st.channel, st.n))]
-                  for st in states]
+        states.append(ld.build_state(make_channel(make_params(Z=80), Fraction(5, 2), 1), 64))
+        assert len(states) == 217
         forbid_lifts(monkeypatch)
-        for state, rows in zip(states, direct):
+        pairs = route_and_reference(states)
+        assert len(pairs) == 217 + 193
+        for got, rows in pairs:
+            assert got == rows
+            for bits in (53, 256):
+                assert ([mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in got]
+                        == [mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in rows])
+        for state in states:
             reports = vf.first_order_residual(state)
             assert [r.which for r in reports] == ["radial-row-f", "radial-row-g"]
-            assert [r.residual_poly for r in reports] == rows, (str(state.channel), state.n)
             assert all(r.is_exact_zero for r in reports) == state.is_physical
+
+    @pytest.mark.parametrize("row, term", [(row, term) for row in (0, 1) for term in range(4)])
+    def test_route_follows_a_mutated_table(self, monkeypatch, row, term):
+        # a table with one term without w dropped leaves nonzero universal
+        # rows; the route still equals the reference, on shell and detuned
+        assert all("w" not in form for _, _, form in vf._SYSTEM[row][1][:4])
+        states = [state for ch, _ in channel_slots(make_params(Z=80), Fraction(3, 2), 4)
+                  for state in ld.climb(ch, 4, 128)]
+        monkeypatch.setattr(vf, "_ROWS", {})
+        table = list(vf._SYSTEM)
+        tag, terms = table[row]
+        table[row] = (tag, terms[:term] + terms[term + 1:])
+        monkeypatch.setattr(vf, "_SYSTEM", tuple(table))
+        forbid_lifts(monkeypatch)
+        pairs = route_and_reference(states)
+        assert len(pairs) == 20 + 16
+        for got, rows in pairs:
+            assert got == rows
+        assert all(any(vf.universal_rows(n)) for n in range(5))
 
     def test_decided_zero_through_the_top_rung(self, monkeypatch):
         monkeypatch.setattr(vf, "_ROWS", {})
@@ -165,51 +203,32 @@ class TestUniversalRows:
             assert at_w(row, -1) == {}
             assert at_w(row, 1) != {}
 
-    def test_off_shell_relation_falls_back(self, monkeypatch):
-        # w^2 off its relation: the rows are decided on the lifted window,
-        # at that w, and are nonzero
+    def test_off_shell_relation_leaves_nonzero_rows(self, monkeypatch):
+        # w^2 off its relation: the rows carry psi_minus times the gap,
+        # lift no window, equal the reference at that w, and are nonzero
         states = [ld.build_state(ch, n, 128) for ch in (CH, CH_HEAVY) for n in (1, 3)]
-        lifts = []
-        lift = vf.tower_window
-
-        def counting(state, w):
-            lifts.append(state.n)
-            return lift(state, w)
-
-        monkeypatch.setattr(vf, "tower_window", counting)
+        forbid_lifts(monkeypatch)
         monkeypatch.setattr(pm, "tower_w2", lambda ch, n: tower_w2(ch, n) * (1 + DETUNE))
         for state in states:
             reports = vf.first_order_residual(state)
             assert not any(r.is_exact_zero for r in reports)
-        assert lifts == [1, 3, 1, 3]
+            w = exact_w(state.channel, state.n)
+            assert [r.residual_poly for r in reports] == window_rows(state, w)
 
-    def test_foreign_window_falls_back(self, monkeypatch):
-        # a window that is not the universal one is decided as it stands
+    def test_foreign_window_is_refused(self, monkeypatch):
+        # a window that is not the universal one is refused by every row
+        # function, on shell and detuned, and is never lifted
         state = ld.build_state(CH_HEAVY, 3, 128)
-        bad = replace(state, psi_minus=state.psi_minus.scale(2))
+        radial = vf.first_order_residual(state)
         forbid_lifts(monkeypatch)
+        for bad in (replace(state, psi_minus=state.psi_minus.scale(2)),
+                    replace(state, psi_plus=state.psi_plus.scale(3))):
+            for check in (vf.first_order_residual, vf.detuned_first_order,
+                          lambda st: vf.second_order_residual(st, radial)):
+                with pytest.raises(AssertionError,
+                                   match="rung 3 window is not the image of the universal tower"):
+                    check(bad)
         assert all(r.is_exact_zero for r in vf.first_order_residual(state))
-        with pytest.raises(AssertionError, match="rung 3 lifted its window"):
-            vf.first_order_residual(bad)
-
-    def test_detuned_rows_are_read_off_the_universal_rows(self, monkeypatch):
-        # on every ladder window the detuned rows equal the lifted rows at
-        # w^2 = off_shell_w2, polynomial for polynomial and in every
-        # printed digit, and lift no window
-        states = [state for Z in (1, 57, 80, 118)
-                  for ch, _ in channel_slots(make_params(Z=Z), Fraction(5, 2), 8)
-                  for state in ld.climb(ch, 8, 128)[1:]]
-        states.append(ld.build_state(make_channel(make_params(Z=80), Fraction(5, 2), 1), 64))
-        assert len(states) == 193
-        lifted = [[r.residual_poly for r in vf._window_rows(
-            st, Quadratic.root(off_shell_w2(st.channel, st.n)))] for st in states]
-        forbid_lifts(monkeypatch)
-        for state, rows in zip(states, lifted):
-            got = [r.residual_poly for r in vf.detuned_first_order(state)]
-            assert got == rows, (str(state.channel), state.n)
-            for bits in (53, 256):
-                assert ([mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in got]
-                        == [mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in rows])
 
     def test_corrupt_rows_fail_their_rung(self, monkeypatch):
         # the w^2 part of each row is decided to be pi_(n-1), and no higher
@@ -233,26 +252,6 @@ class TestUniversalRows:
                                                  "power of w above 2"):
             vf.universal_rows(4)
         assert 3 not in vf._ROWS and 4 not in vf._ROWS
-
-    def test_foreign_window_takes_the_lifted_route(self, monkeypatch):
-        # a window that is not the universal one is detuned as it stands:
-        # lifted once, at off_shell_w2
-        state = ld.build_state(CH_HEAVY, 3, 128)
-        bad = replace(state, psi_minus=state.psi_minus.scale(2))
-        w = Quadratic.root(off_shell_w2(CH_HEAVY, 3))
-        expected = [r.residual_poly for r in vf._window_rows(bad, w)]
-        lifts = []
-        lift = vf.tower_window
-
-        def counting(st, w):
-            lifts.append((st.n, w.d))
-            return lift(st, w)
-
-        monkeypatch.setattr(vf, "tower_window", counting)
-        vf.detuned_first_order(state)
-        assert lifts == []
-        assert [r.residual_poly for r in vf.detuned_first_order(bad)] == expected
-        assert lifts == [(3, w.d)] and not any(p.is_zero for p in expected)
 
     def test_import_decides_nothing(self):
         proc = subprocess.run(
@@ -635,7 +634,6 @@ class TestReport:
             return detuned(state)
 
         forbid_lifts(monkeypatch)
-        monkeypatch.setattr(wf, "tower_window", vf.tower_window)
         monkeypatch.setattr(vf, "detuned_first_order", counting)
         rep = vf.verification_report(make_params(Z=80))
         rows = [(block["j"], block["eps"], row) for block in rep["channels"]

@@ -182,8 +182,9 @@ class TestLaguerreEquivalence:
 
     def test_cross_check_reads_the_window(self):
         # the scalars come off the state's own window: with psi_minus
-        # scaled by 2, b doubles and both coupling rows are nonzero, as the
-        # first-order rows and the normalization moments also say
+        # scaled by 2, b doubles and both coupling rows are nonzero; the
+        # normalization moments say so too, and the first-order rows refuse
+        # the window
         state = ld.build_state(CH_HEAVY, 3)
         bad = replace(state, psi_minus=state.psi_minus.scale(2))
         rep = wf.laguerre_cross_check(bad)
@@ -191,7 +192,8 @@ class TestLaguerreEquivalence:
         assert not any(row.is_zero for row in rep.coupling_rows)
         assert rep.det_on_shell_exact_zero is True
         assert rep.b != wf.laguerre_cross_check(state).b
-        assert not all(r.is_exact_zero for r in vf.first_order_residual(bad))
+        with pytest.raises(AssertionError, match="not the image of the universal tower"):
+            vf.first_order_residual(bad)
         assert wf.orthogonality_exact(bad) is False
 
     def test_ratio_strings_read_the_window(self):
