@@ -131,41 +131,73 @@ def forbid_lifts(monkeypatch):
     monkeypatch.setattr(wf, "tower_window", lift)
 
 
-def route_and_reference(states):
+def on_shell_pairs(states):
     """For each state, the rows of verify and of `reference.window_rows` at
-    exact_w, and at off_shell_w2 for n >= 1: [(route, reference), ...]."""
-    pairs = []
-    for st in states:
-        ch, n = st.channel, st.n
-        pairs.append((vf.first_order_residual(st), window_rows(st, exact_w(ch, n))))
-        if n >= 1:
-            pairs.append((vf.detuned_first_order(st),
-                          window_rows(st, Quadratic.root(off_shell_w2(ch, n)))))
-    return [([r.residual_poly for r in reports], rows) for reports, rows in pairs]
+    exact_w: [(route, reference), ...]."""
+    return [([r.residual_poly for r in vf.first_order_residual(st)],
+             window_rows(st, exact_w(st.channel, st.n))) for st in states]
+
+
+def detuned_pairs(states):
+    """For each state with n >= 1, the detuned rows of verify and of
+    `reference.window_rows` at off_shell_w2: [(route, reference), ...]."""
+    return [([r.residual_poly for r in vf.detuned_first_order(st)],
+             window_rows(st, Quadratic.root(off_shell_w2(st.channel, st.n))))
+            for st in states if st.n >= 1]
+
+
+def grid_states():
+    """Z in {1, 57, 80, 118}, j <= 5/2, both eps, n <= 8 (the tau > 0
+    bottom rungs included), plus (80, 5/2, +1, n = 64)."""
+    states = [state for Z in (1, 57, 80, 118)
+              for ch, _ in channel_slots(make_params(Z=Z), Fraction(5, 2), 8)
+              for state in ld.climb(ch, 8, 128)]
+    states.append(ld.build_state(make_channel(make_params(Z=80), Fraction(5, 2), 1), 64))
+    assert len(states) == 217
+    return states
+
+
+def assert_same_rows(pairs):
+    """Route and reference agree polynomial for polynomial and in every
+    printed digit at 53 and 256 bits."""
+    for got, rows in pairs:
+        assert got == rows
+        for bits in (53, 256):
+            assert ([mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in got]
+                    == [mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in rows])
+
+
+FOREIGN = "rung 3 window is not the image of the universal tower"
+
+
+def foreign_windows(state):
+    """The state with psi_minus scaled by 2, and with psi_plus scaled by 3."""
+    return (replace(state, psi_minus=state.psi_minus.scale(2)),
+            replace(state, psi_plus=state.psi_plus.scale(3)))
 
 
 class TestUniversalRows:
-    def test_route_equals_the_reference(self, monkeypatch):
-        # polynomial for polynomial and in every printed digit, on shell
-        # (tau > 0 bottom rungs included) and detuned: the rows read off
-        # the universal rows equal the table read on the lifted window
-        states = [state for Z in (1, 57, 80, 118)
-                  for ch, _ in channel_slots(make_params(Z=Z), Fraction(5, 2), 8)
-                  for state in ld.climb(ch, 8, 128)]
-        states.append(ld.build_state(make_channel(make_params(Z=80), Fraction(5, 2), 1), 64))
-        assert len(states) == 217
+    def test_image_equals_the_direct_rows(self, monkeypatch):
+        # on shell, tau > 0 bottom rungs included: the rows read off the
+        # universal rows equal the table read on the lifted window
+        states = grid_states()
         forbid_lifts(monkeypatch)
-        pairs = route_and_reference(states)
-        assert len(pairs) == 217 + 193
-        for got, rows in pairs:
-            assert got == rows
-            for bits in (53, 256):
-                assert ([mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in got]
-                        == [mp_str(max_abs_embedded(p.coeffs, bits), 32) for p in rows])
+        pairs = on_shell_pairs(states)
+        assert len(pairs) == 217
+        assert_same_rows(pairs)
         for state in states:
             reports = vf.first_order_residual(state)
             assert [r.which for r in reports] == ["radial-row-f", "radial-row-g"]
             assert all(r.is_exact_zero for r in reports) == state.is_physical
+
+    def test_detuned_rows_are_read_off_the_universal_rows(self, monkeypatch):
+        # at w = root(off_shell_w2) on the same states: the detuned rows
+        # equal the table read on the lifted window, and nothing is lifted
+        states = grid_states()
+        forbid_lifts(monkeypatch)
+        pairs = detuned_pairs(states)
+        assert len(pairs) == 193
+        assert_same_rows(pairs)
 
     @pytest.mark.parametrize("row, term", [(row, term) for row in (0, 1) for term in range(4)])
     def test_route_follows_a_mutated_table(self, monkeypatch, row, term):
@@ -180,7 +212,7 @@ class TestUniversalRows:
         table[row] = (tag, terms[:term] + terms[term + 1:])
         monkeypatch.setattr(vf, "_SYSTEM", tuple(table))
         forbid_lifts(monkeypatch)
-        pairs = route_and_reference(states)
+        pairs = on_shell_pairs(states) + detuned_pairs(states)
         assert len(pairs) == 20 + 16
         for got, rows in pairs:
             assert got == rows
@@ -216,19 +248,26 @@ class TestUniversalRows:
             assert [r.residual_poly for r in reports] == window_rows(state, w)
 
     def test_foreign_window_is_refused(self, monkeypatch):
-        # a window that is not the universal one is refused by every row
-        # function, on shell and detuned, and is never lifted
+        # a window that is not the universal one is refused by the on-shell
+        # rows and the second-order rows, and is never lifted
         state = ld.build_state(CH_HEAVY, 3, 128)
         radial = vf.first_order_residual(state)
         forbid_lifts(monkeypatch)
-        for bad in (replace(state, psi_minus=state.psi_minus.scale(2)),
-                    replace(state, psi_plus=state.psi_plus.scale(3))):
-            for check in (vf.first_order_residual, vf.detuned_first_order,
+        for bad in foreign_windows(state):
+            for check in (vf.first_order_residual,
                           lambda st: vf.second_order_residual(st, radial)):
-                with pytest.raises(AssertionError,
-                                   match="rung 3 window is not the image of the universal tower"):
+                with pytest.raises(AssertionError, match=FOREIGN):
                     check(bad)
         assert all(r.is_exact_zero for r in vf.first_order_residual(state))
+
+    def test_detuned_refuses_a_foreign_window(self, monkeypatch):
+        # the detuned control refuses the same windows, and lifts none
+        state = ld.build_state(CH_HEAVY, 3, 128)
+        forbid_lifts(monkeypatch)
+        for bad in foreign_windows(state):
+            with pytest.raises(AssertionError, match=FOREIGN):
+                vf.detuned_first_order(bad)
+        assert not any(r.is_exact_zero for r in vf.detuned_first_order(state))
 
     def test_corrupt_rows_fail_their_rung(self, monkeypatch):
         # the w^2 part of each row is decided to be pi_(n-1), and no higher
