@@ -36,7 +36,10 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
   - the cheap commands in process, at Z = 57: `spectrum --N-max 1..4`,
     `jl` and `limit`;
   - the embedding edge: `embed_fraction(c^2)`, `s.embed(256)` and
-    `exact_w(channel, 3).embed(256)`;
+    `exact_w(channel, 3).embed(256)`; `spectral_point(channel, 3)` on one
+    channel, warm (a tree that keeps a channel's embedded constants times
+    the level alone); and `diagonality_scan` at Z = 57, whose channels are
+    new on every call;
   - the shooting oracle: `oracle_sweep` at Z = 40 and Z = 79 (j <= 3/2,
     n <= 3), one level alone (Z = 80, 5/2, -1, n = 3), the empty-slot
     control (Z = 1, 1/2, +1, n = 0) and the validated domain (the
@@ -80,6 +83,9 @@ FRESH_COMMANDS = {
     "state_n64": ["state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", "64",
                   "--format", "json"],
     "verify_Z80": ["verify", "--Z", "80", "--skip-oracle"],
+    "spectrum_N4": ["spectrum", "--N-max", "4"],
+    "jl": ["jl"],
+    "limit": ["limit"],
 }
 GAUGE_SLICES = 7
 CALLS, ROW_SECONDS, MIN_CALLS = 25, 1.0, 3
@@ -197,7 +203,8 @@ def cli_rows() -> dict:
 
 
 def embed_rows() -> dict:
-    from dirac_su11.params import exact_w, make_channel, make_params
+    from dirac_su11.jloperator import diagonality_scan
+    from dirac_su11.params import exact_w, make_channel, make_params, spectral_point
     from dirac_su11.qsfield import embed_fraction
     ch = make_channel(make_params(Z=80), Fraction(5, 2), 1)
     w = exact_w(ch, 3)
@@ -205,6 +212,8 @@ def embed_rows() -> dict:
         "embed.fraction_c2": timed(lambda: embed_fraction(ch.params.c2, 256)),
         "embed.s": timed(lambda: ch.s.embed(256)),
         "embed.exact_w3": timed(lambda: w.embed(256)),
+        "embed.spectral_point3": timed(lambda: spectral_point(ch, 3, 256)),
+        "embed.jl_scan_Z57": timed(lambda: diagonality_scan(make_params(Z=57))),
     }
 
 

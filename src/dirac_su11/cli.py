@@ -180,8 +180,11 @@ def _spectrum_rows(ns):
     else:
         j_max = Fraction(5, 2) if ns.j_max is None else ns.j_max
         n_max = 5 if ns.n_max is None else ns.n_max
-    levels = [(ch, n) for ch, slots in channel_slots(params, j_max, n_max) for n in slots
-              if ch.is_bound(n) and (ns.N_max is None or ch.j + Fraction(1, 2) + n <= ns.N_max)]
+    # N = (2j + 1)/2 + n <= N_max cuts the slots to n <= N_max - (2j + 1)/2
+    levels = [(ch, n) for ch, slots in channel_slots(params, j_max, n_max)
+              for n in (slots if ns.N_max is None
+                        else slots[:ns.N_max - (ch.j.numerator + 1) // 2 + 1])
+              if ch.is_bound(n)]
     rows = []
     for ch, n in levels:
         pt = spectral_point(ch, n, ns.precision)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest
 
 from .params import (
     DEFAULT_PRECISION,
@@ -42,7 +43,7 @@ from .params import (
     exact_w,
     mp_str,
 )
-from .qsfield import embed_fraction
+from .qsfield import _embed_raw
 
 _ORBITAL_LETTERS = "spdfghik"
 
@@ -59,14 +60,13 @@ class DiagonalityRecord:
 
 
 def spectroscopic_label(channel: Channel, n: int) -> str:
-    """N ell with N = j + 1/2 + n and the orbital letter of ell = j + eps/2."""
-    ell = channel.j + Fraction(channel.eps, 2)
-    big_n = channel.j + Fraction(1, 2) + n
-    if ell.denominator != 1 or big_n.denominator != 1:
+    """N ell with N = j + 1/2 + n and the letter of ell = j + eps/2, from 2j."""
+    twice_j, eps = channel.j.numerator, channel.eps
+    if channel.j.denominator != 2 or (twice_j + eps) % 2:
         raise DomainError("malformed channel labels")
-    ell = int(ell)
+    ell, big_n = (twice_j + eps) // 2, (twice_j + 1) // 2 + n
     letter = _ORBITAL_LETTERS[ell] if ell < len(_ORBITAL_LETTERS) else f"[l={ell}]"
-    return f"{int(big_n)}{letter}"
+    return f"{big_n}{letter}"
 
 
 def diagonality_scan(params: PhysicalParams, j_max: Fraction = Fraction(5, 2),
@@ -75,21 +75,21 @@ def diagonality_scan(params: PhysicalParams, j_max: Fraction = Fraction(5, 2),
 
     A slot is diagonal when it is a bound state and the operator maps it to
     a multiple of itself, that is, when the minus half of its window is
-    zero (module docstring). The coefficients zeta(1 -+ tau/w) are embedded
-    from one exact w per slot, the one the decision reads.
+    zero (module docstring). zeta and tau are embedded at precision + _GUARD
+    once per channel, w once per slot from the exact w the decision reads;
+    zeta(1 -+ tau/w) is computed from them on raw tuples as `spectral_point`
+    computes a level.
     """
-    work = precision + _GUARD
+    work, rnd, one = precision + _GUARD, round_nearest, from_int(1)
     records = []
     for ch, slots in channel_slots(params, j_max, n_max):
         tau = ch.qs(ch.tau)
-        zeta_mp, tau_mp = embed_fraction(ch.zeta, work), embed_fraction(ch.tau, work)
+        zeta_raw, tau_raw = _embed_raw(ch.zeta, work), _embed_raw(ch.tau, work)
         for n in slots:
             w = exact_w(ch, n)
-            with mp.workprec(work):
-                ratio = tau_mp / w.embed(work)
-                minus, plus = zeta_mp * (1 - ratio), zeta_mp * (1 + ratio)
-            with mp.workprec(precision):
-                minus, plus = +minus, +plus
+            ratio = mpf_div(tau_raw, _embed_raw(w, work), work, rnd)
+            minus, plus = (mp.make_mpf(mpf_pos(mpf_mul(zeta_raw, x, work, rnd), precision, rnd))
+                           for x in (mpf_sub(one, ratio, work, rnd), mpf_add(ratio, one, work, rnd)))
             physical = ch.is_bound(n)
             records.append(DiagonalityRecord(
                 channel=ch,

@@ -24,9 +24,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import prec_to_dps
+from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_pos, mpf_sqrt,
+                          mpf_sub, prec_to_dps, round_nearest)
 
-from .qsfield import Quadratic, Rational, _frac, embed_fraction
+from .qsfield import Quadratic, Rational, _embed_raw, _frac, embed_fraction
 
 DEFAULT_PRECISION = 256
 _GUARD = 32
@@ -76,18 +77,29 @@ class Channel:
     tau: Fraction
     s2: Fraction
     xi: Fraction
-    # s and lambda = s + 1/2, the Bargmann index of the discrete series,
-    # built once from s2; equality, hash and key() read the fields above
+    # s, lambda = s + 1/2 (the Bargmann index of the discrete series) and zeta^2,
+    # built once; equality, hash and key() read the fields above
     s: Quadratic = field(init=False, compare=False, repr=False)
     lam: Quadratic = field(init=False, compare=False, repr=False)
+    zeta2: Fraction = field(init=False, compare=False, repr=False)
+    _embedded: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "s", Quadratic.root(self.s2))
         object.__setattr__(self, "lam", Quadratic.of(Fraction(1, 2), 1, d=self.s2))
+        object.__setattr__(self, "zeta2", self.zeta * self.zeta)
 
     @property
     def zeta(self) -> Fraction:
         return self.params.zeta
+
+    def embedded(self, work: int) -> tuple:
+        """(c^2, zeta, s, j + 1/2) as raw libmp tuples rounded to `work` bits,
+        embedded on the first call at each precision; they die with the channel."""
+        if work not in self._embedded:
+            self._embedded[work] = tuple(_embed_raw(x, work) for x in (
+                self.params.c2, self.zeta, self.s, self.j + Fraction(1, 2)))
+        return self._embedded[work]
 
     def qs(self, a: Rational, b: Rational = 0) -> Quadratic:
         return Quadratic.of(a, b, d=self.s2)
@@ -144,7 +156,7 @@ def tower_w2(channel: Channel, n: int) -> Quadratic:
     that checks of that relation decide it rather than restate it.
     """
     sn = channel.s + n
-    return sn * sn + channel.zeta * channel.zeta
+    return sn * sn + channel.zeta2
 
 
 def off_shell_w2(channel: Channel, n: int) -> Quadratic:
@@ -179,27 +191,28 @@ class SpectralPoint:
     eps_j: mp.mpf         # quantum defect j + 1/2 - s
 
 
-def spectral_point(
-    channel: Channel, n: int, precision: int = DEFAULT_PRECISION
-) -> SpectralPoint:
+def spectral_point(channel: Channel, n: int,
+                   precision: int = DEFAULT_PRECISION) -> SpectralPoint:
+    """Rung n as a level. c^2, zeta, s and j + 1/2 are embedded at precision
+    + _GUARD once per channel (`Channel.embedded`); the level is computed
+    from them on raw tuples by the libmp calls that mpmath's operators make
+    under workprec, so its bits are theirs, and rounded once to precision."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("n must be a nonnegative integer")
     check_level(channel, n)
-    ch = channel
-    N = int(ch.j + Fraction(1, 2)) + n
-
-    with mp.workprec(precision + _GUARD):
-        c2 = embed_fraction(ch.params.c2, precision + _GUARD)
-        zeta = embed_fraction(ch.zeta, precision + _GUARD)
-        sn = ch.s.embed(precision + _GUARD) + n
-        w = mp.sqrt(sn * sn + zeta * zeta)
-        E = c2 * sn / w
-        binding = -c2 * zeta * zeta / (w * (sn + w))
-        eps_j = embed_fraction(ch.j + Fraction(1, 2), precision + _GUARD) - (sn - n)
-    with mp.workprec(precision):
-        E, binding, eps_j = +E, +binding, +eps_j
-
-    return SpectralPoint(ch, n, precision, N, E, binding, eps_j)
+    N = (channel.j.numerator + 1) // 2 + n  # j + 1/2 + n, with 2j = j.numerator
+    work, rnd = precision + _GUARD, round_nearest
+    c2, zeta, s, j_half = channel.embedded(work)
+    sn = mpf_add(s, from_int(n), work, rnd)
+    w = mpf_sqrt(mpf_add(mpf_mul(sn, sn, work, rnd), mpf_mul(zeta, zeta, work, rnd), work, rnd),
+                 work, rnd)
+    E = mpf_div(mpf_mul(c2, sn, work, rnd), w, work, rnd)
+    # -c^2 zeta^2 / (w (s + n + w)): E - c^2 with no cancellation
+    binding = mpf_div(mpf_mul(mpf_mul(mpf_neg(c2), zeta, work, rnd), zeta, work, rnd),
+                      mpf_mul(w, mpf_add(sn, w, work, rnd), work, rnd), work, rnd)
+    eps_j = mpf_sub(j_half, mpf_sub(sn, from_int(n), work, rnd), work, rnd)
+    E, binding, eps_j = (mp.make_mpf(mpf_pos(x, precision, rnd)) for x in (E, binding, eps_j))
+    return SpectralPoint(channel, n, precision, N, E, binding, eps_j)
 
 
 def check_level(channel: Channel, n: int) -> None:

@@ -230,7 +230,8 @@ class Quadratic:
         element one level up lifts self here."""
         d = self.d
         if isinstance(other, Quadratic):
-            if other.d is d or other.d == d:
+            # moduli of two kinds never agree; Fraction.__eq__ is not asked
+            if other.d is d or (other.d.__class__ is d.__class__ and other.d == d):
                 return self, other
             if isinstance(other.d, Quadratic) and other.d.d == d:
                 return _pair(self, self._rational(0), other.d), other

@@ -42,7 +42,8 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_shift, round_nearest, to_int
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_exp, mpf_mul, mpf_mul_int, mpf_pos,
+                          mpf_pow_int, mpf_shift, mpf_sub, round_nearest, to_int)
 
 from .params import (DEFAULT_PRECISION, _GUARD, SCHEMA_TAG, Channel,
                      DomainError, SpectralPoint, exact_w, max_abs_embedded,
@@ -276,45 +277,47 @@ def sample(pair: RadialPair, count: int = 400) -> RadialPair:
     outgrows W = work + 8 bits both are floored to W bits. A unit 2^e is
     then at most 2^(1-W) of the largest |pi_j| so far, and a step errs by
     under 1 + (2 + k) 2^(W-F-1) < 2 units (k < 64), a rescale by 1 more:
-    2^-(work+5) of that value. The mpf pass at work bits that this
-    replaced rounded four times a step, relative to products up to
-    b_k |pi_{k-1}|, so _GUARD covers this pass as it covered that one.
-    (P, Q) is rounded once to work bits, and the window halves are
-    (pi_n, c pi_{n-1}) with c = -(w + tau) embedded once."""
+    2^-(work+5) of that value, less than an mpf recurrence at work bits
+    errs by (four roundings a step, relative to products up to
+    b_k |pi_{k-1}|), which _GUARD covers. (P, Q) is rounded once to work
+    bits, and the window halves are (pi_n, c pi_{n-1}) with c = -(w + tau)
+    embedded once. rho, its weight and (F, G) run on raw tuples at work bits
+    by the libmp calls of mpmath's operators, and round once to precision."""
     if count < 2:
         raise DomainError("need at least two sample points")
     prec = pair.state.precision
     ch, n = pair.channel, pair.n
-    work = prec + _GUARD
+    work, rnd = prec + _GUARD, round_nearest
     width, frac = work + 8, work + 16
     with mp.workprec(prec):
         top = 5 * (n + ch.s.embed(prec) + 1)
-    rows = []
     with mp.workprec(work):
         lo = mp.mpf(1) / 1000
         ratio = (top / lo) ** (mp.mpf(1) / (count - 1))
-        s_emb = ch.s.embed(work)
-        log_lo, log_ratio = mp.log(lo), mp.log(ratio)
-        two_s = to_int(mpf_shift(ch.s.embed(frac + 16)._mpf_, frac + 1), round_nearest)
-        steps = [(((2 * k + 1) << frac) + two_s, ((k * k) << frac) + k * two_s)
-                 for k in range(n)]
-        scalar = small_component_scalar(ch, n).embed(work)
-        for i in range(count):
-            rho = lo * ratio ** i
-            weight = mp.exp(s_emb * (log_lo + i * log_ratio) - rho)
-            r = to_int(mpf_shift(rho._mpf_, frac + 1), round_nearest)
-            p, q, e = 1 << (width - 1), 0, 1 - width
-            for a, b in steps:
-                p, q = ((a - r) * p - b * q) >> frac, p
-                excess = p.bit_length() - width
-                if excess > 0:
-                    p, q, e = p >> excess, q >> excess, e + excess
-            plus, minus = (mp.make_mpf(from_man_exp(x, e, work, round_nearest)) for x in (p, q))
-            f, g = radial_parts(plus, scalar * minus)
-            fv = pair.f_scale * weight * f
-            gv = pair.g_scale * weight * g
-            with mp.workprec(prec):
-                rows.append((+rho, +fv, +gv))
+        log_lo, log_ratio = mp.log(lo)._mpf_, mp.log(ratio)._mpf_
+    lo, ratio, s_emb = lo._mpf_, ratio._mpf_, ch.s.embed(work)._mpf_
+    two_s = to_int(mpf_shift(ch.s.embed(frac + 16)._mpf_, frac + 1), rnd)
+    steps = [(((2 * k + 1) << frac) + two_s, ((k * k) << frac) + k * two_s)
+             for k in range(n)]
+    scalar = small_component_scalar(ch, n).embed(work)._mpf_
+    rows = []
+    for i in range(count):
+        rho = mpf_mul(lo, mpf_pow_int(ratio, i, work, rnd), work, rnd)
+        log_rho = mpf_add(log_lo, mpf_mul_int(log_ratio, i, work, rnd), work, rnd)
+        weight = mpf_exp(mpf_sub(mpf_mul(s_emb, log_rho, work, rnd), rho, work, rnd), work, rnd)
+        r = to_int(mpf_shift(rho, frac + 1), rnd)
+        p, q, e = 1 << (width - 1), 0, 1 - width
+        for a, b in steps:
+            p, q = ((a - r) * p - b * q) >> frac, p
+            excess = p.bit_length() - width
+            if excess > 0:
+                p, q, e = p >> excess, q >> excess, e + excess
+        plus = from_man_exp(p, e, work, rnd)
+        minus = mpf_mul(scalar, from_man_exp(q, e, work, rnd), work, rnd)
+        f, g = mpf_add(minus, plus, work, rnd), mpf_sub(minus, plus, work, rnd)
+        fv = mpf_mul(mpf_mul(pair.f_scale._mpf_, weight, work, rnd), f, work, rnd)
+        gv = mpf_mul(mpf_mul(pair.g_scale._mpf_, weight, work, rnd), g, work, rnd)
+        rows.append(tuple(mp.make_mpf(mpf_pos(x, prec, rnd)) for x in (rho, fv, gv)))
     return replace(pair, samples=tuple(rows))
 
 

@@ -670,7 +670,8 @@ def test_float_levels_only_where_read(capsys, monkeypatch):
 
 
 # sha256 of (stdout, --out file or None) and the exit code of cheap
-# commands at the default precision; any change to a printed byte shows
+# commands, at the default precision unless one is given; any change to a
+# printed byte shows
 GOLDEN = [
     (["spectrum", "--N-max", "2"],
      "0d9e3dcfafb7aced30f796020f986c421bd25514f971f613a010e2ea653e19f1", None, 0),
@@ -706,6 +707,16 @@ GOLDEN = [
      "310ddd8f7880e592ac8daf07eeb344dc6c9e2b7787050cd5e9167d3f8f4c5644", None, 0),
     (["limit", "--format", "csv"],
      "05c3b492423c7e5007fa875c1bd1efec2285f7aff3841a16550c5dda61aa69c8", None, 0),
+    # the float edge at precisions other than the default
+    (["spectrum", "--N-max", "4", "--precision", "53"],
+     "5fa98019d865175db3900aa996deb87b1e6a09da24a13876f6fbad7d139c98ec", None, 0),
+    (["jl", "--precision", "64"],
+     "2cd5958d9444f8f9f1b9610af0f6bd6f4e2d3547c40f4b2be8e5a608a26a1305", None, 0),
+    (["limit", "--precision", "113"],
+     "ab5de10e825e3504f4c32f1e97aa93913a98e39d20e7e609cbe1b74f63c76479", None, 0),
+    (["state", "--j", "3/2", "--eps", "1", "--n", "5", "--samples", "20",
+      "--precision", "53", "--format", "json"],
+     "d700d7f5ee03bbb000c924789632cedd833ca9657e13a231358d2f971eab33d5", None, 0),
 ]
 
 
