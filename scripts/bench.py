@@ -27,6 +27,9 @@ Rows, on (Z, j, eps) = (80, 5/2, +1) at 256 bits unless named:
     report, which decides through these same functions;
   - the detuned control of one deep rung, n = 64 (`detuned_n64`), with the
     universal rows of that rung warm;
+  - deciding the universal tower from an empty cache up to rung 20 and 64
+    (`tower_n20.empty_cache`, `tower_n64.empty_cache`), with the generator
+    images warm; the decided tower is put back after the row;
   - the first-order rows of one rung at n = 5, 20 and 64: decided once on
     the universal window, uncached (`universal`), read off them for the
     channel by `first_order_residual`, warm (`route`), and on the
@@ -78,6 +81,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STATE_NS = (20, 40, 64)
 UNIVERSAL_NS = (5, 20, 64)
+TOWER_NS = (20, 64)
 FRESH_RUNS = 3
 FRESH_COMMANDS = {
     "state_n64": ["state", "--Z", "80", "--j", "5/2", "--eps", "1", "--n", "64",
@@ -184,7 +188,11 @@ def universal_rows() -> dict:
     from dirac_su11 import ladder, verify
     from dirac_su11.params import exact_w, make_channel, make_params
     ch = make_channel(make_params(Z=80), Fraction(5, 2), 1)
-    rows = {}
+    rows, tower = {}, list(ladder._TOWER)
+    for n in TOWER_NS:
+        rows[f"tower_n{n}.empty_cache"] = timed(
+            lambda: (ladder._TOWER.clear(), ladder.universal_rung(n)))
+    ladder._TOWER[:] = tower
     for n in UNIVERSAL_NS:
         state, w = ladder.build_state(ch, n), exact_w(ch, n)
         if hasattr(verify, "_decide_universal_rows"):

@@ -27,11 +27,19 @@ relations and the equality of that explicit Casimir with the composed
 Xi3^2 - Xi1^2 - Xi2^2 are decided on the generic monomial once per process,
 on first use (`universal_images`). By linearity they then hold for every
 family member, and the ring map s^2 -> tau^2 - zeta^2 carries them to
-every channel. The rest of the package reads the decided images of Xi+,
-Xi-, 2 Xi3 and 4 times the Casimir, specialized: `universal_map` in
-Z[s][rho] at one mode (the ladder's universal tower) and `apply` on one
+every channel. An image is held as a polynomial in the symbolic exponent
+i and the mode k, not in rho, since the relations are decided on the
+generic monomial. The rest of the package reads the decided images of
+Xi+, Xi-, 2 Xi3 and 4 times the Casimir, specialized: `universal_map` at
+one mode on the universal layer (the ladder's tower) and `apply` on one
 channel's family member over Q(s). Both give the real part: Xi+ and Xi-
 are I times it, and the caller tracks that factor.
+
+The universal layer Z[s, tau][w][rho] has one form: {(k, t, e): [c_0, ...]},
+the coefficient of s^k tau^t w^e as a dense list of ints in rho, with no
+trailing zero and no all-zero list (`trim`), so two elements are equal iff
+their dicts are; `comb` adds and shifts them. The ladder's tower is its
+part with t = e = 0, and `verify` builds the first-order rows from it.
 
 The inner product is the phase average times the x-integral,
 int dphi/2pi int dx; on the family the phi average kills any cross-mode
@@ -185,16 +193,41 @@ def _at(poly: dict, i: int, k: int) -> dict:
     return out
 
 
-def universal_map(name: str, k: int, poly: dict) -> dict:
-    """The real part of a decided image at mode lambda + k on a polynomial
-    in Z[s][rho], the dict {(i, e): c} of its terms c rho^i s^e."""
+def trim(poly: dict) -> dict:
+    """poly in normal form, its lists cut in place: no trailing zero in a
+    list and no all-zero list."""
+    for coeffs in poly.values():
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+    return {key: coeffs for key, coeffs in poly.items() if coeffs}
+
+
+def comb(*terms) -> dict:
+    """The sum of c rho^i s^k tau^t w^e P over the terms (c, (i, k, t, e), P)
+    of the universal layer, in normal form."""
     out: dict = {}
+    for c, (i, k, t, e), poly in terms:
+        for (a, b, d), coeffs in poly.items():
+            acc = out.setdefault((a + k, b + t, d + e), [])
+            if len(acc) < i + len(coeffs):
+                acc.extend([0] * (i + len(coeffs) - len(acc)))
+            for m, v in enumerate(coeffs, i):
+                acc[m] += c * v
+    return trim(out)
+
+
+def universal_map(name: str, k: int, poly: dict) -> dict:
+    """The real part of a decided image at mode lambda + k on an element of
+    the universal layer; tau and w are left alone."""
+    size = max(map(len, poly.values()), default=0)
+    terms = []
     for (_, a), coeff in universal_images()[name].items():
-        for (i, e), c in poly.items():
-            for es, v in _at(coeff, i, k).items():
-                key = (i + a, e + es)
-                out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
+        at = [_at(coeff, i, k) for i in range(size)]
+        for es in {es for row in at for es in row}:   # the s^es part, at each i
+            scale = [row.get(es, 0) for row in at]
+            terms.append((1, (a, es, 0, 0), {key: [c * v for c, v in zip(coeffs, scale)]
+                                             for key, coeffs in poly.items()}))
+    return comb(*terms)
 
 
 def apply(name: str, f: FamilyFunction) -> FamilyFunction:

@@ -18,16 +18,16 @@ from. Raising shifts the window, so the new psi_minus is the old psi_plus.
 
 The algebra sees a channel only through lambda = s + 1/2, so with s kept
 as a symbol the map above has coefficients in Z[s] and so does every pi_n.
-One universal tower in Z[s][rho], held as plain Python ints, is climbed
-on demand up to MAX_RUNG. Its steps are the decided image of Xi+ from
-`algebra.universal_images` (the one transcription of the generators,
-whose structure relations and Casimir routes are decided there for every
-family member), and each rung n is decided once per process, for every
-channel at once:
+One universal tower in Z[s][rho], held as lists of Python ints in rho
+(the universal layer of `algebra`), is climbed on demand up to MAX_RUNG.
+Its steps are the decided image of Xi+ from `algebra.universal_images`
+(the one transcription of the generators, whose structure relations and
+Casimir routes are decided there for every family member), and each rung
+n is decided once per process, for every channel at once:
 
 - the window shift: lowering pi_n from mode lambda + n returns
   -n(n+2s) pi_{n-1}, the window's other half, and lowering pi_0 returns 0;
-- the leading coefficient (-2)^n and the degree n;
+- the leading coefficient (-2)^n and the degree n, in one comparison;
 - the Casimir eigenvalue: 4 times the Casimir is (4s^2 - 1) pi_n;
 - pi_n = n! L_n^{(2s)}(2 rho), against the three-term Laguerre recurrence.
 
@@ -61,7 +61,7 @@ from .params import (
     tower_gap,
 )
 from .qsfield import QsPolynomial, Quadratic
-from .algebra import FamilyFunction, universal_map
+from .algebra import FamilyFunction, comb, universal_map
 
 MAX_RUNG = 64
 
@@ -145,48 +145,38 @@ def build_state(channel: Channel, n: int, precision: int = DEFAULT_PRECISION) ->
 
 # -- the universal tower in Z[s][rho] -----------------------------------------
 #
-# A polynomial in Z[s][rho] is a dict {(i, k): c} of its nonzero terms
-# c rho^i s^k, so two polynomials are equal iff their dicts are.
+# A rung is {(k, 0, 0): [c_0, c_1, ...]}, the coefficient of s^k as a list
+# of ints in rho: the part t = e = 0 of the universal layer (`algebra.comb`).
 
 _TOWER: list = []   # decided universal rungs pi_0, pi_1, ...; never built at import
-
-
-def _comb(*terms) -> dict:
-    """The sum of c rho^i s^k P over the (c, i, k, P) terms."""
-    out: dict = {}
-    for c, i, k, poly in terms:
-        for (a, b), v in poly.items():
-            key = (a + i, b + k)
-            out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
+_ONE, _S = (0, 0, 0, 0), (0, 1, 0, 0)   # the shifts (i, k, t, e) by 1 and by s
 
 
 def _laguerre_next(k: int, cur: dict, prev: dict) -> dict:
     """(k+1)! L_{k+1} from k! L_k and (k-1)! L_{k-1} at alpha = 2s, y = 2 rho:
     (k+1) L_{k+1} = (2k + 1 + alpha - y) L_k - (k + alpha) L_{k-1}."""
-    return _comb((2 * k + 1, 0, 0, cur), (2, 0, 1, cur), (-2, 1, 0, cur),
-                 (-k * k, 0, 0, prev), (-2 * k, 0, 1, prev))
+    return comb((2 * k + 1, _ONE, cur), (2, _S, cur), (-2, (1, 0, 0, 0), cur),
+                (-k * k, _ONE, prev), (-2 * k, _S, prev))
 
 
 def _decide_casimir(n: int, poly: dict) -> None:
     """4 times the Casimir at mode lambda + n is (4s^2 - 1) poly."""
-    if universal_map("casimir", n, poly) != _comb((4, 0, 2, poly), (-1, 0, 0, poly)):
+    if universal_map("casimir", n, poly) != comb((4, (0, 2, 0, 0), poly), (-1, _ONE, poly)):
         raise AssertionError(f"universal rung {n} is not a Casimir eigenstate")
 
 
 def _decide_rung(n: int, poly: dict, below: list) -> None:
     """Decide the identities of universal rung n, given the decided rungs
     below it; raise AssertionError naming the first that fails."""
-    if {key: v for key, v in poly.items() if key[0] == n} != {(n, 0): (-2) ** n}:
-        raise AssertionError(f"universal rung {n} leading coefficient is not (-2)^n")
-    if max(i for i, _ in poly) != n:
-        raise AssertionError(f"universal rung {n} polynomial degree mismatch")
-    lowered = _comb((-n * n, 0, 0, below[n - 1]), (-2 * n, 0, 1, below[n - 1])) if n else {}
+    # in normal form this also decides that no power of rho above n occurs
+    if {key: c[n:] for key, c in poly.items() if len(c) > n} != {(0, 0, 0): [(-2) ** n]}:
+        raise AssertionError(f"universal rung {n} leading coefficient is not (-2)^n rho^n")
+    lowered = comb((-n * n, _ONE, below[n - 1]), (-2 * n, _S, below[n - 1])) if n else {}
     if universal_map("-", n, poly) != lowered:
         raise AssertionError(f"universal rung {n} window shift: lowering does "
                              "not return -n(n+2s) pi_(n-1)")
     _decide_casimir(n, poly)
-    laguerre = {(0, 0): 1} if n == 0 else _laguerre_next(
+    laguerre = {(0, 0, 0): [1]} if n == 0 else _laguerre_next(
         n - 1, below[n - 1], below[n - 2] if n >= 2 else {})
     if poly != laguerre:
         raise AssertionError(f"universal rung {n} is not n! L_n^(2s)(2 rho)")
@@ -203,7 +193,7 @@ def universal_rung(n: int) -> dict:
         raise DomainError(f"rung {n} outside 0..{MAX_RUNG}")
     while len(_TOWER) <= n:
         k = len(_TOWER)
-        poly = {(0, 0): 1} if k == 0 else _raise_universal(k - 1, _TOWER[-1])
+        poly = {(0, 0, 0): [1]} if k == 0 else _raise_universal(k - 1, _TOWER[-1])
         _decide_rung(k, poly, _TOWER)
         _TOWER.append(poly)
     return _TOWER[n]
@@ -230,11 +220,12 @@ def tower_image(channel: Channel, n: int) -> QsPolynomial:
         return kept[1]
     s2 = channel.s2
     p, q = s2.numerator, s2.denominator
-    top = max(k for _, k in poly) // 2
+    top = max(k for k, _, _ in poly) // 2
     weight = [p ** m * q ** (top - m) for m in range(top + 1)]
     parts = [[0, 0] for _ in range(n + 1)]
-    for (i, k), c in poly.items():
-        parts[i][k & 1] += c * weight[k >> 1]
+    for (k, _, _), coeffs in poly.items():
+        for part, c in zip(parts, coeffs):
+            part[k & 1] += c * weight[k >> 1]
     den = q ** top
     # the leading coefficient (-2)^n is decided nonzero: no trailing zeros
     image = QsPolynomial(tuple(Quadratic.from_ints(a, b, den, d=s2) for a, b in parts),

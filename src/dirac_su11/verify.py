@@ -59,7 +59,7 @@ from .qsfield import QsPolynomial, Quadratic
 # build_state is unused here but stays importable as verify.build_state
 from .ladder import (LadderState, build_state, climb, square_moment,  # noqa: F401
                      tower_image, universal_rung)
-from .algebra import field_moment, inner_product, universal_images
+from .algebra import comb, field_moment, inner_product, universal_images
 
 GRAM_N_CAP = 5  # a Gram matrix of 65 rungs takes seconds per channel
 
@@ -117,42 +117,10 @@ def _reports(tags, rows) -> tuple:
 
 # -- the rows on the universal window --------------------------------------------
 #
-# An element of Z[s, tau][w][rho] is a dict {(k, t, e): [c_0, c_1, ...]}: the
-# coefficient of s^k tau^t w^e, a dense list of ints in rho.
+# A row is an element of Z[s, tau][w][rho] in the form of the universal tower
+# (`algebra.comb`): {(k, t, e): list in rho}, the coefficient of s^k tau^t w^e.
 
 _ROWS: dict = {}   # rung n -> its decided rows; never built at import
-
-
-def _add_into(acc: dict, key: tuple, a: int, coeffs: list) -> None:
-    """acc[key] += a * coeffs, as lists in rho."""
-    old = acc.setdefault(key, [])
-    if len(old) < len(coeffs):
-        old.extend([0] * (len(coeffs) - len(old)))
-    for i, c in enumerate(coeffs):
-        old[i] += a * c
-
-
-def _grouped(n: int) -> dict:
-    """Universal rung n (`ladder.universal_rung`) as {(k, 0, 0): list in rho}."""
-    out: dict = {}
-    for (i, k), c in universal_rung(n).items():
-        coeffs = out.setdefault((k, 0, 0), [])
-        coeffs.extend([0] * (i + 1 - len(coeffs)))
-        coeffs[i] = c
-    return out
-
-
-def _w_part(row: dict, e: int) -> dict:
-    """The w^e part of a universal element, {(k, t): list in rho}, with no
-    trailing zeros in a list and no all-zero list."""
-    out = {}
-    for (k, t, ee), coeffs in row.items():
-        end = len(coeffs)
-        while end and not coeffs[end - 1]:
-            end -= 1
-        if ee == e and end:
-            out[k, t] = coeffs[:end]
-    return out
 
 
 def _decide_universal_rows(n: int) -> tuple:
@@ -162,44 +130,27 @@ def _decide_universal_rows(n: int) -> tuple:
     Before the reduction each row is A + B w + C w^2; decided here: no
     higher power of w, and C = pi_(n-1). So at any w a row is its reduced
     form plus pi_(n-1) (w^2 - tau^2 - n(n + 2s)) (`_rows_at`)."""
-    below = _grouped(n - 1) if n else {}
-    plus, f, g = _grouped(n), {}, {}
-    for (k, t, e), coeffs in below.items():
-        for key in ((k, t, e + 1), (k, t + 1, e)):   # -(w + tau) pi_(n-1)
-            _add_into(f, key, -1, coeffs)
-            _add_into(g, key, -1, coeffs)
-    for key, coeffs in plus.items():
-        _add_into(f, key, 1, coeffs)
-        _add_into(g, key, -1, coeffs)
-    # a symbol of `_SYSTEM` is an int factor and a move of the key (k, t, e)
+    one, s, tau, w = (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    below, plus = (universal_rung(n - 1) if n else {}), universal_rung(n)
+    parts = {"f": comb((1, one, plus), (-1, w, below), (-1, tau, below)),
+             "g": comb((-1, one, plus), (-1, w, below), (-1, tau, below))}
+    for name in "fg":   # the derivative: i c_i at rho^(i-1)
+        parts[name + "'"] = {key: [i * c for i, c in enumerate(coeffs)][1:]
+                             for key, coeffs in parts[name].items()}
+    # a symbol of `_SYSTEM` is an int factor and a shift of the key (k, t, e)
     values = {"1": (1, 0, 0, 0), "n": (n, 0, 0, 0), "tau": (1, 0, 1, 0),
               "s": (1, 1, 0, 0), "w": (1, 0, 0, 1)}
-    parts = {"f": f, "g": g}
-    for name, part in (("f'", f), ("g'", g)):
-        parts[name] = {key: [i * c for i, c in enumerate(coeffs)][1:]
-                       for key, coeffs in part.items()}
     rows = []
     for tag, terms in _SYSTEM:
-        row: dict = {}
-        for part, power, form in terms:
-            for (k, t, e), coeffs in parts[part].items():
-                shifted = [0] * power + coeffs
-                for x, a in form.items():
-                    factor, dk, dt, de = values[x]
-                    _add_into(row, (k + dk, t + dt, e + de), a * factor, shifted)
-        if any(any(coeffs) for (_, _, e), coeffs in row.items() if e > 2):
+        row = comb(*((a * values[x][0], (power,) + values[x][1:], parts[part])
+                     for part, power, form in terms for x, a in form.items()))
+        if any(e > 2 for _, _, e in row):
             raise AssertionError(f"universal rung {n}: {tag} has a power of w above 2")
-        if _w_part(row, 2) != _w_part(below, 0):
+        if {(k, t, 0): c for (k, t, e), c in row.items() if e == 2} != below:
             raise AssertionError(f"universal rung {n}: the w^2 part of {tag} is not pi_(n-1)")
-        reduced: dict = {}
-        for (k, t, e), coeffs in row.items():
-            if e < 2:
-                _add_into(reduced, (k, t, e), 1, coeffs)
-            else:   # w^2 = tau^2 + n^2 + 2n s
-                _add_into(reduced, (k, t + 2, e - 2), 1, coeffs)
-                _add_into(reduced, (k, t, e - 2), n * n, coeffs)
-                _add_into(reduced, (k + 1, t, e - 2), 2 * n, coeffs)
-        rows.append({key: coeffs for key, coeffs in reduced.items() if any(coeffs)})
+        # w^2 = tau^2 + n^2 + 2n s, with the w^2 part decided to be pi_(n-1)
+        rows.append(comb((1, one, {key: c for key, c in row.items() if key[2] < 2}),
+                         (1, (0, 0, 2, 0), below), (n * n, one, below), (2 * n, s, below)))
     return tuple(rows)
 
 

@@ -8,6 +8,8 @@ the per-channel tests check their images over Q(s), in the real form of
 `channel_images`.
 """
 
+import copy
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -123,6 +125,58 @@ class TestUniversalDecision:
         with pytest.raises(AssertionError, match=r"relation \+- fails"):
             ld.universal_rung(3)
         assert ld._TOWER == []
+
+
+def sparse(poly: dict) -> dict:
+    """An element of the universal layer as {(i, k, t, e): c}, its nonzero
+    terms c rho^i s^k tau^t w^e."""
+    return {(i, k, t, e): c for (k, t, e), coeffs in poly.items()
+            for i, c in enumerate(coeffs) if c}
+
+
+def in_normal_form(poly: dict) -> bool:
+    return all(coeffs and coeffs[-1] for coeffs in poly.values())
+
+
+class TestUniversalLayer:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_comb_is_the_sparse_sum_in_normal_form(self, seed):
+        # comb against a sum over sparse terms, on inputs with zeros, empty
+        # lists and trailing zeros; every other seed adds each term again,
+        # negated, so the sum cancels to the empty dict
+        rng = random.Random(seed)
+
+        def element():
+            return {(rng.randrange(3), rng.randrange(3), rng.randrange(3)):
+                    [rng.randint(-3, 3) for _ in range(rng.randrange(5))]
+                    for _ in range(rng.randrange(4))}
+
+        terms = [(rng.randint(-4, 4), tuple(rng.randrange(3) for _ in range(4)), element())
+                 for _ in range(rng.randrange(1, 6))]
+        if seed % 2:
+            terms += [(-c, shift, poly) for c, shift, poly in reversed(terms)]
+        before = copy.deepcopy(terms)
+        expected: dict = {}
+        for c, (i, k, t, e), poly in terms:
+            for (m, a, b, d), v in sparse(poly).items():
+                key = (m + i, a + k, b + t, d + e)
+                expected[key] = expected.get(key, 0) + c * v
+        got = al.comb(*terms)
+        assert sparse(got) == {key: v for key, v in expected.items() if v}
+        assert in_normal_form(got)
+        assert terms == before
+        if seed % 2:
+            assert got == {}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_trim_keeps_the_terms_in_normal_form(self, seed):
+        rng = random.Random(seed)
+        poly = {(k, 0, 0): [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(rng.randrange(6))]
+                for k in range(rng.randrange(1, 5))}
+        terms = sparse(poly)
+        trimmed = al.trim(poly)
+        assert sparse(trimmed) == terms
+        assert in_normal_form(trimmed)
 
 
 class TestCommutators:

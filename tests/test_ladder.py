@@ -79,7 +79,7 @@ class TestConstruction:
         def corrupt(n, poly):
             raised.append(n)
             up = real_universal(n, poly)
-            return {key: 3 * v for key, v in up.items()} if n + 1 == 2 else up
+            return {key: [3 * c for c in v] for key, v in up.items()} if n + 1 == 2 else up
 
         def counting(state):
             climbed.append(state.n)
@@ -92,6 +92,36 @@ class TestConstruction:
         assert raised == [0, 1]
         assert climbed == [0, 1]
         assert len(ld._TOWER) == 2
+
+    @pytest.mark.parametrize("change", ["gain rho^4", "gain s rho^4", "lose rho^3"])
+    def test_bad_degree_stops_the_climb(self, monkeypatch, change):
+        # the leading check also decides the degree: a rung that gains a
+        # term above rho^n, or loses its rho^n term, fails at that rung,
+        # and nothing above it is raised
+        monkeypatch.setattr(ld, "_TOWER", [])
+        raised, climbed = [], []
+        real_universal, real_state = ld._raise_universal, ld.raise_state
+
+        def corrupt(n, poly):
+            raised.append(n)
+            up = real_universal(n, poly)
+            if n + 1 != 3:
+                return up
+            key = (1, 0, 0) if change == "gain s rho^4" else (0, 0, 0)
+            coeffs = up[key] + [0] * (4 - len(up[key])) + [5]
+            return al.trim({**up, key: up[key][:3] if change == "lose rho^3" else coeffs})
+
+        def counting(state):
+            climbed.append(state.n)
+            return real_state(state)
+
+        monkeypatch.setattr(ld, "_raise_universal", corrupt)
+        monkeypatch.setattr(ld, "raise_state", counting)
+        with pytest.raises(AssertionError, match="universal rung 3 leading coefficient"):
+            ld.climb(CH, 6)
+        assert raised == [0, 1, 2]
+        assert climbed == [0, 1, 2]
+        assert len(ld._TOWER) == 3
 
     def test_images_are_kept_for_one_channel(self, monkeypatch):
         # a state from the ladder holds the very image that tower_image
@@ -124,7 +154,7 @@ class TestConstruction:
 
         def leaky(name, k, poly):
             out = real(name, k, poly)
-            return {(0, 0): 1} if (name, k, out) == ("-", 0, {}) else out
+            return {(0, 0, 0): [1]} if (name, k, out) == ("-", 0, {}) else out
 
         monkeypatch.setattr(ld, "_TOWER", [])
         monkeypatch.setattr(ld, "universal_map", leaky)
@@ -135,8 +165,8 @@ class TestConstruction:
         # a wrong three-term recurrence must fail the rung it reaches first
         monkeypatch.setattr(ld, "_TOWER", [])
         real = ld._laguerre_next
-        monkeypatch.setattr(ld, "_laguerre_next", lambda k, cur, prev: ld._comb(
-            (1, 0, 0, real(k, cur, prev)), (1, 0, 0, prev)))
+        monkeypatch.setattr(ld, "_laguerre_next", lambda k, cur, prev: ld.comb(
+            (1, (0, 0, 0, 0), real(k, cur, prev)), (1, (0, 0, 0, 0), prev)))
         with pytest.raises(AssertionError, match="universal rung 2 is not n! L_n"):
             ld.universal_rung(4)
 
@@ -157,9 +187,9 @@ class TestConstruction:
         assert [r.psi_minus for r in rungs[1:]] == reference[:-1]
 
     def test_universal_tower_is_integral_and_small(self):
-        pi20 = ld.universal_rung(20)
-        assert all(isinstance(v, int) for v in pi20.values())
-        assert max(abs(v).bit_length() for v in pi20.values()) < 80
+        coeffs = [c for row in ld.universal_rung(20).values() for c in row]
+        assert all(isinstance(v, int) for v in coeffs)
+        assert max(abs(v).bit_length() for v in coeffs) < 80
 
     def test_state_is_only_its_window(self):
         # no float normalizer is stored: a rung is its exact window

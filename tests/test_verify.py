@@ -284,9 +284,9 @@ class TestUniversalRows:
         with pytest.raises(AssertionError, match=message):
             vf.detuned_first_order(ld.build_state(CH_HEAVY, 3, 128))
         monkeypatch.setattr(vf, "_SYSTEM", ((tag_f, terms_f), row_g))
-        grouped = vf._grouped
-        monkeypatch.setattr(vf, "_grouped", lambda n: {
-            (k, t, e + 2 * (n == 4)): c for (k, t, e), c in grouped(n).items()})
+        rung = vf.universal_rung
+        monkeypatch.setattr(vf, "universal_rung", lambda n: {
+            (k, t, e + 2 * (n == 4)): c for (k, t, e), c in rung(n).items()})
         with pytest.raises(AssertionError, match="universal rung 4: radial-row-f has a "
                                                  "power of w above 2"):
             vf.universal_rows(4)
